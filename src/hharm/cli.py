@@ -75,7 +75,7 @@ def cmd_transform(args) -> int:
         print(f"constant pi^(d+1)/2^(d-1) at d={obj.grid.d}: {const:.12g}")
         print(f"relative error: {rel:.3e}")
         tol = cfg.tol("plancherel-ratio", 1e-6)
-        if rel > tol:
+        if not rel <= tol:  # a NaN ratio is a breach too
             _err(
                 f"tolerance breach: {rel:.3e} > {tol:g} "
                 f"(is the field band-limited to L_max={cfg.L_max}?)"

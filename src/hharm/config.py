@@ -6,8 +6,6 @@ import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import numpy as np
-
 from .fields import Grid
 
 __all__ = ["ConfigError", "RunConfig", "SCHEMA"]
@@ -29,7 +27,6 @@ class RunConfig:
     s_half: float = 40.0
     n_t: int = 9
     t_final: float = 0.5
-    quadrature_mode: str = "grid"
     seed: int = 42
     suites: tuple = ("all",)
     tolerances: dict = field(default_factory=dict)
@@ -47,8 +44,6 @@ class RunConfig:
             raise ConfigError("r_max and s_half must be positive")
         if self.n_t < 2 or self.t_final <= 0:
             raise ConfigError("n_t must be >= 2 and t_final positive")
-        if self.quadrature_mode not in ("grid", "closure"):
-            raise ConfigError("quadrature_mode must be 'grid' or 'closure'")
         if not all(
             isinstance(v, (int, float)) and v > 0 for v in self.tolerances.values()
         ):
@@ -65,9 +60,6 @@ class RunConfig:
             s_half=self.s_half,
         )
 
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_final, self.n_t)
-
     def tol(self, name: str, default: float) -> float:
         return float(self.tolerances.get(name, default))
 
@@ -82,7 +74,6 @@ class RunConfig:
             "s_half": self.s_half,
             "n_t": self.n_t,
             "t_final": self.t_final,
-            "quadrature_mode": self.quadrature_mode,
             "seed": self.seed,
             "suites": list(self.suites),
             "tolerances": dict(sorted(self.tolerances.items())),

@@ -121,9 +121,17 @@ def read_hhfld(path):
         header = json.loads(raw[10 : 10 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise HHFLDError(f"bad header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise HHFLDError("bad header: not a JSON object")
     if header.get("dtype") != "c128le" or header.get("order") != "row-major":
         raise HHFLDError("unsupported payload encoding")
-    shape = tuple(int(n) for n in header["shape"])
+    try:
+        shape = tuple(int(n) for n in header["shape"])
+        grid = _rebuild_grid(header["grid"])
+    except HHFLDError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise HHFLDError(f"bad header: missing or malformed field ({exc})") from exc
     expected = int(np.prod(shape)) * 16
     payload = raw[10 + hlen :]
     if len(payload) != expected:
@@ -131,7 +139,8 @@ def read_hhfld(path):
             f"payload size {len(payload)} != expected {expected} for shape {shape}"
         )
     values = np.frombuffer(payload, dtype="<c16").reshape(shape).copy()
-    grid = _rebuild_grid(header["grid"])
+    if not np.isfinite(values).all():
+        raise HHFLDError("payload holds non-finite values")
     kind = header.get("kind")
     if kind == "radial":
         return RadialField(grid, values)

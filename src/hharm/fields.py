@@ -52,7 +52,6 @@ __all__ = [
     "l2_inner",
     "s_translate",
     "dilate",
-    "group_convolve_radial",
     "sphere_area",
 ]
 
@@ -356,28 +355,6 @@ def dilate(f: RadialField, a: float) -> RadialField:
     out = np.zeros_like(f.values)
     out[r_inside, :] = _barycentric_resample(g, vals_s, r_targets[r_inside])
     return RadialField(g, out)
-
-
-# ---------------------------------------------------------------------------
-# Group convolution of radial fields
-# ---------------------------------------------------------------------------
-
-def group_convolve_radial(f: RadialField, g: RadialField, L_max: int = 64) -> RadialField:
-    """Group convolution (f * g)(v) = int f(v w^{-1}) g(w) dw of radial fields.
-
-    Radial fields form a commutative convolution algebra; the product is
-    computed spectrally (the transform maps convolution to the pointwise
-    product of spectra in this normalization) and synthesized back.  The
-    result is the band projection of the true convolution onto ell <= L_max
-    and the grid frequency window.
-    """
-    from . import transform  # local import to avoid a cycle
-
-    if not f.grid.compatible(g.grid):
-        raise ValueError("fields must share a grid")
-    tf = transform.forward(f, L_max)
-    tg = transform.forward(g, L_max)
-    return transform.inverse(transform.convolve_spectral(tf, tg))
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ def transport_reference(u0: RadialField, ell: int, t: float, lam_sign: int = +1)
     return s_translate(u0, -lam_sign * shift)
 
 
-def duhamel(data: CauchyDataS, source, times, equation: str = "schrodinger") -> SpaceTimeField:
+def duhamel(data: CauchyDataS, source, times) -> SpaceTimeField:
     """Inhomogeneous Schrodinger flow u(t) = U(t)u0 - i int_0^t U(t-tau) f(tau) dtau.
 
     `source` maps a time to a SpectralField.  Uses second-order trapezoid
@@ -145,9 +145,9 @@ def duhamel(data: CauchyDataS, source, times, equation: str = "schrodinger") -> 
         theta_{n+1} = e^{i dt eig} theta_n
                       - i (dt/2) (e^{i dt eig} fhat_n + fhat_{n+1}).
     """
-    if equation != "schrodinger":
-        raise ValueError("only the schrodinger form is implemented")
     times = np.asarray(times, dtype=float)
+    if times.size < 2:
+        raise ValueError("duhamel needs a ladder of at least two times")
     dt = times[1] - times[0]
     if not np.allclose(np.diff(times), dt, rtol=0, atol=1e-12 * abs(dt)):
         raise ValueError("duhamel needs a uniform time ladder")
@@ -217,14 +217,20 @@ def wave_decay_probe(d: int = 1, ell: int = 0,
     g = np.exp(-lam / freq_scale)
     const = 2.0 ** (d - 1) / np.pi ** (d + 1)
     rhos = np.array([0.0, 0.5, 1.0, 2.0])
-    K = np.stack([wigner_radial(ell, l, rhos, d) for l in lam], axis=1)  # (n_rho, nq)
+    K = wigner_radial(ell, lam[:, None], rhos, d)  # (nq, n_rho)
     weight = g * wl * lam**d
     sups = []
     for t in times:
         s = np.arange(-0.8 * np.sqrt(m) * t - 30.0, 30.0, 0.02)
-        phase = np.exp(1j * (np.outer(s, lam) + 2.0 * t * np.sqrt(lam * m)[None, :]))
-        field = const * (phase * weight[None, :]) @ K.T  # (n_s, n_rho)
-        sups.append(np.abs(field).max())
+        # the phase matrix is built 512 s-rows at a time, so memory stays
+        # bounded however long the s-window grows with t
+        sup = 0.0
+        for lo in range(0, s.size, 512):
+            phase = np.exp(1j * (np.outer(s[lo:lo + 512], lam)
+                                 + 2.0 * t * np.sqrt(lam * m)[None, :]))
+            field = const * (phase * weight[None, :]) @ K  # (block, n_rho)
+            sup = max(sup, np.abs(field).max())
+        sups.append(sup)
     times = np.asarray(times, dtype=float)
     sups = np.asarray(sups)
     slope = np.polyfit(np.log(times), np.log(sups), 1)[0]

@@ -28,7 +28,7 @@ import numpy as np
 from scipy.special import gammaln, roots_legendre
 
 from .fields import Grid, RadialField, SpaceTimeField
-from .specfun import laguerre, multiplicity
+from .specfun import kernel_rows, multiplicity
 from .windows import sigma_window
 
 __all__ = [
@@ -148,26 +148,31 @@ def sigma_pair(theta, measure: SigmaMeasure, d: int = 1, L_max: int = 4096,
 # Physical-side kernels of the surface measures
 # ---------------------------------------------------------------------------
 
-def _laguerre_diag_small(ells, U, d):
-    """L_ell^{(d-1)}(U[row]) for per-band arguments: direct recurrences."""
+def _kernel_diag(ells, U, d):
+    """K_{ells[i]}(U[i]) for consecutive bands, with per-band arguments U[i].
+
+    One kernel_rows pass over the stacked arguments; row i is taken at the
+    step that reaches band ells[i].
+    """
+    lo = int(ells[0])
     out = np.empty_like(U)
-    for i, l in enumerate(ells):
-        out[i] = laguerre(int(l), d - 1, U[i])
+    for ell, K in enumerate(kernel_rows(int(ells[-1]), U, d)):
+        if ell >= lo:
+            out[ell - lo] = K[ell - lo]
     return out
 
 
-def _laguerre_diag_series(ells, U, d, n_terms=48):
-    """Explicit sum for L_ell^{(d-1)}(u_ell), fast for many large bands.
+def _kernel_series(ells, U, d, n_terms=48):
+    """Explicit sum for e^{-u/2} L_ell^{(d-1)}(u) at u = U[i], fast for many
+    large bands.
 
-    term_0 = mult(ell); term_{k+1} = term_k * (-u)(ell-k)/((k+1)(d+k)).
+    term_0 = mult(ell) e^{-u/2}; term_{k+1} = term_k * (-u)(ell-k)/((k+1)(d+k)).
     The effective argument is x = ell*u; cancellation costs a factor
     ~e^{2 sqrt(x)} in precision, so callers must keep x moderate (<= ~64).
     Returns (values, magnitude of the last increment).
     """
     ells = np.asarray(ells, dtype=float)[:, None]
-    term = np.broadcast_to(
-        _mult_real(ells[:, 0], d)[:, None], U.shape
-    ).astype(float).copy()
+    term = _mult_real(ells, d) * np.exp(-U / 2.0)
     acc = term.copy()
     for k in range(n_terms):
         term = term * (-U) * (ells - k) / ((k + 1.0) * (d + k))
@@ -175,8 +180,11 @@ def _laguerre_diag_series(ells, U, d, n_terms=48):
     return acc, float(np.abs(term).max())
 
 
-def g_function(rho, s, d: int = 1, radius: float = 1.0, L_max: int = 4096,
-               switch: int = 256):
+# bands below this use the recurrence in g_function, the rest the series
+_SERIES_SWITCH = 256
+
+
+def g_function(rho, s, d: int = 1, radius: float = 1.0, L_max: int = 4096):
     """Physical kernel of the sphere measure, with extrapolated band tail.
 
     G_R(rho, s) = (2^d / pi^{d+1}) sum_ell (2ell+d)^{-(d+1)} R^d
@@ -197,26 +205,24 @@ def g_function(rho, s, d: int = 1, radius: float = 1.0, L_max: int = 4096,
     R = radius
     const = 2.0**d / np.pi ** (d + 1)
     # the explicit-sum block loses ~e^{2 sqrt(R rho^2)} in precision; fall
-    # back to direct recurrences everywhere when that would bite
-    if float(np.max(R * rf**2)) > 64.0:
-        switch = L_max + 1
+    # back to the recurrence everywhere when that would bite
+    switch = _SERIES_SWITCH if float(np.max(R * rf**2)) <= 64.0 else L_max + 1
 
     def block_sum(l_lo, l_hi, exact):
         ells = np.arange(l_lo, l_hi)
         lam = R / (2.0 * ells[:, None] + d)
         U = 2.0 * lam * rf**2
         if exact:
-            Lg = _laguerre_diag_small(ells, U, d)
+            Kg = _kernel_diag(ells, U, d)
         else:
-            Lg, last = _laguerre_diag_series(ells, U, d)
+            Kg, last = _kernel_series(ells, U, d)
             if last > 1e-10:
                 raise RuntimeError("kernel series block not converged")
         terms = (
             (2.0 * ells[:, None] + d) ** -(d + 1)
             * R**d
             * np.cos(R * sf / (2.0 * ells[:, None] + d))
-            * np.exp(-U / 2.0)
-            * Lg
+            * Kg
         )
         return terms.sum(axis=0)
 
@@ -307,12 +313,18 @@ class SigmaValues:
 
 def _sphere_kernel_table(grid: Grid, measure: SphereMeasure, L_max: int):
     """K[ell, i] = K_ell(R/(2ell+d), rho_i) with per-band frequencies."""
-    d = grid.d
-    K = np.empty((L_max + 1, grid.n_rho))
-    for l in range(L_max + 1):
-        u = 2.0 * (measure.radius / (2.0 * l + d)) * grid.rho**2
-        K[l] = np.exp(-u / 2.0) * laguerre(l, d - 1, u)
-    return K
+    ells = np.arange(L_max + 1)
+    U = 2.0 * (measure.radius / (2.0 * ells[:, None] + grid.d)) * grid.rho[None, :] ** 2
+    return _kernel_diag(ells, U, grid.d)
+
+
+def _sigma_kernels(al, grid: Grid, L_max: int):
+    """K[ell, q, i] = K_ell(alpha_q c_ell, rho_i), c_ell = 1/(4(2ell+d))."""
+    ells = np.arange(L_max + 1)
+    c = 1.0 / (4.0 * (2.0 * ells + grid.d))
+    lam = al[None, :] * c[:, None]
+    U = 2.0 * lam[:, :, None] * grid.rho[None, None, :] ** 2
+    return _kernel_diag(ells, U, grid.d)
 
 
 def restrict_sphere(f: RadialField, measure: SphereMeasure, L_max: int = 64) -> SphereValues:
@@ -392,14 +404,12 @@ def restrict_sigma(u: SpaceTimeField, measure: SigmaMeasure, L_max: int = 32,
     tp = np.empty((n_alpha, L_max + 1), dtype=complex)
     tm = np.empty((n_alpha, L_max + 1), dtype=complex)
     wr = grid.w_radial
-    for l in range(L_max + 1):
+    for l, K in enumerate(_sigma_kernels(al, grid, L_max)):  # K: (n_q, n_rho)
         c = 1.0 / (4.0 * (2.0 * l + d))
         lam_q = al * c
         Es = grid.h_s * np.exp(-1j * np.outer(lam_q, grid.s))  # (n_q, n_s)
         Fp = np.einsum("qij,qj->qi", Ut, Es)
         Fm = np.einsum("qij,qj->qi", Ut, np.conj(Es))
-        U = 2.0 * lam_q[:, None] * grid.rho[None, :] ** 2
-        K = np.exp(-U / 2.0) * laguerre(l, d - 1, U)  # (n_q, n_rho)
         m = multiplicity(l, d)
         tp[:, l] = np.einsum("qi,qi->q", Fp, K * wr[None, :]) / m
         tm[:, l] = np.einsum("qi,qi->q", Fm, K * wr[None, :]) / m
@@ -441,11 +451,9 @@ def extend_sigma(vals: SigmaValues, grid: Grid) -> SpaceTimeField:
     Et = np.exp(1j * np.outer(grid.t_nodes, al))  # (n_t, n_q)
     # contract the alpha axis per band; never materialize (n_q, n_rho, n_s)
     out = np.zeros((grid.t_nodes.size, grid.n_rho, grid.n_s), dtype=complex)
-    for l in range(vals.L_max + 1):
+    for l, K in enumerate(_sigma_kernels(al, grid, vals.L_max)):  # K: (n_q, n_rho)
         c = 1.0 / (4.0 * (2.0 * l + d))
         lam_q = al * c
-        U = 2.0 * lam_q[:, None] * grid.rho[None, :] ** 2
-        K = np.exp(-U / 2.0) * laguerre(l, d - 1, U)  # (n_q, n_rho)
         Es = np.exp(1j * np.outer(lam_q, grid.s))  # (n_q, n_s)
         coeff = const * c ** (d + 1) * wq
         T = (coeff * vals.theta_plus[:, l])[:, None] * Es

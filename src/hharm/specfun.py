@@ -6,9 +6,17 @@ scaled Laguerre kernels
     K_ell(lam, Y) = exp(-|lam| |Y|^2) * L_ell^{(d-1)}(2 |lam| |Y|^2),
 
 whose value at Y = 0 equals the multiplicity binom(ell+d-1, ell) of the
-ell-th matrix diagonal.  Everything here is plain numpy; the recurrences are
-written out by hand because the transform fuses them with quadrature
-contractions and because the tests want an independent explicit-sum route.
+ell-th matrix diagonal.  `kernel_rows` is the one place they are evaluated:
+it runs the Laguerre three-term recurrence on the scaled functions
+e^{-u/2} L_ell(u) themselves, with the exponential folded into the two
+starting rows (Gil, Segura and Temme, *Numerical Methods for Special
+Functions*, 2007).  Those values are bounded by the multiplicity, so no
+band count overflows, whereas the product of an unscaled L_ell(u) with an
+underflowed e^{-u/2} gives inf * 0 = NaN.  The transform, the propagators,
+restriction, extension and twisted convolution all draw their kernels from
+it.  The unscaled `laguerre_table` remains for quadrature rules whose weight
+already carries the exponential, and the Hermite route below is an
+independent oracle for the tests.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from math import comb
 import numpy as np
 
 __all__ = [
+    "kernel_rows",
     "laguerre",
     "laguerre_table",
     "multiplicity",
@@ -31,38 +40,37 @@ __all__ = [
 ]
 
 
-def laguerre(ell, alpha, x):
-    """Generalized Laguerre polynomial L_ell^{(alpha)}(x), upward recurrence.
+def kernel_rows(lmax, u, d=1):
+    """Yield e^{-u/2} L_ell^{(d-1)}(u) for ell = 0..lmax, one array per band.
 
-    Parameters
-    ----------
-    ell : int
-        Degree, >= 0.
-    alpha : float
-        Parameter (the radial kernels use alpha = d-1).
-    x : array_like
-        Evaluation points (any shape).
+    The recurrence is the Laguerre one,
 
-    The three-term recurrence
+        (k+1) K_{k+1} = (2k+d-u) K_k - (k+d-1) K_{k-1},
 
-        (k+1) L_{k+1} = (2k+alpha+1-x) L_k - (k+alpha) L_{k-1}
-
-    is forward-stable for x >= 0 in the regimes used here.
+    started from K_0 = e^{-u/2} and K_1 = (d-u) e^{-u/2}; it is linear, so
+    the scaled functions obey it unchanged.  Each yielded array is fresh
+    (callers may keep it) and has the shape of `u`, which may stack any
+    number of arguments, e.g. one row of per-band arguments per band.
     """
-    x = np.asarray(x, dtype=float)
-    if ell < 0:
-        raise ValueError("degree must be nonnegative")
-    L0 = np.ones_like(x)
-    if ell == 0:
-        return L0
-    L1 = 1.0 + alpha - x
-    for k in range(1, ell):
-        L0, L1 = L1, ((2 * k + alpha + 1 - x) * L1 - (k + alpha) * L0) / (k + 1)
-    return L1
+    u = np.asarray(u, dtype=float)
+    alpha = d - 1
+    k0 = np.exp(-u / 2)
+    yield k0
+    if lmax < 1:
+        return
+    k1 = (1.0 + alpha - u) * k0
+    yield k1
+    for k in range(1, lmax):
+        k0, k1 = k1, ((2 * k + alpha + 1 - u) * k1 - (k + alpha) * k0) / (k + 1)
+        yield k1
 
 
 def laguerre_table(lmax, alpha, x):
-    """All degrees 0..lmax at once; returns shape (lmax+1,) + x.shape."""
+    """Unscaled L_ell^{(alpha)}(x) for ell = 0..lmax; shape (lmax+1,) + x.shape.
+
+    Only for quadrature whose weight already holds e^{-x} (the Gauss-Laguerre
+    closure transform): the unscaled values grow like x^ell / ell!.
+    """
     x = np.asarray(x, dtype=float)
     out = np.empty((lmax + 1,) + x.shape)
     out[0] = 1.0
@@ -71,6 +79,13 @@ def laguerre_table(lmax, alpha, x):
     for k in range(1, lmax):
         out[k + 1] = ((2 * k + alpha + 1 - x) * out[k] - (k + alpha) * out[k - 1]) / (k + 1)
     return out
+
+
+def laguerre(ell, alpha, x):
+    """Generalized Laguerre polynomial L_ell^{(alpha)}(x): row ell of laguerre_table."""
+    if ell < 0:
+        raise ValueError("degree must be nonnegative")
+    return laguerre_table(ell, alpha, x)[ell]
 
 
 def multiplicity(ell: int, d: int) -> int:
@@ -84,16 +99,18 @@ def wigner_radial(ell, lam, rho, d=1):
     """Radial spectral kernel exp(-|lam| rho^2) L_ell^{(d-1)}(2 |lam| rho^2).
 
     Its value at rho=0 is multiplicity(ell, d); it is even in lam and bounded
-    by the multiplicity in absolute value.
+    by the multiplicity in absolute value.  `lam` and `rho` broadcast.
     """
-    u = 2.0 * abs(lam) * np.asarray(rho, dtype=float) ** 2
-    return np.exp(-u / 2) * laguerre(ell, d - 1, u)
+    u = 2.0 * np.abs(lam) * np.asarray(rho, dtype=float) ** 2
+    for K in kernel_rows(ell, u, d):
+        pass
+    return K
 
 
 def wigner_radial_table(lmax, lam, rho, d=1):
     """Radial kernels for all degrees 0..lmax; shape (lmax+1,) + rho.shape."""
     u = 2.0 * np.abs(lam) * np.asarray(rho, dtype=float) ** 2
-    return np.exp(-u / 2) * laguerre_table(lmax, d - 1, u)
+    return np.stack(list(kernel_rows(lmax, u, d)))
 
 
 def normalized_kernel(ell, rho, d=1):

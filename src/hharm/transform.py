@@ -45,7 +45,7 @@ from .fields import (
     s_synthesis,
     sphere_area,
 )
-from .specfun import eigenvalue, laguerre_table, multiplicity
+from .specfun import eigenvalue, kernel_rows, laguerre_table, multiplicity
 from .windows import ball_profile, ring_profile
 
 __all__ = [
@@ -105,25 +105,15 @@ class SpectralField:
         )
 
 
-def _kernel_contract(grid: Grid, C, L_max, out=None):
-    """sum_i C[..., k, i] * K_ell(lam_k, rho_i) for all ell, fused recurrence.
+def _kernel_contract(grid: Grid, C, L_max):
+    """sum_i C[..., k, i] * K_ell(lam_k, rho_i) for all ell, band by band.
 
     C carries the lam-major layout (..., n_s, n_rho); returns (..., L+1, n_s).
     """
-    d = grid.d
-    alpha = d - 1
     u = 2.0 * np.abs(grid.lam)[:, None] * grid.rho[None, :] ** 2  # (n_s, n_rho)
-    E = np.exp(-u / 2)
-    lead = C.shape[:-2]
-    theta = np.empty(lead + (L_max + 1, grid.n_s), dtype=complex)
-    L0 = np.ones_like(u)
-    L1 = 1.0 + alpha - u
-    theta[..., 0, :] = ((C * (E * L0)).sum(-1))
-    if L_max >= 1:
-        theta[..., 1, :] = ((C * (E * L1)).sum(-1))
-    for k in range(1, L_max):
-        L0, L1 = L1, ((2 * k + alpha + 1 - u) * L1 - (k + alpha) * L0) / (k + 1)
-        theta[..., k + 1, :] = ((C * (E * L1)).sum(-1))
+    theta = np.empty(C.shape[:-2] + (L_max + 1, grid.n_s), dtype=complex)
+    for ell, K in enumerate(kernel_rows(L_max, u, grid.d)):
+        theta[..., ell, :] = (C * K).sum(-1)
     return theta
 
 
@@ -189,19 +179,10 @@ def inverse(sf: SpectralField) -> RadialField:
     """Synthesis back to the radial grid (exact inverse on the model space)."""
     grid = sf.grid
     d = grid.d
-    alpha = d - 1
     u = 2.0 * np.abs(grid.lam)[:, None] * grid.rho[None, :] ** 2
-    E = np.exp(-u / 2)
     G = np.zeros((grid.n_s, grid.n_rho), dtype=complex)
-    L0 = np.ones_like(u)
-    L1 = 1.0 + alpha - u
-    th = sf.values
-    G += th[0][:, None] * E * L0
-    if sf.L_max >= 1:
-        G += th[1][:, None] * E * L1
-    for k in range(1, sf.L_max):
-        L0, L1 = L1, ((2 * k + alpha + 1 - u) * L1 - (k + alpha) * L0) / (k + 1)
-        G += th[k + 1][:, None] * E * L1
+    for th, K in zip(sf.values, kernel_rows(sf.L_max, u, d)):
+        G += th[:, None] * K
     G *= (2.0**d / np.pi**d) * np.abs(grid.lam)[:, None] ** d
     G[grid.izero, :] = 0.0
     return RadialField(grid, s_synthesis(grid, G.T, axis=1))
@@ -374,6 +355,8 @@ def transform_D(u: SpaceTimeField, L_max: int = 64) -> SpectralFieldD:
     grid = u.grid
     t = grid.t_nodes
     n_t = t.size
+    if n_t < 2:
+        raise ValueError("transform_D needs at least two time nodes")
     dt = t[1] - t[0]
     if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-12 * abs(dt)):
         raise ValueError("transform_D needs uniform t_nodes")

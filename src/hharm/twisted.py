@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 from scipy.special import roots_legendre
 
-from .specfun import laguerre, normalized_kernel
+from .specfun import kernel_rows, normalized_kernel
 from .fields import sphere_area
 
 __all__ = [
@@ -164,7 +164,9 @@ def kernel_field(grid: PlanarGrid, ell: int, lam: float) -> PlanarField:
     """Samples of the band kernel K_ell(lam, Y) = e^{-|lam||Y|^2} L_ell(2|lam||Y|^2)."""
     y, eta = grid.mesh()
     u = 2.0 * abs(lam) * (y**2 + eta**2)
-    return PlanarField(grid, np.exp(-u / 2.0) * laguerre(ell, 0, u))
+    for K in kernel_rows(ell, u, 1):
+        pass
+    return PlanarField(grid, K)
 
 
 def tn_apply(f: PlanarField, ell: int, lam: float) -> PlanarField:

@@ -13,6 +13,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,19 +308,37 @@ def test_c15_decay_probes():
 
 # --- 16 ----------------------------------------------------------------
 
+GOLDEN = Path(__file__).parent / "golden" / "verify_all_seed42.json"
+
+
+def _flatten(doc, prefix=""):
+    """Leaf values of a report keyed by path; check rows are keyed by name."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = ((v["name"] if isinstance(v, dict) and "name" in v else i, v)
+                 for i, v in enumerate(doc))
+    else:
+        return {prefix: doc}
+    out = {}
+    for k, v in items:
+        out.update(_flatten(v, f"{prefix}/{k}"))
+    return out
+
+
 def test_c16_verify_all_byte_identical(tmp_path):
-    """`hharm verify all --seed 42` writes byte-identical reports on two
-    consecutive runs."""
-    outs = []
-    for tag in ("a", "b"):
-        path = tmp_path / f"report_{tag}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "hharm.cli", "verify", "all",
-             "--seed", "42", "--out", str(path)],
-            capture_output=True, text=True, timeout=1200,
-        )
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        outs.append(path.read_bytes())
-    assert outs[0] == outs[1]
-    rep = json.loads(outs[0])
-    assert rep["passed"] is True
+    """`hharm verify all --seed 42` writes the committed golden report byte
+    for byte."""
+    path = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hharm.cli", "verify", "all",
+         "--seed", "42", "--out", str(path)],
+        capture_output=True, text=True, timeout=1200,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got, want = path.read_bytes(), GOLDEN.read_bytes()
+    if got != want:
+        a, b = _flatten(json.loads(got)), _flatten(json.loads(want))
+        differing = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        pytest.fail(f"report differs from {GOLDEN.name} at: {differing}")
+    assert json.loads(got)["passed"] is True

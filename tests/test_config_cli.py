@@ -24,11 +24,8 @@ def test_config_defaults():
     cfg = RunConfig()
     assert (cfg.d, cfg.L_max, cfg.n_rho, cfg.n_s) == (1, 64, 256, 512)
     assert (cfg.r_max, cfg.s_half, cfg.seed) == (12.0, 40.0, 42)
-    assert cfg.quadrature_mode == "grid"
     g = cfg.grid()
     assert (g.n_rho, g.n_s, g.d) == (256, 512, 1)
-    t = cfg.times()
-    assert t.size == cfg.n_t and t[0] == 0.0 and t[-1] == cfg.t_final
 
 
 @pytest.mark.parametrize(
@@ -41,7 +38,7 @@ def test_config_defaults():
         ({"n_s": 4}, "power of two"),
         ({"r_max": 0.0}, "positive"),
         ({"n_t": 1}, "n_t"),
-        ({"quadrature_mode": "fast"}, "quadrature_mode"),
+        ({"t_final": 0.0}, "t_final"),
         ({"tolerances": {"plancherel-ratio": -1.0}}, "positive"),
     ],
 )
@@ -172,6 +169,55 @@ def test_transform_tolerance_breach(tmp_path, band_file, capsys):
                  "--out", str(tmp_path / "o.hhfld"), "--config", str(p)])
     assert code == EXIT_TOLERANCE
     assert "tolerance breach" in capsys.readouterr().err
+
+
+def _edit_container(path, edit_header=None, edit_values=None):
+    """Rewrite an HHFLD file with an edited header or payload."""
+    import struct
+
+    raw = open(path, "rb").read()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    header = json.loads(raw[10 : 10 + hlen])
+    payload = raw[10 + hlen :]
+    if edit_header:
+        edit_header(header)
+    if edit_values:
+        vals = np.frombuffer(payload, dtype="<c16").copy()
+        edit_values(vals)
+        payload = vals.tobytes()
+    blob = json.dumps(header, sort_keys=True).encode()
+    with open(path, "wb") as fh:
+        fh.write(raw[:6] + struct.pack("<I", len(blob)) + blob + payload)
+
+
+@pytest.mark.parametrize("key", ["grid", "shape"])
+def test_transform_header_without_key_is_usage_error(tmp_path, small_cfg, band_file,
+                                                     key, capsys):
+    _edit_container(band_file, edit_header=lambda h: h.pop(key))
+    code = main(["transform", "--dir", "fwd", "--in", band_file,
+                 "--out", str(tmp_path / "o.hhfld"), "--config", small_cfg])
+    assert code == EXIT_USAGE
+    assert "bad header" in capsys.readouterr().err
+
+
+def test_transform_nan_payload_is_usage_error(tmp_path, small_cfg, band_file, capsys):
+    _edit_container(band_file, edit_values=lambda v: v.__setitem__(5, np.nan))
+    code = main(["transform", "--dir", "fwd", "--in", band_file,
+                 "--out", str(tmp_path / "o.hhfld"), "--config", small_cfg])
+    assert code == EXIT_USAGE
+    assert "non-finite" in capsys.readouterr().err
+
+
+def test_transform_nan_ratio_is_breach(tmp_path, small_cfg, band_file, capsys):
+    # finite samples whose squared norms overflow: the ratio is inf/inf = nan
+    _edit_container(band_file, edit_values=lambda v: v.__imul__(1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["transform", "--dir", "fwd", "--in", band_file,
+                     "--out", str(tmp_path / "o.hhfld"), "--config", small_cfg])
+    captured = capsys.readouterr()
+    assert "relative error: nan" in captured.out
+    assert code == EXIT_TOLERANCE
+    assert "tolerance breach" in captured.err
 
 
 def test_propagate_transport_demo(small_cfg, capsys):

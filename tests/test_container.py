@@ -122,3 +122,35 @@ def test_rejects_unserializable_object(tmp_path):
 
 def test_magic_constant():
     assert MAGIC == b"HHFLD"
+
+
+def _rewrite_header(path, edit):
+    """Apply `edit` to the JSON header of an HHFLD file in place."""
+    import json
+    import struct
+
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    header = json.loads(raw[10 : 10 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, ensure_ascii=True).encode()
+    path.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + hlen :])
+
+
+@pytest.mark.parametrize("key", ["grid", "shape"])
+def test_rejects_header_without_required_key(tmp_path, key):
+    p = tmp_path / "h.hhfld"
+    write_hhfld(p, radial_fixture())
+    _rewrite_header(p, lambda h: h.pop(key))
+    with pytest.raises(HHFLDError, match="header"):
+        read_hhfld(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_payload(tmp_path, bad):
+    f = radial_fixture()
+    f.values[3, 7] = bad
+    p = tmp_path / "n.hhfld"
+    write_hhfld(p, f)
+    with pytest.raises(HHFLDError, match="non-finite"):
+        read_hhfld(p)

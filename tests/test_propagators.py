@@ -135,6 +135,13 @@ def test_duhamel_rejects_nonuniform_ladder():
         duhamel(CauchyDataS(w), lambda t: w, np.array([0.0, 0.1, 0.3]))
 
 
+@pytest.mark.parametrize("times", [[0.0], []])
+def test_duhamel_rejects_short_ladder(times):
+    w = banded_spectrum(L_max=2, seed=9)
+    with pytest.raises(ValueError, match="two times"):
+        duhamel(CauchyDataS(w), lambda t: w, np.array(times))
+
+
 def test_ensure_spectral_passthrough_and_forward():
     sf = banded_spectrum(L_max=2, seed=10)
     assert ensure_spectral(sf) is sf

@@ -5,12 +5,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from hharm.specfun import (
     eigenvalue,
     frequency_distance,
     hermite_function,
+    kernel_rows,
     laguerre,
     laguerre_table,
     multiplicity,
@@ -153,3 +156,31 @@ def test_frequency_distance_axioms():
 def test_frequency_distance_rejects_mismatched_tuples():
     with pytest.raises(ValueError):
         frequency_distance(((0,), (0, 1), 1.0), ((0,), (0,), 1.0))
+
+
+# arguments from the oscillatory region up to far past underflow of e^{-u/2}
+ARGS = st.lists(
+    st.floats(0.0, 4000.0) | st.floats(0.0, 1e300), min_size=1, max_size=16
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=ARGS, lmax=st.integers(0, 256), d=st.integers(1, 3))
+def test_kernel_rows_finite_and_bounded_by_multiplicity(u, lmax, d):
+    rows = list(kernel_rows(lmax, np.array(u), d))
+    assert len(rows) == lmax + 1
+    for ell, K in enumerate(rows):
+        assert np.all(np.isfinite(K))
+        assert np.all(np.abs(K) <= multiplicity(ell, d) * (1.0 + 1e-12))
+
+
+@settings(max_examples=100, deadline=None)
+@given(u=st.lists(st.floats(0.0, 2000.0), min_size=1, max_size=16),
+       lmax=st.integers(0, 256), d=st.integers(1, 3))
+def test_kernel_rows_match_scipy(u, lmax, d):
+    u = np.array(u)
+    for ell, K in enumerate(kernel_rows(lmax, u, d)):
+        with np.errstate(all="ignore"):
+            ref = eval_genlaguerre(ell, d - 1, u) * np.exp(-u / 2)
+        ok = np.isfinite(ref)
+        assert np.all(np.abs(K[ok] - ref[ok]) <= 1e-10 * multiplicity(ell, d))

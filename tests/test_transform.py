@@ -207,6 +207,27 @@ def test_transform_D_rejects_nonuniform_times():
         transform_D(SpaceTimeField(g, u_vals), L_max=4)
 
 
+def test_transform_D_rejects_single_time_node():
+    g = Grid(d=1, n_rho=32, r_max=10.0, n_s=64, s_half=20.0, t_nodes=np.array([0.0]))
+    from hharm.fields import SpaceTimeField
+
+    with pytest.raises(ValueError, match="two time nodes"):
+        transform_D(SpaceTimeField(g, np.zeros((1, 32, 64), dtype=complex)), L_max=4)
+
+
+def test_high_band_count_is_finite_and_meets_plancherel_gate():
+    """L_max = 192 on the default grid: the unscaled Laguerre values overflow
+    where e^{-u/2} underflows, so only the scaled recurrence stays finite."""
+    grid = Grid()
+    rng = np.random.default_rng(5)
+    sf = forward(sample_packets(random_packet(rng, d=1), grid), L_max=192)
+    assert np.all(np.isfinite(sf.values))
+    f = inverse(sf)
+    assert np.all(np.isfinite(f.values))
+    pr = plancherel_pair(f, f, L_max=192)
+    assert abs(pr["ratio"] - pr["target"]) / pr["target"] <= 1e-6
+
+
 def test_dilation_covariance_against_closure():
     c = GaussianClosure(d=1, a=1.0, b=0.5, omega=3.0)
     a = 1.2
