@@ -68,6 +68,12 @@ def cmd_transform(args) -> int:
         write_hhfld(args.out, sf)
         spectral = float(spectral_inner(sf, sf).real)
         physical = float(l2_norm(obj) ** 2)
+        if physical == 0.0:  # a zero field has no ratio; its spectrum must vanish
+            print(f"zero field: spectral energy {spectral:.12g}")
+            if spectral != 0.0:
+                _err("tolerance breach: a zero field has nonzero spectral energy")
+                return EXIT_TOLERANCE
+            return EXIT_OK
         ratio = spectral / physical
         const = plancherel_constant(obj.grid.d)
         rel = abs(ratio - const) / const
@@ -95,31 +101,11 @@ def cmd_transform(args) -> int:
 # propagate
 # ---------------------------------------------------------------------------
 
-def _refused_bins(u1: SpectralField):
-    """Bins adjacent to the lambda = 0 line that still carry velocity mass.
-
-    The half-wave split divides by sqrt(eigenvalue); mass next to the
-    excluded central column makes that division ill-conditioned, so it is
-    refused rather than regularized.
-    """
-    grid = u1.grid
-    scale = float(np.abs(u1.values).max())
-    if scale == 0.0:
-        return []
-    refused = []
-    for k in (grid.izero - 1, grid.izero, grid.izero + 1):
-        if k < 0 or k >= grid.n_s:
-            continue
-        rows = np.nonzero(np.abs(u1.values[:, k]) > 1e-12 * scale)[0]
-        refused.extend((int(l), int(k), float(grid.lam[k])) for l in rows)
-    return refused
-
-
 def cmd_propagate(args) -> int:
     cfg = _load_config(args.config)
     t_final = cfg.t_final if args.t is None else args.t
-    if t_final <= 0:
-        _err("--t must be positive")
+    if not (np.isfinite(t_final) and t_final > 0):
+        _err("--t must be positive and finite")
         return EXIT_USAGE
     times = np.linspace(0.0, t_final, cfg.n_t)
     cons_tol = cfg.tol("conservation", 1e-10)
@@ -147,7 +133,7 @@ def cmd_propagate(args) -> int:
         if args.out:
             write_hhfld(args.out, st)
         tol = cfg.tol("transport-shift", 1e-8)
-        if dev > tol:
+        if not dev <= tol:
             _err(f"tolerance breach: {dev:.3e} > {tol:g}")
             return EXIT_TOLERANCE
         return EXIT_OK
@@ -188,19 +174,6 @@ def cmd_propagate(args) -> int:
             if not u1.grid.compatible(sf0.grid):
                 _err("--u1 grid does not match the --in grid")
                 return EXIT_USAGE
-            refused = _refused_bins(u1)
-            if refused:
-                _err(
-                    "refused: velocity datum carries spectral mass next to the "
-                    "lambda = 0 line; the half-wave division is ill-conditioned "
-                    "there (localize away from lambda = 0 or pass --u1 zero)"
-                )
-                for ell, k, lam in refused[:8]:
-                    print(f"  refused bin: ell={ell} k={k} lambda={lam:+.6g}",
-                          file=sys.stderr)
-                if len(refused) > 8:
-                    print(f"  ... and {len(refused) - 8} more", file=sys.stderr)
-                return EXIT_REFUSED
         data = CauchyDataW(sf0, u1)
         st = wave_evolve(data, times)
         energy = wave_energy_series(data, times)
@@ -211,7 +184,7 @@ def cmd_propagate(args) -> int:
     if args.out:
         write_hhfld(args.out, st)
         print(f"spacetime field written to {args.out}")
-    if drift > cons_tol:
+    if not drift <= cons_tol:  # a NaN drift is a breach too
         _err(f"tolerance breach: conservation drift {drift:.3e} > {cons_tol:g}")
         return EXIT_TOLERANCE
     return EXIT_OK

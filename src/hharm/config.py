@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -40,10 +41,10 @@ class RunConfig:
             raise ConfigError("n_rho must be >= 8")
         if self.n_s < 8 or self.n_s & (self.n_s - 1):
             raise ConfigError("n_s must be a power of two and >= 8")
-        if not (self.r_max > 0 and self.s_half > 0):
-            raise ConfigError("r_max and s_half must be positive")
-        if self.n_t < 2 or self.t_final <= 0:
-            raise ConfigError("n_t must be >= 2 and t_final positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.r_max, self.s_half)):
+            raise ConfigError("r_max and s_half must be finite and positive")
+        if self.n_t < 2 or not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise ConfigError("n_t must be >= 2 and t_final finite and positive")
         if not all(
             isinstance(v, (int, float)) and v > 0 for v in self.tolerances.values()
         ):

@@ -157,7 +157,8 @@ class SpaceTimeField:
     def __post_init__(self):
         if self.grid.t_nodes is None:
             raise ValueError("grid must carry t_nodes")
-        self.values = np.asarray(self.values, dtype=complex)
+        # C order: reductions such as mixed_norm sum in memory order
+        self.values = np.ascontiguousarray(self.values, dtype=complex)
         expect = (len(self.grid.t_nodes), self.grid.n_rho, self.grid.n_s)
         if self.values.shape != expect:
             raise ValueError(f"values shape {self.values.shape}, expected {expect}")

@@ -17,13 +17,12 @@ from scipy.special import roots_legendre
 
 from .fields import Grid, RadialField, SpaceTimeField, s_translate
 from .specfun import eigenvalue, wigner_radial
-from .transform import SpectralField, forward, inverse
+from .transform import SpectralField, _inverse_samples, inverse
 from .windows import bump
 
 __all__ = [
     "CauchyDataS",
     "CauchyDataW",
-    "ensure_spectral",
     "schrodinger_evolve",
     "wave_evolve",
     "wave_energy_series",
@@ -33,14 +32,6 @@ __all__ = [
     "wave_decay_probe",
     "schrodinger_decay_probe",
 ]
-
-
-def ensure_spectral(u, L_max: int = 64) -> SpectralField:
-    if isinstance(u, SpectralField):
-        return u
-    if isinstance(u, RadialField):
-        return forward(u, L_max)
-    raise TypeError("expected RadialField or SpectralField")
 
 
 @dataclass
@@ -64,46 +55,50 @@ def _eig_table(sf: SpectralField):
 
 
 def schrodinger_evolve(data: CauchyDataS, times) -> SpaceTimeField:
-    """Free flow u(t) = synthesis(exp(i t eig) theta0) at the given times."""
+    """Free flow u(t) = synthesis(exp(i t eig) theta0), all times in one pass."""
     sf = data.u0
-    eig = _eig_table(sf)
     times = np.asarray(times, dtype=float)
-    grid = sf.grid.with_times(times)
-    out = np.empty((times.size, grid.n_rho, grid.n_s), dtype=complex)
-    for i, t in enumerate(times):
-        out[i] = inverse(SpectralField(sf.grid, np.exp(1j * t * eig) * sf.values)).values
-    return SpaceTimeField(grid, out)
+    theta = np.exp(1j * times[:, None, None] * _eig_table(sf)) * sf.values
+    return SpaceTimeField(sf.grid.with_times(times), _inverse_samples(sf.grid, theta))
 
 
-def _halfwave_split(data: CauchyDataW):
-    """gamma_+- = (theta0 -+ i theta1 / sqrt(eig)) / 2, refusing near-null rays."""
-    eig = _eig_table(data.u0)
+def _halfwave_split(data: CauchyDataW, times):
+    """Half-wave spectra exp(+-i t omega) gamma_+- at every time, with
+    omega = sqrt(eig) and gamma_+- = (theta0 -+ i theta1 / omega) / 2.
+
+    The split divides by omega, which is smallest next to the excluded
+    lam = 0 column, so velocity mass above 1e-12 (relative) in the bins
+    adjacent to lam = 0 is refused rather than regularized.  Returns
+    (u_+, u_-, omega) with u_+- of shape (n_t, L+1, n_s).
+    """
+    grid = data.u0.grid
     th1 = data.u1.values
-    tiny = eig < 1e-12
-    if np.any(np.abs(th1[tiny]) > 0):
+    near = np.abs(th1[:, grid.izero - 1:grid.izero + 2])
+    ells, ks = np.nonzero(near > 1e-12 * np.abs(th1).max())
+    if ells.size:
+        bins = ", ".join(f"ell={l} lambda={grid.lam[grid.izero - 1 + k]:+.6g}"
+                         for l, k in zip(ells[:8], ks[:8]))
+        more = f" and {ells.size - 8} more" if ells.size > 8 else ""
         raise ValueError(
-            "wave split refused: velocity datum carries mass on rays with "
-            "eigenvalue < 1e-12"
+            "half-wave split: velocity datum carries spectral mass next to the "
+            f"lambda = 0 line ({bins}{more}); dividing by sqrt(eigenvalue) is "
+            "ill-conditioned there, so it is refused (localize away from lambda = 0)"
         )
-    omega = np.sqrt(np.where(tiny, 1.0, eig))
+    eig = _eig_table(data.u0)
+    eig[:, grid.izero] = 1.0  # the column carries no mass; avoid dividing by 0
+    omega = np.sqrt(eig)
     gp = 0.5 * (data.u0.values - 1j * th1 / omega)
     gm = 0.5 * (data.u0.values + 1j * th1 / omega)
-    gp[tiny] = 0.0
-    gm[tiny] = 0.0
-    return gp, gm, omega, tiny
+    t = np.asarray(times, dtype=float)[:, None, None]
+    return np.exp(1j * t * omega) * gp, np.exp(-1j * t * omega) * gm, omega
 
 
 def wave_evolve(data: CauchyDataW, times) -> SpaceTimeField:
     """Wave flow from (u0, u1) via the half-wave multipliers exp(+-it sqrt(eig))."""
-    gp, gm, omega, tiny = _halfwave_split(data)
-    grid = data.u0.grid
     times = np.asarray(times, dtype=float)
-    out = np.empty((times.size, grid.n_rho, grid.n_s), dtype=complex)
-    for i, t in enumerate(times):
-        th = np.exp(1j * t * omega) * gp + np.exp(-1j * t * omega) * gm
-        th[tiny] = 0.0
-        out[i] = inverse(SpectralField(grid, th)).values
-    return SpaceTimeField(grid.with_times(times), out)
+    up, um, _ = _halfwave_split(data, times)
+    grid = data.u0.grid
+    return SpaceTimeField(grid.with_times(times), _inverse_samples(grid, up + um))
 
 
 def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:
@@ -113,20 +108,12 @@ def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:
     spectrum (not from the invariant form), so drift measures the
     implementation honestly.
     """
-    gp, gm, omega, tiny = _halfwave_split(data)
-    grid = data.u0.grid
-    mults = data.u0.mults()
-    w = grid.w_lam
-    energies = []
-    for t in np.asarray(times, dtype=float):
-        up = np.exp(1j * t * omega) * gp
-        um = np.exp(-1j * t * omega) * gm
-        uh = up + um
-        vh = 1j * omega * (up - um)  # d/dt of the spectrum
-        dens = omega**2 * np.abs(uh) ** 2 + np.abs(vh) ** 2
-        dens[tiny] = 0.0
-        energies.append(float(np.sum(mults[:, None] * w[None, :] * dens)))
-    return np.asarray(energies)
+    up, um, omega = _halfwave_split(data, times)
+    uh = up + um
+    vh = 1j * omega * (up - um)  # d/dt of the spectrum
+    dens = omega**2 * np.abs(uh) ** 2 + np.abs(vh) ** 2
+    w = data.u0.mults()[:, None] * data.u0.grid.w_lam[None, :]
+    return (w * dens).sum(axis=(-2, -1))
 
 
 def transport_reference(u0: RadialField, ell: int, t: float, lam_sign: int = +1) -> RadialField:
@@ -152,19 +139,15 @@ def duhamel(data: CauchyDataS, source, times) -> SpaceTimeField:
     if not np.allclose(np.diff(times), dt, rtol=0, atol=1e-12 * abs(dt)):
         raise ValueError("duhamel needs a uniform time ladder")
     sf = data.u0
-    eig = _eig_table(sf)
-    prop = np.exp(1j * dt * eig)
-    grid = sf.grid.with_times(times)
-    out = np.empty((times.size, grid.n_rho, grid.n_s), dtype=complex)
-    theta = sf.values.copy()
+    prop = np.exp(1j * dt * _eig_table(sf))
+    theta = np.empty((times.size,) + sf.values.shape, dtype=complex)
+    theta[0] = sf.values
     fh_prev = source(times[0]).values
-    out[0] = inverse(SpectralField(sf.grid, theta)).values
     for n in range(1, times.size):
         fh_next = source(times[n]).values
-        theta = prop * theta - 1j * (dt / 2.0) * (prop * fh_prev + fh_next)
+        theta[n] = prop * theta[n - 1] - 1j * (dt / 2.0) * (prop * fh_prev + fh_next)
         fh_prev = fh_next
-        out[n] = inverse(SpectralField(sf.grid, theta)).values
-    return SpaceTimeField(grid, out)
+    return SpaceTimeField(sf.grid.with_times(times), _inverse_samples(sf.grid, theta))
 
 
 # ---------------------------------------------------------------------------

@@ -96,36 +96,48 @@ class SpectralField:
     def d(self) -> int:
         return self.grid.d
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.values.copy())
-
     def mults(self):
         return np.array(
             [multiplicity(l, self.grid.d) for l in range(self.L_max + 1)], dtype=float
         )
 
 
-def _kernel_contract(grid: Grid, C, L_max):
-    """sum_i C[..., k, i] * K_ell(lam_k, rho_i) for all ell, band by band.
+def _forward_samples(grid: Grid, values, L_max):
+    """Grid-mode forward: samples (..., n_rho, n_s) -> coefficients (..., L+1, n_s).
 
-    C carries the lam-major layout (..., n_s, n_rho); returns (..., L+1, n_s).
+    One kernel_rows pass contracts every leading batch index band by band.
     """
+    fhat = s_analysis(grid, values, axis=-1)  # (..., n_rho, n_s)
+    C = np.swapaxes(fhat, -1, -2) * grid.w_radial[None, :]  # (..., n_s, n_rho)
     u = 2.0 * np.abs(grid.lam)[:, None] * grid.rho[None, :] ** 2  # (n_s, n_rho)
     theta = np.empty(C.shape[:-2] + (L_max + 1, grid.n_s), dtype=complex)
     for ell, K in enumerate(kernel_rows(L_max, u, grid.d)):
         theta[..., ell, :] = (C * K).sum(-1)
-    return theta
-
-
-def _forward_samples(grid: Grid, values, L_max):
-    """Grid-mode forward on raw samples of shape (..., n_rho, n_s)."""
-    fhat = s_analysis(grid, values, axis=-1)  # (..., n_rho, n_s)
-    C = np.swapaxes(fhat, -1, -2) * grid.w_radial[None, :]  # (..., n_s, n_rho)
-    theta = _kernel_contract(grid, C, L_max)
     mults = np.array([multiplicity(l, grid.d) for l in range(L_max + 1)], dtype=float)
     theta /= mults[:, None]
     theta[..., :, grid.izero] = 0.0
     return theta
+
+
+def _inverse_samples(grid: Grid, theta):
+    """Synthesis: coefficients (..., L+1, n_s) -> samples (..., n_rho, n_s).
+
+    The mirror of _forward_samples: one kernel_rows pass accumulates every
+    leading batch index (e.g. time) in the lam-major layout (..., n_s, n_rho),
+    whose lam = 0 row is zeroed: the lam = 0 column of theta has no effect.
+    """
+    d = grid.d
+    u = 2.0 * np.abs(grid.lam)[:, None] * grid.rho[None, :] ** 2
+    G = np.zeros(theta.shape[:-2] + (grid.n_s, grid.n_rho), dtype=complex)
+    # one product buffer for all bands: a fresh batch-sized temporary per
+    # band would be mapped and page-faulted again for every band
+    term = np.empty_like(G)
+    for ell, K in enumerate(kernel_rows(theta.shape[-2] - 1, u, d)):
+        G += np.multiply(theta[..., ell, :, None], K, out=term)
+    del term  # freed before the synthesis, which sets the peak memory
+    G *= (2.0**d / np.pi**d) * np.abs(grid.lam)[:, None] ** d
+    G[..., grid.izero, :] = 0.0
+    return s_synthesis(grid, np.swapaxes(G, -1, -2), axis=-1)
 
 
 def forward(f, L_max: int = 64, mode: str = "grid", grid: Grid | None = None,
@@ -177,15 +189,7 @@ def _forward_closure(closures, grid: Grid, L_max: int, n_quad: int) -> SpectralF
 
 def inverse(sf: SpectralField) -> RadialField:
     """Synthesis back to the radial grid (exact inverse on the model space)."""
-    grid = sf.grid
-    d = grid.d
-    u = 2.0 * np.abs(grid.lam)[:, None] * grid.rho[None, :] ** 2
-    G = np.zeros((grid.n_s, grid.n_rho), dtype=complex)
-    for th, K in zip(sf.values, kernel_rows(sf.L_max, u, d)):
-        G += th[:, None] * K
-    G *= (2.0**d / np.pi**d) * np.abs(grid.lam)[:, None] ** d
-    G[grid.izero, :] = 0.0
-    return RadialField(grid, s_synthesis(grid, G.T, axis=1))
+    return RadialField(sf.grid, _inverse_samples(sf.grid, sf.values))
 
 
 def spectral_inner(sf: SpectralField, sg: SpectralField) -> complex:

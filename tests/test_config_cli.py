@@ -11,7 +11,7 @@ import pytest
 from hharm.cli import EXIT_OK, EXIT_REFUSED, EXIT_TOLERANCE, EXIT_USAGE, main
 from hharm.config import SCHEMA, ConfigError, RunConfig
 from hharm.container import read_hhfld, write_hhfld
-from hharm.fields import Grid
+from hharm.fields import Grid, RadialField
 from hharm.transform import SpectralField, inverse
 from hharm.windows import bump
 
@@ -40,6 +40,10 @@ def test_config_defaults():
         ({"n_t": 1}, "n_t"),
         ({"t_final": 0.0}, "t_final"),
         ({"tolerances": {"plancherel-ratio": -1.0}}, "positive"),
+        ({"t_final": float("nan")}, "t_final"),
+        ({"t_final": float("inf")}, "t_final"),
+        ({"r_max": float("inf")}, "finite"),
+        ({"s_half": float("nan")}, "finite"),
     ],
 )
 def test_config_validation(kw, frag):
@@ -220,6 +224,20 @@ def test_transform_nan_ratio_is_breach(tmp_path, small_cfg, band_file, capsys):
     assert "tolerance breach" in captured.err
 
 
+def test_transform_zero_field_writes_zero_spectrum(tmp_path, small_cfg, small_grid,
+                                                   capsys):
+    zero = tmp_path / "zero.hhfld"
+    write_hhfld(zero, RadialField(small_grid, np.zeros((small_grid.n_rho,
+                                                        small_grid.n_s))))
+    out_path = tmp_path / "zero_spec.hhfld"
+    code = main(["transform", "--dir", "fwd", "--in", str(zero),
+                 "--out", str(out_path), "--config", small_cfg])
+    assert code == EXIT_OK
+    assert "spectral energy 0" in capsys.readouterr().out
+    sf = read_hhfld(out_path)
+    assert isinstance(sf, SpectralField) and not np.any(sf.values)
+
+
 def test_propagate_transport_demo(small_cfg, capsys):
     code = main(["propagate", "--eq", "schrodinger", "--transport-ell", "1",
                  "--t", "0.25", "--config", small_cfg])
@@ -233,6 +251,40 @@ def test_propagate_bad_time(small_cfg, capsys):
                  "--t", "-1", "--config", small_cfg])
     assert code == EXIT_USAGE
     assert "--t must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eq", ["schrodinger", "wave"])
+@pytest.mark.parametrize("t", ["nan", "inf"])
+def test_propagate_nonfinite_time_is_usage_error(tmp_path, small_cfg, band_file, eq, t,
+                                                 capsys):
+    out_path = tmp_path / "st.hhfld"
+    code = main(["propagate", "--eq", eq, "--in", band_file, "--t", t,
+                 "--out", str(out_path), "--config", small_cfg])
+    assert code == EXIT_USAGE
+    assert "--t must be positive and finite" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_propagate_nan_config_time_is_usage_error(tmp_path, band_file, capsys):
+    p = tmp_path / "nan.json"
+    p.write_text(json.dumps(dict(SMALL, t_final=float("nan"))))  # writes NaN
+    code = main(["propagate", "--eq", "schrodinger", "--in", band_file,
+                 "--config", str(p)])
+    assert code == EXIT_USAGE
+    assert "t_final" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eq", ["schrodinger", "wave"])
+def test_propagate_nan_drift_is_breach(tmp_path, small_cfg, band_file, eq, capsys):
+    # finite samples whose squared norms overflow: the drift is inf/inf = nan
+    _edit_container(band_file, edit_values=lambda v: v.__imul__(1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["propagate", "--eq", eq, "--in", band_file,
+                     "--config", small_cfg])
+    captured = capsys.readouterr()
+    assert "conservation drift: nan" in captured.out
+    assert code == EXIT_TOLERANCE
+    assert "tolerance breach" in captured.err
 
 
 def test_propagate_transport_needs_schrodinger(small_cfg, capsys):

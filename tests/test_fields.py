@@ -10,6 +10,7 @@ from hharm.fields import (
     Grid,
     MixedNormSpec,
     RadialField,
+    SpaceTimeField,
     dilate,
     l2_inner,
     l2_norm,
@@ -43,6 +44,14 @@ def test_grid_nodes_and_weights():
 def test_radial_field_shape_guard():
     with pytest.raises(ValueError):
         RadialField(G, np.zeros((3, 3)))
+
+
+def test_spacetime_field_stores_c_order():
+    """Reductions such as mixed_norm sum in memory order, so the stored values
+    are C-contiguous whatever layout they arrive in."""
+    vals = np.zeros((G.n_s, G.n_rho, 2), dtype=complex)
+    u = SpaceTimeField(G.with_times([0.0, 1.0]), vals.T)  # (2, n_rho, n_s), strided
+    assert u.values.flags.c_contiguous
 
 
 def test_l2_norm_gaussian_closed_form():

@@ -10,9 +10,9 @@ from hharm.fields import Grid, RadialField, l2_norm
 from hharm.propagators import (
     CauchyDataS,
     CauchyDataW,
+    _eig_table,
     admissible,
     duhamel,
-    ensure_spectral,
     schrodinger_decay_probe,
     schrodinger_evolve,
     transport_reference,
@@ -74,8 +74,6 @@ def test_wave_zero_velocity_is_cosine_flow():
     zero = SpectralField(G, np.zeros_like(g0.values))
     u = wave_evolve(CauchyDataW(g0, zero), [0.7])
     # gamma_pm = theta0 / 2: evolution is the cosine multiplier
-    from hharm.propagators import _eig_table
-
     eig = _eig_table(g0)
     ref = inverse(SpectralField(G, np.cos(0.7 * np.sqrt(eig)) * g0.values))
     err = np.max(np.abs(u.values[0] - ref.values))
@@ -83,11 +81,16 @@ def test_wave_zero_velocity_is_cosine_flow():
 
 
 def test_halfwave_split_refuses_null_ray_mass():
+    """Velocity mass on the rays next to lam = 0, where sqrt(eig) is smallest,
+    is refused, and the message names the offending bins."""
     g0 = banded_spectrum(seed=4)
-    g1 = banded_spectrum(seed=5)
-    g1.values[:, G.izero] = 1.0  # bypass the constructor's zeroing
-    with pytest.raises(ValueError, match="refused"):
-        wave_evolve(CauchyDataW(g0, g1), [0.1])
+    th1 = banded_spectrum(seed=5).values
+    th1[2, G.izero + 1] = 1.0
+    g1 = SpectralField(G, th1)
+    for flow in (wave_evolve, wave_energy_series):
+        with pytest.raises(ValueError, match="refused") as exc:
+            flow(CauchyDataW(g0, g1), [0.1])
+        assert f"ell=2 lambda={G.lam[G.izero + 1]:+.6g}" in str(exc.value)
 
 
 def test_wave_t0_recovers_datum():
@@ -103,8 +106,6 @@ def test_duhamel_manufactured_solution_order():
     O(dt^2); halving the step should show order >= 1.9."""
     g = Grid(d=1, n_rho=96, r_max=12.0, n_s=256, s_half=40.0)
     w = banded_spectrum(g, L_max=4, seed=8)
-    from hharm.propagators import _eig_table
-
     eig = _eig_table(w)
 
     def a(t):
@@ -142,14 +143,49 @@ def test_duhamel_rejects_short_ladder(times):
         duhamel(CauchyDataS(w), lambda t: w, np.array(times))
 
 
-def test_ensure_spectral_passthrough_and_forward():
-    sf = banded_spectrum(L_max=2, seed=10)
-    assert ensure_spectral(sf) is sf
-    f = inverse(sf)
-    fw = ensure_spectral(f, L_max=2)
-    assert isinstance(fw, SpectralField)
-    with pytest.raises(TypeError):
-        ensure_spectral(np.zeros(3))
+# Every evolution synthesises all of its times in one pass; the result must be
+# bit-equal to synthesising each time on its own.
+SMALL_G = Grid(d=1, n_rho=32, r_max=12.0, n_s=64, s_half=40.0)
+
+
+def _per_time(grid, spectra):
+    return np.stack([inverse(SpectralField(grid, th)).values for th in spectra])
+
+
+@pytest.mark.parametrize("times", [[0.3], np.linspace(0.0, 2.0, 5)])
+def test_schrodinger_evolve_equals_per_time_inverse(times):
+    sf = banded_spectrum(SMALL_G, L_max=3, seed=11)
+    eig = _eig_table(sf)
+    ref = _per_time(SMALL_G, [np.exp(1j * t * eig) * sf.values for t in times])
+    assert np.array_equal(schrodinger_evolve(CauchyDataS(sf), times).values, ref)
+
+
+@pytest.mark.parametrize("times", [[0.3], np.linspace(0.0, 2.0, 5)])
+def test_wave_evolve_equals_per_time_inverse(times):
+    g0 = banded_spectrum(SMALL_G, L_max=3, seed=12)
+    g1 = banded_spectrum(SMALL_G, L_max=3, seed=13)
+    eig = _eig_table(g0)
+    eig[:, SMALL_G.izero] = 1.0  # the lam = 0 column carries no mass
+    omega = np.sqrt(eig)
+    gp = 0.5 * (g0.values - 1j * g1.values / omega)
+    gm = 0.5 * (g0.values + 1j * g1.values / omega)
+    ref = _per_time(SMALL_G, [np.exp(1j * t * omega) * gp + np.exp(-1j * t * omega) * gm
+                              for t in times])
+    assert np.array_equal(wave_evolve(CauchyDataW(g0, g1), times).values, ref)
+
+
+def test_duhamel_equals_per_time_inverse():
+    w = banded_spectrum(SMALL_G, L_max=3, seed=14)
+    f = banded_spectrum(SMALL_G, L_max=3, seed=15)
+    times = np.linspace(0.0, 0.4, 5)
+    prop = np.exp(1j * 0.1 * _eig_table(w))
+    thetas = [w.values]
+    for t0, t1 in zip(times[:-1], times[1:]):
+        step = prop * (np.cos(t0) * f.values) + np.cos(t1) * f.values
+        thetas.append(prop * thetas[-1] - 1j * (0.1 / 2.0) * step)
+    u = duhamel(CauchyDataS(w), lambda t: SpectralField(SMALL_G, np.cos(t) * f.values),
+                times)
+    assert np.array_equal(u.values, _per_time(SMALL_G, thetas))
 
 
 SCHRODINGER_TABLE = [
