@@ -12,6 +12,15 @@ central frequency lam:
   compactly supported window psi (alpha is the joint time-frequency; the
   chart alpha = 4 |lam| (2 ell + d) = eigenvalue).
 
+Both surfaces are lists of rays (ell, lam) off the lambda lattice, so
+restriction and extension are one ray contraction and its adjoint.
+`_restrict_rays` evaluates the transform of samples (Q, n_rho, n_s) on rays
+lam[ell, q]: one batched @ against h_s e^{-+ i s lam} (the exact nonuniform
+DFT in s), then the kernels K_ell(lam, rho) against the radial weights.
+`_extend_rays` synthesises from ray values with one @ over the flattened
+(ell, q) axis.  The sphere is one ray per band (Q = 1); the paraboloid first
+contracts t against w_t e^{-i t alpha} and has a ray per Gauss node alpha_q.
+
 Pairings of smooth spectral functions against these measures converge like
 sum (2 ell + d)^{-(d+1)}; band tails are completed by a continuation
 integral (error O(L^{-3})) or by Richardson extrapolation of the partial
@@ -49,15 +58,28 @@ __all__ = [
 ]
 
 
+def _check_radius(radius):
+    if not (np.isfinite(radius) and radius > 0):
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+
+
 @dataclass(frozen=True)
 class SphereMeasure:
     radius: float = 1.0
+
+    def __post_init__(self):
+        _check_radius(self.radius)
 
 
 @dataclass
 class SigmaMeasure:
     window: Callable = sigma_window
     support: tuple = (0.0, 1.0)
+
+    def __post_init__(self):
+        a0, a1 = self.support
+        if not (0.0 <= a0 < a1 < np.inf):
+            raise ValueError(f"support must satisfy 0 <= a0 < a1 < inf, got {self.support}")
 
 
 def _mult_real(x, d):
@@ -112,6 +134,12 @@ def sphere_pair(theta, measure: SphereMeasure, d: int = 1, L_max: int = 10000,
     return {"value": partial + tail_val, "partial": partial, "tail": tail_val}
 
 
+def _alpha_rule(measure: SigmaMeasure, n_alpha: int):
+    a0, a1 = measure.support
+    xq, wq = roots_legendre(n_alpha)
+    return 0.5 * (a1 - a0) * (xq + 1.0) + a0, 0.5 * (a1 - a0) * wq
+
+
 def sigma_pair(theta, measure: SigmaMeasure, d: int = 1, L_max: int = 4096,
                n_alpha: int = 48, tail: str = "integral") -> dict:
     """Pair Theta(alpha, ell, lam) against the localized paraboloid measure.
@@ -123,10 +151,8 @@ def sigma_pair(theta, measure: SigmaMeasure, d: int = 1, L_max: int = 4096,
     Theta is called as theta(alpha_array, band, lam_array) per band (band may
     be a real number in the tail continuation).
     """
-    a0, a1 = measure.support
-    xq, wq = roots_legendre(n_alpha)
-    al = 0.5 * (a1 - a0) * (xq + 1.0) + a0
-    wa = 0.5 * (a1 - a0) * wq * al**d * measure.window(al)
+    al, wa = _alpha_rule(measure, n_alpha)
+    wa = wa * al**d * measure.window(al)
 
     def h(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -198,6 +224,7 @@ def g_function(rho, s, d: int = 1, radius: float = 1.0, L_max: int = 4096):
 
     Returns (value, tail_estimate) broadcast over the inputs.
     """
+    _check_radius(radius)
     rho_b, s_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(s, float))
     shape = rho_b.shape
     rf = rho_b.ravel()[None, :]
@@ -311,41 +338,54 @@ class SigmaValues:
         return self.theta_plus.shape[1] - 1
 
 
-def _sphere_kernel_table(grid: Grid, measure: SphereMeasure, L_max: int):
-    """K[ell, i] = K_ell(R/(2ell+d), rho_i) with per-band frequencies."""
-    ells = np.arange(L_max + 1)
-    U = 2.0 * (measure.radius / (2.0 * ells[:, None] + grid.d)) * grid.rho[None, :] ** 2
-    return _kernel_diag(ells, U, grid.d)
+def _bands(L_max: int) -> np.ndarray:
+    if L_max < 0:
+        raise ValueError(f"L_max must be >= 0, got {L_max}")
+    return np.arange(L_max + 1)
 
 
-def _sigma_kernels(al, grid: Grid, L_max: int):
-    """K[ell, q, i] = K_ell(alpha_q c_ell, rho_i), c_ell = 1/(4(2ell+d))."""
-    ells = np.arange(L_max + 1)
-    c = 1.0 / (4.0 * (2.0 * ells + grid.d))
-    lam = al[None, :] * c[:, None]
-    U = 2.0 * lam[:, :, None] * grid.rho[None, None, :] ** 2
-    return _kernel_diag(ells, U, grid.d)
+def _restrict_rays(grid: Grid, values, lam):
+    """theta_+-[ell, q] = mult^{-1} int K_ell(lam, Y) e^{-+ i s lam} values[q] dY ds.
+
+    `values` (Q, n_rho, n_s) are samples and `lam` (L+1, Q) positive ray
+    frequencies off the lambda lattice; the s-integral is the exact
+    nonuniform DFT of the samples (the trigonometric interpolant of the grid
+    spectrum).  Returns theta_plus, theta_minus, each (L+1, Q).
+    """
+    n_l, n_q = lam.shape
+    E = grid.h_s * np.exp(-1j * (grid.s[:, None] * lam.T[:, None, :]))  # (Q, n_s, L+1)
+    F = values[:, None] @ np.stack([E, np.conj(E)], axis=1)  # (Q, 2, n_rho, L+1)
+    K = _kernel_diag(np.arange(n_l), 2.0 * lam[:, :, None] * grid.rho**2, grid.d)
+    wK = K.transpose(1, 2, 0) * grid.w_radial[:, None]  # (Q, n_rho, L+1)
+    mult = np.array([multiplicity(l, grid.d) for l in range(n_l)], dtype=float)
+    # rho is not the innermost axis of the product, so numpy sums it in
+    # order rather than pairwise: the golden sphere-duality figure is a
+    # rounding-level number that depends on this order
+    theta = (F * wK[:, None]).sum(axis=2) / mult
+    return theta[:, 0].T, theta[:, 1].T
+
+
+def _extend_rays(grid: Grid, A, lam, c_plus, c_minus):
+    """out[b] = sum_{ell, q} A[b, q] K_ell(lam, Y) (c_+ e^{i s lam} + c_- e^{-i s lam}).
+
+    The adjoint of `_restrict_rays`: `A` is (B, Q), `lam`, `c_plus` and
+    `c_minus` are (L+1, Q), and the sum is one @ over the flattened (ell, q)
+    axis, so no (Q, n_rho, n_s) array is built.  Returns (B, n_rho, n_s).
+    """
+    n_l, n_q = lam.shape
+    E = np.exp(1j * (lam[:, :, None] * grid.s))  # (L+1, Q, n_s)
+    T = c_plus[:, :, None] * E + c_minus[:, :, None] * np.conj(E)
+    K = _kernel_diag(np.arange(n_l), 2.0 * lam[:, :, None] * grid.rho**2, grid.d)
+    M = A[:, None, None, :] * K.transpose(2, 0, 1)  # (B, n_rho, L+1, Q)
+    return M.reshape(len(A), grid.n_rho, n_l * n_q) @ T.reshape(n_l * n_q, grid.n_s)
 
 
 def restrict_sphere(f: RadialField, measure: SphereMeasure, L_max: int = 64) -> SphereValues:
-    """Evaluate the spectral transform of f on the sphere's (ell, lam) rays.
-
-    Off-grid central frequencies are handled by the exact nonuniform DFT of
-    the samples (the trigonometric interpolant of the grid spectrum).
-    """
+    """Evaluate the spectral transform of f on the sphere's rays lam_ell = R/(2ell+d)."""
     grid = f.grid
-    d = grid.d
-    ells = np.arange(L_max + 1)
-    lam = measure.radius / (2.0 * ells + d)
-    E = grid.h_s * np.exp(-1j * np.outer(grid.s, lam))  # (n_s, L+1)
-    F_plus = f.values @ E  # (n_rho, L+1)
-    F_minus = f.values @ np.conj(E)
-    K = _sphere_kernel_table(grid, measure, L_max)
-    mults = np.array([multiplicity(l, d) for l in ells], dtype=float)
-    wK = K * grid.w_radial[None, :]
-    tp = np.einsum("li,il->l", wK, F_plus) / mults
-    tm = np.einsum("li,il->l", wK, F_minus) / mults
-    return SphereValues(measure, d, tp, tm)
+    lam = measure.radius / (2.0 * _bands(L_max) + grid.d)
+    tp, tm = _restrict_rays(grid, f.values[None], lam[:, None])
+    return SphereValues(measure, grid.d, tp[:, 0], tm[:, 0])
 
 
 def sphere_norm_sq(vals: SphereValues) -> float:
@@ -366,22 +406,15 @@ def extend_sphere(vals: SphereValues, grid: Grid) -> RadialField:
     satisfies <f, E(v)>_{L^2(H)} = (2^{d-1}/pi^{d+1}) <restrict(f), v>_{d sigma}.
     """
     d = grid.d
+    if vals.d != d:
+        raise ValueError(f"values are for d={vals.d}, the grid has d={d}")
     R = vals.measure.radius
     ells = np.arange(vals.L_max + 1)
-    lam = R / (2.0 * ells + d)
-    K = _sphere_kernel_table(grid, vals.measure, vals.L_max)
     w = R**d / (2.0 * ells + d) ** (d + 1)
-    const = 2.0 ** (d - 1) / np.pi ** (d + 1)
-    Ep = np.exp(1j * np.outer(lam, grid.s))  # (L+1, n_s)
-    out = (const * w * vals.theta_plus)[:, None] * Ep
-    out += (const * w * vals.theta_minus)[:, None] * np.conj(Ep)
-    return RadialField(grid, K.T @ out)
-
-
-def _alpha_rule(measure: SigmaMeasure, n_alpha: int):
-    a0, a1 = measure.support
-    xq, wq = roots_legendre(n_alpha)
-    return 0.5 * (a1 - a0) * (xq + 1.0) + a0, 0.5 * (a1 - a0) * wq
+    coeff = 2.0 ** (d - 1) / np.pi ** (d + 1) * w
+    out = _extend_rays(grid, np.ones((1, 1)), (R / (2.0 * ells + d))[:, None],
+                       (coeff * vals.theta_plus)[:, None], (coeff * vals.theta_minus)[:, None])
+    return RadialField(grid, out[0])
 
 
 def restrict_sigma(u: SpaceTimeField, measure: SigmaMeasure, L_max: int = 32,
@@ -396,24 +429,13 @@ def restrict_sigma(u: SpaceTimeField, measure: SigmaMeasure, L_max: int = 32,
     the values depend on the window, which callers must normalize for.
     """
     grid = u.grid
-    d = grid.d
+    c = 1.0 / (4.0 * (2.0 * _bands(L_max) + grid.d))
     al, wa = _alpha_rule(measure, n_alpha)
     B = grid.w_t[:, None] * np.exp(-1j * np.outer(grid.t_nodes, al))  # (n_t, n_q)
     # contract the time axis first: (n_q, n_rho, n_s)
     Ut = np.tensordot(B, u.values, axes=(0, 0))
-    tp = np.empty((n_alpha, L_max + 1), dtype=complex)
-    tm = np.empty((n_alpha, L_max + 1), dtype=complex)
-    wr = grid.w_radial
-    for l, K in enumerate(_sigma_kernels(al, grid, L_max)):  # K: (n_q, n_rho)
-        c = 1.0 / (4.0 * (2.0 * l + d))
-        lam_q = al * c
-        Es = grid.h_s * np.exp(-1j * np.outer(lam_q, grid.s))  # (n_q, n_s)
-        Fp = np.einsum("qij,qj->qi", Ut, Es)
-        Fm = np.einsum("qij,qj->qi", Ut, np.conj(Es))
-        m = multiplicity(l, d)
-        tp[:, l] = np.einsum("qi,qi->q", Fp, K * wr[None, :]) / m
-        tm[:, l] = np.einsum("qi,qi->q", Fm, K * wr[None, :]) / m
-    return SigmaValues(measure, d, al, wa, tp, tm)
+    tp, tm = _restrict_rays(grid, Ut, c[:, None] * al)
+    return SigmaValues(measure, grid.d, al, wa, tp.T, tm.T)
 
 
 def sigma_norm_sq(vals: SigmaValues) -> float:
@@ -445,18 +467,13 @@ def extend_sigma(vals: SigmaValues, grid: Grid) -> SpaceTimeField:
     if grid.t_nodes is None:
         raise ValueError("target grid needs t_nodes")
     d = grid.d
-    const = 2.0 ** (d - 1) / np.pi ** (d + 1)
-    al, wa = vals.alpha, vals.alpha_weights
-    wq = wa * al**d * vals.measure.window(al)
-    Et = np.exp(1j * np.outer(grid.t_nodes, al))  # (n_t, n_q)
-    # contract the alpha axis per band; never materialize (n_q, n_rho, n_s)
-    out = np.zeros((grid.t_nodes.size, grid.n_rho, grid.n_s), dtype=complex)
-    for l, K in enumerate(_sigma_kernels(al, grid, vals.L_max)):  # K: (n_q, n_rho)
-        c = 1.0 / (4.0 * (2.0 * l + d))
-        lam_q = al * c
-        Es = np.exp(1j * np.outer(lam_q, grid.s))  # (n_q, n_s)
-        coeff = const * c ** (d + 1) * wq
-        T = (coeff * vals.theta_plus[:, l])[:, None] * Es
-        T += (coeff * vals.theta_minus[:, l])[:, None] * np.conj(Es)
-        out += np.einsum("tq,qi,qj->tij", Et, K, T, optimize=True)
+    if vals.d != d:
+        raise ValueError(f"values are for d={vals.d}, the grid has d={d}")
+    c = 1.0 / (4.0 * (2.0 * np.arange(vals.L_max + 1) + d))
+    al = vals.alpha
+    wq = vals.alpha_weights * al**d * vals.measure.window(al)
+    coeff = 2.0 ** (d - 1) / np.pi ** (d + 1) * c[:, None] ** (d + 1) * wq  # (L+1, n_q)
+    A = np.exp(1j * np.outer(grid.t_nodes, al))  # (n_t, n_q)
+    out = _extend_rays(grid, A, c[:, None] * al, coeff * vals.theta_plus.T,
+                       coeff * vals.theta_minus.T)
     return SpaceTimeField(grid, out)

@@ -3,8 +3,12 @@ the restriction/extension adjoint pair."""
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hharm.fields import GaussianClosure, Grid, RadialField, SpaceTimeField, l2_inner
 from hharm.restriction import (
@@ -74,14 +78,19 @@ def test_g_function_doubling_stability():
     assert abs(a - b) < 1e-6
 
 
-GRID = Grid(d=1, n_rho=96, r_max=12.0, n_s=256, s_half=40.0)
+def _grid(d):
+    return Grid(d=d, n_rho=96, r_max=12.0, n_s=256, s_half=40.0)
 
 
-def test_restrict_sphere_matches_closure_coefficients():
-    c = GaussianClosure(d=1, a=1.0, b=0.4, omega=0.6)
-    vals = restrict_sphere(c.sample(GRID), SphereMeasure(1.0), L_max=8)
+GRID = _grid(1)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_restrict_sphere_matches_closure_coefficients(d):
+    c = GaussianClosure(d=d, a=1.0, b=0.4, omega=0.6)
+    vals = restrict_sphere(c.sample(_grid(d)), SphereMeasure(1.0), L_max=8)
     ells = np.arange(9)
-    lam = 1.0 / (2.0 * ells + 1.0)
+    lam = 1.0 / (2.0 * ells + d)
     ref_p = c.coefficients(ells, lam).diagonal()
     ref_m = c.coefficients(ells, -lam).diagonal()
     scale = np.max(np.abs(ref_p))
@@ -89,29 +98,31 @@ def test_restrict_sphere_matches_closure_coefficients():
     assert np.max(np.abs(vals.theta_minus - ref_m)) / scale < 1e-9
 
 
-def test_sphere_extension_duality():
+@pytest.mark.parametrize("d", [1, 2])
+def test_sphere_extension_duality(d):
     """<f, E(v)> = (2^{d-1}/pi^{d+1}) <restrict(f), v>_{d sigma} holds to
     rounding: the two sides are algebraic adjoints on the grid."""
     rng = np.random.default_rng(20)
+    grid = _grid(d)
     f = RadialField(
-        GRID,
-        rng.standard_normal((GRID.n_rho, GRID.n_s))
-        + 1j * rng.standard_normal((GRID.n_rho, GRID.n_s)),
+        grid,
+        rng.standard_normal((grid.n_rho, grid.n_s))
+        + 1j * rng.standard_normal((grid.n_rho, grid.n_s)),
     )
     L = 8
     meas = SphereMeasure(1.0)
     v = SphereValues(
-        meas, 1,
+        meas, d,
         rng.standard_normal(L + 1) + 1j * rng.standard_normal(L + 1),
         rng.standard_normal(L + 1) + 1j * rng.standard_normal(L + 1),
     )
-    lhs = l2_inner(f, extend_sphere(v, GRID))
+    lhs = l2_inner(f, extend_sphere(v, grid))
     r = restrict_sphere(f, meas, L_max=L)
     ells = np.arange(L + 1)
-    w = np.array([multiplicity(l, 1) for l in ells]) / (2.0 * ells + 1.0) ** 2
+    w = np.array([multiplicity(l, d) for l in ells]) / (2.0 * ells + d) ** (d + 1)
     pairing = np.sum(w * (r.theta_plus * np.conj(v.theta_plus)
                           + r.theta_minus * np.conj(v.theta_minus)))
-    rhs = (1.0 / np.pi**2) * pairing
+    rhs = (2.0 ** (d - 1) / np.pi ** (d + 1)) * pairing
     assert abs(lhs - rhs) / abs(rhs) < 1e-12
 
 
@@ -141,37 +152,39 @@ def test_sigma_origin_ratio():
     assert out["refinement_delta"] <= 1e-8 * (1.0 + abs(out["value"]))
 
 
-def test_sigma_extension_duality():
+@pytest.mark.parametrize("d", [1, 2])
+def test_sigma_extension_duality(d):
     rng = np.random.default_rng(22)
+    grid = _grid(d)
     times = np.linspace(0.0, 0.25, 4)
-    gt = GRID.with_times(times)
+    gt = grid.with_times(times)
     u = SpaceTimeField(
         gt,
-        rng.standard_normal((4, GRID.n_rho, GRID.n_s))
-        + 1j * rng.standard_normal((4, GRID.n_rho, GRID.n_s)),
+        rng.standard_normal((4, grid.n_rho, grid.n_s))
+        + 1j * rng.standard_normal((4, grid.n_rho, grid.n_s)),
     )
     meas = SigmaMeasure()
     L, n_a = 6, 10
     r = restrict_sigma(u, meas, L_max=L, n_alpha=n_a)
     v = SigmaValues(
-        meas, 1, r.alpha, r.alpha_weights,
+        meas, d, r.alpha, r.alpha_weights,
         rng.standard_normal((n_a, L + 1)) + 1j * rng.standard_normal((n_a, L + 1)),
         rng.standard_normal((n_a, L + 1)) + 1j * rng.standard_normal((n_a, L + 1)),
     )
     ext = extend_sigma(v, gt)
     lhs = np.sum(
-        gt.w_t[:, None, None] * GRID.w_radial[None, :, None] * GRID.h_s
+        gt.w_t[:, None, None] * grid.w_radial[None, :, None] * grid.h_s
         * u.values * np.conj(ext.values)
     )
     ells = np.arange(L + 1)
-    c = 1.0 / (4.0 * (2.0 * ells + 1.0))
-    wl = np.array([multiplicity(l, 1) for l in ells]) * c**2
-    wq = r.alpha_weights * r.alpha * meas.window(r.alpha)
+    c = 1.0 / (4.0 * (2.0 * ells + d))
+    wl = np.array([multiplicity(l, d) for l in ells]) * c ** (d + 1)
+    wq = r.alpha_weights * r.alpha**d * meas.window(r.alpha)
     pairing = np.sum(
         wq[:, None] * wl[None, :]
         * (r.theta_plus * np.conj(v.theta_plus) + r.theta_minus * np.conj(v.theta_minus))
     )
-    rhs = (1.0 / np.pi**2) * pairing
+    rhs = (2.0 ** (d - 1) / np.pi ** (d + 1)) * pairing
     assert abs(lhs - rhs) / abs(rhs) < 1e-10
 
 
@@ -204,3 +217,103 @@ def test_sigma_extension_reproduces_free_evolution():
     num = np.sqrt(np.sum(np.abs(u_ext.values - ref.values) ** 2))
     den = np.sqrt(np.sum(np.abs(ref.values) ** 2))
     assert num / den < 1e-6
+
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    n_rho=st.integers(2, 24),
+    half_n_s=st.integers(1, 16),
+    L_max=st.integers(0, 6),
+    n_alpha=st.integers(1, 6),
+    radius=st.floats(0.1, 5.0),
+    n_t=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_adjoint_identities_property(d, n_rho, half_n_s, L_max, n_alpha, radius, n_t, seed):
+    """Both restriction/extension pairs are adjoints to rounding.  The right
+    sides are built here from the measure definitions: comb for the
+    multiplicity and numpy's Gauss-Legendre rule on supp(psi)."""
+    rng = np.random.default_rng(seed)
+    n_s = 2 * half_n_s
+    grid = Grid(d=d, n_rho=n_rho, r_max=6.0, n_s=n_s, s_half=10.0)
+    gt = grid.with_times(np.linspace(0.0, 0.3, n_t))
+    dYds = grid.w_radial[:, None] * grid.h_s
+    ells = np.arange(L_max + 1)
+    mult = np.array([comb(l + d - 1, l) for l in ells], dtype=float)
+    const = 2.0 ** (d - 1) / np.pi ** (d + 1)
+
+    def assert_adjoint(lhs_terms, rhs_terms):
+        lhs, rhs = np.sum(lhs_terms), const * np.sum(rhs_terms)
+        scale = np.sum(np.abs(lhs_terms)) + const * np.sum(np.abs(rhs_terms))
+        assert abs(lhs - rhs) <= 1e-10 * scale
+
+    sphere = SphereMeasure(radius)
+    f = RadialField(grid, _cplx(rng, n_rho, n_s))
+    v = SphereValues(sphere, d, _cplx(rng, L_max + 1), _cplx(rng, L_max + 1))
+    r = restrict_sphere(f, sphere, L_max=L_max)
+    w = mult * radius**d / (2.0 * ells + d) ** (d + 1)
+    assert_adjoint(
+        dYds * f.values * np.conj(extend_sphere(v, grid).values),
+        w * (r.theta_plus * np.conj(v.theta_plus) + r.theta_minus * np.conj(v.theta_minus)),
+    )
+
+    sigma = SigmaMeasure()
+    a0, a1 = sigma.support
+    x, wx = np.polynomial.legendre.leggauss(n_alpha)
+    al = 0.5 * (a1 - a0) * (x + 1.0) + a0
+    wq = 0.5 * (a1 - a0) * wx * al**d * sigma.window(al)
+    u = SpaceTimeField(gt, _cplx(rng, n_t, n_rho, n_s))
+    rs = restrict_sigma(u, sigma, L_max=L_max, n_alpha=n_alpha)
+    shape = (n_alpha, L_max + 1)
+    vs = SigmaValues(sigma, d, rs.alpha, rs.alpha_weights, _cplx(rng, *shape), _cplx(rng, *shape))
+    c = 1.0 / (4.0 * (2.0 * ells + d))
+    assert_adjoint(
+        gt.w_t[:, None, None] * dYds * u.values * np.conj(extend_sigma(vs, gt).values),
+        wq[:, None] * (mult * c ** (d + 1))
+        * (rs.theta_plus * np.conj(vs.theta_plus) + rs.theta_minus * np.conj(vs.theta_minus)),
+    )
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+def test_sphere_measure_rejects_bad_radius(radius):
+    with pytest.raises(ValueError):
+        SphereMeasure(radius)
+
+
+@pytest.mark.parametrize("support", [(-1.0, 1.0), (1.0, 0.0), (0.5, 0.5), (0.0, np.inf),
+                                     (0.0, np.nan)])
+def test_sigma_measure_rejects_bad_support(support):
+    with pytest.raises(ValueError):
+        SigmaMeasure(support=support)
+
+
+@pytest.mark.parametrize("radius", [np.nan, np.inf, 0.0, -1.0])
+def test_g_function_rejects_bad_radius(radius):
+    with pytest.raises(ValueError):
+        g_function(0.5, 0.8, d=1, radius=radius)
+
+
+def test_restrict_rejects_negative_L_max():
+    f = RadialField(GRID, np.ones((GRID.n_rho, GRID.n_s)))
+    with pytest.raises(ValueError):
+        restrict_sphere(f, SphereMeasure(), L_max=-1)
+    gt = GRID.with_times([0.0, 0.1])
+    u = SpaceTimeField(gt, np.ones((2, GRID.n_rho, GRID.n_s)))
+    with pytest.raises(ValueError):
+        restrict_sigma(u, SigmaMeasure(), L_max=-1)
+
+
+def test_extend_rejects_values_of_another_dimension():
+    g2 = _grid(2)
+    v = SphereValues(SphereMeasure(), 1, np.ones(3), np.ones(3))
+    with pytest.raises(ValueError):
+        extend_sphere(v, g2)
+    al, wa = np.array([0.25, 0.75]), np.array([0.5, 0.5])
+    vs = SigmaValues(SigmaMeasure(), 1, al, wa, np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        extend_sigma(vs, g2.with_times([0.0, 0.1]))
