@@ -33,6 +33,9 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("d", "L_max", "n_rho", "n_s", "n_t"):
+            if not isinstance(getattr(self, name), int):
+                raise ConfigError(f"{name} must be an integer")
         if self.d < 1:
             raise ConfigError("d must be >= 1")
         if self.L_max < 0:

@@ -142,10 +142,13 @@ def read_hhfld(path):
     if not np.isfinite(values).all():
         raise HHFLDError("payload holds non-finite values")
     kind = header.get("kind")
-    if kind == "radial":
-        return RadialField(grid, values)
-    if kind == "spectral":
-        return SpectralField(grid, values)
-    if kind == "spacetime":
-        return SpaceTimeField(grid, values)
+    try:
+        if kind == "radial":
+            return RadialField(grid, values)
+        if kind == "spectral":
+            return SpectralField(grid, values)
+        if kind == "spacetime":
+            return SpaceTimeField(grid, values)
+    except ValueError as exc:  # e.g. a shape the field kind does not accept
+        raise HHFLDError(f"bad field: {exc}") from exc
     raise HHFLDError(f"unknown kind {kind!r}")

@@ -79,8 +79,14 @@ class Grid:
     lam: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        for name in ("d", "n_rho", "n_s"):
+            v = getattr(self, name)
+            if not isinstance(v, (int, np.integer)) or v < 1:
+                raise ValueError(f"{name} must be an int >= 1, got {v!r}")
         if self.n_s % 2:
             raise ValueError("n_s must be even")
+        if not all(np.isfinite(v) and v > 0 for v in (self.r_max, self.s_half)):
+            raise ValueError("r_max and s_half must be finite and > 0")
         x, w = roots_legendre(self.n_rho)
         self.rho = 0.5 * self.r_max * (x + 1.0)
         self.w_rho = 0.5 * self.r_max * w

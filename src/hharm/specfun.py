@@ -108,7 +108,8 @@ def wigner_radial(ell, lam, rho, d=1):
 
 
 def wigner_radial_table(lmax, lam, rho, d=1):
-    """Radial kernels for all degrees 0..lmax; shape (lmax+1,) + rho.shape."""
+    """Radial kernels for all degrees 0..lmax; shape (lmax+1,) + the broadcast
+    shape of lam and rho (the transform passes a column of |lam| rows)."""
     u = 2.0 * np.abs(lam) * np.asarray(rho, dtype=float) ** 2
     return np.stack(list(kernel_rows(lmax, u, d)))
 

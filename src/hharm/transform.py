@@ -24,6 +24,15 @@ The lam = 0 column is excluded from the model space: forward output is
 exactly 0 there and no synthesis or norm touches it.  On the product group
 R_t x H^d the transform composes a uniform-grid t-DFT (frequencies alpha)
 with the radial transform; the Plancherel constant picks up 2 pi.
+
+Computation
+-----------
+After the s-FFT, both directions are, at each frequency lam, one real
+matrix product with the (L+1, n_rho) kernel table K(lam): one BLAS gemm
+per block of |lam| rows and sign of lam (`_lam_contract`).  The table is
+evaluated on the even half lam > 0 only, a block at a time, and never
+cached.  Batch axes (times, alpha, stacked samples) and the real and
+imaginary parts are the gemm columns.
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .fields import (
     s_synthesis,
     sphere_area,
 )
-from .specfun import eigenvalue, kernel_rows, laguerre_table, multiplicity
+from .specfun import eigenvalue, laguerre_table, multiplicity, wigner_radial_table
 from .windows import ball_profile, ring_profile
 
 __all__ = [
@@ -84,8 +93,9 @@ class SpectralField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim != 2 or self.values.shape[1] != self.grid.n_s:
-            raise ValueError("values must have shape (L_max+1, n_s)")
+        if (self.values.ndim != 2 or self.values.shape[0] < 1
+                or self.values.shape[1] != self.grid.n_s):
+            raise ValueError("values must have shape (L_max+1, n_s) with L_max >= 0")
         self.values[:, self.grid.izero] = 0.0
 
     @property
@@ -102,42 +112,77 @@ class SpectralField:
         )
 
 
+# |lam| rows per kernel block: one block is (rows, L+1, n_rho) float64,
+# about 2 MB at 65 bands x 256 radii, so it stays in cache next to the gemms
+_LAM_BLOCK = 16
+
+
+def _lam_contract(grid: Grid, X, L_max, adjoint=False):
+    """Per-frequency kernel products of lam-major data X (n_s, n, B), complex.
+
+    Returns Z with Z[k] = K(lam_k) @ X[k], K the (L+1, n_rho) table of K_ell,
+    or K(lam_k)^T @ X[k] when `adjoint`; Z[izero] (lam = 0) is 0.  K is even
+    in lam, so `wigner_radial_table` (one `kernel_rows` pass) builds it on
+    the half |lam| = dlam m, m = 1..n_s/2, _LAM_BLOCK rows at a time.  Each
+    block is one np.matmul for the rows izero + m (a contiguous lam slice;
+    m = n_s/2 has no +lam row) and one for the rows izero - m (the same
+    block reversed, as a view).  Complex X is read as interleaved float64,
+    so the real kernel sees the real and imaginary parts of every batch
+    index as 2B gemm columns.
+    """
+    n_s, izero = grid.n_s, grid.izero
+    Z = np.empty((n_s, grid.n_rho if adjoint else L_max + 1, X.shape[-1]), dtype=complex)
+    Z[izero] = 0.0
+    Xf, Zf = X.view(float), Z.view(float)
+    for m0 in range(1, izero + 1, _LAM_BLOCK):
+        m1 = min(m0 + _LAM_BLOCK, izero + 1)
+        lam = np.abs(grid.lam[izero - np.arange(m0, m1)])
+        K = wigner_radial_table(L_max, lam[:, None], grid.rho[None, :], grid.d)
+        K = K.transpose(1, 2, 0) if adjoint else K.transpose(1, 0, 2)
+        pos = slice(izero + m0, min(izero + m1, n_s))
+        neg = slice(izero - m1 + 1, izero - m0 + 1)
+        np.matmul(K[:pos.stop - pos.start], Xf[pos], out=Zf[pos])
+        np.matmul(K[::-1], Xf[neg], out=Zf[neg])
+    return Z
+
+
 def _forward_samples(grid: Grid, values, L_max):
     """Grid-mode forward: samples (..., n_rho, n_s) -> coefficients (..., L+1, n_s).
 
-    One kernel_rows pass contracts every leading batch index band by band.
+    The leading batch indices move innermost, into the gemm columns of one
+    _lam_contract pass.
     """
     fhat = s_analysis(grid, values, axis=-1)  # (..., n_rho, n_s)
-    C = np.swapaxes(fhat, -1, -2) * grid.w_radial[None, :]  # (..., n_s, n_rho)
-    u = 2.0 * np.abs(grid.lam)[:, None] * grid.rho[None, :] ** 2  # (n_s, n_rho)
-    theta = np.empty(C.shape[:-2] + (L_max + 1, grid.n_s), dtype=complex)
-    for ell, K in enumerate(kernel_rows(L_max, u, grid.d)):
-        theta[..., ell, :] = (C * K).sum(-1)
+    batch = fhat.shape[:-2]
+    fhat = fhat.reshape((-1,) + fhat.shape[-2:])
+    C = np.multiply(fhat.T, grid.w_radial[:, None], order="C")  # (n_s, n_rho, B)
+    theta = _lam_contract(grid, C, L_max)  # (n_s, L+1, B)
     mults = np.array([multiplicity(l, grid.d) for l in range(L_max + 1)], dtype=float)
-    theta /= mults[:, None]
-    theta[..., :, grid.izero] = 0.0
-    return theta
+    out = np.divide(theta.T, mults[:, None], order="C")
+    return out.reshape(batch + out.shape[1:])
 
 
 def _inverse_samples(grid: Grid, theta):
     """Synthesis: coefficients (..., L+1, n_s) -> samples (..., n_rho, n_s).
 
-    The mirror of _forward_samples: one kernel_rows pass accumulates every
-    leading batch index (e.g. time) in the lam-major layout (..., n_s, n_rho),
-    whose lam = 0 row is zeroed: the lam = 0 column of theta has no effect.
+    The mirror of _forward_samples: one adjoint _lam_contract pass, whose
+    lam = 0 row is zero (the lam = 0 column of theta has no effect), then
+    the s-synthesis of every batch index at once.
     """
     d = grid.d
-    u = 2.0 * np.abs(grid.lam)[:, None] * grid.rho[None, :] ** 2
-    G = np.zeros(theta.shape[:-2] + (grid.n_s, grid.n_rho), dtype=complex)
-    # one product buffer for all bands: a fresh batch-sized temporary per
-    # band would be mapped and page-faulted again for every band
-    term = np.empty_like(G)
-    for ell, K in enumerate(kernel_rows(theta.shape[-2] - 1, u, d)):
-        G += np.multiply(theta[..., ell, :, None], K, out=term)
-    del term  # freed before the synthesis, which sets the peak memory
-    G *= (2.0**d / np.pi**d) * np.abs(grid.lam)[:, None] ** d
-    G[..., grid.izero, :] = 0.0
-    return s_synthesis(grid, np.swapaxes(G, -1, -2), axis=-1)
+    batch = theta.shape[:-2]
+    theta = theta.reshape((-1,) + theta.shape[-2:])
+    w = (2.0**d / np.pi**d) * np.abs(grid.lam) ** d
+    T = np.multiply(theta.T, w[:, None, None], order="C")  # (n_s, L+1, B)
+    G = _lam_contract(grid, T, theta.shape[1] - 1, adjoint=True)  # (n_s, n_rho, B)
+    del T  # freed before the synthesis, which sets the peak memory
+    f = s_synthesis(grid, G.T, axis=-1)  # (B, n_rho, n_s)
+    return f.reshape(batch + f.shape[1:])
+
+
+def _check_L_max(L_max):
+    if not isinstance(L_max, (int, np.integer)) or L_max < 0:
+        raise ValueError(f"L_max must be an int >= 0, got {L_max!r}")
 
 
 def forward(f, L_max: int = 64, mode: str = "grid", grid: Grid | None = None,
@@ -154,6 +199,7 @@ def forward(f, L_max: int = 64, mode: str = "grid", grid: Grid | None = None,
     integrates exactly for every band ell <= 2 n_quad - 1.  `grid` supplies
     the frequency lattice.
     """
+    _check_L_max(L_max)
     if mode == "grid":
         if not isinstance(f, RadialField):
             raise TypeError("grid mode expects a RadialField")
@@ -356,6 +402,7 @@ def transform_D(u: SpaceTimeField, L_max: int = 64) -> SpectralFieldD:
     Requires uniformly spaced t_nodes (the t axis is treated as periodic with
     weight dt, so discrete Parseval is exact for t-compact packets).
     """
+    _check_L_max(L_max)
     grid = u.grid
     t = grid.t_nodes
     n_t = t.size

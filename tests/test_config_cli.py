@@ -44,6 +44,8 @@ def test_config_defaults():
         ({"t_final": float("inf")}, "t_final"),
         ({"r_max": float("inf")}, "finite"),
         ({"s_half": float("nan")}, "finite"),
+        ({"L_max": 8.5}, "L_max must be an integer"),
+        ({"n_s": 512.0}, "n_s must be an integer"),
     ],
 )
 def test_config_validation(kw, frag):
@@ -236,6 +238,31 @@ def test_transform_zero_field_writes_zero_spectrum(tmp_path, small_cfg, small_gr
     assert "spectral energy 0" in capsys.readouterr().out
     sf = read_hhfld(out_path)
     assert isinstance(sf, SpectralField) and not np.any(sf.values)
+
+
+@pytest.mark.parametrize("key", ["s_half", "n_s"])
+def test_transform_header_grid_with_zero_extent_is_usage_error(tmp_path, small_cfg,
+                                                               band_file, key, capsys):
+    _edit_container(band_file, edit_header=lambda h: h["grid"].__setitem__(key, 0))
+    code = main(["transform", "--dir", "fwd", "--in", band_file,
+                 "--out", str(tmp_path / "o.hhfld"), "--config", small_cfg])
+    assert code == EXIT_USAGE
+    assert "bad header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["transform", "--dir", "inv"],
+                                  ["propagate", "--eq", "schrodinger"]])
+def test_spectral_file_without_bands_is_usage_error(tmp_path, small_cfg, small_grid,
+                                                    argv, capsys):
+    p = tmp_path / "no_bands.hhfld"
+    write_hhfld(p, SpectralField(small_grid, np.ones((1, small_grid.n_s))))
+    _edit_container(p, edit_header=lambda h: h.__setitem__("shape", [0, small_grid.n_s]))
+    raw = p.read_bytes()
+    p.write_bytes(raw[: len(raw) - 16 * small_grid.n_s])  # zero bands: empty payload
+    code = main(argv + ["--in", str(p), "--out", str(tmp_path / "o.hhfld"),
+                        "--config", small_cfg])
+    assert code == EXIT_USAGE
+    assert "bad field" in capsys.readouterr().err
 
 
 def test_propagate_transport_demo(small_cfg, capsys):

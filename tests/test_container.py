@@ -154,3 +154,25 @@ def test_rejects_non_finite_payload(tmp_path, bad):
     write_hhfld(p, f)
     with pytest.raises(HHFLDError, match="non-finite"):
         read_hhfld(p)
+
+
+@pytest.mark.parametrize("key, value", [("s_half", 0), ("n_s", 0)])
+def test_rejects_header_grid_that_does_not_build(tmp_path, key, value):
+    p = tmp_path / "g.hhfld"
+    write_hhfld(p, radial_fixture())
+    _rewrite_header(p, lambda h: h["grid"].__setitem__(key, value))
+    with pytest.raises(HHFLDError, match="bad header"):
+        read_hhfld(p)
+
+
+def test_rejects_spectral_field_without_bands(tmp_path):
+    import struct
+
+    p = tmp_path / "s.hhfld"
+    write_hhfld(p, SpectralField(G, np.ones((1, G.n_s))))
+    _rewrite_header(p, lambda h: h.__setitem__("shape", [0, G.n_s]))
+    raw = p.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    p.write_bytes(raw[: 10 + hlen])  # an empty payload matches the shape
+    with pytest.raises(HHFLDError, match="bad field"):
+        read_hhfld(p)

@@ -41,6 +41,26 @@ def test_grid_nodes_and_weights():
     assert np.all((G.rho > 0) & (G.rho < G.r_max))
 
 
+GEOMETRY = dict(d=1, n_rho=16, r_max=12.0, n_s=32, s_half=40.0)
+
+
+@pytest.mark.parametrize("kw, frag", [
+    ({"n_s": 0}, "n_s must be an int >= 1"),
+    ({"n_s": -2}, "n_s must be an int >= 1"),
+    ({"n_s": 32.0}, "n_s must be an int >= 1"),
+    ({"n_rho": 0}, "n_rho must be an int >= 1"),
+    ({"d": 0}, "d must be an int >= 1"),
+    ({"r_max": 0.0}, "r_max and s_half"),
+    ({"r_max": np.inf}, "r_max and s_half"),
+    ({"s_half": 0.0}, "r_max and s_half"),
+    ({"s_half": -40.0}, "r_max and s_half"),
+    ({"s_half": np.nan}, "r_max and s_half"),
+])
+def test_grid_rejects_bad_geometry(kw, frag):
+    with pytest.raises(ValueError, match=frag):
+        Grid(**dict(GEOMETRY, **kw))
+
+
 def test_radial_field_shape_guard():
     with pytest.raises(ValueError):
         RadialField(G, np.zeros((3, 3)))

@@ -13,9 +13,12 @@ from hharm.fields import (
     dilate,
     l2_norm,
     random_packet,
+    s_analysis,
+    s_synthesis,
     sample_packets,
 )
 from hharm.propagators import CauchyDataS, schrodinger_evolve
+from hharm.specfun import multiplicity, wigner_radial_table
 from hharm.transform import (
     LocalizerSpec,
     SpectralField,
@@ -32,6 +35,7 @@ from hharm.transform import (
     spectral_inner_D,
     transform_D,
 )
+from hharm.transform import _forward_samples, _inverse_samples
 from hharm.windows import bump
 
 G = Grid(d=1, n_rho=128, r_max=12.0, n_s=256, s_half=40.0)
@@ -89,6 +93,18 @@ def test_spectral_field_zeroes_lam0_column():
     theta = np.ones((3, G.n_s), dtype=complex)
     sf = SpectralField(G, theta)
     assert np.all(sf.values[:, G.izero] == 0.0)
+
+
+def test_spectral_field_rejects_zero_bands():
+    with pytest.raises(ValueError, match="L_max >= 0"):
+        SpectralField(G, np.zeros((0, G.n_s)))
+
+
+@pytest.mark.parametrize("L_max", [-1, 2.5, "8"])
+def test_forward_rejects_bad_band_count(L_max):
+    f = RadialField(G, np.ones((G.n_rho, G.n_s)))
+    with pytest.raises(ValueError, match="L_max must be an int >= 0"):
+        forward(f, L_max=L_max)
 
 
 def test_spectral_inner_guards():
@@ -236,3 +252,94 @@ def test_dilation_covariance_against_closure():
     ref = cd.coefficients(np.arange(9), G512.lam)
     ref[:, G512.izero] = 0.0
     assert np.max(np.abs(num.values - ref)) / np.max(np.abs(ref)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The blocked gemm contraction against a per-frequency loop reference
+# ---------------------------------------------------------------------------
+
+def _reference_forward(grid, values, L_max):
+    """theta[..., ell, k] from the full kernel table at each signed lam_k."""
+    fhat = s_analysis(grid, values, axis=-1)
+    mults = np.array([multiplicity(l, grid.d) for l in range(L_max + 1)], dtype=float)
+    theta = np.zeros(values.shape[:-2] + (L_max + 1, grid.n_s), dtype=complex)
+    for k in range(grid.n_s):
+        if k == grid.izero:
+            continue
+        K = wigner_radial_table(L_max, grid.lam[k], grid.rho, grid.d)  # (L+1, n_rho)
+        C = fhat[..., None, :, k] * grid.w_radial
+        theta[..., :, k] = (C * K).sum(-1) / mults
+    return theta
+
+
+def _reference_inverse(grid, theta):
+    d = grid.d
+    g = np.zeros(theta.shape[:-2] + (grid.n_rho, grid.n_s), dtype=complex)
+    for k in range(grid.n_s):
+        if k == grid.izero:
+            continue
+        K = wigner_radial_table(theta.shape[-2] - 1, grid.lam[k], grid.rho, d)
+        g[..., :, k] = (theta[..., :, k, None] * K).sum(-2)
+        g[..., :, k] *= (2.0 / np.pi) ** d * abs(grid.lam[k]) ** d
+    return s_synthesis(grid, g, axis=-1)
+
+
+def _rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("batch", [(), (2,), (2, 3)])
+@pytest.mark.parametrize("L_max", [0, 1, 64])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_band_contraction_matches_per_frequency_loop(d, L_max, batch):
+    """n_s/2 = 37 |lam| rows: the last kernel block is a partial one."""
+    grid = Grid(d=d, n_rho=24, r_max=6.0, n_s=74, s_half=10.0)
+    rng = np.random.default_rng(100 * d + L_max + len(batch))
+    shape = batch + (grid.n_rho, grid.n_s)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    shape = batch + (L_max + 1, grid.n_s)
+    theta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert _rel(_forward_samples(grid, values, L_max),
+                _reference_forward(grid, values, L_max)) < 1e-13
+    assert _rel(_inverse_samples(grid, theta), _reference_inverse(grid, theta)) < 1e-13
+    if not batch:
+        assert _rel(forward(RadialField(grid, values), L_max).values,
+                    _reference_forward(grid, values, L_max)) < 1e-13
+        theta[:, grid.izero] = 0.0
+        assert _rel(inverse(SpectralField(grid, theta)).values,
+                    _reference_inverse(grid, theta)) < 1e-13
+
+
+_THREADS_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from hharm.fields import Grid
+from hharm.transform import _forward_samples, _inverse_samples
+grid = Grid(d=2, n_rho=96, r_max=8.0, n_s=128, s_half=20.0)
+rng = np.random.default_rng(7)
+v = rng.standard_normal((16, 96, 128)) + 1j * rng.standard_normal((16, 96, 128))
+theta = _forward_samples(grid, v, 40)
+f = _inverse_samples(grid, theta)
+sys.stdout.write(hashlib.sha256(theta.tobytes() + f.tobytes()).hexdigest())
+"""
+
+
+def test_band_contraction_bytes_do_not_depend_on_thread_count():
+    """forward/inverse reach BLAS gemm; its results must not depend on how
+    many threads HH_THREADS gives the BLAS pool."""
+    import os
+    import subprocess
+    import sys
+
+    pools = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in pools}
+    digests = set()
+    for n in ("1", "2"):
+        proc = subprocess.run([sys.executable, "-c", _THREADS_SCRIPT],
+                              env=dict(base, HH_THREADS=n), capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        digests.add(proc.stdout)
+    assert len(digests) == 1
+
