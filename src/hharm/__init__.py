@@ -68,7 +68,7 @@ from .restriction import (
     sphere_norm_sq,
     sphere_pair,
 )
-from .specfun import eigenvalue, laguerre, multiplicity, wigner_radial
+from .specfun import eigenvalue, multiplicity, wigner_radial
 from .transform import (
     LocalizerSpec,
     SpectralField,
@@ -141,7 +141,6 @@ __all__ = [
     "sphere_norm_sq",
     "sphere_pair",
     "eigenvalue",
-    "laguerre",
     "multiplicity",
     "wigner_radial",
     "LocalizerSpec",

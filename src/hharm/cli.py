@@ -152,9 +152,7 @@ def cmd_propagate(args) -> int:
 
     if args.eq == "schrodinger":
         st = schrodinger_evolve(CauchyDataS(sf0), times)
-        norms = np.array(
-            [l2_norm(RadialField(sf0.grid, st.values[i])) for i in range(times.size)]
-        )
+        norms = l2_norm(st)
         drift = float(np.abs(norms / norms[0] - 1.0).max()) if norms[0] else 0.0
         print(f"free evolution over {times.size} times, t in [0, {t_final:g}]")
         print(f"L2 conservation drift: {drift:.3e}")

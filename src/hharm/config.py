@@ -33,9 +33,12 @@ class RunConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("d", "L_max", "n_rho", "n_s", "n_t"):
-            if not isinstance(getattr(self, name), int):
+        for name in ("d", "L_max", "n_rho", "n_s", "n_t", "seed"):
+            v = getattr(self, name)
+            if not isinstance(v, int) or isinstance(v, bool):  # JSON true is not 1
                 raise ConfigError(f"{name} must be an integer")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.d < 1:
             raise ConfigError("d must be >= 1")
         if self.L_max < 0:

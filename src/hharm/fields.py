@@ -149,9 +149,6 @@ class RadialField:
                 f"({self.grid.n_rho}, {self.grid.n_s})"
             )
 
-    def copy(self) -> "RadialField":
-        return RadialField(self.grid, self.values.copy())
-
 
 @dataclass
 class SpaceTimeField:
@@ -168,10 +165,6 @@ class SpaceTimeField:
         expect = (len(self.grid.t_nodes), self.grid.n_rho, self.grid.n_s)
         if self.values.shape != expect:
             raise ValueError(f"values shape {self.values.shape}, expected {expect}")
-
-    def at_time(self, i: int) -> RadialField:
-        g = replace(self.grid, t_nodes=None)
-        return RadialField(g, self.values[i])
 
 
 # ---------------------------------------------------------------------------
@@ -239,19 +232,12 @@ def _axis_weights(f, name):
     raise ValueError(f"unknown axis {name!r}")
 
 
-def mixed_norm(f, spec: MixedNormSpec) -> float:
-    """Iterated L^p norm of a RadialField or SpaceTimeField.
-
-    Reduction runs innermost-first.  Finite exponents use the grid quadrature
-    weights (Gauss-Legendre in Y with the surface factor, uniform in s,
-    trapezoid in t); p = inf takes the grid maximum.
-    """
-    table = _AXIS_ORDER_SPACETIME if isinstance(f, SpaceTimeField) else _AXIS_ORDER_RADIAL
-    if set(spec.axes) != set(table):
-        raise ValueError(f"norm must cover axes {tuple(table)} exactly, got {spec.axes}")
+def _reduce(f, spec: MixedNormSpec, table):
+    """|f.values| reduced over the axes of `spec`, numbered by `table`,
+    innermost (last listed) first; axes not in `spec` stay."""
     work = np.abs(f.values)
-    # numeric axis ids shrink as we reduce; process innermost (last listed) first
-    live = {name: table[name] for name in table}
+    # numeric axis ids shrink as we reduce
+    live = dict(table)
     for p, name in zip(reversed(spec.exponents), reversed(spec.axes)):
         ax = live.pop(name)
         if p == np.inf:
@@ -264,13 +250,33 @@ def mixed_norm(f, spec: MixedNormSpec) -> float:
         for other in live:
             if live[other] > ax:
                 live[other] -= 1
-    return float(work)
+    return work
 
 
-def l2_norm(f) -> float:
+def mixed_norm(f, spec: MixedNormSpec) -> float:
+    """Iterated L^p norm of a RadialField or SpaceTimeField.
+
+    Reduction runs innermost-first.  Finite exponents use the grid quadrature
+    weights (Gauss-Legendre in Y with the surface factor, uniform in s,
+    trapezoid in t); p = inf takes the grid maximum.
+    """
+    table = _AXIS_ORDER_SPACETIME if isinstance(f, SpaceTimeField) else _AXIS_ORDER_RADIAL
+    if set(spec.axes) != set(table):
+        raise ValueError(f"norm must cover axes {tuple(table)} exactly, got {spec.axes}")
+    return float(_reduce(f, spec, table))
+
+
+def l2_norm(f):
+    """L^2(dY ds) norm of a RadialField, as a float.
+
+    For a SpaceTimeField, the (n_t,) array of the L^2(dY ds) norms at each
+    time, each reduced in the same order as the norm of that time's
+    RadialField (s, then Y), so the two agree bit for bit.
+    """
+    spec = MixedNormSpec((2, 2), ("Y", "s"))
     if isinstance(f, SpaceTimeField):
-        return mixed_norm(f, MixedNormSpec((2, 2, 2), ("t", "Y", "s")))
-    return mixed_norm(f, MixedNormSpec((2, 2), ("Y", "s")))
+        return _reduce(f, spec, {"Y": 1, "s": 2})
+    return mixed_norm(f, spec)
 
 
 def l2_inner(f: RadialField, g: RadialField) -> complex:

@@ -116,11 +116,12 @@ def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:
     return (w * dens).sum(axis=(-2, -1))
 
 
-def transport_reference(u0: RadialField, ell: int, t: float, lam_sign: int = +1) -> RadialField:
-    """Exact flow of a single-band datum: central shift by -+ 4 t (2 ell + d)."""
+def transport_reference(u0: RadialField, ell: int, t: float) -> RadialField:
+    """Exact flow of a datum on band ell at positive lam: central shift by
+    -4 t (2 ell + d)."""
     d = u0.grid.d
     shift = 4.0 * t * (2 * ell + d)
-    return s_translate(u0, -lam_sign * shift)
+    return s_translate(u0, -shift)
 
 
 def duhamel(data: CauchyDataS, source, times) -> SpaceTimeField:

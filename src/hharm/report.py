@@ -51,12 +51,10 @@ class CheckResult:
     passed: bool
     measured: dict = field(default_factory=dict)
     targets: dict = field(default_factory=dict)
-    details: str = ""
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
-        extra = f"  ({self.details})" if self.details and not self.passed else ""
-        return f"[{tag}] {self.name}{extra}"
+        return f"[{tag}] {self.name}"
 
     def as_dict(self) -> dict:
         return {
@@ -64,7 +62,6 @@ class CheckResult:
             "passed": bool(self.passed),
             "measured": _jsonable(self.measured),
             "targets": _jsonable(self.targets),
-            "details": self.details,
         }
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from scipy.special import gammaln, roots_legendre
 
 from .fields import Grid, RadialField, SpaceTimeField
-from .specfun import kernel_rows, multiplicity
+from .specfun import _mult_table, kernel_rows
 from .windows import sigma_window
 
 __all__ = [
@@ -102,16 +102,15 @@ def _band_tail_integral(h, L, d, n_quad=64):
     return float(np.sum(w * h(x) / (2.0 * u**2)))
 
 
-def sphere_pair(theta, measure: SphereMeasure, d: int = 1, L_max: int = 10000,
-                tail: str = "integral") -> dict:
+def sphere_pair(theta, measure: SphereMeasure, d: int = 1, L_max: int = 10000) -> dict:
     """Pair a spectral function against the sphere measure.
 
     <d sigma_R, theta> = sum_ell mult * R^d (2ell+d)^{-(d+1)}
                          [theta(ell, lam_ell) + theta(ell, -lam_ell)],
-    lam_ell = R/(2ell+d).  `theta(ells, lams)` must broadcast over arrays;
-    with tail="integral" it is also called at real band indices to complete
-    the series by a continuation integral (midpoint-rule argument in
-    reverse: error O(L_max^{-3})).
+    lam_ell = R/(2ell+d).  `theta(ells, lams)` must broadcast over arrays; it
+    is also called at real band indices to complete the series by a
+    continuation integral (midpoint-rule argument in reverse: error
+    O(L_max^{-3})).
     """
     R = measure.radius
 
@@ -126,11 +125,7 @@ def sphere_pair(theta, measure: SphereMeasure, d: int = 1, L_max: int = 10000,
 
     ells = np.arange(L_max + 1)
     partial = float(np.sum(h(ells)))
-    tail_val = 0.0
-    if tail == "integral":
-        tail_val = _band_tail_integral(h, L_max, d)
-    elif tail != "none":
-        raise ValueError(f"unknown tail mode {tail!r}")
+    tail_val = _band_tail_integral(h, L_max, d)
     return {"value": partial + tail_val, "partial": partial, "tail": tail_val}
 
 
@@ -141,7 +136,7 @@ def _alpha_rule(measure: SigmaMeasure, n_alpha: int):
 
 
 def sigma_pair(theta, measure: SigmaMeasure, d: int = 1, L_max: int = 4096,
-               n_alpha: int = 48, tail: str = "integral") -> dict:
+               n_alpha: int = 48) -> dict:
     """Pair Theta(alpha, ell, lam) against the localized paraboloid measure.
 
     <d Sigma, Theta> = sum_ell mult c_ell^{d+1} int
@@ -166,7 +161,7 @@ def sigma_pair(theta, measure: SigmaMeasure, d: int = 1, L_max: int = 4096,
 
     ells = np.arange(L_max + 1)
     partial = float(np.sum(h(ells)))
-    tail_val = _band_tail_integral(h, L_max, d) if tail == "integral" else 0.0
+    tail_val = _band_tail_integral(h, L_max, d)
     return {"value": partial + tail_val, "partial": partial, "tail": tail_val}
 
 
@@ -357,7 +352,7 @@ def _restrict_rays(grid: Grid, values, lam):
     F = values[:, None] @ np.stack([E, np.conj(E)], axis=1)  # (Q, 2, n_rho, L+1)
     K = _kernel_diag(np.arange(n_l), 2.0 * lam[:, :, None] * grid.rho**2, grid.d)
     wK = K.transpose(1, 2, 0) * grid.w_radial[:, None]  # (Q, n_rho, L+1)
-    mult = np.array([multiplicity(l, grid.d) for l in range(n_l)], dtype=float)
+    mult = _mult_table(n_l - 1, grid.d)
     # rho is not the innermost axis of the product, so numpy sums it in
     # order rather than pairwise: the golden sphere-duality figure is a
     # rounding-level number that depends on this order

@@ -15,8 +15,7 @@ band count overflows, whereas the product of an unscaled L_ell(u) with an
 underflowed e^{-u/2} gives inf * 0 = NaN.  The transform, the propagators,
 restriction, extension and twisted convolution all draw their kernels from
 it.  The unscaled `laguerre_table` remains for quadrature rules whose weight
-already carries the exponential, and the Hermite route below is an
-independent oracle for the tests.
+already carries the exponential.
 """
 
 from __future__ import annotations
@@ -27,16 +26,12 @@ import numpy as np
 
 __all__ = [
     "kernel_rows",
-    "laguerre",
     "laguerre_table",
     "multiplicity",
     "wigner_radial",
     "wigner_radial_table",
     "normalized_kernel",
     "eigenvalue",
-    "hermite_function",
-    "wigner_bruteforce",
-    "frequency_distance",
 ]
 
 
@@ -81,18 +76,16 @@ def laguerre_table(lmax, alpha, x):
     return out
 
 
-def laguerre(ell, alpha, x):
-    """Generalized Laguerre polynomial L_ell^{(alpha)}(x): row ell of laguerre_table."""
-    if ell < 0:
-        raise ValueError("degree must be nonnegative")
-    return laguerre_table(ell, alpha, x)[ell]
-
-
 def multiplicity(ell: int, d: int) -> int:
     """Exact spectral multiplicity binom(ell+d-1, ell) as a Python int."""
     if ell < 0 or d < 1:
         raise ValueError("need ell >= 0 and d >= 1")
     return comb(ell + d - 1, ell)
+
+
+def _mult_table(L_max: int, d: int):
+    """multiplicity(ell, d) for ell = 0..L_max, each exact before it becomes a float."""
+    return np.array([multiplicity(l, d) for l in range(L_max + 1)], dtype=float)
 
 
 def wigner_radial(ell, lam, rho, d=1):
@@ -129,98 +122,3 @@ def normalized_kernel(ell, rho, d=1):
 def eigenvalue(ell, lam, d=1):
     """Sub-Laplacian spectral value 4|lam|(2ell+d) on the (ell, lam) ray."""
     return 4.0 * np.abs(lam) * (2 * np.asarray(ell) + d)
-
-
-# ---------------------------------------------------------------------------
-# Hermite route (independent of the Laguerre kernels; used for cross-checks)
-# ---------------------------------------------------------------------------
-
-def hermite_function(m, x):
-    """Orthonormal Hermite function h_m on the line.
-
-    h_0(x) = pi^{-1/4} exp(-x^2/2) and
-    h_m = x sqrt(2/m) h_{m-1} - sqrt((m-1)/m) h_{m-2}.
-    Orthonormal in L^2(R); satisfies -h'' + x^2 h = (2m+1) h.
-    """
-    x = np.asarray(x, dtype=float)
-    h0 = np.pi ** -0.25 * np.exp(-x * x / 2)
-    if m == 0:
-        return h0
-    h1 = np.sqrt(2.0) * x * h0
-    for k in range(2, m + 1):
-        h0, h1 = h1, x * np.sqrt(2.0 / k) * h1 - np.sqrt((k - 1) / k) * h0
-    return h1
-
-
-def _gauss_legendre(n):
-    # scipy's roots are used elsewhere; numpy's are identical for Legendre
-    return np.polynomial.legendre.leggauss(n)
-
-
-def wigner_bruteforce(n, m, lam, Y, n_quad=400, tol=1e-8):
-    """Matrix-entry kernel at d=1 by direct oscillatory quadrature.
-
-    Computes  W(n, m, lam, Y) = int e^{2 i lam eta z} H_n,lam(y+z) H_m,lam(-y+z) dz
-    for Y = (y, eta), where H_k,lam(x) = |lam|^{1/4} h_k(|lam|^{1/2} x) is the
-    lam-scaled orthonormal Hermite function.  The result is complex in
-    general; diagonal entries (n == m) are real and radial, equal to
-    wigner_radial(n, lam, |Y|).
-
-    The integral is done with Gauss-Legendre on [-z_max, z_max],
-    z_max = 10/sqrt(|lam|) + |y|, and the error is estimated by doubling the
-    node count; raises if the estimate exceeds `tol`.
-    """
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
-    y, eta = float(Y[0]), float(Y[1])
-    al = abs(float(lam))
-    zmax = 10.0 / np.sqrt(al) + abs(y)
-
-    def quad(nq):
-        xq, wq = _gauss_legendre(nq)
-        z = zmax * xq
-        w = zmax * wq
-        Hn = al ** 0.25 * hermite_function(n, np.sqrt(al) * (y + z))
-        Hm = al ** 0.25 * hermite_function(m, np.sqrt(al) * (-y + z))
-        return np.sum(w * np.exp(2j * lam * eta * z) * Hn * Hm)
-
-    v1 = quad(n_quad)
-    v2 = quad(2 * n_quad)
-    if abs(v2 - v1) > tol * max(1.0, abs(v2)):
-        raise RuntimeError(
-            f"oscillatory quadrature not converged: |delta|={abs(v2 - v1):.3e}"
-        )
-    return v2
-
-
-# ---------------------------------------------------------------------------
-# Frequency-domain distance
-# ---------------------------------------------------------------------------
-
-def frequency_distance(p, q, d=None):
-    """l^1-type distance between frequency points (n, m, lam).
-
-    Each point is (n, m, lam) with n, m tuples of equal length d (the half
-    dimension).  Distance:
-
-        sum_j |lam(n_j+m_j) - lam'(n_j'+m_j')|
-      + sum_j |(n_j-m_j) - (n_j'-m_j')|
-      + d |lam - lam'|
-
-    Symmetric, satisfies the triangle inequality, and vanishes iff the points
-    coincide (the last term separates lam, then the first two separate n+m
-    and n-m, hence n and m).
-    """
-    n1, m1, l1 = p
-    n2, m2, l2 = q
-    n1 = np.asarray(n1, dtype=float)
-    m1 = np.asarray(m1, dtype=float)
-    n2 = np.asarray(n2, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    if not (n1.shape == m1.shape == n2.shape == m2.shape):
-        raise ValueError("index tuples must share a common length")
-    dd = d if d is not None else n1.size
-    t1 = np.sum(np.abs(l1 * (n1 + m1) - l2 * (n2 + m2)))
-    t2 = np.sum(np.abs((n1 - m1) - (n2 - m2)))
-    t3 = dd * abs(l1 - l2)
-    return float(t1 + t2 + t3)

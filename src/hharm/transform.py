@@ -54,7 +54,7 @@ from .fields import (
     s_synthesis,
     sphere_area,
 )
-from .specfun import eigenvalue, laguerre_table, multiplicity, wigner_radial_table
+from .specfun import _mult_table, eigenvalue, laguerre_table, wigner_radial_table
 from .windows import ball_profile, ring_profile
 
 __all__ = [
@@ -65,7 +65,6 @@ __all__ = [
     "spectral_inner",
     "plancherel_constant",
     "plancherel_pair",
-    "convolve_spectral",
     "sobolev_norm",
     "sobolev_multiplier",
     "LocalizerSpec",
@@ -107,9 +106,7 @@ class SpectralField:
         return self.grid.d
 
     def mults(self):
-        return np.array(
-            [multiplicity(l, self.grid.d) for l in range(self.L_max + 1)], dtype=float
-        )
+        return _mult_table(self.L_max, self.grid.d)
 
 
 # |lam| rows per kernel block: one block is (rows, L+1, n_rho) float64,
@@ -157,7 +154,7 @@ def _forward_samples(grid: Grid, values, L_max):
     fhat = fhat.reshape((-1,) + fhat.shape[-2:])
     C = np.multiply(fhat.T, grid.w_radial[:, None], order="C")  # (n_s, n_rho, B)
     theta = _lam_contract(grid, C, L_max)  # (n_s, L+1, B)
-    mults = np.array([multiplicity(l, grid.d) for l in range(L_max + 1)], dtype=float)
+    mults = _mult_table(L_max, grid.d)
     out = np.divide(theta.T, mults[:, None], order="C")
     return out.reshape(batch + out.shape[1:])
 
@@ -185,8 +182,7 @@ def _check_L_max(L_max):
         raise ValueError(f"L_max must be an int >= 0, got {L_max!r}")
 
 
-def forward(f, L_max: int = 64, mode: str = "grid", grid: Grid | None = None,
-            n_quad: int | None = None) -> SpectralField:
+def forward(f, L_max: int = 64, mode: str = "grid", grid: Grid | None = None) -> SpectralField:
     """Radial spectral transform.
 
     mode="grid" (default): f is a RadialField; the Y-integral uses the grid's
@@ -196,8 +192,8 @@ def forward(f, L_max: int = 64, mode: str = "grid", grid: Grid | None = None,
     lam-adapted generalized Gauss-Laguerre quadrature — for each lam the
     substitution u = 2|lam| rho^2 turns the radial integral into a weight
     e^{-pu} u^{d-1} integral with p = a/(2|lam|) + 1/2, which the rule
-    integrates exactly for every band ell <= 2 n_quad - 1.  `grid` supplies
-    the frequency lattice.
+    integrates exactly for every band ell <= 2 n_quad - 1, with
+    n_quad = max(48, L_max // 2 + 8).  `grid` supplies the frequency lattice.
     """
     _check_L_max(L_max)
     if mode == "grid":
@@ -208,8 +204,7 @@ def forward(f, L_max: int = 64, mode: str = "grid", grid: Grid | None = None,
         closures = f if isinstance(f, (list, tuple)) else [f]
         if grid is None:
             raise ValueError("closure mode needs a target grid")
-        n = n_quad or max(48, L_max // 2 + 8)
-        return _forward_closure(closures, grid, L_max, n)
+        return _forward_closure(closures, grid, L_max, max(48, L_max // 2 + 8))
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -219,7 +214,7 @@ def _forward_closure(closures, grid: Grid, L_max: int, n_quad: int) -> SpectralF
     theta = np.zeros((L_max + 1, grid.n_s), dtype=complex)
     al = np.abs(grid.lam)
     live = al > 0
-    mults = np.array([multiplicity(l, d) for l in range(L_max + 1)], dtype=float)
+    mults = _mult_table(L_max, d)
     pref = sphere_area(d) / (2.0 * (2.0 * al[live]) ** d)
     for c in closures:
         if not isinstance(c, GaussianClosure):
@@ -265,15 +260,6 @@ def plancherel_pair(f: RadialField, g: RadialField, L_max: int = 64) -> dict:
         "ratio": spec.real / phys.real if phys.real != 0 else np.nan,
         "target": plancherel_constant(f.grid.d),
     }
-
-
-def convolve_spectral(sf: SpectralField, sg: SpectralField) -> SpectralField:
-    """Pointwise spectral product — the transform of the group convolution."""
-    if not sf.grid.compatible(sg.grid):
-        raise ValueError("spectral fields live on different grids")
-    if sf.L_max != sg.L_max:
-        raise ValueError("band sizes differ")
-    return SpectralField(sf.grid, sf.values * sg.values)
 
 
 def sobolev_norm(sf: SpectralField, sigma: float) -> float:
@@ -424,9 +410,7 @@ def spectral_inner_D(a: SpectralFieldD, b: SpectralFieldD) -> complex:
     grid = a.grid
     dal = a.alpha[1] - a.alpha[0]
     w = grid.w_lam
-    mults = np.array(
-        [multiplicity(l, grid.d) for l in range(a.L_max + 1)], dtype=float
-    )
+    mults = _mult_table(a.L_max, grid.d)
     return complex(
         dal
         * np.sum(mults[None, :, None] * w[None, None, :] * a.values * np.conj(b.values))

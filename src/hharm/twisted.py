@@ -31,7 +31,6 @@ from .fields import sphere_area
 __all__ = [
     "PlanarGrid",
     "PlanarField",
-    "symplectic",
     "planar_norm",
     "twisted_convolve",
     "kernel_field",
@@ -83,13 +82,6 @@ class PlanarField:
         if v.shape != (self.grid.n, self.grid.n):
             raise ValueError(f"values shape {v.shape} != {(self.grid.n, self.grid.n)}")
         self.values = v
-
-
-def symplectic(Y, W):
-    """sigma((y, eta), (y', eta')) = eta y' - eta' y, on (..., 2) arrays."""
-    Y = np.asarray(Y, dtype=float)
-    W = np.asarray(W, dtype=float)
-    return Y[..., 1] * W[..., 0] - W[..., 1] * Y[..., 0]
 
 
 def planar_norm(f: PlanarField, p: float) -> float:

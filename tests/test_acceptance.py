@@ -63,6 +63,19 @@ def _suite_results(*suites: str) -> dict:
     return {r.name: r for r in rep.results}
 
 
+@pytest.fixture(scope="module")
+def verify_all(tmp_path_factory):
+    """One `hharm verify all --seed 42` subprocess for the tests that read
+    its report: (finished process, report path)."""
+    path = tmp_path_factory.mktemp("verify_all") / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "hharm.cli", "verify", "all",
+         "--seed", "42", "--out", str(path)],
+        capture_output=True, text=True, timeout=1200,
+    )
+    return proc, path
+
+
 # --- 1 -----------------------------------------------------------------
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -267,14 +280,17 @@ def test_c12_band_operator_scaling(p):
 
 # --- 13 ----------------------------------------------------------------
 
-def test_c13_restriction_ratio_stability():
+def test_c13_restriction_ratio_stability(verify_all):
     """Empirical restriction ratios (sphere p=2; paraboloid p=q=2) over 200
-    seeded samples move <= 5% when N_rho, N_s, L_max are doubled together."""
-    res = _suite_results("sphere", "sigma")
+    seeded samples move <= 5% when N_rho, N_s, L_max are doubled together.
+    The rows come from the `verify all --seed 42` report, which runs the
+    `sphere` and `sigma` suites at the default config."""
+    _, path = verify_all
+    res = {r["name"]: r for r in json.loads(path.read_text())["results"]}
     for name in ("sphere-ratio-stability", "sigma-ratio-stability"):
         r = res[name]
-        assert r.measured["n_samples"] == 200
-        assert r.measured["drift_max"] <= 0.05, name
+        assert r["measured"]["n_samples"] == 200
+        assert r["measured"]["drift_max"] <= 0.05, name
 
 
 # --- 14 ----------------------------------------------------------------
@@ -326,15 +342,10 @@ def _flatten(doc, prefix=""):
     return out
 
 
-def test_c16_verify_all_byte_identical(tmp_path):
+def test_c16_verify_all_byte_identical(verify_all):
     """`hharm verify all --seed 42` writes the committed golden report byte
     for byte."""
-    path = tmp_path / "report.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "hharm.cli", "verify", "all",
-         "--seed", "42", "--out", str(path)],
-        capture_output=True, text=True, timeout=1200,
-    )
+    proc, path = verify_all
     assert proc.returncode == 0, proc.stderr[-2000:]
     got, want = path.read_bytes(), GOLDEN.read_bytes()
     if got != want:

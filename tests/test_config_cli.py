@@ -46,6 +46,9 @@ def test_config_defaults():
         ({"s_half": float("nan")}, "finite"),
         ({"L_max": 8.5}, "L_max must be an integer"),
         ({"n_s": 512.0}, "n_s must be an integer"),
+        ({"seed": -3}, "seed must be >= 0"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
     ],
 )
 def test_config_validation(kw, frag):
@@ -383,3 +386,36 @@ def test_verify_stdout_and_determinism(tmp_path, capsys):
     rep = json.loads(first)
     assert rep["config"]["seed"] == 42
     assert rep["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "cfg, argv",
+    [({"seed": -3}, []), ({"seed": 1.5}, []), ({}, ["--seed", "-3"])],
+)
+def test_verify_bad_seed_is_usage_error(tmp_path, cfg, argv, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(cfg))
+    code = main(["verify", "hardy", "--config", str(p)] + argv)
+    assert code == EXIT_USAGE
+    assert "seed must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, rows",
+    [
+        ("bernstein", ("bernstein-ring-ratio", "bernstein-ring-slope")),
+        ("strichartz-scaling", ("strichartz-flatness-p2q2", "strichartz-flatness-p2qinf")),
+    ],
+)
+def test_verify_on_a_grid_too_small_for_the_data_fails_rows(tmp_path, suite, rows, capsys):
+    """On an 8 x 8 grid the ring and scaling data vanish, so a norm ratio is
+    0/0: the rows fail with a "nan" figure instead of raising."""
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps({"n_rho": 8, "n_s": 8, "L_max": 2}))
+    out = tmp_path / "report.json"
+    code = main(["verify", suite, "--config", str(p), "--out", str(out)])
+    assert code == EXIT_TOLERANCE
+    got = {r["name"]: r for r in json.loads(out.read_text())["results"]}
+    for name in rows:
+        assert got[name]["passed"] is False
+        assert "nan" in json.dumps(got[name]["measured"])

@@ -84,6 +84,19 @@ def test_l2_norm_gaussian_closed_form():
     assert abs(l2_inner(f, f).imag) < 1e-15
 
 
+@pytest.mark.parametrize("n_rho, n_s, n_t", [(96, 320, 6), (40, 70, 3), (32, 64, 1)])
+def test_l2_norm_of_spacetime_field_is_per_time(n_rho, n_s, n_t):
+    """A SpaceTimeField's l2_norm is the (n_t,) array of its per-time norms,
+    bit-equal to the norm of each time's RadialField."""
+    rng = np.random.default_rng(3)
+    space = Grid(d=2, n_rho=n_rho, n_s=n_s)
+    vals = rng.standard_normal((n_t, n_rho, n_s)) + 1j * rng.standard_normal((n_t, n_rho, n_s))
+    got = l2_norm(SpaceTimeField(space.with_times(np.linspace(0.0, 1.0, n_t)), vals))
+    want = np.array([l2_norm(RadialField(space, v)) for v in vals])
+    assert got.shape == (n_t,)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("p,q", [(2.0, 4.0), (3.0, 1.0), (2.0, np.inf)])
 def test_mixed_norm_separable_product(p, q):
     """For f = g(rho) h(s) the iterated norm factors into 1-d norms."""
@@ -175,7 +188,7 @@ def test_dilate_truncation_warning_and_guards():
 def test_dilate_bitwise_reproducible():
     f = gaussian_field()
     a = dilate(f, 1.25).values
-    b = dilate(f.copy(), 1.25).values
+    b = dilate(RadialField(f.grid, f.values.copy()), 1.25).values
     assert np.array_equal(a, b)
 
 

@@ -46,11 +46,6 @@ def test_sphere_pair_radius_scaling_exact():
     assert v2 == 2.0 * v1  # R^d scaling, exact in floating point for R = 2
 
 
-def test_sphere_pair_rejects_unknown_tail():
-    with pytest.raises(ValueError):
-        sphere_pair(lambda e, l: np.ones_like(e), SphereMeasure(), tail="pade")
-
-
 def test_g_function_origin_and_finiteness():
     val, tail = g_function(0.0, 0.0, d=1)
     assert abs(val - 0.25) < 1e-6

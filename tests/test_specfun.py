@@ -1,5 +1,6 @@
 """Special-function layer: recurrences against scipy, explicit sums, and the
-oscillatory brute-force route for the matrix-entry kernels."""
+oscillatory brute-force route for the matrix-entry kernels (an independent
+Hermite-function oracle, kept here with the tests that use it)."""
 
 from __future__ import annotations
 
@@ -11,14 +12,10 @@ from scipy.special import eval_genlaguerre
 
 from hharm.specfun import (
     eigenvalue,
-    frequency_distance,
-    hermite_function,
     kernel_rows,
-    laguerre,
     laguerre_table,
     multiplicity,
     normalized_kernel,
-    wigner_bruteforce,
     wigner_radial,
     wigner_radial_table,
 )
@@ -26,10 +23,72 @@ from hharm.specfun import (
 X = np.linspace(0.0, 30.0, 121)
 
 
+# ---------------------------------------------------------------------------
+# Hermite route: independent of the Laguerre kernels, used as the oracle
+# ---------------------------------------------------------------------------
+
+def hermite_function(m, x):
+    """Orthonormal Hermite function h_m on the line.
+
+    h_0(x) = pi^{-1/4} exp(-x^2/2) and
+    h_m = x sqrt(2/m) h_{m-1} - sqrt((m-1)/m) h_{m-2}.
+    Orthonormal in L^2(R); satisfies -h'' + x^2 h = (2m+1) h.
+    """
+    x = np.asarray(x, dtype=float)
+    h0 = np.pi ** -0.25 * np.exp(-x * x / 2)
+    if m == 0:
+        return h0
+    h1 = np.sqrt(2.0) * x * h0
+    for k in range(2, m + 1):
+        h0, h1 = h1, x * np.sqrt(2.0 / k) * h1 - np.sqrt((k - 1) / k) * h0
+    return h1
+
+
+def _gauss_legendre(n):
+    # scipy's roots are used elsewhere; numpy's are identical for Legendre
+    return np.polynomial.legendre.leggauss(n)
+
+
+def wigner_bruteforce(n, m, lam, Y, n_quad=400, tol=1e-8):
+    """Matrix-entry kernel at d=1 by direct oscillatory quadrature.
+
+    Computes  W(n, m, lam, Y) = int e^{2 i lam eta z} H_n,lam(y+z) H_m,lam(-y+z) dz
+    for Y = (y, eta), where H_k,lam(x) = |lam|^{1/4} h_k(|lam|^{1/2} x) is the
+    lam-scaled orthonormal Hermite function.  The result is complex in
+    general; diagonal entries (n == m) are real and radial, equal to
+    wigner_radial(n, lam, |Y|).
+
+    The integral is done with Gauss-Legendre on [-z_max, z_max],
+    z_max = 10/sqrt(|lam|) + |y|, and the error is estimated by doubling the
+    node count; raises if the estimate exceeds `tol`.
+    """
+    if lam == 0:
+        raise ValueError("lam must be nonzero")
+    y, eta = float(Y[0]), float(Y[1])
+    al = abs(float(lam))
+    zmax = 10.0 / np.sqrt(al) + abs(y)
+
+    def quad(nq):
+        xq, wq = _gauss_legendre(nq)
+        z = zmax * xq
+        w = zmax * wq
+        Hn = al ** 0.25 * hermite_function(n, np.sqrt(al) * (y + z))
+        Hm = al ** 0.25 * hermite_function(m, np.sqrt(al) * (-y + z))
+        return np.sum(w * np.exp(2j * lam * eta * z) * Hn * Hm)
+
+    v1 = quad(n_quad)
+    v2 = quad(2 * n_quad)
+    if abs(v2 - v1) > tol * max(1.0, abs(v2)):
+        raise RuntimeError(
+            f"oscillatory quadrature not converged: |delta|={abs(v2 - v1):.3e}"
+        )
+    return v2
+
+
 @pytest.mark.parametrize("ell", [0, 1, 2, 3, 7, 16, 40])
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
 def test_laguerre_matches_scipy(ell, alpha):
-    ours = laguerre(ell, alpha, X)
+    ours = laguerre_table(ell, alpha, X)[ell]
     ref = eval_genlaguerre(ell, alpha, X)
     scale = np.maximum(np.abs(ref), 1.0)
     assert np.max(np.abs(ours - ref) / scale) < 1e-12
@@ -38,22 +97,19 @@ def test_laguerre_matches_scipy(ell, alpha):
 def test_laguerre_explicit_small_degrees():
     # independent route: the explicit polynomials, no recurrence involved
     x = np.linspace(0.0, 9.0, 37)
-    assert np.allclose(laguerre(1, 0.0, x), 1.0 - x, atol=1e-14)
-    assert np.allclose(laguerre(2, 0.0, x), 1.0 - 2.0 * x + 0.5 * x**2, atol=1e-13)
+    assert np.allclose(laguerre_table(1, 0.0, x)[1], 1.0 - x, atol=1e-14)
+    assert np.allclose(laguerre_table(2, 0.0, x)[2], 1.0 - 2.0 * x + 0.5 * x**2, atol=1e-13)
     assert np.allclose(
-        laguerre(2, 1.0, x), 3.0 - 3.0 * x + 0.5 * x**2, atol=1e-13
+        laguerre_table(2, 1.0, x)[2], 3.0 - 3.0 * x + 0.5 * x**2, atol=1e-13
     )
 
 
 def test_laguerre_table_consistency():
+    # a shorter table is the prefix of a longer one: row ell does not depend
+    # on how many rows follow it
     tab = laguerre_table(12, 1.0, X)
     for ell in (0, 3, 12):
-        assert np.array_equal(tab[ell], laguerre(ell, 1.0, X))
-
-
-def test_laguerre_rejects_negative_degree():
-    with pytest.raises(ValueError):
-        laguerre(-1, 0.0, X)
+        assert np.array_equal(tab[ell], laguerre_table(ell, 1.0, X)[ell])
 
 
 @pytest.mark.parametrize(
@@ -138,24 +194,6 @@ def test_normalized_kernel_origin():
     for ell in (0, 1, 3, 10):
         v = normalized_kernel(ell, np.array([0.0]), d=1)[0]
         assert abs(v - 1.0 / (2 * ell + 1)) < 1e-14
-
-
-def test_frequency_distance_axioms():
-    a = ((0, 1), (1, 0), 0.8)
-    b = ((1, 1), (0, 0), 1.1)
-    c = ((2, 0), (1, 1), 0.5)
-    assert frequency_distance(a, a) == 0.0
-    assert frequency_distance(a, b) == frequency_distance(b, a)
-    assert frequency_distance(a, b) > 0.0
-    assert (
-        frequency_distance(a, c)
-        <= frequency_distance(a, b) + frequency_distance(b, c) + 1e-15
-    )
-
-
-def test_frequency_distance_rejects_mismatched_tuples():
-    with pytest.raises(ValueError):
-        frequency_distance(((0,), (0, 1), 1.0), ((0,), (0,), 1.0))
 
 
 # arguments from the oscillatory region up to far past underflow of e^{-u/2}

@@ -16,7 +16,6 @@ from hharm.twisted import (
     operator_norm,
     orth_check,
     planar_norm,
-    symplectic,
     tn_apply,
     tn_norm_proxy,
     twisted_convolve,
@@ -39,14 +38,6 @@ def test_planar_grid_basics():
 def test_planar_field_shape_guard():
     with pytest.raises(ValueError):
         PlanarField(GRID, np.zeros((96, 97)))
-
-
-def test_symplectic_form():
-    Y = np.array([1.0, 2.0])
-    W = np.array([3.0, -1.0])
-    assert symplectic(Y, W) == pytest.approx(2.0 * 3.0 - (-1.0) * 1.0)
-    assert symplectic(Y, W) == -symplectic(W, Y)
-    assert symplectic(Y, Y) == 0.0
 
 
 def test_planar_norm_gaussian():

@@ -9,7 +9,8 @@ import numpy as np
 
 from hharm.config import RunConfig
 from hharm.report import CheckResult, VerificationReport, _jsonable
-from hharm.verify import SUITE_ORDER, SUITES, run_suites, translate_identity_check
+from hharm import verify
+from hharm.verify import SUITE_ORDER, SUITES, _row, run_suites, translate_identity_check
 
 EXPECTED_SUITES = [
     "plancherel", "roundtrip", "transport", "bernstein", "hausdorff-young",
@@ -28,6 +29,32 @@ def test_check_result_line():
     bad = CheckResult("plancherel-d1", False, 2.0, {"target": 1.0})
     assert ok.line() == "[PASS] plancherel-d1"
     assert bad.line() == "[FAIL] plancherel-d1"
+
+
+def test_row_writes_pairs_as_value_and_basis():
+    row = _row("x", np.float64(1.0) <= 2.0, {"err": 1.0},
+               ratio=(3.0, "exact"), p=[1, 2], tolerance=2.0)
+    assert row.passed is True
+    assert row.as_dict() == {
+        "name": "x", "passed": True, "measured": {"err": 1.0},
+        "targets": {"ratio": {"value": 3.0, "basis": "exact"}, "p": [1, 2],
+                    "tolerance": 2.0},
+    }
+
+
+def test_gfun_rescaling_fails_on_one_nan_point(monkeypatch):
+    """A NaN at one of the three rescaling points fails the row: the worst
+    error is an np.max, which keeps the NaN."""
+    real = verify.g_function
+
+    def planted(rho, s, **kw):
+        val, tail = real(rho, s, **kw)
+        return (float("nan"), tail) if np.isscalar(rho) and rho == 1.5 else (val, tail)
+
+    monkeypatch.setattr(verify, "g_function", planted)
+    row = {r.name: r for r in verify.suite_gfun(RunConfig())}["gfun-rescaling"]
+    assert row.passed is False
+    assert np.isnan(row.measured["max_rel_err"])
 
 
 def test_jsonable_rounding_and_specials():
