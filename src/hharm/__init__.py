@@ -78,7 +78,6 @@ from .transform import (
     inverse,
     localize,
     plancherel_constant,
-    plancherel_pair,
     sobolev_multiplier,
     sobolev_norm,
     spectral_inner,
@@ -151,7 +150,6 @@ __all__ = [
     "inverse",
     "localize",
     "plancherel_constant",
-    "plancherel_pair",
     "sobolev_multiplier",
     "sobolev_norm",
     "spectral_inner",

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import roots_legendre
 
 from .fields import Grid, RadialField, SpaceTimeField, s_translate
-from .specfun import eigenvalue, wigner_radial
+from .specfun import wigner_radial
 from .transform import SpectralField, _inverse_samples, inverse
 from .windows import bump
 
@@ -49,16 +49,11 @@ class CauchyDataW:
     u1: SpectralField
 
 
-def _eig_table(sf: SpectralField):
-    ells = np.arange(sf.L_max + 1)
-    return eigenvalue(ells[:, None], sf.grid.lam[None, :], sf.grid.d)
-
-
 def schrodinger_evolve(data: CauchyDataS, times) -> SpaceTimeField:
     """Free flow u(t) = synthesis(exp(i t eig) theta0), all times in one pass."""
     sf = data.u0
     times = np.asarray(times, dtype=float)
-    theta = np.exp(1j * times[:, None, None] * _eig_table(sf)) * sf.values
+    theta = np.exp(1j * times[:, None, None] * sf.eig()) * sf.values
     return SpaceTimeField(sf.grid.with_times(times), _inverse_samples(sf.grid, theta))
 
 
@@ -84,9 +79,7 @@ def _halfwave_split(data: CauchyDataW, times):
             f"lambda = 0 line ({bins}{more}); dividing by sqrt(eigenvalue) is "
             "ill-conditioned there, so it is refused (localize away from lambda = 0)"
         )
-    eig = _eig_table(data.u0)
-    eig[:, grid.izero] = 1.0  # the column carries no mass; avoid dividing by 0
-    omega = np.sqrt(eig)
+    omega = np.sqrt(data.u0.eig())
     gp = 0.5 * (data.u0.values - 1j * th1 / omega)
     gm = 0.5 * (data.u0.values + 1j * th1 / omega)
     t = np.asarray(times, dtype=float)[:, None, None]
@@ -112,8 +105,7 @@ def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:
     uh = up + um
     vh = 1j * omega * (up - um)  # d/dt of the spectrum
     dens = omega**2 * np.abs(uh) ** 2 + np.abs(vh) ** 2
-    w = data.u0.mults()[:, None] * data.u0.grid.w_lam[None, :]
-    return (w * dens).sum(axis=(-2, -1))
+    return (data.u0.weights() * dens).sum(axis=(-2, -1))
 
 
 def transport_reference(u0: RadialField, ell: int, t: float) -> RadialField:
@@ -140,7 +132,7 @@ def duhamel(data: CauchyDataS, source, times) -> SpaceTimeField:
     if not np.allclose(np.diff(times), dt, rtol=0, atol=1e-12 * abs(dt)):
         raise ValueError("duhamel needs a uniform time ladder")
     sf = data.u0
-    prop = np.exp(1j * dt * _eig_table(sf))
+    prop = np.exp(1j * dt * sf.eig())
     theta = np.empty((times.size,) + sf.values.shape, dtype=complex)
     theta[0] = sf.values
     fh_prev = source(times[0]).values
@@ -178,21 +170,22 @@ def admissible(equation: str, p: float, q: float, d: int) -> bool:
 # Dispersive decay probes
 # ---------------------------------------------------------------------------
 
-def wave_decay_probe(d: int = 1, ell: int = 0,
-                     times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-                     n_quad: int = 3200, freq_scale: float = 16.0) -> dict:
+def wave_decay_probe(d: int = 1, times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
+                     n_quad: int = 3200) -> dict:
     """Sup-norm decay of a positive half-wave packet, fitted in log-log.
 
-    The packet sits on band `ell` with the smooth spectral weight
-    g(lam) = exp(-lam / freq_scale), i.e. concentrated around eigenvalue
-    ~ 4 * freq_scale * (2 ell + d).  Putting the data at a high frequency
-    scale matters: the sup norm is flat until the group-velocity spread
-    has dispersed the initial profile, and with freq_scale = 16 that onset
+    The packet sits on band ell = 0 with the smooth spectral weight
+    g(lam) = exp(-lam / freq_scale), freq_scale = 16, i.e. concentrated
+    around eigenvalue ~ 4 * freq_scale * d.  Putting the data at a high
+    frequency scale matters: the sup norm is flat until the group-velocity
+    spread has dispersed the initial profile, and at this scale that onset
     sits below t = 1, so the whole fit window shows the stationary-phase
     rate t^{-1/2} (d = 1).  The field is synthesized by direct oscillatory
     quadrature on an s-window that follows the slowest/fastest rays
-    s ~ -t sqrt(m / lam), so no grid truncation can fake decay.
+    s ~ -t sqrt(m / lam), so no grid truncation can fake decay.  The sup
+    over s-blocks is an np.max, so a NaN block propagates.
     """
+    ell, freq_scale = 0, 16.0
     m = 2 * ell + d
     lam_hi = 14.0 * freq_scale  # weight below e^{-14} past here
     xq, wq = roots_legendre(n_quad)
@@ -208,29 +201,29 @@ def wave_decay_probe(d: int = 1, ell: int = 0,
         s = np.arange(-0.8 * np.sqrt(m) * t - 30.0, 30.0, 0.02)
         # the phase matrix is built 512 s-rows at a time, so memory stays
         # bounded however long the s-window grows with t
-        sup = 0.0
+        block_sups = []
         for lo in range(0, s.size, 512):
             phase = np.exp(1j * (np.outer(s[lo:lo + 512], lam)
                                  + 2.0 * t * np.sqrt(lam * m)[None, :]))
             field = const * (phase * weight[None, :]) @ K  # (block, n_rho)
-            sup = max(sup, np.abs(field).max())
-        sups.append(sup)
+            block_sups.append(np.abs(field).max())
+        sups.append(np.max(block_sups))
     times = np.asarray(times, dtype=float)
     sups = np.asarray(sups)
     slope = np.polyfit(np.log(times), np.log(sups), 1)[0]
     return {"times": times, "sup_norms": sups, "fitted_exponent": float(slope)}
 
 
-def schrodinger_decay_probe(grid: Grid | None = None, ell: int = 1, L_max: int = 8,
-                            n_steps: int = 6) -> dict:
+def schrodinger_decay_probe() -> dict:
     """Sup-norm along the free Schrodinger flow of a single-band datum.
 
-    The flow transports the profile, so the sup norm is exactly flat; times
-    are chosen so the central shift 4 t (2 ell + d) is a whole number of grid
-    steps and the invariance is exact rather than sampled.
+    The datum sits on band ell = 1 of the default grid.  The flow transports
+    the profile, so the sup norm is exactly flat; the six times t_unit 2^k
+    are chosen so the central shift 4 t (2 ell + d) is a whole number of
+    grid steps and the invariance is exact rather than sampled.
     """
-    grid = grid or Grid()
-    d = grid.d
+    grid = Grid()
+    d, ell, L_max, n_steps = grid.d, 1, 8, 6
     theta = np.zeros((L_max + 1, grid.n_s), dtype=complex)
     theta[ell] = bump(grid.lam, 0.5, 2.0)
     sf = SpectralField(grid, theta)

@@ -12,6 +12,13 @@ central frequency lam:
   compactly supported window psi (alpha is the joint time-frequency; the
   chart alpha = 4 |lam| (2 ell + d) = eigenvalue).
 
+Each measure has one home: `_sphere_rays` and `_sigma_rays` give the rays
+and the band weights at (possibly real) band indices, `_alpha_density` the
+alpha^d psi(alpha) dalpha factor, and `SphereValues.weights()` and
+`SigmaValues.weights()` the weight of each restricted ray pair.  The
+pairings, norms and extensions all read them; an extension divides out the
+multiplicity, which K_ell already carries.
+
 Both surfaces are lists of rays (ell, lam) off the lambda lattice, so
 restriction and extension are one ray contraction and its adjoint.
 `_restrict_rays` evaluates the transform of samples (Q, n_rho, n_s) on rays
@@ -88,6 +95,24 @@ def _mult_real(x, d):
     return np.exp(gammaln(x + d) - gammaln(x + 1) - gammaln(d))
 
 
+def _sphere_rays(x, d, R):
+    """Sphere rays lam = R / (2x+d) and weights mult R^d (2x+d)^{-(d+1)} at
+    band indices x (integer bands, or real ones for the tail continuation)."""
+    return R / (2.0 * x + d), _mult_real(x, d) * R**d / (2.0 * x + d) ** (d + 1)
+
+
+def _sigma_rays(x, d):
+    """Paraboloid slopes c = 1 / (4 (2x+d)), so lam = +- alpha c, and band
+    weights mult c^{d+1} at band indices x."""
+    c = 1.0 / (4.0 * (2.0 * x + d))
+    return c, _mult_real(x, d) * c ** (d + 1)
+
+
+def _alpha_density(measure, alpha, dalpha, d):
+    """Paraboloid alpha weights alpha^d psi(alpha) dalpha at quadrature nodes."""
+    return dalpha * alpha**d * measure.window(alpha)
+
+
 def _band_tail_integral(h, L, d, n_quad=64):
     """int_{L+1/2}^infty h(x) dx via the compactifying map u = 1/(2x+d).
 
@@ -102,26 +127,21 @@ def _band_tail_integral(h, L, d, n_quad=64):
     return float(np.sum(w * h(x) / (2.0 * u**2)))
 
 
-def sphere_pair(theta, measure: SphereMeasure, d: int = 1, L_max: int = 10000) -> dict:
+def sphere_pair(theta, measure: SphereMeasure, d: int = 1) -> dict:
     """Pair a spectral function against the sphere measure.
 
     <d sigma_R, theta> = sum_ell mult * R^d (2ell+d)^{-(d+1)}
                          [theta(ell, lam_ell) + theta(ell, -lam_ell)],
     lam_ell = R/(2ell+d).  `theta(ells, lams)` must broadcast over arrays; it
     is also called at real band indices to complete the series by a
-    continuation integral (midpoint-rule argument in reverse: error
-    O(L_max^{-3})).
+    continuation integral past L = 10000 (midpoint-rule argument in reverse:
+    error O(L^{-3})).
     """
-    R = measure.radius
+    L_max = 10000
 
     def h(x):
-        lx = R / (2.0 * x + d)
-        return (
-            _mult_real(x, d)
-            * R**d
-            / (2.0 * x + d) ** (d + 1)
-            * (theta(x, lx) + theta(x, -lx))
-        )
+        lx, w = _sphere_rays(x, d, measure.radius)
+        return w * (theta(x, lx) + theta(x, -lx))
 
     ells = np.arange(L_max + 1)
     partial = float(np.sum(h(ells)))
@@ -135,8 +155,7 @@ def _alpha_rule(measure: SigmaMeasure, n_alpha: int):
     return 0.5 * (a1 - a0) * (xq + 1.0) + a0, 0.5 * (a1 - a0) * wq
 
 
-def sigma_pair(theta, measure: SigmaMeasure, d: int = 1, L_max: int = 4096,
-               n_alpha: int = 48) -> dict:
+def sigma_pair(theta, measure: SigmaMeasure, d: int = 1) -> dict:
     """Pair Theta(alpha, ell, lam) against the localized paraboloid measure.
 
     <d Sigma, Theta> = sum_ell mult c_ell^{d+1} int
@@ -144,20 +163,22 @@ def sigma_pair(theta, measure: SigmaMeasure, d: int = 1, L_max: int = 4096,
         alpha^d psi(alpha) dalpha,      c_ell = 1/(4(2ell+d)).
 
     Theta is called as theta(alpha_array, band, lam_array) per band (band may
-    be a real number in the tail continuation).
+    be a real number in the tail continuation past L = 4096), at 48 Gauss
+    nodes in alpha.
     """
-    al, wa = _alpha_rule(measure, n_alpha)
-    wa = wa * al**d * measure.window(al)
+    L_max = 4096
+    al, wa = _alpha_rule(measure, 48)
+    wa = _alpha_density(measure, al, wa, d)
 
     def h(x):
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        c = 1.0 / (4.0 * (2.0 * x + d))
+        c, w = _sigma_rays(x, d)
         out = np.empty_like(x)
         for i in range(x.size):
             tp = theta(al, x[i], al * c[i])
             tm = theta(al, x[i], -al * c[i])
             out[i] = np.sum(wa * (tp + tm))
-        return _mult_real(x, d) * c ** (d + 1) * out
+        return w * out
 
     ells = np.arange(L_max + 1)
     partial = float(np.sum(h(ells)))
@@ -232,7 +253,7 @@ def g_function(rho, s, d: int = 1, radius: float = 1.0, L_max: int = 4096):
 
     def block_sum(l_lo, l_hi, exact):
         ells = np.arange(l_lo, l_hi)
-        lam = R / (2.0 * ells[:, None] + d)
+        lam, _ = _sphere_rays(ells[:, None], d, R)
         U = 2.0 * lam * rf**2
         if exact:
             Kg = _kernel_diag(ells, U, d)
@@ -240,12 +261,9 @@ def g_function(rho, s, d: int = 1, radius: float = 1.0, L_max: int = 4096):
             Kg, last = _kernel_series(ells, U, d)
             if last > 1e-10:
                 raise RuntimeError("kernel series block not converged")
-        terms = (
-            (2.0 * ells[:, None] + d) ** -(d + 1)
-            * R**d
-            * np.cos(R * sf / (2.0 * ells[:, None] + d))
-            * Kg
-        )
+        # the sphere weight without the multiplicity K_ell carries, in this
+        # order: the golden gfun-rescaling figure depends on it
+        terms = (2.0 * ells[:, None] + d) ** -(d + 1) * R**d * np.cos(lam * sf) * Kg
         return terms.sum(axis=0)
 
     Lh = L_max // 2
@@ -261,21 +279,20 @@ def g_function(rho, s, d: int = 1, radius: float = 1.0, L_max: int = 4096):
     return value.reshape(shape), tail.reshape(shape)
 
 
-def g_sigma(t, rho, s, measure: SigmaMeasure | None = None, d: int = 1,
-            tol: float = 1e-8, max_panels: int = 64, nodes_per_panel: int = 16,
-            L_series: int = 2048) -> dict:
+def g_sigma(t, rho, s, measure: SigmaMeasure | None = None, d: int = 1) -> dict:
     """Physical kernel of the paraboloid measure by adaptive quadrature.
 
     g(t, rho, s) = 2 pi int alpha^d G_1(sqrt(alpha) rho, alpha s)
                    e^{-i t alpha} psi(alpha) dalpha.
 
-    Gauss panels over supp(psi) are doubled until the value moves by less
-    than `tol` (relative); the dict reports the value, the last refinement
-    delta, and the panel count used.
+    16-node Gauss panels over supp(psi) are doubled, up to 64 panels, until
+    the value moves by less than 1e-8 (relative); G_1 sums 2048 bands.  The
+    dict reports the value, the last refinement delta, and the panel count
+    used.
     """
     measure = measure or SigmaMeasure()
     a0, a1 = measure.support
-    xq, wq = roots_legendre(nodes_per_panel)
+    xq, wq = roots_legendre(16)
 
     def evaluate(n_panels):
         edges = np.linspace(a0, a1, n_panels + 1)
@@ -283,18 +300,19 @@ def g_sigma(t, rho, s, measure: SigmaMeasure | None = None, d: int = 1,
             [0.5 * (e1 - e0) * (xq + 1.0) + e0 for e0, e1 in zip(edges, edges[1:])]
         )
         wa = np.concatenate([0.5 * (e1 - e0) * wq for e0, e1 in zip(edges, edges[1:])])
-        gvals, _ = g_function(np.sqrt(al) * rho, al * s, d=d, radius=1.0, L_max=L_series)
-        return 2.0 * np.pi * np.sum(wa * al**d * gvals * np.exp(-1j * t * al) * measure.window(al))
+        gvals, _ = g_function(np.sqrt(al) * rho, al * s, d=d, radius=1.0, L_max=2048)
+        density = _alpha_density(measure, al, wa, d)
+        return 2.0 * np.pi * np.sum(density * gvals * np.exp(-1j * t * al))
 
     n = 2
     prev = evaluate(n)
     delta = np.inf
-    while n < max_panels:
+    while n < 64:
         n *= 2
         cur = evaluate(n)
         delta = abs(cur - prev)
         prev = cur
-        if delta <= tol * (1.0 + abs(cur)):
+        if delta <= 1e-8 * (1.0 + abs(cur)):
             break
     return {"value": prev, "refinement_delta": float(delta), "panels": n}
 
@@ -316,6 +334,10 @@ class SphereValues:
     def L_max(self) -> int:
         return self.theta_plus.size - 1
 
+    def weights(self):
+        """d sigma weight of each band's ray pair, shape (L_max+1,)."""
+        return _sphere_rays(np.arange(self.L_max + 1), self.d, self.measure.radius)[1]
+
 
 @dataclass
 class SigmaValues:
@@ -331,6 +353,12 @@ class SigmaValues:
     @property
     def L_max(self) -> int:
         return self.theta_plus.shape[1] - 1
+
+    def weights(self):
+        """d Sigma weight of each ray pair (alpha_q, ell), shape (n_alpha, L_max+1)."""
+        _, wl = _sigma_rays(np.arange(self.L_max + 1), self.d)
+        wa = _alpha_density(self.measure, self.alpha, self.alpha_weights, self.d)
+        return wa[:, None] * wl[None, :]
 
 
 def _bands(L_max: int) -> np.ndarray:
@@ -378,18 +406,15 @@ def _extend_rays(grid: Grid, A, lam, c_plus, c_minus):
 def restrict_sphere(f: RadialField, measure: SphereMeasure, L_max: int = 64) -> SphereValues:
     """Evaluate the spectral transform of f on the sphere's rays lam_ell = R/(2ell+d)."""
     grid = f.grid
-    lam = measure.radius / (2.0 * _bands(L_max) + grid.d)
+    lam, _ = _sphere_rays(_bands(L_max), grid.d, measure.radius)
     tp, tm = _restrict_rays(grid, f.values[None], lam[:, None])
     return SphereValues(measure, grid.d, tp[:, 0], tm[:, 0])
 
 
 def sphere_norm_sq(vals: SphereValues) -> float:
     """Squared L^2(d sigma) norm of restricted values."""
-    d = vals.d
-    R = vals.measure.radius
-    ells = np.arange(vals.L_max + 1)
-    w = _mult_real(ells, d) * R**d / (2.0 * ells + d) ** (d + 1)
-    return float(np.sum(w * (np.abs(vals.theta_plus) ** 2 + np.abs(vals.theta_minus) ** 2)))
+    dens = np.abs(vals.theta_plus) ** 2 + np.abs(vals.theta_minus) ** 2
+    return float(np.sum(vals.weights() * dens))
 
 
 def extend_sphere(vals: SphereValues, grid: Grid) -> RadialField:
@@ -403,11 +428,10 @@ def extend_sphere(vals: SphereValues, grid: Grid) -> RadialField:
     d = grid.d
     if vals.d != d:
         raise ValueError(f"values are for d={vals.d}, the grid has d={d}")
-    R = vals.measure.radius
     ells = np.arange(vals.L_max + 1)
-    w = R**d / (2.0 * ells + d) ** (d + 1)
-    coeff = 2.0 ** (d - 1) / np.pi ** (d + 1) * w
-    out = _extend_rays(grid, np.ones((1, 1)), (R / (2.0 * ells + d))[:, None],
+    lam, w = _sphere_rays(ells, d, vals.measure.radius)
+    coeff = 2.0 ** (d - 1) / np.pi ** (d + 1) * (w / _mult_real(ells, d))
+    out = _extend_rays(grid, np.ones((1, 1)), lam[:, None],
                        (coeff * vals.theta_plus)[:, None], (coeff * vals.theta_minus)[:, None])
     return RadialField(grid, out[0])
 
@@ -424,7 +448,7 @@ def restrict_sigma(u: SpaceTimeField, measure: SigmaMeasure, L_max: int = 32,
     the values depend on the window, which callers must normalize for.
     """
     grid = u.grid
-    c = 1.0 / (4.0 * (2.0 * _bands(L_max) + grid.d))
+    c, _ = _sigma_rays(_bands(L_max), grid.d)
     al, wa = _alpha_rule(measure, n_alpha)
     B = grid.w_t[:, None] * np.exp(-1j * np.outer(grid.t_nodes, al))  # (n_t, n_q)
     # contract the time axis first: (n_q, n_rho, n_s)
@@ -435,13 +459,8 @@ def restrict_sigma(u: SpaceTimeField, measure: SigmaMeasure, L_max: int = 32,
 
 def sigma_norm_sq(vals: SigmaValues) -> float:
     """Squared L^2(d Sigma) norm of restricted values."""
-    d = vals.d
-    ells = np.arange(vals.L_max + 1)
-    c = 1.0 / (4.0 * (2.0 * ells + d))
-    wl = _mult_real(ells, d) * c ** (d + 1)
-    wa = vals.alpha_weights * vals.alpha**d * vals.measure.window(vals.alpha)
     dens = np.abs(vals.theta_plus) ** 2 + np.abs(vals.theta_minus) ** 2
-    return float(np.sum(wa[:, None] * wl[None, :] * dens))
+    return float(np.sum(vals.weights() * dens))
 
 
 def extend_sigma(vals: SigmaValues, grid: Grid) -> SpaceTimeField:
@@ -464,10 +483,13 @@ def extend_sigma(vals: SigmaValues, grid: Grid) -> SpaceTimeField:
     d = grid.d
     if vals.d != d:
         raise ValueError(f"values are for d={vals.d}, the grid has d={d}")
-    c = 1.0 / (4.0 * (2.0 * np.arange(vals.L_max + 1) + d))
+    ells = np.arange(vals.L_max + 1)
+    c, wl = _sigma_rays(ells, d)
     al = vals.alpha
-    wq = vals.alpha_weights * al**d * vals.measure.window(al)
-    coeff = 2.0 ** (d - 1) / np.pi ** (d + 1) * c[:, None] ** (d + 1) * wq  # (L+1, n_q)
+    wq = _alpha_density(vals.measure, al, vals.alpha_weights, d)
+    # (const c^{d+1}) w_alpha in this order: the golden extension figure is
+    # a rounding-level number that depends on it
+    coeff = 2.0 ** (d - 1) / np.pi ** (d + 1) * (wl / _mult_real(ells, d))[:, None] * wq
     A = np.exp(1j * np.outer(grid.t_nodes, al))  # (n_t, n_q)
     out = _extend_rays(grid, A, c[:, None] * al, coeff * vals.theta_plus.T,
                        coeff * vals.theta_minus.T)

@@ -25,6 +25,12 @@ exactly 0 there and no synthesis or norm touches it.  On the product group
 R_t x H^d the transform composes a uniform-grid t-DFT (frequencies alpha)
 with the radial transform; the Plancherel constant picks up 2 pi.
 
+The spectral measure mult_ell dlam |lam|^d has one home,
+`SpectralField.weights()` (0 on the lam = 0 column); every pairing, norm
+and energy reads it.  `SpectralField.eig()` is the one table of
+eigenvalue(ell, lam), with the massless lam = 0 column set to 1 so that
+negative powers and divisions stay finite there.
+
 Computation
 -----------
 After the s-FFT, both directions are, at each frequency lam, one real
@@ -48,7 +54,6 @@ from .fields import (
     MixedNormSpec,
     RadialField,
     SpaceTimeField,
-    l2_inner,
     mixed_norm,
     s_analysis,
     s_synthesis,
@@ -64,7 +69,6 @@ __all__ = [
     "inverse",
     "spectral_inner",
     "plancherel_constant",
-    "plancherel_pair",
     "sobolev_norm",
     "sobolev_multiplier",
     "LocalizerSpec",
@@ -105,8 +109,21 @@ class SpectralField:
     def d(self) -> int:
         return self.grid.d
 
-    def mults(self):
-        return _mult_table(self.L_max, self.grid.d)
+    def weights(self):
+        """Spectral measure weights mult_ell dlam |lam|^d, shape (L_max+1, n_s)."""
+        return _spectral_weights(self.grid, self.L_max)
+
+    def eig(self):
+        """eigenvalue(ell, lam), shape (L_max+1, n_s), with the lam = 0 column
+        (which carries no mass) set to 1."""
+        ells = np.arange(self.L_max + 1)
+        eig = eigenvalue(ells[:, None], self.grid.lam[None, :], self.grid.d)
+        eig[:, self.grid.izero] = 1.0
+        return eig
+
+
+def _spectral_weights(grid: Grid, L_max: int):
+    return _mult_table(L_max, grid.d)[:, None] * grid.w_lam[None, :]
 
 
 # |lam| rows per kernel block: one block is (rows, L+1, n_rho) float64,
@@ -239,27 +256,7 @@ def spectral_inner(sf: SpectralField, sg: SpectralField) -> complex:
         raise ValueError("spectral fields live on different grids")
     if sf.L_max != sg.L_max:
         raise ValueError("band sizes differ")
-    w = sf.grid.w_lam
-    return complex(
-        np.sum(sf.mults()[:, None] * w[None, :] * sf.values * np.conj(sg.values))
-    )
-
-
-def plancherel_pair(f: RadialField, g: RadialField, L_max: int = 64) -> dict:
-    """Physical and spectral pairings of two fields plus their ratio.
-
-    For band-localized fields the ratio approximates pi^{d+1}/2^{d-1}.
-    """
-    sf = forward(f, L_max)
-    sg = forward(g, L_max)
-    phys = l2_inner(f, g)
-    spec = spectral_inner(sf, sg)
-    return {
-        "physical": phys,
-        "spectral": spec,
-        "ratio": spec.real / phys.real if phys.real != 0 else np.nan,
-        "target": plancherel_constant(f.grid.d),
-    }
+    return complex(np.sum(sf.weights() * sf.values * np.conj(sg.values)))
 
 
 def sobolev_norm(sf: SpectralField, sigma: float) -> float:
@@ -273,9 +270,7 @@ def sobolev_norm(sf: SpectralField, sigma: float) -> float:
     by unresolved low frequencies).
     """
     grid = sf.grid
-    w = grid.w_lam
-    mults = sf.mults()
-    dens = mults[:, None] * w[None, :] * np.abs(sf.values) ** 2
+    dens = sf.weights() * np.abs(sf.values) ** 2
     total = dens.sum()
     if sigma < 0:
         edge = dens[:, grid.izero - 1].sum() + dens[:, grid.izero + 1].sum()
@@ -283,10 +278,7 @@ def sobolev_norm(sf: SpectralField, sigma: float) -> float:
             raise ValueError(
                 "negative-order norm refused: spectral mass within one bin of lam=0"
             )
-    ells = np.arange(sf.L_max + 1)
-    eig = eigenvalue(ells[:, None], grid.lam[None, :], grid.d)
-    eig[:, grid.izero] = 1.0  # the column carries zero mass; avoid 0^sigma
-    val = (dens * eig**sigma).sum() / plancherel_constant(grid.d)
+    val = (dens * sf.eig() ** sigma).sum() / plancherel_constant(grid.d)
     return float(np.sqrt(val))
 
 
@@ -311,9 +303,7 @@ class LocalizerSpec:
 
 
 def localize(sf: SpectralField, loc: LocalizerSpec) -> SpectralField:
-    ells = np.arange(sf.L_max + 1)
-    eig = eigenvalue(ells[:, None], sf.grid.lam[None, :], sf.grid.d)
-    return SpectralField(sf.grid, sf.values * loc.profile(eig))
+    return SpectralField(sf.grid, sf.values * loc.profile(sf.eig()))
 
 
 def sobolev_multiplier(sf: SpectralField, sigma: float) -> SpectralField:
@@ -322,10 +312,7 @@ def sobolev_multiplier(sf: SpectralField, sigma: float) -> SpectralField:
     Commutes exactly with localize (both are diagonal in (ell, lam));
     sobolev_norm(sf, sigma) equals sobolev_norm(sobolev_multiplier(sf, sigma), 0).
     """
-    ells = np.arange(sf.L_max + 1)
-    eig = eigenvalue(ells[:, None], sf.grid.lam[None, :], sf.grid.d)
-    eig[:, sf.grid.izero] = 1.0  # column carries no mass; avoid 0^negative
-    return SpectralField(sf.grid, sf.values * eig ** (sigma / 2.0))
+    return SpectralField(sf.grid, sf.values * sf.eig() ** (sigma / 2.0))
 
 
 def bernstein_check(f: RadialField, loc: LocalizerSpec, p: float, q: float,
@@ -407,11 +394,6 @@ def transform_D(u: SpaceTimeField, L_max: int = 64) -> SpectralFieldD:
 
 def spectral_inner_D(a: SpectralFieldD, b: SpectralFieldD) -> complex:
     """sum_alpha dalpha sum_ell mult int theta conj(theta') |lam|^d dlam."""
-    grid = a.grid
     dal = a.alpha[1] - a.alpha[0]
-    w = grid.w_lam
-    mults = _mult_table(a.L_max, grid.d)
-    return complex(
-        dal
-        * np.sum(mults[None, :, None] * w[None, None, :] * a.values * np.conj(b.values))
-    )
+    w = _spectral_weights(a.grid, a.L_max)
+    return complex(dal * np.sum(w[None] * a.values * np.conj(b.values)))

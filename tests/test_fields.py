@@ -97,6 +97,23 @@ def test_l2_norm_of_spacetime_field_is_per_time(n_rho, n_s, n_t):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("n_rho, n_s, n_t",
+                         [(96, 256, 5), (256, 512, 6), (40, 70, 3), (128, 256, 9), (32, 64, 1)])
+def test_l2_inner_of_spacetime_fields_is_per_time(n_rho, n_s, n_t):
+    """l2_inner of two SpaceTimeFields is the (n_t,) array of the per-time
+    inner products, bit-equal to the inner product of each time's pair."""
+    rng = np.random.default_rng(4)
+    space = Grid(d=1, n_rho=n_rho, n_s=n_s)
+    grid = space.with_times(np.linspace(0.0, 1.0, n_t))
+    u, v = (rng.standard_normal((n_t, n_rho, n_s)) + 1j * rng.standard_normal((n_t, n_rho, n_s))
+            for _ in range(2))
+    got = l2_inner(SpaceTimeField(grid, u), SpaceTimeField(grid, v))
+    want = np.array([l2_inner(RadialField(space, a), RadialField(space, b))
+                     for a, b in zip(u, v)])
+    assert got.shape == (n_t,)
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("p,q", [(2.0, 4.0), (3.0, 1.0), (2.0, np.inf)])
 def test_mixed_norm_separable_product(p, q):
     """For f = g(rho) h(s) the iterated norm factors into 1-d norms."""

@@ -6,11 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from hharm import propagators
 from hharm.fields import Grid, RadialField, l2_norm
 from hharm.propagators import (
     CauchyDataS,
     CauchyDataW,
-    _eig_table,
     admissible,
     duhamel,
     schrodinger_decay_probe,
@@ -74,7 +74,7 @@ def test_wave_zero_velocity_is_cosine_flow():
     zero = SpectralField(G, np.zeros_like(g0.values))
     u = wave_evolve(CauchyDataW(g0, zero), [0.7])
     # gamma_pm = theta0 / 2: evolution is the cosine multiplier
-    eig = _eig_table(g0)
+    eig = g0.eig()
     ref = inverse(SpectralField(G, np.cos(0.7 * np.sqrt(eig)) * g0.values))
     err = np.max(np.abs(u.values[0] - ref.values))
     assert err < 1e-12 * np.max(np.abs(ref.values))
@@ -106,7 +106,7 @@ def test_duhamel_manufactured_solution_order():
     O(dt^2); halving the step should show order >= 1.9."""
     g = Grid(d=1, n_rho=96, r_max=12.0, n_s=256, s_half=40.0)
     w = banded_spectrum(g, L_max=4, seed=8)
-    eig = _eig_table(w)
+    eig = w.eig()
 
     def a(t):
         return np.cos(2.0 * t) * np.exp(-t / 3.0)
@@ -155,7 +155,7 @@ def _per_time(grid, spectra):
 @pytest.mark.parametrize("times", [[0.3], np.linspace(0.0, 2.0, 5)])
 def test_schrodinger_evolve_equals_per_time_inverse(times):
     sf = banded_spectrum(SMALL_G, L_max=3, seed=11)
-    eig = _eig_table(sf)
+    eig = sf.eig()
     ref = _per_time(SMALL_G, [np.exp(1j * t * eig) * sf.values for t in times])
     assert np.array_equal(schrodinger_evolve(CauchyDataS(sf), times).values, ref)
 
@@ -164,9 +164,7 @@ def test_schrodinger_evolve_equals_per_time_inverse(times):
 def test_wave_evolve_equals_per_time_inverse(times):
     g0 = banded_spectrum(SMALL_G, L_max=3, seed=12)
     g1 = banded_spectrum(SMALL_G, L_max=3, seed=13)
-    eig = _eig_table(g0)
-    eig[:, SMALL_G.izero] = 1.0  # the lam = 0 column carries no mass
-    omega = np.sqrt(eig)
+    omega = np.sqrt(g0.eig())
     gp = 0.5 * (g0.values - 1j * g1.values / omega)
     gm = 0.5 * (g0.values + 1j * g1.values / omega)
     ref = _per_time(SMALL_G, [np.exp(1j * t * omega) * gp + np.exp(-1j * t * omega) * gm
@@ -178,7 +176,7 @@ def test_duhamel_equals_per_time_inverse():
     w = banded_spectrum(SMALL_G, L_max=3, seed=14)
     f = banded_spectrum(SMALL_G, L_max=3, seed=15)
     times = np.linspace(0.0, 0.4, 5)
-    prop = np.exp(1j * 0.1 * _eig_table(w))
+    prop = np.exp(1j * 0.1 * w.eig())
     thetas = [w.values]
     for t0, t1 in zip(times[:-1], times[1:]):
         step = prop * (np.cos(t0) * f.values) + np.cos(t1) * f.values
@@ -220,6 +218,21 @@ def test_wave_decay_probe_quick():
     out = wave_decay_probe(times=(1.0, 2.0, 4.0, 8.0), n_quad=1600)
     assert np.all(np.diff(out["sup_norms"]) < 0)
     assert out["fitted_exponent"] < -0.35
+
+
+def test_wave_decay_probe_propagates_a_nan_kernel(monkeypatch):
+    """A NaN in the kernel makes every sup norm NaN rather than dropping out
+    of the running sup over s-blocks (which left 0.0)."""
+    real = propagators.wigner_radial
+
+    def kernel(*args):
+        K = real(*args)
+        K[0, 1] = np.nan
+        return K
+
+    monkeypatch.setattr(propagators, "wigner_radial", kernel)
+    out = wave_decay_probe(times=(1.0, 2.0), n_quad=200)
+    assert np.isnan(out["sup_norms"]).all()
 
 
 def test_schrodinger_nondecay_probe():

@@ -137,7 +137,7 @@ def test_sphere_norm_sq_consistency():
 def test_sigma_origin_ratio():
     """g(0,0,0) / <d Sigma, 1> = 2^{3d+2} / pi^d (= 32/pi at d=1), independent
     of the window psi; both sides integrate alpha^d psi against constants."""
-    out = g_sigma(0.0, 0.0, 0.0, tol=1e-8)
+    out = g_sigma(0.0, 0.0, 0.0)
     pair = sigma_pair(
         lambda al, e, l: np.ones_like(np.asarray(al, dtype=float)),
         SigmaMeasure(), d=1,

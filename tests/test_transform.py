@@ -27,7 +27,6 @@ from hharm.transform import (
     inverse,
     localize,
     plancherel_constant,
-    plancherel_pair,
     sobolev_multiplier,
     sobolev_norm,
     spectral_inner,
@@ -73,9 +72,10 @@ def test_grid_mode_matches_closed_form():
 
 def test_plancherel_ratio_gaussian():
     f = GaussianClosure(d=1, a=1.0, b=0.5, omega=5.0).sample(G)
-    pair = plancherel_pair(f, f, L_max=64)
-    assert abs(pair["ratio"] - np.pi**2) / np.pi**2 < 1e-6
-    assert pair["target"] == plancherel_constant(1)
+    sf = forward(f, L_max=64)
+    ratio = spectral_inner(sf, sf).real / l2_norm(f) ** 2
+    assert abs(ratio - np.pi**2) / np.pi**2 < 1e-6
+    assert plancherel_constant(1) == np.pi**2
 
 
 def test_roundtrip_band_projected():
@@ -228,8 +228,9 @@ def test_high_band_count_is_finite_and_meets_plancherel_gate():
     assert np.all(np.isfinite(sf.values))
     f = inverse(sf)
     assert np.all(np.isfinite(f.values))
-    pr = plancherel_pair(f, f, L_max=192)
-    assert abs(pr["ratio"] - pr["target"]) / pr["target"] <= 1e-6
+    sf = forward(f, L_max=192)
+    ratio = spectral_inner(sf, sf).real / l2_norm(f) ** 2
+    assert abs(ratio - plancherel_constant(1)) / plancherel_constant(1) <= 1e-6
 
 
 def test_dilation_covariance_against_closure():
