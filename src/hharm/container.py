@@ -18,6 +18,7 @@ is raw bytes, so write -> read -> write is byte-identical.
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -81,23 +82,47 @@ def write_hhfld(path, obj) -> None:
         fh.write(payload)
 
 
+def _declared_shape(kind, g: dict, shape: tuple) -> tuple:
+    """The payload shape the header's grid sizes declare for `kind`; the band
+    count of a spectrum is whatever its shape says."""
+    if kind == "radial":
+        return (g["n_rho"], g["n_s"])
+    if kind == "spacetime":
+        return (len(g["t_nodes"]), g["n_rho"], g["n_s"])
+    if kind == "spectral":
+        return (shape[0] if shape else None, g["n_s"])
+    raise HHFLDError(f"unknown kind {kind!r}")
+
+
 def _rebuild_grid(h: dict) -> Grid:
+    # the stored quadrature comes with the grid sizes it claims, so a header
+    # cannot ask for a Gauss-Legendre rule larger than the file that holds it
+    stored = np.asarray(h["rho_nodes"], dtype=float)
+    weights = np.asarray(h["rho_weights"], dtype=float)
+    if not stored.shape == weights.shape == (h["n_rho"],):
+        raise HHFLDError(
+            "bad header: stored rho nodes and weights do not have n_rho entries"
+        )
+    if not (np.isfinite(stored).all() and np.isfinite(weights).all()):
+        raise HHFLDError("bad header: stored rho nodes or weights are not finite")
+    t_nodes = h.get("t_nodes")
+    if t_nodes is not None:
+        t_nodes = np.asarray(t_nodes, dtype=float)
+        if t_nodes.ndim != 1 or not np.isfinite(t_nodes).all():
+            raise HHFLDError("bad header: t_nodes is not a list of finite times")
     grid = Grid(
         d=int(h["d"]),
         n_rho=int(h["n_rho"]),
         r_max=float(h["r_max"]),
         n_s=int(h["n_s"]),
         s_half=float(h["s_half"]),
-        t_nodes=None if h.get("t_nodes") is None else np.asarray(h["t_nodes"]),
+        t_nodes=t_nodes,
     )
-    stored = np.asarray(h.get("rho_nodes", grid.rho), dtype=float)
-    if stored.shape != grid.rho.shape or not np.allclose(
-        stored, grid.rho, rtol=0, atol=1e-12 * grid.r_max
-    ):
+    if not np.allclose(stored, grid.rho, rtol=0, atol=1e-12 * grid.r_max):
         raise HHFLDError("stored rho nodes disagree with the declared grid")
     # the stored arrays are authoritative (robust across quadrature libraries)
     grid.rho = stored
-    grid.w_rho = np.asarray(h.get("rho_weights", grid.w_rho), dtype=float)
+    grid.w_rho = weights
     from .fields import sphere_area
 
     grid.w_radial = grid.w_rho * sphere_area(grid.d) * grid.rho ** (2 * grid.d - 1)
@@ -105,7 +130,12 @@ def _rebuild_grid(h: dict) -> Grid:
 
 
 def read_hhfld(path):
-    """Load an HHFLD file back into its field object."""
+    """Load an HHFLD file back into its field object.
+
+    The header's shape is checked against the declared grid sizes and the
+    payload length before the grid (and its Gauss-Legendre rule) is built, so
+    a short file cannot make the reader build a large grid.
+    """
     from .transform import SpectralField
 
     with open(path, "rb") as fh:
@@ -119,36 +149,45 @@ def read_hhfld(path):
         raise HHFLDError("truncated header")
     try:
         header = json.loads(raw[10 : 10 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise HHFLDError(f"bad header: {exc}") from exc
     if not isinstance(header, dict):
         raise HHFLDError("bad header: not a JSON object")
     if header.get("dtype") != "c128le" or header.get("order") != "row-major":
         raise HHFLDError("unsupported payload encoding")
+    kind = header.get("kind")
+    payload = raw[10 + hlen :]
     try:
-        shape = tuple(int(n) for n in header["shape"])
+        shape = header["shape"]
+        if not isinstance(shape, list) or not all(
+            isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in shape
+        ):
+            raise HHFLDError(f"bad header: shape {shape!r} is not a list of sizes")
+        shape = tuple(shape)
+        declared = _declared_shape(kind, header["grid"], shape)
+        if shape != declared:
+            raise HHFLDError(
+                f"bad header: shape {list(shape)} does not match the {kind} "
+                f"layout {declared} of the declared grid"
+            )
+        expected = math.prod(shape) * 16
+        if len(payload) != expected:
+            raise HHFLDError(
+                f"payload size {len(payload)} != expected {expected} for shape {shape}"
+            )
         grid = _rebuild_grid(header["grid"])
     except HHFLDError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise HHFLDError(f"bad header: missing or malformed field ({exc})") from exc
-    expected = int(np.prod(shape)) * 16
-    payload = raw[10 + hlen :]
-    if len(payload) != expected:
-        raise HHFLDError(
-            f"payload size {len(payload)} != expected {expected} for shape {shape}"
-        )
     values = np.frombuffer(payload, dtype="<c16").reshape(shape).copy()
     if not np.isfinite(values).all():
         raise HHFLDError("payload holds non-finite values")
-    kind = header.get("kind")
     try:
         if kind == "radial":
             return RadialField(grid, values)
         if kind == "spectral":
             return SpectralField(grid, values)
-        if kind == "spacetime":
-            return SpaceTimeField(grid, values)
+        return SpaceTimeField(grid, values)  # _declared_shape refused other kinds
     except ValueError as exc:  # e.g. a shape the field kind does not accept
         raise HHFLDError(f"bad field: {exc}") from exc
-    raise HHFLDError(f"unknown kind {kind!r}")

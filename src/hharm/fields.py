@@ -285,8 +285,13 @@ def l2_inner(f, g):
 
     For two SpaceTimeFields, the (n_t,) array of the inner products at each
     time, each summed in the same order as that time's RadialField pair, so
-    the two agree bit for bit.
+    the two agree bit for bit.  Fields of different kinds or shapes, or on
+    grids that are not compatible, are refused with ValueError.
     """
+    if type(f) is not type(g) or f.values.shape != g.values.shape:
+        raise ValueError("l2_inner pairs two fields of one kind and shape")
+    if f.grid is not g.grid and not f.grid.compatible(g.grid):
+        raise ValueError("fields live on different grids")
     gr = f.grid
     prod = gr.w_radial[:, None] * f.values * np.conj(g.values)
     if isinstance(f, SpaceTimeField):

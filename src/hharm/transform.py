@@ -394,6 +394,10 @@ def transform_D(u: SpaceTimeField, L_max: int = 64) -> SpectralFieldD:
 
 def spectral_inner_D(a: SpectralFieldD, b: SpectralFieldD) -> complex:
     """sum_alpha dalpha sum_ell mult int theta conj(theta') |lam|^d dlam."""
+    if a.grid is not b.grid and not a.grid.compatible(b.grid):
+        raise ValueError("spectral fields live on different grids")
+    if a.values.shape != b.values.shape or not np.array_equal(a.alpha, b.alpha):
+        raise ValueError("joint spectra differ in alpha nodes or band sizes")
     dal = a.alpha[1] - a.alpha[0]
     w = _spectral_weights(a.grid, a.L_max)
     return complex(dal * np.sum(w[None] * a.values * np.conj(b.values)))

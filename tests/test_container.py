@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hharm.container import HHFLDError, MAGIC, read_hhfld, write_hhfld
 from hharm.fields import Grid, RadialField, SpaceTimeField
@@ -124,17 +129,24 @@ def test_magic_constant():
     assert MAGIC == b"HHFLD"
 
 
+def _header_of(raw):
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    return json.loads(raw[10 : 10 + hlen])
+
+
+def _with_header(raw, header):
+    """The HHFLD bytes `raw` with `header` (any JSON value) as its header."""
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    blob = json.dumps(header, sort_keys=True, ensure_ascii=True).encode()
+    return raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + hlen :]
+
+
 def _rewrite_header(path, edit):
     """Apply `edit` to the JSON header of an HHFLD file in place."""
-    import json
-    import struct
-
     raw = path.read_bytes()
-    (hlen,) = struct.unpack("<I", raw[6:10])
-    header = json.loads(raw[10 : 10 + hlen])
+    header = _header_of(raw)
     edit(header)
-    blob = json.dumps(header, sort_keys=True, ensure_ascii=True).encode()
-    path.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + hlen :])
+    path.write_bytes(_with_header(raw, header))
 
 
 @pytest.mark.parametrize("key", ["grid", "shape"])
@@ -176,3 +188,148 @@ def test_rejects_spectral_field_without_bands(tmp_path):
     p.write_bytes(raw[: 10 + hlen])  # an empty payload matches the shape
     with pytest.raises(HHFLDError, match="bad field"):
         read_hhfld(p)
+
+
+def test_rejects_deeply_nested_header(tmp_path):
+    """json raises RecursionError on a header nested 200000 deep."""
+    blob = b"[" * 200_000 + b"]" * 200_000
+    p = tmp_path / "deep.hhfld"
+    p.write_bytes(MAGIC + bytes([1]) + struct.pack("<I", len(blob)) + blob)
+    with pytest.raises(HHFLDError, match="bad header"):
+        read_hhfld(p)
+
+
+@pytest.mark.parametrize(
+    "kind, rows, match",
+    [
+        ("radial", 8, "does not match"),  # shape (8, 8) against (300000, 8)
+        ("radial", 300_000, "payload size"),  # the shape agrees, the payload does not
+        ("spectral", 8, "missing or malformed"),  # a spectrum's shape has no n_rho
+    ],
+)
+def test_short_file_declaring_a_large_grid_is_refused_before_the_grid(
+    tmp_path, monkeypatch, kind, rows, match
+):
+    """The header is checked before the grid is built: building its
+    300000-node Gauss-Legendre rule kept the reader busy for minutes."""
+    from hharm import container
+
+    small = Grid(d=1, n_rho=8, r_max=4.0, n_s=8, s_half=4.0)
+    obj = (RadialField(small, np.ones((8, 8))) if kind == "radial"
+           else SpectralField(small, np.ones((8, 8))))
+    p = tmp_path / "big.hhfld"
+    write_hhfld(p, obj)
+
+    def declare_large_grid(h):  # over the same 8 x 8 payload, no stored nodes
+        h["grid"]["n_rho"] = 300_000
+        del h["grid"]["rho_nodes"], h["grid"]["rho_weights"]
+        h["shape"] = [rows, 8]
+
+    _rewrite_header(p, declare_large_grid)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the reader built the declared grid")
+
+    monkeypatch.setattr(container, "Grid", no_grid)
+    with pytest.raises(HHFLDError, match=match):
+        read_hhfld(p)
+
+
+# --- fuzzing: a returned field or HHFLDError, nothing else -----------------
+
+
+_SMALL = Grid(d=1, n_rho=4, r_max=3.0, n_s=4, s_half=2.0, t_nodes=[0.0, 0.5])
+_RNG = np.random.default_rng(5)
+_VALID = {
+    "radial": RadialField(_SMALL, _RNG.standard_normal((4, 4)) + 0j),
+    "spectral": SpectralField(_SMALL, _RNG.standard_normal((3, 4)) + 0j),
+    "spacetime": SpaceTimeField(_SMALL, _RNG.standard_normal((2, 4, 4)) + 0j),
+}
+_FUZZ = settings(max_examples=150,
+                 suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_sizes = st.one_of(
+    st.integers(-3, 9),
+    st.sampled_from([-(2**63), -1, 0, 2**31, 2**63, 10**30, 300_000]),
+    st.integers(-(2**70), 2**70),
+)
+_json = st.recursive(
+    st.none() | st.booleans() | st.floats() | _sizes | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+_grid_keys = ["d", "n_rho", "r_max", "n_s", "s_half", "t_nodes", "rho_nodes", "rho_weights"]
+_header_keys = ["schema", "kind", "d", "dtype", "order", "shape", "L_max", "lam_nodes", "grid"]
+
+
+def _valid_bytes(tmp_path, kind):
+    p = tmp_path / f"valid-{kind}.hhfld"
+    write_hhfld(p, _VALID[kind])
+    return p.read_bytes()
+
+
+def _read_outcome(path, data):
+    """Read `data` from `path`; a field or HHFLDError are the only outcomes."""
+    path.write_bytes(data)
+    try:
+        out = read_hhfld(path)
+    except HHFLDError:
+        return
+    assert isinstance(out, (RadialField, SpectralField, SpaceTimeField))
+    assert np.isfinite(out.values).all()
+
+
+@_FUZZ
+@given(kind=st.sampled_from(sorted(_VALID)), cut=st.floats(0.0, 1.0, exclude_max=True))
+def test_fuzz_truncated_file(tmp_path, kind, cut):
+    raw = _valid_bytes(tmp_path, kind)
+    _read_outcome(tmp_path / "f.hhfld", raw[: int(cut * len(raw))])
+
+
+@_FUZZ
+@given(kind=st.sampled_from(sorted(_VALID)), in_header=st.booleans(),
+       flips=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                                st.integers(1, 255)), min_size=1, max_size=4))
+def test_fuzz_flipped_bytes(tmp_path, kind, in_header, flips):
+    raw = bytearray(_valid_bytes(tmp_path, kind))
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    lo, hi = (0, 10 + hlen) if in_header else (10 + hlen, len(raw))
+    for where, mask in flips:
+        raw[lo + int(where * (hi - lo))] ^= mask
+    _read_outcome(tmp_path / "f.hhfld", bytes(raw))
+
+
+@_FUZZ
+@given(kind=st.sampled_from(sorted(_VALID)),
+       sizes=st.dictionaries(st.sampled_from(["d", "n_rho", "n_s"]), _sizes, min_size=1),
+       shape=st.none() | st.lists(_sizes, max_size=4))
+def test_fuzz_header_sizes(tmp_path, kind, sizes, shape):
+    """Grid sizes and the shape replaced by huge, negative or zero values."""
+
+    raw = _valid_bytes(tmp_path, kind)
+    h = _header_of(raw)
+    h["grid"].update(sizes)
+    h["shape"] = h["shape"] if shape is None else shape
+    _read_outcome(tmp_path / "f.hhfld", _with_header(raw, h))
+
+
+@_FUZZ
+@given(kind=st.sampled_from(sorted(_VALID)),
+       header=st.dictionaries(st.sampled_from(_header_keys), _json, max_size=3),
+       grid=st.dictionaries(st.sampled_from(_grid_keys), _json, max_size=3),
+       drop=st.lists(st.sampled_from(_header_keys + _grid_keys), max_size=2),
+       whole=st.none() | _json)
+def test_fuzz_random_header(tmp_path, kind, header, grid, drop, whole):
+    """A valid header with keys replaced by random JSON or dropped, or a
+    random JSON value as the whole header."""
+
+    raw = _valid_bytes(tmp_path, kind)
+    h = _header_of(raw)
+    h["grid"].update(grid)
+    h.update(header)
+    for key in drop:
+        h.pop(key, None)
+        if isinstance(h.get("grid"), dict):
+            h["grid"].pop(key, None)
+    _read_outcome(tmp_path / "f.hhfld", _with_header(raw, h if whole is None else whole))

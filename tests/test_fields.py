@@ -114,6 +114,26 @@ def test_l2_inner_of_spacetime_fields_is_per_time(n_rho, n_s, n_t):
     assert np.array_equal(got, want)
 
 
+def test_l2_inner_refuses_fields_on_different_grids():
+    """Two samples of one closure on s-boxes of half-width 20 and 40 were
+    paired with the first grid's weights (0.716)."""
+    closure = GaussianClosure()
+    f = closure.sample(Grid(d=1, n_rho=64, n_s=128, s_half=20.0))
+    g = closure.sample(Grid(d=1, n_rho=64, n_s=128, s_half=40.0))
+    with pytest.raises(ValueError, match="different grids"):
+        l2_inner(f, g)
+
+
+def test_l2_inner_refuses_a_radial_and_a_spacetime_field():
+    """A RadialField against a two-time SpaceTimeField was broadcast into one
+    complex, twice the field's own inner product."""
+    f = GaussianClosure().sample(Grid(d=1, n_rho=64, n_s=128))
+    u = SpaceTimeField(f.grid.with_times([0.0, 1.0]), np.stack([f.values, f.values]))
+    for a, b in ((f, u), (u, f)):
+        with pytest.raises(ValueError, match="one kind and shape"):
+            l2_inner(a, b)
+
+
 @pytest.mark.parametrize("p,q", [(2.0, 4.0), (3.0, 1.0), (2.0, np.inf)])
 def test_mixed_norm_separable_product(p, q):
     """For f = g(rho) h(s) the iterated norm factors into 1-d norms."""

@@ -3,8 +3,11 @@ admissibility gates, and the decay probes."""
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from hharm import propagators
 from hharm.fields import Grid, RadialField, l2_norm
@@ -20,6 +23,7 @@ from hharm.propagators import (
     wave_energy_series,
     wave_evolve,
 )
+from hharm.specfun import wigner_radial
 from hharm.transform import SpectralField, forward, inverse
 from hharm.windows import bump
 
@@ -233,6 +237,40 @@ def test_wave_decay_probe_propagates_a_nan_kernel(monkeypatch):
     monkeypatch.setattr(propagators, "wigner_radial", kernel)
     out = wave_decay_probe(times=(1.0, 2.0), n_quad=200)
     assert np.isnan(out["sup_norms"]).all()
+
+
+def test_wave_decay_probe_matches_the_direct_phase_sum():
+    """The offset-table products reproduce the sup norms of the per-block
+    np.exp phase sum; every window here is longer than one block and ends in
+    a partial block."""
+    times, n_quad, d = (1.0, 8.0, 64.0), 400, 1
+    out = wave_decay_probe(d=d, times=times, n_quad=n_quad)
+    m, freq_scale = d, 16.0
+    lam_hi = 14.0 * freq_scale
+    xq, wq = roots_legendre(n_quad)
+    lam = lam_hi * (xq + 1) / 2
+    weight = np.exp(-lam / freq_scale) * (lam_hi / 2 * wq) * lam**d
+    K = wigner_radial(0, lam[:, None], np.array([0.0, 0.5, 1.0, 2.0]), d)
+    const = 2.0 ** (d - 1) / np.pi ** (d + 1)
+    want = []
+    for t in times:
+        s = np.arange(-0.8 * np.sqrt(m) * t - 30.0, 30.0, 0.02)
+        assert s.size > 512 and s.size % 512
+        block_sups = []
+        for lo in range(0, s.size, 512):
+            phase = np.exp(1j * (np.outer(s[lo:lo + 512], lam) + 2.0 * t * np.sqrt(lam * m)))
+            block_sups.append(np.abs(const * (phase * weight) @ K).max())
+        want.append(np.max(block_sups))
+    np.testing.assert_allclose(out["sup_norms"], want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "t", inspect.signature(wave_decay_probe).parameters["times"].default)
+def test_decay_probe_window_is_start_plus_k_steps(t):
+    """The identity the offset table rests on: np.arange fills the window as
+    s[0] + k (s[1] - s[0]), bit for bit."""
+    s = np.arange(-0.8 * t - 30.0, 30.0, 0.02)
+    assert np.array_equal(s, s[0] + np.arange(s.size) * (s[1] - s[0]))
 
 
 def test_schrodinger_nondecay_probe():

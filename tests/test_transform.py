@@ -201,6 +201,19 @@ def test_transform_D_parseval_ratio():
     assert abs(ratio - 2 * np.pi**3) / (2 * np.pi**3) < 1e-12
 
 
+def test_spectral_inner_D_refuses_spectra_on_different_grids():
+    times = np.linspace(0.0, 0.7, 4)
+    spectra = []
+    for s_half in (20.0, 40.0):
+        g = Grid(d=1, n_rho=32, r_max=10.0, n_s=64, s_half=s_half)
+        theta = np.zeros((3, g.n_s), dtype=complex)
+        theta[1] = bump(np.abs(g.lam), 0.5, 2.0)
+        spectra.append(transform_D(schrodinger_evolve(
+            CauchyDataS(SpectralField(g, theta)), times), L_max=2))
+    with pytest.raises(ValueError, match="different grids"):
+        spectral_inner_D(*spectra)
+
+
 def test_transform_D_rejects_nonuniform_times():
     g = Grid(d=1, n_rho=32, r_max=10.0, n_s=64, s_half=20.0,
              t_nodes=np.array([0.0, 0.1, 0.3]))
