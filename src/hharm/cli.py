@@ -80,7 +80,7 @@ def cmd_transform(args) -> int:
         print(f"plancherel ratio: {ratio:.12g}")
         print(f"constant pi^(d+1)/2^(d-1) at d={obj.grid.d}: {const:.12g}")
         print(f"relative error: {rel:.3e}")
-        tol = cfg.tol("plancherel-ratio", 1e-6)
+        tol = 1e-6
         if not rel <= tol:  # a NaN ratio is a breach too
             _err(
                 f"tolerance breach: {rel:.3e} > {tol:g} "
@@ -108,7 +108,7 @@ def cmd_propagate(args) -> int:
         _err("--t must be positive and finite")
         return EXIT_USAGE
     times = np.linspace(0.0, t_final, cfg.n_t)
-    cons_tol = cfg.tol("conservation", 1e-10)
+    cons_tol = 1e-10
 
     if args.transport_ell is not None:
         if args.eq != "schrodinger":
@@ -132,7 +132,7 @@ def cmd_propagate(args) -> int:
         print(f"relative L2 deviation from the shifted profile: {dev:.3e}")
         if args.out:
             write_hhfld(args.out, st)
-        tol = cfg.tol("transport-shift", 1e-8)
+        tol = 1e-8
         if not dev <= tol:
             _err(f"tolerance breach: {dev:.3e} > {tol:g}")
             return EXIT_TOLERANCE

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .fields import Grid
+from .fields import Grid, radial_weights_finite
 
 __all__ = ["ConfigError", "RunConfig", "SCHEMA"]
 
@@ -30,7 +30,6 @@ class RunConfig:
     t_final: float = 0.5
     seed: int = 42
     suites: tuple = ("all",)
-    tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("d", "L_max", "n_rho", "n_s", "n_t", "seed"):
@@ -47,16 +46,16 @@ class RunConfig:
             raise ConfigError("n_rho must be >= 8")
         if self.n_s < 8 or self.n_s & (self.n_s - 1):
             raise ConfigError("n_s must be a power of two and >= 8")
-        if not all(math.isfinite(v) and v > 0 for v in (self.r_max, self.s_half)):
-            raise ConfigError("r_max and s_half must be finite and positive")
-        if self.n_t < 2 or not (math.isfinite(self.t_final) and self.t_final > 0):
-            raise ConfigError("n_t must be >= 2 and t_final finite and positive")
-        if not all(
-            isinstance(v, (int, float)) and v > 0 for v in self.tolerances.values()
-        ):
-            raise ConfigError("tolerances must map names to positive numbers")
+        for name in ("r_max", "s_half", "t_final"):
+            v = getattr(self, name)
+            # a bound, not math.isfinite: an int beyond a float overflows it
+            if not (isinstance(v, (int, float)) and 0 < v <= sys.float_info.max):
+                raise ConfigError(f"{name} must be finite and positive")
+        if self.n_t < 2:
+            raise ConfigError("n_t must be >= 2")
+        if not radial_weights_finite(self.d, self.r_max):
+            raise ConfigError(f"radial weights overflow at d={self.d}, r_max={self.r_max}")
         object.__setattr__(self, "suites", tuple(self.suites))
-        object.__setattr__(self, "tolerances", dict(self.tolerances))
 
     def grid(self) -> Grid:
         return Grid(
@@ -67,24 +66,8 @@ class RunConfig:
             s_half=self.s_half,
         )
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
-
     def as_dict(self) -> dict:
-        return {
-            "schema": SCHEMA,
-            "d": self.d,
-            "L_max": self.L_max,
-            "n_rho": self.n_rho,
-            "r_max": self.r_max,
-            "n_s": self.n_s,
-            "s_half": self.s_half,
-            "n_t": self.n_t,
-            "t_final": self.t_final,
-            "seed": self.seed,
-            "suites": list(self.suites),
-            "tolerances": dict(sorted(self.tolerances.items())),
-        }
+        return {"schema": SCHEMA, **asdict(self)}
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from math import factorial
+from math import factorial, isfinite
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -53,12 +53,24 @@ __all__ = [
     "s_translate",
     "dilate",
     "sphere_area",
+    "radial_weights_finite",
 ]
 
 
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere in R^{2d}: 2 pi^d / (d-1)!."""
     return 2.0 * np.pi**d / factorial(d - 1)
+
+
+def radial_weights_finite(d: int, r_max: float) -> bool:
+    """Whether Grid(d=d, r_max=r_max).w_radial = w_rho * sphere_area(d) *
+    rho^(2d-1) is finite, decided without the Gauss-Legendre rule: rho < r_max
+    and w_rho <= r_max bound every factor and partial product by the same
+    product at r_max."""
+    try:
+        return isfinite(float(r_max) * sphere_area(d) * float(r_max) ** (2 * d - 1))
+    except OverflowError:  # pi^d, (d-1)! or r_max^(2d-1) beyond a float
+        return False
 
 
 @dataclass
@@ -87,6 +99,8 @@ class Grid:
             raise ValueError("n_s must be even")
         if not all(np.isfinite(v) and v > 0 for v in (self.r_max, self.s_half)):
             raise ValueError("r_max and s_half must be finite and > 0")
+        if not radial_weights_finite(self.d, self.r_max):
+            raise ValueError(f"radial weights overflow at d={self.d}, r_max={self.r_max}")
         x, w = roots_legendre(self.n_rho)
         self.rho = 0.5 * self.r_max * (x + 1.0)
         self.w_rho = 0.5 * self.r_max * w
@@ -131,6 +145,9 @@ class Grid:
             and self.n_s == other.n_s
             and self.r_max == other.r_max
             and self.s_half == other.s_half
+            and (self.t_nodes is None if other.t_nodes is None
+                 else self.t_nodes is not None
+                 and np.array_equal(self.t_nodes, other.t_nodes))
         )
 
 
@@ -171,25 +188,19 @@ class SpaceTimeField:
 # Uniform s-axis Fourier pair
 # ---------------------------------------------------------------------------
 
-def s_analysis(grid: Grid, values, axis=-1):
-    """h_s-weighted DFT onto the ascending frequencies grid.lam."""
-    values = np.asarray(values)
-    fw = np.fft.fftshift(np.fft.fft(values, axis=axis), axes=axis)
-    shp = [1] * values.ndim
-    shp[axis] = grid.n_s
+def s_analysis(grid: Grid, values):
+    """h_s-weighted DFT of the last axis onto the ascending frequencies grid.lam."""
+    fw = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
     # phase accounts for the grid origin at s = -S
-    phase = np.exp(1j * grid.s_half * grid.lam).reshape(shp)
+    phase = np.exp(1j * grid.s_half * grid.lam)
     return grid.h_s * phase * fw
 
 
-def s_synthesis(grid: Grid, theta, axis=-1):
-    """Exact inverse of s_analysis."""
-    theta = np.asarray(theta)
-    shp = [1] * theta.ndim
-    shp[axis] = grid.n_s
-    phase = np.exp(-1j * grid.s_half * grid.lam).reshape(shp)
-    tw = np.fft.ifftshift(theta * phase.reshape(shp), axes=axis)
-    return np.fft.ifft(tw, axis=axis) / grid.h_s
+def s_synthesis(grid: Grid, theta):
+    """Exact inverse of s_analysis, on the last axis."""
+    phase = np.exp(-1j * grid.s_half * grid.lam)
+    tw = np.fft.ifftshift(theta * phase, axes=-1)
+    return np.fft.ifft(tw, axis=-1) / grid.h_s
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +325,9 @@ def s_translate(f: RadialField, s0: float) -> RadialField:
     steps = s0 / g.h_s
     if abs(steps - round(steps)) < 1e-12:
         return RadialField(g, np.roll(f.values, round(steps), axis=1))
-    theta = s_analysis(g, f.values, axis=1)
+    theta = s_analysis(g, f.values)
     theta *= np.exp(-1j * s0 * g.lam)[None, :]
-    return RadialField(g, s_synthesis(g, theta, axis=1))
+    return RadialField(g, s_synthesis(g, theta))
 
 
 def _barycentric_resample(grid: Grid, values, targets):
@@ -367,7 +378,7 @@ def dilate(f: RadialField, a: float) -> RadialField:
     # s axis: evaluate the trig interpolant at a^2 s_j (0 outside the box)
     s_targets = a**2 * g.s
     inside = np.abs(s_targets) < g.s_half
-    theta = s_analysis(g, f.values, axis=1)
+    theta = s_analysis(g, f.values)
     kernel = np.exp(1j * np.outer(s_targets[inside], g.lam)) / (2 * g.s_half)
     vals_s = np.zeros_like(f.values)
     # einsum, not a gemm: BLAS threading is free to reorder the reduction,

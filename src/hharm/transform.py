@@ -161,12 +161,12 @@ def _lam_contract(grid: Grid, X, L_max, adjoint=False):
 
 
 def _forward_samples(grid: Grid, values, L_max):
-    """Grid-mode forward: samples (..., n_rho, n_s) -> coefficients (..., L+1, n_s).
+    """Sampled forward: samples (..., n_rho, n_s) -> coefficients (..., L+1, n_s).
 
     The leading batch indices move innermost, into the gemm columns of one
     _lam_contract pass.
     """
-    fhat = s_analysis(grid, values, axis=-1)  # (..., n_rho, n_s)
+    fhat = s_analysis(grid, values)  # (..., n_rho, n_s)
     batch = fhat.shape[:-2]
     fhat = fhat.reshape((-1,) + fhat.shape[-2:])
     C = np.multiply(fhat.T, grid.w_radial[:, None], order="C")  # (n_s, n_rho, B)
@@ -190,7 +190,7 @@ def _inverse_samples(grid: Grid, theta):
     T = np.multiply(theta.T, w[:, None, None], order="C")  # (n_s, L+1, B)
     G = _lam_contract(grid, T, theta.shape[1] - 1, adjoint=True)  # (n_s, n_rho, B)
     del T  # freed before the synthesis, which sets the peak memory
-    f = s_synthesis(grid, G.T, axis=-1)  # (B, n_rho, n_s)
+    f = s_synthesis(grid, G.T)  # (B, n_rho, n_s)
     return f.reshape(batch + f.shape[1:])
 
 
@@ -199,30 +199,28 @@ def _check_L_max(L_max):
         raise ValueError(f"L_max must be an int >= 0, got {L_max!r}")
 
 
-def forward(f, L_max: int = 64, mode: str = "grid", grid: Grid | None = None) -> SpectralField:
-    """Radial spectral transform.
+def forward(f, L_max: int = 64, grid: Grid | None = None) -> SpectralField:
+    """Radial spectral transform; the quadrature follows the type of f.
 
-    mode="grid" (default): f is a RadialField; the Y-integral uses the grid's
-    Gauss-Legendre rule and the s-integral the exact uniform-grid DFT.
+    A RadialField: the Y-integral uses the grid's Gauss-Legendre rule and
+    the s-integral the exact uniform-grid DFT.
 
-    mode="closure": f is a GaussianClosure (or list of them) evaluated by
-    lam-adapted generalized Gauss-Laguerre quadrature — for each lam the
-    substitution u = 2|lam| rho^2 turns the radial integral into a weight
-    e^{-pu} u^{d-1} integral with p = a/(2|lam|) + 1/2, which the rule
-    integrates exactly for every band ell <= 2 n_quad - 1, with
-    n_quad = max(48, L_max // 2 + 8).  `grid` supplies the frequency lattice.
+    A GaussianClosure (or a list or tuple of them): lam-adapted generalized
+    Gauss-Laguerre quadrature — for each lam the substitution
+    u = 2|lam| rho^2 turns the radial integral into a weight e^{-pu} u^{d-1}
+    integral with p = a/(2|lam|) + 1/2, which the rule integrates exactly
+    for every band ell <= 2 n_quad - 1, with n_quad = max(48, L_max // 2 + 8).
+    `grid` supplies the frequency lattice.
     """
     _check_L_max(L_max)
-    if mode == "grid":
-        if not isinstance(f, RadialField):
-            raise TypeError("grid mode expects a RadialField")
+    if isinstance(f, RadialField):
         return SpectralField(f.grid, _forward_samples(f.grid, f.values, L_max))
-    if mode == "closure":
-        closures = f if isinstance(f, (list, tuple)) else [f]
-        if grid is None:
-            raise ValueError("closure mode needs a target grid")
-        return _forward_closure(closures, grid, L_max, max(48, L_max // 2 + 8))
-    raise ValueError(f"unknown mode {mode!r}")
+    closures = f if isinstance(f, (list, tuple)) else [f]
+    if not all(isinstance(c, GaussianClosure) for c in closures):
+        raise TypeError("forward expects a RadialField or GaussianClosure data")
+    if grid is None:
+        raise ValueError("GaussianClosure data need a target grid")
+    return _forward_closure(closures, grid, L_max, max(48, L_max // 2 + 8))
 
 
 def _forward_closure(closures, grid: Grid, L_max: int, n_quad: int) -> SpectralField:
@@ -234,8 +232,6 @@ def _forward_closure(closures, grid: Grid, L_max: int, n_quad: int) -> SpectralF
     mults = _mult_table(L_max, d)
     pref = sphere_area(d) / (2.0 * (2.0 * al[live]) ** d)
     for c in closures:
-        if not isinstance(c, GaussianClosure):
-            raise TypeError("closure mode expects GaussianClosure data")
         p = c.a / (2.0 * al[live]) + 0.5  # (n_live,)
         # radial integral: p^{-d} sum_q w_q L_ell^{(d-1)}(u_q / p)
         x = uq[None, :] / p[:, None]  # (n_live, n_quad)

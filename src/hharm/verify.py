@@ -148,11 +148,12 @@ def _ratio_stability(cfg: RunConfig, name, packets, n_rho, L, ratio) -> CheckRes
         stats.append((float(ratios.max()), float(np.median(ratios))))
     drift_max = abs(stats[1][0] - stats[0][0]) / stats[0][0]
     drift_med = abs(stats[1][1] - stats[0][1]) / stats[0][1]
-    return _row(name, drift_max <= cfg.tol("restriction-stability", 0.05),
+    tol = 0.05
+    return _row(name, drift_max <= tol,
                 {"max_ratio_coarse": stats[0][0], "max_ratio_fine": stats[1][0],
                  "drift_max": float(drift_max), "drift_median": float(drift_med),
                  "n_samples": len(packets)},
-                drift=(0.0, "discretization-independence of the ratio"), tolerance=0.05)
+                drift=(0.0, "discretization-independence of the ratio"), tolerance=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +164,7 @@ def suite_plancherel(cfg: RunConfig):
     """Energy-ratio constant over the Gaussian suite, both dimensions,
     plus the spacetime transform's constant."""
     out = []
-    tol = cfg.tol("plancherel-ratio", 1e-6)
+    tol = 1e-6
     for d in (1, 2):
         rng = np.random.default_rng(cfg.seed + 11 * d)
         pairs = [_band_projected(cfg, rng, d) for _ in range(3)]
@@ -186,7 +187,7 @@ def suite_plancherel(cfg: RunConfig):
     ratio = spectral_inner_D(D, D).real / phys
     target = np.pi ** (1 + 2) / 2.0 ** (1 - 2)
     err = _relative(ratio, target)
-    out.append(_row("plancherel-spacetime-ratio", err <= cfg.tol("plancherel-spacetime", 1e-5),
+    out.append(_row("plancherel-spacetime-ratio", err <= 1e-5,
                     {"ratio": ratio, "rel_err": err},
                     ratio=(target, "exact constant pi^(d+2)/2^(d-2)")))
     return out
@@ -196,7 +197,7 @@ def suite_roundtrip(cfg: RunConfig):
     """Inversion, idempotency, the closed-form Gaussian oracle, and dilation
     covariance."""
     out = []
-    tol = cfg.tol("roundtrip", 1e-6)
+    tol = 1e-6
     for d in (1, 2):
         rng = np.random.default_rng(cfg.seed + 17 * d)
         f, sf = _band_projected(cfg, rng, d)
@@ -208,25 +209,25 @@ def suite_roundtrip(cfg: RunConfig):
         if d == 1:
             h = inverse(forward(g, cfg.L_max))
             ierr = l2_norm(RadialField(f.grid, h.values - g.values)) / l2_norm(g)
-            out.append(_row("roundtrip-idempotent", ierr <= cfg.tol("idempotency", 1e-7),
+            out.append(_row("roundtrip-idempotent", ierr <= 1e-7,
                             {"rel_l2_err": float(ierr)},
                             rel_l2_err=(0.0, "projection idempotency")))
 
-    # closed form: the transform of e^{-a|Y|^2} phi(s) in both quadrature modes
+    # closed form: the transform of e^{-a|Y|^2} phi(s) by both quadrature rules
     grid = _grid_for(cfg, 1)
     closure = GaussianClosure(d=1, a=1.0, b=0.5, omega=3.0, s0=0.0, amp=1.0)
     exact = closure.coefficients(np.arange(16 + 1), grid.lam)
     exact[:, grid.izero] = 0.0
     scale = np.abs(exact).max()
-    sf_cl = forward(closure, L_max=16, mode="closure", grid=grid)
+    sf_cl = forward(closure, L_max=16, grid=grid)
     err_cl = float(np.abs(sf_cl.values - exact).max() / scale)
-    out.append(_row("closure-oracle", err_cl <= cfg.tol("closure-oracle", 1e-8),
+    out.append(_row("closure-oracle", err_cl <= 1e-8,
                     {"max_err": err_cl},
                     coefficients=("phihat(lam) pi^d (a-|lam|)^ell / (a+|lam|)^(ell+d)",
                                   "closed form (Laplace transform of Laguerre functions)")))
     sf_gr = forward(closure.sample(grid), L_max=16)
     err_gr = float(np.abs(sf_gr.values - exact).max() / scale)
-    out.append(_row("grid-forward-vs-closed-form", err_gr <= cfg.tol("grid-oracle", 1e-7),
+    out.append(_row("grid-forward-vs-closed-form", err_gr <= 1e-7,
                     {"max_err": err_gr}, max_err=(0.0, "same closed form, grid rule")))
 
     # dilation covariance: numerical resampling against the closed dilation
@@ -237,7 +238,7 @@ def suite_roundtrip(cfg: RunConfig):
     num = dilate(base.sample(grid), a)
     ref = dil.sample(grid)
     derr = l2_norm(RadialField(grid, num.values - ref.values)) / l2_norm(ref)
-    out.append(_row("dilation-covariance", derr <= cfg.tol("dilation", 1e-6),
+    out.append(_row("dilation-covariance", derr <= 1e-6,
                     {"rel_l2_err": float(derr), "scale": a},
                     rel_l2_err=(0.0, "delta_a covariance, closed-form resample")))
     return out
@@ -245,8 +246,8 @@ def suite_roundtrip(cfg: RunConfig):
 
 def suite_transport(cfg: RunConfig):
     """Single-band data move by s-shifts; the trapezoid Duhamel is 2nd order."""
-    shift_tol = cfg.tol("transport-shift", 1e-8)
-    lp_tol = cfg.tol("transport-lp", 1e-4)
+    shift_tol = 1e-8
+    lp_tol = 1e-4
     worst_shift = {}
     drifts = []
     for d in (1, 2):
@@ -300,7 +301,7 @@ def suite_transport(cfg: RunConfig):
         st = duhamel(CauchyDataS(w), source, np.linspace(0.0, T, n + 1))
         errs.append(l2_norm(RadialField(grid, st.values[-1] - a_fn(T) * inverse(w).values)))
     order = float(np.log2(errs[0] / errs[1]))
-    out.append(_row("duhamel-order", order >= cfg.tol("duhamel-order", 1.9),
+    out.append(_row("duhamel-order", order >= 1.9,
                     {"errors": errs, "fitted_order": order},
                     order=(2.0, "trapezoid rule with exact propagators")))
     return out
@@ -329,7 +330,7 @@ def suite_bernstein(cfg: RunConfig):
                     all(lam / 2.0 - 1e-12 <= r <= lam + 1e-12 for lam, r in zip(scales, ratios)),
                     {"ratios": ratios, "scales": list(scales)},
                     interval=("[scale/2, scale]", "ring support of the multiplier")))
-    out.append(_row("bernstein-ring-slope", abs(slope - 1.0) <= cfg.tol("bernstein-slope", 0.05),
+    out.append(_row("bernstein-ring-slope", abs(slope - 1.0) <= 0.05,
                     {"fitted_slope": slope},
                     slope=(1.0, "first-order derivative scaling")))
 
@@ -340,7 +341,7 @@ def suite_bernstein(cfg: RunConfig):
         res = bernstein_check(f, LocalizerSpec("ball", 2.0), p, q, L_max=cfg.L_max)
         errs.append(abs(res["fitted_exponent"] - res["target_exponent"]))
     worst = float(np.max(errs))
-    out.append(_row("bernstein-norm-exponents", worst <= cfg.tol("bernstein-exponent", 0.1),
+    out.append(_row("bernstein-norm-exponents", worst <= 0.1,
                     {"max_exponent_err": worst},
                     exponent=("Q (1/p - 1/q)", "exact dilation covariance of both norms")))
 
@@ -353,7 +354,7 @@ def suite_bernstein(cfg: RunConfig):
     r2 = sobolev_norm(mode, 2.0) / sobolev_norm(mode, 0.0)
     r1 = sobolev_norm(mode, 1.0) / sobolev_norm(mode, 0.0)
     err = np.max([abs(r2 - 4.0) / 4.0, abs(r1 - 2.0) / 2.0])
-    out.append(_row("sobolev-spot", err <= cfg.tol("sobolev-spot", 1e-3),
+    out.append(_row("sobolev-spot", err <= 1e-3,
                     {"ratio_sigma2": float(r2), "ratio_sigma1": float(r1)},
                     ratio_sigma2=(4.0, "eigenvalue 4|lam|(2 ell + d) at (0, 1)"),
                     ratio_sigma1=(2.0, "square root of the same")))
@@ -367,7 +368,7 @@ def suite_bernstein(cfg: RunConfig):
     ba = sobolev_multiplier(localize(sfr, loc), 1.3)
     scale = np.abs(ab.values).max()
     cerr = float(np.abs(ab.values - ba.values).max() / scale) if scale else 0.0
-    out.append(_row("multiplier-commute", cerr <= cfg.tol("commute", 1e-12),
+    out.append(_row("multiplier-commute", cerr <= 1e-12,
                     {"max_abs_err": cerr}, commutator=(0.0, "diagonal operators")))
     return out
 
@@ -392,8 +393,7 @@ def suite_hausdorff_young(cfg: RunConfig):
             pnorm = mixed_norm(f, MixedNormSpec((p, p), ("Y", "s")))
             ratios.append(snorm / pnorm / bound)
         worst = float(np.max(ratios))
-        out.append(_row(f"hausdorff-young-p{p:g}",
-                        worst <= 1.0 + cfg.tol("hausdorff-young-slack", 1e-6),
+        out.append(_row(f"hausdorff-young-p{p:g}", worst <= 1.0 + 1e-6,
                         {"worst_normalized_ratio": worst},
                         bound=(bound, "interpolation between |theta| <= ||f||_1 and the "
                                       "energy constant")))
@@ -405,7 +405,7 @@ def suite_gfun(cfg: RunConfig):
     out = []
     val, tail = g_function(0.0, 0.0, d=1)
     err = abs(val - 0.25) / 0.25
-    out.append(_row("gfun-origin", err <= cfg.tol("gfun-origin", 1e-6),
+    out.append(_row("gfun-origin", err <= 1e-6,
                     {"value": float(val), "rel_err": float(err), "tail_estimate": float(tail)},
                     value=(0.25, "series oracle 2/pi^2 sum (2l+1)^{-2}")))
 
@@ -424,14 +424,14 @@ def suite_gfun(cfg: RunConfig):
         v1, _ = g_function(np.sqrt(R) * rho0, R * s0, d=1, radius=1.0)
         errs.append(abs(vR - R * v1) / abs(R * v1))
     worst = float(np.max(errs))
-    out.append(_row("gfun-rescaling", worst <= cfg.tol("gfun-rescale", 1e-10),
+    out.append(_row("gfun-rescaling", worst <= 1e-10,
                     {"max_rel_err": worst},
                     identity=("G_R(rho, s) = R^d G_1(sqrt(R) rho, R s)",
                               "band-by-band reindexing")))
 
     va, _ = g_function(1.0, 5.0, d=1, L_max=2048)
     vb, _ = g_function(1.0, 5.0, d=1, L_max=4096)
-    out.append(_row("gfun-doubling", abs(va - vb) <= cfg.tol("gfun-doubling", 1e-6),
+    out.append(_row("gfun-doubling", abs(va - vb) <= 1e-6,
                     {"delta": float(abs(va - vb))},
                     delta=(0.0, "extrapolation stability")))
     return out
@@ -448,7 +448,7 @@ def suite_sphere(cfg: RunConfig):
     pair = sphere_pair(_ones_theta, SphereMeasure(1.0), d=1)
     target = np.pi**2 / 4.0
     err = _relative(pair["value"], target)
-    out.append(_row("sphere-total", err <= cfg.tol("sphere-total", 1e-6),
+    out.append(_row("sphere-total", err <= 1e-6,
                     {"value": pair["value"], "partial": pair["partial"],
                      "tail": pair["tail"], "rel_err": err},
                     value=(target, "2 sum mult (2l+1)^{-2} = pi^2/4 at d=1")))
@@ -456,7 +456,7 @@ def suite_sphere(cfg: RunConfig):
     R = 2.0
     pr = sphere_pair(_ones_theta, SphereMeasure(R), d=1)
     rerr = _relative(pr["value"], R * pair["value"])
-    out.append(_row("sphere-rscaling", rerr <= cfg.tol("sphere-rscale", 1e-12),
+    out.append(_row("sphere-rscaling", rerr <= 1e-12,
                     {"rel_err": rerr}, factor=("R^d", "weights carry R^d exactly")))
 
     rng = np.random.default_rng(cfg.seed + 37)
@@ -476,7 +476,7 @@ def suite_sphere(cfg: RunConfig):
                           + vals.theta_minus * np.conj(v.theta_minus))
     )
     derr = abs(lhs - rhs) / abs(rhs)
-    out.append(_row("sphere-duality", derr <= cfg.tol("sphere-duality", 1e-10),
+    out.append(_row("sphere-duality", derr <= 1e-10,
                     {"rel_err": float(derr)},
                     identity=("<f, E v>_{L^2} = (2^{d-1}/pi^{d+1}) <R f, v>_{measure}",
                               "adjoint pairing with the inversion constant")))
@@ -503,7 +503,7 @@ def suite_sigma(cfg: RunConfig):
     ratio = gd["value"].real / pair["value"]
     target = 2.0 ** (3 * 1 + 2) / np.pi**1
     err = _relative(ratio, target)
-    out.append(_row("sigma-origin-ratio", err <= cfg.tol("sigma-origin", 1e-6),
+    out.append(_row("sigma-origin-ratio", err <= 1e-6,
                     {"pair_total": pair["value"], "kernel_origin": gd["value"].real,
                      "ratio": float(ratio), "rel_err": err, "panels": gd["panels"]},
                     ratio=(target, "2^{3d+2}/pi^d, window-independent")))
@@ -539,7 +539,7 @@ def suite_sigma(cfg: RunConfig):
     u_ext = extend_sigma(SigmaValues(meas, 1, al, wa, tp, tm), bigg.with_times(times))
     diff = l2_norm(SpaceTimeField(u_ref.grid, u_ext.values - u_ref.values))
     eerr = np.sqrt(np.sum(diff**2)) / np.sqrt(np.sum(l2_norm(u_ref) ** 2))
-    out.append(_row("sigma-extension-evolution", eerr <= cfg.tol("sigma-extension", 1e-6),
+    out.append(_row("sigma-extension-evolution", eerr <= 1e-6,
                     {"rel_l2_err": float(eerr)},
                     identity=("extension of the datum trace = free Schrodinger flow",
                               "chart alpha = eigenvalue turns extension into inversion")))
@@ -566,7 +566,7 @@ def suite_sigma(cfg: RunConfig):
                         + ru.theta_minus * np.conj(rv.theta_minus))
     )
     derr = abs(lhs - rhs) / abs(rhs)
-    out.append(_row("sigma-duality", derr <= cfg.tol("sigma-duality", 1e-8),
+    out.append(_row("sigma-duality", derr <= 1e-8,
                     {"rel_err": float(derr)},
                     identity=("<u, E Theta>_{L^2(dt dY ds)} = "
                               "(2^{d-1}/pi^{d+1}) <R u, Theta>_{measure}",
@@ -597,7 +597,7 @@ def suite_est2(cfg: RunConfig):
     for p, name in ((2.0, "est2-slope-p2"), (1.0, "est2-slope-p1")):
         res = est2_scan(p=p, seed=cfg.seed)
         err = abs(res["slope"] - res["target_slope"])
-        out.append(_row(name, err <= cfg.tol("est2-slope", 0.1),
+        out.append(_row(name, err <= 0.1,
                         {"slope": res["slope"], "ratios": res["ratios"]},
                         slope=(res["target_slope"], "twisted scaling covariance: -2d/p'")))
 
@@ -609,10 +609,10 @@ def suite_est2(cfg: RunConfig):
     rerr = float(np.abs(conv.values - c * k0.values).max() / np.abs(c * k0.values).max())
     cross = twisted_convolve(k0, kernel_field(grid2, 1, lam), lam)
     xerr = float(np.abs(cross.values).max() / np.abs(conv.values).max())
-    out.append(_row("twisted-reproducing", rerr <= cfg.tol("twisted-reproducing", 1e-8),
+    out.append(_row("twisted-reproducing", rerr <= 1e-8,
                     {"rel_err": rerr},
                     identity=("K_0 * K_0 = (pi/(2 lam))^d K_0", "self-reproducing band kernels")))
-    out.append(_row("twisted-cross-band", xerr <= cfg.tol("twisted-cross", 1e-8),
+    out.append(_row("twisted-cross-band", xerr <= 1e-8,
                     {"rel_err": xerr}, identity=("K_0 * K_1 = 0", "band orthogonality")))
 
     proxy = tn_norm_proxy(0, 1.0, n_inputs=64, seed=cfg.seed)
@@ -639,7 +639,7 @@ def suite_orth(cfg: RunConfig):
     """Absolute-value pair integrals of the normalized band kernels."""
     res = orth_check()
     return [
-        _row("orth-diagonal", res["diag_rel_err"] <= cfg.tol("orth-diag", 1e-8),
+        _row("orth-diagonal", res["diag_rel_err"] <= 1e-8,
              {"diag": res["diag"], "rel_err": res["diag_rel_err"]},
              diag=("(pi/2)^d / (2 ell + d)", "closed-form norm of the scaled kernel")),
         _row("orth-decay-slope", -1.3 <= res["offdiag_slope"] <= -0.7,
@@ -704,8 +704,7 @@ def suite_strichartz(cfg: RunConfig):
         ratios = np.asarray(ratios)
         flat = float(np.abs(ratios / ratios[0] - 1.0).max())
         qn = "inf" if np.isinf(q) else f"{q:g}"
-        out.append(_row(f"strichartz-flatness-p{p:g}q{qn}",
-                        flat <= cfg.tol("strichartz-flat", 1e-6),
+        out.append(_row(f"strichartz-flatness-p{p:g}q{qn}", flat <= 1e-6,
                         {"ratios": ratios, "max_rel_spread": flat, "sobolev_order": sigma},
                         spread=(0.0, "both sides scale by the same power")))
 
@@ -743,10 +742,10 @@ def suite_wave_energy(cfg: RunConfig):
     en = wave_energy_series(CauchyDataW(sf0, SpectralField(grid, th1)), times)
     edrift = float(np.abs(en / en[0] - 1.0).max())
     return [
-        _row("schrodinger-unitarity", drift <= cfg.tol("unitarity", 1e-10),
+        _row("schrodinger-unitarity", drift <= 1e-10,
              {"max_rel_drift": drift, "steps": int(times.size - 1)},
              drift=(0.0, "unimodular multiplier")),
-        _row("wave-energy-conservation", edrift <= cfg.tol("wave-energy", 1e-10),
+        _row("wave-energy-conservation", edrift <= 1e-10,
              {"max_rel_drift": edrift, "steps": int(times.size - 1)},
              drift=(0.0, "half-wave phases preserve the density")),
     ]
@@ -814,7 +813,7 @@ def translate_identity_check() -> dict:
 
 def suite_translate(cfg: RunConfig):
     res = translate_identity_check()
-    return [_row("translate-identity", res["max_rel_err"] <= cfg.tol("translate", 1e-5), res,
+    return [_row("translate-identity", res["max_rel_err"] <= 1e-5, res,
                  identity=("pairing of a translate = theta x e^{-i s0 lam} K(lam, Y0)",
                            "matrix-coefficient sum of the band projection"))]
 

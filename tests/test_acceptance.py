@@ -112,11 +112,11 @@ def test_c02_inversion_roundtrip(d):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_c03_gaussian_closed_form(d):
-    """Closure-mode forward of e^{-a rho^2} phi(s) matches the closed form
+    """forward of the closure e^{-a rho^2} phi(s) matches the closed form
     pi^d phat(lam) (a-|lam|)^ell / (a+|lam|)^{ell+d} within 1e-8, ell <= 16."""
     grid = _grid(d)
     c = GaussianClosure(d=d, a=1.0, b=0.4, omega=2.0)
-    sf = forward(c, 16, mode="closure", grid=grid)
+    sf = forward(c, 16, grid=grid)
     ref = c.coefficients(np.arange(17), grid.lam)
     ref[:, grid.izero] = 0.0
     scale = np.max(np.abs(ref))

@@ -7,6 +7,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hharm.cli import EXIT_OK, EXIT_REFUSED, EXIT_TOLERANCE, EXIT_USAGE, main
 from hharm.config import SCHEMA, ConfigError, RunConfig
@@ -39,7 +41,7 @@ def test_config_defaults():
         ({"r_max": 0.0}, "positive"),
         ({"n_t": 1}, "n_t"),
         ({"t_final": 0.0}, "t_final"),
-        ({"tolerances": {"plancherel-ratio": -1.0}}, "positive"),
+        ({"s_half": -2.0}, "positive"),
         ({"t_final": float("nan")}, "t_final"),
         ({"t_final": float("inf")}, "t_final"),
         ({"r_max": float("inf")}, "finite"),
@@ -56,12 +58,6 @@ def test_config_validation(kw, frag):
         RunConfig(**kw)
 
 
-def test_config_tol_lookup():
-    cfg = RunConfig(tolerances={"roundtrip": 1e-3})
-    assert cfg.tol("roundtrip", 1e-6) == 1e-3
-    assert cfg.tol("unlisted", 1e-6) == 1e-6
-
-
 def test_config_json_roundtrip(tmp_path):
     cfg = RunConfig(L_max=16, n_rho=64, n_s=128, seed=7)
     d = cfg.as_dict()
@@ -70,6 +66,7 @@ def test_config_json_roundtrip(tmp_path):
     p.write_text(json.dumps(d))
     back = RunConfig.from_json(p)
     assert dataclasses.asdict(back) == dataclasses.asdict(cfg)
+    assert list(d) == ["schema"] + [f.name for f in dataclasses.fields(RunConfig)]
 
 
 @pytest.mark.parametrize(
@@ -171,13 +168,31 @@ def test_transform_corrupt_container(tmp_path, capsys):
 
 
 def test_transform_tolerance_breach(tmp_path, band_file, capsys):
-    strict = dict(SMALL, tolerances={"plancherel-ratio": 1e-30})
-    p = tmp_path / "strict.json"
-    p.write_text(json.dumps(strict))
+    """The file holds bands 0-4: truncated at L_max = 3 the Plancherel ratio
+    is off by 6.8e-2, at L_max = 4 by 1.6e-15."""
+    p = tmp_path / "truncating.json"
+    p.write_text(json.dumps(dict(SMALL, L_max=3)))
     code = main(["transform", "--dir", "fwd", "--in", band_file,
                  "--out", str(tmp_path / "o.hhfld"), "--config", str(p)])
     assert code == EXIT_TOLERANCE
     assert "tolerance breach" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, frag", [
+    ({"tolerances": {}}, "unknown keys"),
+    ({"d": 200}, "radial weights overflow"),
+    ({"d": 171}, "radial weights overflow"),
+    ({"d": 1, "r_max": 1e300}, "radial weights overflow"),
+])
+def test_config_refusals_are_usage_errors(tmp_path, cfg, frag, capsys):
+    """A `tolerances` key and geometries whose radial weights overflow exit 2.
+    At d = 200 the run died on an OverflowError; at d = 171 and r_max = 1e300
+    it exited 0 with a nan band-tail fraction."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(cfg, n_rho=8, n_s=8, L_max=2)))
+    code = main(["verify", "hardy", "--config", str(p), "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_USAGE
+    assert frag in capsys.readouterr().err
 
 
 def _edit_container(path, edit_header=None, edit_values=None):
@@ -419,3 +434,78 @@ def test_verify_on_a_grid_too_small_for_the_data_fails_rows(tmp_path, suite, row
     for name in rows:
         assert got[name]["passed"] is False
         assert "nan" in json.dumps(got[name]["measured"])
+
+
+# ---------------------------------------------------------------------------
+# Config fuzzing
+# ---------------------------------------------------------------------------
+
+# Grid and band sizes are capped (n_rho <= 64, n_s <= 128, L_max <= 16,
+# n_t <= 16): the fuzz checks exit codes, and an uncapped draw could ask for
+# gigabytes.  The caps are the only filter on the drawn values.
+_SIZE_CAPS = {"n_rho": 64, "n_s": 128, "L_max": 16, "n_t": 16}
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+# positive floats, and ints up to past the largest float
+_positive = (st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+             | st.integers(min_value=1, max_value=2**1100))
+# a value of the right type and near the valid range for every key
+_PLAUSIBLE = {
+    "schema": st.just(SCHEMA),
+    "d": st.integers(1, 400),
+    "L_max": st.integers(0, 16),
+    "n_rho": st.integers(8, 64),
+    "r_max": _positive,
+    "n_s": st.sampled_from([8, 16, 32, 64, 128]),
+    "s_half": _positive,
+    "n_t": st.integers(2, 16),
+    "t_final": _positive,
+    "seed": st.integers(min_value=0),
+    "suites": st.just(["all"]),
+}
+assert set(_PLAUSIBLE) == {"schema"} | {f.name for f in dataclasses.fields(RunConfig)}
+_near_valid = st.fixed_dictionaries({}, optional=_PLAUSIBLE)
+
+
+def _small(cfg):
+    return all(not isinstance(cfg.get(k), int) or cfg[k] <= cap
+               for k, cap in _SIZE_CAPS.items())
+
+
+_configs = st.one_of(
+    _near_valid,
+    # one real or unknown key set to any JSON value
+    st.tuples(_near_valid, st.sampled_from(sorted(_PLAUSIBLE)) | st.text(max_size=6), _json)
+    .map(lambda t: {**t[0], t[1]: t[2]}).filter(_small),
+    _json.filter(lambda v: not isinstance(v, dict)),  # not an object
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    grid = Grid(d=1, n_rho=64, r_max=12.0, n_s=128, s_half=40.0)
+    theta = np.tile(bump(np.abs(grid.lam), 0.5, 2.0), (3, 1))  # bands 0-2
+    write_hhfld(d / "radial.hhfld", inverse(SpectralField(grid, theta)))
+    return d
+
+
+@settings(max_examples=150)
+@given(raw=_configs, command=st.sampled_from(["verify", "transform", "propagate"]))
+def test_fuzzed_config_exits_with_a_documented_code(fuzz_dir, raw, command):
+    """Any JSON config gives exit 0, 2, 3 or 4: never a traceback."""
+    cfg, radial, out = fuzz_dir / "cfg.json", str(fuzz_dir / "radial.hhfld"), fuzz_dir / "o"
+    cfg.write_text(json.dumps(raw))
+    argv = {
+        "verify": ["verify", "hardy", "--out", str(out)],
+        "transform": ["transform", "--dir", "fwd", "--in", radial, "--out", str(out)],
+        "propagate": ["propagate", "--eq", "schrodinger", "--in", radial],
+    }[command]
+    with np.errstate(all="ignore"):
+        code = main(argv + ["--config", str(cfg)])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_TOLERANCE, EXIT_REFUSED)

@@ -168,7 +168,8 @@ def test_rejects_non_finite_payload(tmp_path, bad):
         read_hhfld(p)
 
 
-@pytest.mark.parametrize("key, value", [("s_half", 0), ("n_s", 0)])
+@pytest.mark.parametrize("key, value", [("s_half", 0), ("n_s", 0), ("d", 200),
+                                        ("r_max", 1e300)])
 def test_rejects_header_grid_that_does_not_build(tmp_path, key, value):
     p = tmp_path / "g.hhfld"
     write_hhfld(p, radial_fixture())

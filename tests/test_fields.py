@@ -15,6 +15,7 @@ from hharm.fields import (
     l2_inner,
     l2_norm,
     mixed_norm,
+    radial_weights_finite,
     random_packet,
     s_analysis,
     s_synthesis,
@@ -55,10 +56,24 @@ GEOMETRY = dict(d=1, n_rho=16, r_max=12.0, n_s=32, s_half=40.0)
     ({"s_half": 0.0}, "r_max and s_half"),
     ({"s_half": -40.0}, "r_max and s_half"),
     ({"s_half": np.nan}, "r_max and s_half"),
+    ({"d": 150}, "radial weights overflow"),  # rho^299 at rho near 12
+    ({"d": 200}, "radial weights overflow"),  # 199! is beyond a float
+    ({"r_max": 1e300}, "radial weights overflow"),  # w_rho * rho at d = 1
 ])
 def test_grid_rejects_bad_geometry(kw, frag):
     with pytest.raises(ValueError, match=frag):
         Grid(**dict(GEOMETRY, **kw))
+
+
+@pytest.mark.parametrize("r_max", [0.5, 12.0, 40.0])
+def test_radial_weights_finite_matches_the_grid(r_max):
+    """Every accepted (d, r_max) builds finite radial weights, and the
+    accepted d form one range from d = 1."""
+    accepted = [d for d in range(1, 220) if radial_weights_finite(d, r_max)]
+    assert accepted == list(range(1, len(accepted) + 1))
+    for d in accepted[-3:] + [1, 2]:
+        assert np.isfinite(Grid(d=d, n_rho=8, r_max=r_max, n_s=8).w_radial).all()
+    assert radial_weights_finite(2, 12.0) and not radial_weights_finite(150, 12.0)
 
 
 def test_radial_field_shape_guard():
@@ -124,6 +139,19 @@ def test_l2_inner_refuses_fields_on_different_grids():
         l2_inner(f, g)
 
 
+def test_l2_inner_refuses_spacetime_fields_on_different_times():
+    """Two fields at times [0, 1] and [0, 5] were paired as if their times
+    agreed (36191.15 at each time)."""
+    g = Grid(**GEOMETRY)
+    vals = np.ones((2, g.n_rho, g.n_s))
+    u = SpaceTimeField(g.with_times([0.0, 1.0]), vals)
+    v = SpaceTimeField(g.with_times([0.0, 5.0]), vals)
+    with pytest.raises(ValueError, match="different grids"):
+        l2_inner(u, v)
+    assert u.grid.compatible(g.with_times([0.0, 1.0]))
+    assert not g.compatible(u.grid) and not u.grid.compatible(g)
+
+
 def test_l2_inner_refuses_a_radial_and_a_spacetime_field():
     """A RadialField against a two-time SpaceTimeField was broadcast into one
     complex, twice the field's own inner product."""
@@ -173,8 +201,8 @@ def test_s_analysis_synthesis_roundtrip_and_parseval():
     vals = rng.standard_normal((G.n_rho, G.n_s)) + 1j * rng.standard_normal(
         (G.n_rho, G.n_s)
     )
-    theta = s_analysis(G, vals, axis=1)
-    back = s_synthesis(G, theta, axis=1)
+    theta = s_analysis(G, vals)
+    back = s_synthesis(G, theta)
     assert np.max(np.abs(back - vals)) < 1e-12
     # Parseval on the s-line: h_s sum |f|^2 = sum |theta|^2 / (2 s_half)
     lhs = G.h_s * np.sum(np.abs(vals) ** 2)
@@ -233,7 +261,7 @@ def test_gaussian_closure_spectrum_matches_fft():
     # the closure's analytic s-transform against the grid DFT of its samples
     c = GaussianClosure(d=1, a=0.8, b=0.4, omega=2.0, s0=0.2, amp=1.3 - 0.4j)
     f = c.sample(G)
-    theta = s_analysis(G, f.values, axis=1)
+    theta = s_analysis(G, f.values)
     ref = np.exp(-c.a * G.rho[:, None] ** 2) * c.phat(G.lam)[None, :]
     assert np.max(np.abs(theta - ref)) / np.max(np.abs(ref)) < 1e-12
 

@@ -55,7 +55,7 @@ def test_closure_mode_matches_closed_form(d):
         GaussianClosure(d=d, a=1.0, b=0.5, omega=4.0, amp=1.0),
         GaussianClosure(d=d, a=1.3, b=0.6, omega=-5.0, amp=0.4 + 0.2j),
     ]
-    sf = forward(parts, L_max=16, mode="closure", grid=grid)
+    sf = forward(parts, L_max=16, grid=grid)
     ref = sum(p.coefficients(np.arange(17), grid.lam) for p in parts)
     ref[:, grid.izero] = 0.0
     scale = np.max(np.abs(ref))
@@ -68,6 +68,17 @@ def test_grid_mode_matches_closed_form():
     ref = c.coefficients(np.arange(9), G512.lam)
     ref[:, G512.izero] = 0.0
     assert np.max(np.abs(sf.values - ref)) / np.max(np.abs(ref)) < 1e-9
+
+
+def test_forward_dispatches_on_the_input_type():
+    c = GaussianClosure(d=1, a=0.9, b=0.5, omega=4.5)
+    one, pair = forward(c, L_max=4, grid=G), forward((c, c), L_max=4, grid=G)
+    assert np.array_equal(pair.values, 2 * one.values)
+    for bad in (one, c.sample(G).values, [c, c.sample(G)]):
+        with pytest.raises(TypeError, match="RadialField or GaussianClosure"):
+            forward(bad, L_max=4, grid=G)
+    with pytest.raises(ValueError, match="target grid"):
+        forward(c, L_max=4)
 
 
 def test_plancherel_ratio_gaussian():
@@ -262,7 +273,7 @@ def test_dilation_covariance_against_closure():
 
 def _reference_forward(grid, values, L_max):
     """theta[..., ell, k] from the full kernel table at each signed lam_k."""
-    fhat = s_analysis(grid, values, axis=-1)
+    fhat = s_analysis(grid, values)
     mults = np.array([multiplicity(l, grid.d) for l in range(L_max + 1)], dtype=float)
     theta = np.zeros(values.shape[:-2] + (L_max + 1, grid.n_s), dtype=complex)
     for k in range(grid.n_s):
@@ -283,7 +294,7 @@ def _reference_inverse(grid, theta):
         K = wigner_radial_table(theta.shape[-2] - 1, grid.lam[k], grid.rho, d)
         g[..., :, k] = (theta[..., :, k, None] * K).sum(-2)
         g[..., :, k] *= (2.0 / np.pi) ** d * abs(grid.lam[k]) ** d
-    return s_synthesis(grid, g, axis=-1)
+    return s_synthesis(grid, g)
 
 
 def _rel(a, b):
