@@ -120,6 +120,8 @@ def _rebuild_grid(h: dict) -> Grid:
     )
     if not np.allclose(stored, grid.rho, rtol=0, atol=1e-12 * grid.r_max):
         raise HHFLDError("stored rho nodes disagree with the declared grid")
+    if not np.allclose(weights, grid.w_rho, rtol=0, atol=1e-12 * grid.r_max):
+        raise HHFLDError("stored rho weights disagree with the declared grid")
     # the stored arrays are authoritative (robust across quadrature libraries)
     grid.rho = stored
     grid.w_rho = weights

@@ -215,7 +215,10 @@ def wave_decay_probe(d: int = 1, times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
         s = np.arange(-0.8 * np.sqrt(m) * t - 30.0, 30.0, 0.02)
         ds = s[1] - s[0]
         offsets = ds * np.arange(min(_S_BLOCK, s.size))
-        table = np.exp(1j * np.outer(offsets, lam))  # (block, nq)
+        # (block, nq), exponentiated in place: one 26 MB complex table at the
+        # default sizes instead of two while it is built
+        table = 1j * np.outer(offsets, lam)
+        np.exp(table, out=table)
         halfwave = 2.0 * t * np.sqrt(lam * m)
         block_sups = []
         for lo in range(0, s.size, _S_BLOCK):

@@ -13,7 +13,9 @@ and its L^2 -> L^2 norm is exactly (pi / (2 |lam|))^d.
 Fields live on a square lattice containing the origin and are treated as
 zero outside the box, which makes the lattice of differences Y - w a subset
 of the (padded) sample lattice and the discrete convolution exact for
-box-supported data.
+box-supported data.  `twisted_convolve` evaluates that lattice sum in
+O(n^3 log n) as batched FFT row convolutions (numpy.fft), `_K_BLOCK` shifts
+at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.special import roots_legendre
 
 from .specfun import kernel_rows, normalized_kernel
@@ -49,8 +50,9 @@ __all__ = [
 class PlanarGrid:
     """Uniform square lattice on [-half_width, half_width]^2 (d = 1 plane).
 
-    `n` must be odd so the origin is a sample and differences of lattice
-    points stay on the (extended) lattice.
+    `n` must be an odd int >= 3 so the origin is a sample and differences
+    of lattice points stay on the (extended) lattice; `half_width` must be
+    > 0 and the box width 2 * half_width finite.
     """
 
     half_width: float = 8.0
@@ -59,8 +61,14 @@ class PlanarGrid:
     h: float = field(init=False)
 
     def __post_init__(self):
+        if not isinstance(self.n, (int, np.integer)) or self.n < 3:
+            raise ValueError(f"n must be an int >= 3, got {self.n!r}")
         if self.n % 2 == 0:
             raise ValueError("n must be odd (origin-centred lattice)")
+        if not (self.half_width > 0 and np.isfinite(2.0 * self.half_width)):
+            raise ValueError(
+                f"half_width must be > 0 with a finite box width, got {self.half_width!r}"
+            )
         self.axis = np.linspace(-self.half_width, self.half_width, self.n)
         self.h = 2.0 * self.half_width / (self.n - 1)
 
@@ -104,6 +112,21 @@ def _outer_band_fraction(values: np.ndarray) -> float:
     return (total - inner) / total
 
 
+_K_BLOCK = 16  # shifts k per batched FFT: each temporary stays under 4 MB at n = 97
+
+
+def _fft_length(m: int) -> int:
+    """Smallest 5-smooth integer >= m: the FFT length of the row convolutions."""
+    while True:
+        r = m
+        for q in (2, 3, 5):
+            while r % q == 0:
+                r //= q
+        if r == 1:
+            return m
+        m += 1
+
+
 def twisted_convolve(f: PlanarField, g: PlanarField, lam: float) -> PlanarField:
     """Twisted convolution of two box-supported planar fields.
 
@@ -112,15 +135,34 @@ def twisted_convolve(f: PlanarField, g: PlanarField, lam: float) -> PlanarField:
 
         e^{2 i lam sigma(Y, w)} = e^{2 i lam eta_j y_k} e^{-2 i lam eta_l y_i}
 
-    for Y = (y_i, eta_j), w = (y_k, eta_l).  The sum over (k, l) is then a
-    k-indexed stack of Toeplitz contractions, accumulated row by row.
-    Cost O(n^4); fields should carry negligible mass near the box edge
-    (a warning is raised when the outer 10% frame holds > 1e-5 of either).
+    for Y = (y_i, eta_j), w = (y_k, eta_l).  With
+    gB_k[i, l] = g[k, l] e^{-2 i lam eta_l y_i}, the output is
+
+        h^2 sum_k e^{2 i lam eta_j y_k} D_k[i, j],
+        D_k[i, j] = sum_l gB_k[i, l] f[i - k + lo, j - l + lo],
+
+    lo = (n - 1) / 2, and each row of D_k is a 1-D linear convolution in l
+    of the row gB_k[i, .] with the row i - k + lo of f (zero outside the
+    box).  Those convolutions run as circular ones of length M, the
+    smallest 5-smooth integer >= lo + n, with the f row at circular offsets
+    -lo..lo: a shift j - l in [-(n - 1), n - 1] then never wraps onto the
+    row's support.  f's rows are transformed once; the rows gB_k of
+    `_K_BLOCK` shifts k go through one batched FFT, multiply, inverse FFT
+    and contraction with e^{2 i lam eta_j y_k}, so the temporaries stay
+    O(_K_BLOCK n M).  Cost O(n^3 log n).
+
+    Fields should carry negligible mass near the box edge (a warning is
+    raised when the outer 10% frame holds > 1e-5 of either).  Non-finite
+    samples or a non-finite lam are refused with ValueError.
     """
     grid = f.grid
     if not grid.compatible(g.grid):
         raise ValueError("planar grids differ")
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam!r}")
     for name, fld in (("f", f), ("g", g)):
+        if not np.isfinite(fld.values).all():
+            raise ValueError(f"twisted_convolve: {name} holds non-finite values")
         frac = _outer_band_fraction(fld.values)
         if frac > 1e-5:
             warnings.warn(
@@ -132,23 +174,25 @@ def twisted_convolve(f: PlanarField, g: PlanarField, lam: float) -> PlanarField:
     a = grid.axis
     A = np.exp(2j * lam * np.outer(a, a))  # A[j, k] = e^{2 i lam a_j a_k}
     B = np.conj(A)
-    Fpad = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
     lo = (n - 1) // 2
-    Fpad[lo : lo + n, lo : lo + n] = f.values
+    M = _fft_length(lo + n)
+    # row p of f at circular offsets -lo..lo; its spectrum sits at
+    # Fhat[lo + p] between lo zero spectra on each side, so the f row that
+    # output row i meets at shift k (p = i - k + lo) is Fhat[i - k + n - 1]
+    rows = np.zeros((n, M), dtype=complex)
+    rows[:, : lo + 1] = f.values[:, lo:]
+    rows[:, M - lo :] = f.values[:, :lo]
+    Fhat = np.zeros((2 * n - 1, M), dtype=complex)
+    Fhat[lo : lo + n] = np.fft.fft(rows, axis=1)
     acc = np.zeros((n, n), dtype=complex)
-    s0, s1 = Fpad.strides
-    for k in range(n):
-        Rk = Fpad[n - 1 - k : 2 * n - 1 - k, :]
-        # T[i, l, j] = Fpad[i - k + n - 1, j - l + n - 1]
-        T = as_strided(
-            Rk[:, n - 1 :],
-            shape=(n, n, n),
-            strides=(s0, -s1, s1),
-            writeable=False,
-        )
-        gB = g.values[k, :][None, :] * B  # (i, l)
-        D = np.einsum("il,ilj->ij", gB, T, optimize=True)
-        acc += D * A[:, k][None, :]
+    i = np.arange(n)
+    for k0 in range(0, n, _K_BLOCK):
+        ks = np.arange(k0, min(k0 + _K_BLOCK, n))
+        gB = g.values[ks, None, :] * B[None, :, :]  # gB[k, i, l]
+        prod = np.fft.fft(gB, n=M, axis=2)
+        prod *= Fhat[i[None, :] - ks[:, None] + n - 1]
+        D = np.fft.ifft(prod, axis=2)[:, :, :n]  # D[k, i, j]
+        acc += np.einsum("kij,kj->ij", D, A[:, ks].T)
     return PlanarField(grid, grid.h**2 * acc)
 
 
@@ -173,8 +217,8 @@ def operator_norm(ell: int, lam: float, d: int = 1) -> float:
     c = (pi/(2|lam|))^d by the self-reproducing identity, so T_ell / c is an
     orthogonal projection; the norm is attained on K_ell itself.
     """
-    if lam == 0.0:
-        raise ValueError("lam must be nonzero")
+    if not np.isfinite(lam) or lam == 0.0:
+        raise ValueError(f"lam must be finite and nonzero, got {lam!r}")
     return float((np.pi / (2.0 * abs(lam))) ** d)
 
 
@@ -318,7 +362,7 @@ def tn_norm_proxy(ell: int, lam: float, n: int = 49, n_inputs: int = 64,
     A measured norm proxy only — max over `n_inputs` random smooth fields of
     ||T f||_2 / ||f||_2 — never larger than the exact value (pi/(2|lam|))^d,
     and close to it because K_ell itself is nearly in the random span.
-    Runs on a coarser n x n lattice of half-width 8 to keep the O(n^4) cost
+    Runs on a coarser n x n lattice of half-width 8 to keep the O(n^3 log n) cost
     down.  The max is an np.max, so a NaN input propagates.
     """
     grid = PlanarGrid(half_width=8.0, n=n)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -165,6 +166,22 @@ def test_transform_corrupt_container(tmp_path, capsys):
                  "--out", str(tmp_path / "o.hhfld")])
     assert code == EXIT_USAGE
     assert "hharm:" in capsys.readouterr().err
+
+
+def test_transform_refuses_file_with_foreign_weights(tmp_path, small_cfg, band_file, capsys):
+    """Radial weights that are not the grid's rule are a bad file (exit 2),
+    not a Plancherel breach of the data (exit 3, "ratio: inf")."""
+    raw = open(band_file, "rb").read()
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    header = json.loads(raw[10 : 10 + hlen])
+    header["grid"]["rho_weights"] = [1e300] * len(header["grid"]["rho_weights"])
+    blob = json.dumps(header, sort_keys=True, ensure_ascii=True).encode()
+    p = tmp_path / "heavy.hhfld"
+    p.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + raw[10 + hlen :])
+    code = main(["transform", "--dir", "fwd", "--in", str(p),
+                 "--out", str(tmp_path / "o.hhfld"), "--config", small_cfg])
+    assert code == EXIT_USAGE
+    assert "rho weights" in capsys.readouterr().err
 
 
 def test_transform_tolerance_breach(tmp_path, band_file, capsys):

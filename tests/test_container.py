@@ -120,6 +120,26 @@ def test_rejects_corrupted_grid_nodes(tmp_path):
         read_hhfld(p)
 
 
+@pytest.mark.parametrize("edit", ["all-huge", "one-off"])
+def test_rejects_corrupted_grid_weights(tmp_path, edit):
+    """Finite weights that are not the declared grid's quadrature are refused,
+    as the nodes are; all-1e300 weights used to read back and make
+    `transform` report a plancherel ratio of inf."""
+    p = tmp_path / "w.hhfld"
+    write_hhfld(p, radial_fixture())
+
+    def corrupt(h):
+        w = h["grid"]["rho_weights"]
+        if edit == "all-huge":
+            h["grid"]["rho_weights"] = [1e300] * len(w)
+        else:
+            w[3] *= 1.0 + 1e-6
+
+    _rewrite_header(p, corrupt)
+    with pytest.raises(HHFLDError, match="rho weights"):
+        read_hhfld(p)
+
+
 def test_rejects_unserializable_object(tmp_path):
     with pytest.raises(TypeError):
         write_hhfld(tmp_path / "x.hhfld", np.zeros(4))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 
 from hharm import twisted
 from hharm.specfun import normalized_kernel
@@ -35,6 +36,21 @@ def test_planar_grid_basics():
     assert not GRID.compatible(PlanarGrid(n=49))
     with pytest.raises(ValueError, match="odd"):
         PlanarGrid(n=96)
+
+
+@pytest.mark.parametrize("kw", [
+    {"n": 1},
+    {"n": -3},
+    {"n": 97.0},
+    {"half_width": -8.0},
+    {"half_width": 0.0},
+    {"half_width": float("nan")},
+    {"half_width": float("inf")},
+    {"half_width": 1e308},
+])
+def test_planar_grid_rejects_bad_geometry(kw):
+    with pytest.raises(ValueError, match="n must be|half_width"):
+        PlanarGrid(**kw)
 
 
 def test_planar_field_shape_guard():
@@ -82,8 +98,9 @@ def test_kernel_l2_norm():
 def test_operator_norm_value_and_guard():
     assert operator_norm(5, 0.5) == pytest.approx(np.pi)
     assert operator_norm(0, -2.0) == pytest.approx(np.pi / 4.0)
-    with pytest.raises(ValueError):
-        operator_norm(0, 0.0)
+    for lam in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            operator_norm(0, lam)
 
 
 def test_tn_apply_is_projection_up_to_scale():
@@ -104,6 +121,80 @@ def test_convolve_grid_mismatch():
     g = PlanarField(g2, np.exp(-(y2**2 + eta2**2)))
     with pytest.raises(ValueError, match="grids differ"):
         twisted_convolve(f, g, 1.0)
+
+
+def _lattice_reference(f, g, lam):
+    """Direct O(n^4) lattice sum: for each shift k, a Toeplitz contraction
+    over l against the zero-padded f."""
+    n = f.grid.n
+    a = f.grid.axis
+    A = np.exp(2j * lam * np.outer(a, a))
+    B = np.conj(A)
+    Fpad = np.zeros((2 * n - 1, 2 * n - 1), dtype=complex)
+    lo = (n - 1) // 2
+    Fpad[lo : lo + n, lo : lo + n] = f.values
+    acc = np.zeros((n, n), dtype=complex)
+    s0, s1 = Fpad.strides
+    for k in range(n):
+        Rk = Fpad[n - 1 - k : 2 * n - 1 - k, :]
+        # T[i, l, j] = Fpad[i - k + n - 1, j - l + n - 1]
+        T = as_strided(Rk[:, n - 1 :], shape=(n, n, n), strides=(s0, -s1, s1),
+                       writeable=False)
+        D = np.einsum("il,ilj->ij", g.values[k, :][None, :] * B, T, optimize=True)
+        acc += D * A[:, k][None, :]
+    return f.grid.h**2 * acc
+
+
+def _random_field(grid, rng, corners=False):
+    """Seeded complex noise, non-symmetric; under a Gaussian envelope that
+    keeps the outer frame below the edge-mass warning, or with unit spikes
+    in the four box corners."""
+    y, eta = grid.mesh()
+    noise = rng.standard_normal((grid.n, grid.n)) + 1j * rng.standard_normal((grid.n, grid.n))
+    vals = noise * np.exp(-20.0 * (y**2 + eta**2) / grid.half_width**2)
+    if corners:
+        vals[[0, 0, -1, -1], [0, -1, 0, -1]] = rng.standard_normal(4) + 1j
+    return PlanarField(grid, vals)
+
+
+@pytest.mark.parametrize("lam", [-2.0, 0.25, 1.0, 3.0])
+@pytest.mark.parametrize("n", [3, 5, 49, 97])
+def test_convolve_matches_lattice_sum(n, lam):
+    grid = PlanarGrid(n=n)
+    rng = np.random.default_rng(1000 * n + int(4 * lam) + 8)
+    f, g = _random_field(grid, rng), _random_field(grid, rng)
+    out = twisted_convolve(f, g, lam).values
+    ref = _lattice_reference(f, g, lam)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", [3, 5, 49])
+def test_convolve_matches_lattice_sum_with_corner_mass(n):
+    """Mass in the box corners meets the largest shifts |j - l| = n - 1: an
+    FFT length below lo + n would wrap them onto the f row."""
+    grid = PlanarGrid(n=n)
+    rng = np.random.default_rng(n)
+    f, g = _random_field(grid, rng, corners=True), _random_field(grid, rng, corners=True)
+    with pytest.warns(UserWarning, match="outer 10% frame"):
+        out = twisted_convolve(f, g, 0.7).values
+    ref = _lattice_reference(f, g, 0.7)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("where", ["f", "g", "lam"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_convolve_refuses_non_finite_input(where, bad):
+    grid = PlanarGrid(n=9)
+    y, eta = grid.mesh()
+    f = PlanarField(grid, np.exp(-(y**2 + eta**2)))
+    g = PlanarField(grid, np.exp(-(y**2 + eta**2)))
+    lam = 1.0
+    if where == "lam":
+        lam = bad
+    else:
+        (f if where == "f" else g).values[4, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        twisted_convolve(f, g, lam)
 
 
 def test_convolve_warns_on_edge_mass():
