@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from math import factorial, isfinite
 
 import numpy as np
@@ -73,6 +74,16 @@ def radial_weights_finite(d: int, r_max: float) -> bool:
         return False
 
 
+@lru_cache(maxsize=8)
+def _legendre_rule(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared by
+    every grid with n radial nodes (`Grid.with_times` rebuilds its grid)."""
+    x, w = roots_legendre(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 @dataclass
 class Grid:
     """Tensor grid for radial fields on H^d (optionally with a time axis)."""
@@ -101,7 +112,7 @@ class Grid:
             raise ValueError("r_max and s_half must be finite and > 0")
         if not radial_weights_finite(self.d, self.r_max):
             raise ValueError(f"radial weights overflow at d={self.d}, r_max={self.r_max}")
-        x, w = roots_legendre(self.n_rho)
+        x, w = _legendre_rule(int(self.n_rho))
         self.rho = 0.5 * self.r_max * (x + 1.0)
         self.w_rho = 0.5 * self.r_max * w
         self.w_radial = self.w_rho * sphere_area(self.d) * self.rho ** (2 * self.d - 1)
@@ -197,10 +208,22 @@ def s_analysis(grid: Grid, values):
 
 
 def s_synthesis(grid: Grid, theta):
-    """Exact inverse of s_analysis, on the last axis."""
+    """Exact inverse of s_analysis, on the last axis.
+
+    Returns one new C-ordered complex array of theta's shape, whatever
+    theta's memory layout: theta times the phase is written straight into
+    the ifftshift positions of that buffer (two half-slices), the inverse
+    FFT runs in place, and the buffer is divided by h_s.  No other
+    batch-sized array is made.
+    """
     phase = np.exp(-1j * grid.s_half * grid.lam)
-    tw = np.fft.ifftshift(theta * phase, axes=-1)
-    return np.fft.ifft(tw, axis=-1) / grid.h_s
+    n = grid.izero  # ifftshift on an even axis swaps its two halves
+    buf = np.empty(theta.shape, dtype=complex)
+    np.multiply(theta[..., n:], phase[n:], out=buf[..., :n])
+    np.multiply(theta[..., :n], phase[:n], out=buf[..., n:])
+    np.fft.ifft(buf, axis=-1, out=buf)
+    buf /= grid.h_s
+    return buf
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,9 @@ def _halfwave_split(data: CauchyDataW, times):
     gp = 0.5 * (data.u0.values - 1j * th1 / omega)
     gm = 0.5 * (data.u0.values + 1j * th1 / omega)
     t = np.asarray(times, dtype=float)[:, None, None]
-    return np.exp(1j * t * omega) * gp, np.exp(-1j * t * omega) * gm, omega
+    # exp(-i x) is conj(exp(i x)) bit for bit: cos is even and sin odd
+    e = np.exp(1j * t * omega)
+    return e * gp, np.conj(e) * gm, omega
 
 
 def wave_evolve(data: CauchyDataW, times) -> SpaceTimeField:

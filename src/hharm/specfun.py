@@ -6,16 +6,20 @@ scaled Laguerre kernels
     K_ell(lam, Y) = exp(-|lam| |Y|^2) * L_ell^{(d-1)}(2 |lam| |Y|^2),
 
 whose value at Y = 0 equals the multiplicity binom(ell+d-1, ell) of the
-ell-th matrix diagonal.  `kernel_rows` is the one place they are evaluated:
-it runs the Laguerre three-term recurrence on the scaled functions
-e^{-u/2} L_ell(u) themselves, with the exponential folded into the two
-starting rows (Gil, Segura and Temme, *Numerical Methods for Special
-Functions*, 2007).  Those values are bounded by the multiplicity, so no
+ell-th matrix diagonal.  `_recurrence` is the one place they are evaluated,
+behind `kernel_rows` (a fresh array per band) and `wigner_radial_table` (a
+table filled in place): it runs the Laguerre three-term recurrence on the
+scaled functions e^{-u/2} L_ell(u) themselves, with the exponential folded
+into the two starting rows (Gil, Segura and Temme, *Numerical Methods for
+Special Functions*, 2007).  Those values are bounded by the multiplicity, so no
 band count overflows, whereas the product of an unscaled L_ell(u) with an
 underflowed e^{-u/2} gives inf * 0 = NaN.  The transform, the propagators,
 restriction, extension and twisted convolution all draw their kernels from
-it.  The unscaled `laguerre_table` remains for quadrature rules whose weight
-already carries the exponential.
+it.  Once e^{-u/2} underflows to 0 (u > ~1490), every K_ell is exactly 0:
+`wigner_radial_table` leaves that tail out of the recurrence, and the
+transform leaves it out of its contractions (28 % of the default 256 x 512,
+L = 64 table).  The unscaled `laguerre_table` remains for quadrature rules
+whose weight already carries the exponential.
 """
 
 from __future__ import annotations
@@ -48,16 +52,33 @@ def kernel_rows(lmax, u, d=1):
     number of arguments, e.g. one row of per-band arguments per band.
     """
     u = np.asarray(u, dtype=float)
-    alpha = d - 1
-    k0 = np.exp(-u / 2)
+    k0 = np.exp(u / -2)
     yield k0
+    yield from _recurrence(lmax, u, d, k0, lambda k: np.empty(u.shape))
+
+
+def _recurrence(lmax, u, d, k0, row):
+    """The one scaled-Laguerre recurrence: from K_0 = k0, write K_k into the
+    array row(k) (of u's shape) and yield it, for k = 1..lmax.
+
+    Each step is out= ufuncs in a fixed order, (c - u) * K_k, then
+    K_{k-1} * (k + alpha) into one scratch array, subtract, / (k+1), so a
+    row is bit-equal whether it lands in a fresh array or in a table.
+    """
     if lmax < 1:
         return
-    k1 = (1.0 + alpha - u) * k0
+    alpha = d - 1
+    k1 = np.subtract(1.0 + alpha, u, out=row(1))
+    k1 *= k0
     yield k1
+    tmp = np.empty(u.shape)
     for k in range(1, lmax):
-        k0, k1 = k1, ((2 * k + alpha + 1 - u) * k1 - (k + alpha) * k0) / (k + 1)
-        yield k1
+        nxt = np.subtract(2 * k + alpha + 1, u, out=row(k + 1))
+        nxt *= k1
+        nxt -= np.multiply(k0, k + alpha, out=tmp)
+        nxt /= k + 1
+        k0, k1 = k1, nxt
+        yield nxt
 
 
 def laguerre_table(lmax, alpha, x):
@@ -97,14 +118,29 @@ def wigner_radial(ell, lam, rho, d=1):
     u = 2.0 * np.abs(lam) * np.asarray(rho, dtype=float) ** 2
     for K in kernel_rows(ell, u, d):
         pass
-    return K
+    return K[()]  # a scalar for scalar arguments, as from a ufunc
 
 
 def wigner_radial_table(lmax, lam, rho, d=1):
     """Radial kernels for all degrees 0..lmax; shape (lmax+1,) + the broadcast
-    shape of lam and rho (the transform passes a column of |lam| rows)."""
+    shape of lam and rho (the transform passes a column of |lam| rows).
+
+    The table is filled in place, band by band, by the `kernel_rows`
+    recurrence, with no per-band temporaries.  Where e^{-u/2} has
+    underflowed to 0 (u > ~1490) every band is 0, so the recurrence runs
+    only up to the last nonzero K_0 in memory order and the entries after
+    it are exact zeros: for an ascending rho, the underflowed outer radii.
+    """
     u = 2.0 * np.abs(lam) * np.asarray(rho, dtype=float) ** 2
-    return np.stack(list(kernel_rows(lmax, u, d)))
+    out = np.empty((lmax + 1,) + u.shape)
+    rows = out.reshape(lmax + 1, -1)
+    k0 = np.exp(np.divide(u.reshape(-1), -2, out=rows[0]), out=rows[0])
+    live = np.flatnonzero(k0)
+    p = live[-1] + 1 if live.size else 0
+    rows[1:, p:] = 0.0
+    for _ in _recurrence(lmax, u.reshape(-1)[:p], d, k0[:p], lambda k: rows[k, :p]):
+        pass
+    return out
 
 
 def normalized_kernel(ell, rho, d=1):

@@ -36,9 +36,14 @@ Computation
 After the s-FFT, both directions are, at each frequency lam, one real
 matrix product with the (L+1, n_rho) kernel table K(lam): one BLAS gemm
 per block of |lam| rows and sign of lam (`_lam_contract`).  The table is
-evaluated on the even half lam > 0 only, a block at a time, and never
-cached.  Batch axes (times, alpha, stacked samples) and the real and
-imaginary parts are the gemm columns.
+evaluated on the even half lam > 0 only, 32 |lam| rows at a time (about
+4 MB at 65 bands x 256 radii), filled in place and only on the radii where
+it is not underflowed to 0.  It is rebuilt on every call and never stored:
+the default grid's tables would raise the resident memory by more than the
+benchmark's 10 % peak-RSS bound.  Batch axes (times, alpha, stacked
+samples) and the real and imaginary parts are the gemm columns.  The
+inverse's s-synthesis then writes one C-ordered buffer, which the returned
+field keeps as its values.
 """
 
 from __future__ import annotations
@@ -127,8 +132,10 @@ def _spectral_weights(grid: Grid, L_max: int):
 
 
 # |lam| rows per kernel block: one block is (rows, L+1, n_rho) float64,
-# about 2 MB at 65 bands x 256 radii, so it stays in cache next to the gemms
-_LAM_BLOCK = 16
+# about 4 MB at 65 bands x 256 radii.  Rebuilt on every call, never stored:
+# a store of the default grid's tables costs more resident memory than the
+# benchmark's 10 % peak-RSS bound allows
+_LAM_BLOCK = 32
 
 
 def _lam_contract(grid: Grid, X, L_max, adjoint=False):
@@ -143,6 +150,13 @@ def _lam_contract(grid: Grid, X, L_max, adjoint=False):
     block reversed, as a view).  Complex X is read as interleaved float64,
     so the real kernel sees the real and imaginary parts of every batch
     index as 2B gemm columns.
+
+    K is exactly 0 at the radii where e^{-|lam| rho^2} underflows, and for
+    the ascending rho these form a tail that is longest at the largest
+    |lam|.  A block is therefore built and contracted on the radii before
+    the first zero of its smallest |lam| row only; the adjoint's rows
+    beyond them are set to 0.  On the default 256 x 512 grid that skips
+    25 % of the kernel entries.
     """
     n_s, izero = grid.n_s, grid.izero
     Z = np.empty((n_s, grid.n_rho if adjoint else L_max + 1, X.shape[-1]), dtype=complex)
@@ -151,12 +165,19 @@ def _lam_contract(grid: Grid, X, L_max, adjoint=False):
     for m0 in range(1, izero + 1, _LAM_BLOCK):
         m1 = min(m0 + _LAM_BLOCK, izero + 1)
         lam = np.abs(grid.lam[izero - np.arange(m0, m1)])
-        K = wigner_radial_table(L_max, lam[:, None], grid.rho[None, :], grid.d)
-        K = K.transpose(1, 2, 0) if adjoint else K.transpose(1, 0, 2)
+        p = np.count_nonzero(wigner_radial_table(0, lam[0], grid.rho, grid.d))
+        K = wigner_radial_table(L_max, lam[:, None], grid.rho[None, :p], grid.d)
         pos = slice(izero + m0, min(izero + m1, n_s))
         neg = slice(izero - m1 + 1, izero - m0 + 1)
-        np.matmul(K[:pos.stop - pos.start], Xf[pos], out=Zf[pos])
-        np.matmul(K[::-1], Xf[neg], out=Zf[neg])
+        if adjoint:
+            K = K.transpose(1, 2, 0)
+            Zf[pos, p:] = Zf[neg, p:] = 0.0
+            Xp, Zp = Xf, Zf[:, :p]
+        else:
+            K = K.transpose(1, 0, 2)
+            Xp, Zp = Xf[:, :p], Zf
+        np.matmul(K[:pos.stop - pos.start], Xp[pos], out=Zp[pos])
+        np.matmul(K[::-1], Xp[neg], out=Zp[neg])
     return Z
 
 
@@ -181,7 +202,9 @@ def _inverse_samples(grid: Grid, theta):
 
     The mirror of _forward_samples: one adjoint _lam_contract pass, whose
     lam = 0 row is zero (the lam = 0 column of theta has no effect), then
-    the s-synthesis of every batch index at once.
+    the s-synthesis of every batch index at once.  Its C-ordered output is
+    returned as a view, so the contraction output G and that array are the
+    only sample-sized arrays a call holds.
     """
     d = grid.d
     batch = theta.shape[:-2]

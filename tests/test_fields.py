@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from hharm.fields import (
     GaussianClosure,
@@ -74,6 +75,36 @@ def test_radial_weights_finite_matches_the_grid(r_max):
     for d in accepted[-3:] + [1, 2]:
         assert np.isfinite(Grid(d=d, n_rho=8, r_max=r_max, n_s=8).w_radial).all()
     assert radial_weights_finite(2, 12.0) and not radial_weights_finite(150, 12.0)
+
+
+def test_grids_share_one_gauss_legendre_rule(tmp_path, monkeypatch):
+    """Grids with the same n_rho (a `with_times` copy, `cfg.grid()`, a
+    re-read file's grid) build their nodes from one read-only rule."""
+    from hharm import fields
+    from hharm.config import RunConfig
+    from hharm.container import read_hhfld, write_hhfld
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return roots_legendre(n)
+
+    monkeypatch.setattr(fields, "roots_legendre", counting)
+    fields._legendre_rule.cache_clear()
+    g = Grid(d=1, n_rho=37, r_max=10.0, n_s=16, s_half=5.0)
+    gt = g.with_times([0.0, 1.0])
+    cfg = RunConfig(n_rho=37, r_max=10.0, n_s=16, s_half=5.0)
+    assert np.array_equal(cfg.grid().rho, g.rho) and np.array_equal(gt.w_rho, g.w_rho)
+    write_hhfld(tmp_path / "f.hhfld", SpaceTimeField(gt, np.ones((2, 37, 16))))
+    read_hhfld(tmp_path / "f.hhfld")
+    Grid(d=2, n_rho=37, r_max=3.0, n_s=8, s_half=1.0)
+    assert calls == [37]
+    x, w = fields._legendre_rule(37)
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
 
 
 def test_radial_field_shape_guard():
@@ -208,6 +239,21 @@ def test_s_analysis_synthesis_roundtrip_and_parseval():
     lhs = G.h_s * np.sum(np.abs(vals) ** 2)
     rhs = np.sum(np.abs(theta) ** 2) / (2 * G.s_half)
     assert abs(lhs - rhs) / lhs < 1e-13
+
+
+def test_s_synthesis_writes_one_c_ordered_buffer():
+    """A lam-major strided input (as the band contraction hands it over)
+    comes back C-ordered, bit-equal to the phase, ifftshift, ifft, / h_s
+    sequence."""
+    rng = np.random.default_rng(2)
+    lam_major = rng.standard_normal((G.n_s, G.n_rho, 3)) + 1j * rng.standard_normal(
+        (G.n_s, G.n_rho, 3)
+    )
+    theta = lam_major.T  # (3, n_rho, n_s), strided
+    phase = np.exp(-1j * G.s_half * G.lam)
+    ref = np.fft.ifft(np.fft.ifftshift(theta * phase, axes=-1), axis=-1) / G.h_s
+    out = s_synthesis(G, theta)
+    assert out.flags.c_contiguous and np.array_equal(out, ref)
 
 
 def test_s_translate_integer_steps_exact():

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from hharm import propagators
-from hharm.fields import Grid, RadialField, l2_norm
+from hharm.fields import Grid, RadialField, l2_norm, s_synthesis
 from hharm.propagators import (
     CauchyDataS,
     CauchyDataW,
@@ -188,6 +188,40 @@ def test_duhamel_equals_per_time_inverse():
     u = duhamel(CauchyDataS(w), lambda t: SpectralField(SMALL_G, np.cos(t) * f.values),
                 times)
     assert np.array_equal(u.values, _per_time(SMALL_G, thetas))
+
+
+def test_schrodinger_evolve_keeps_the_synthesis_buffer(monkeypatch):
+    """The evolved field stores the array s_synthesis wrote, not a copy."""
+    from hharm import transform
+
+    made = []
+
+    def recording(grid, theta):
+        made.append(s_synthesis(grid, theta))
+        return made[-1]
+
+    monkeypatch.setattr(transform, "s_synthesis", recording)
+    sf = banded_spectrum(SMALL_G, L_max=3, seed=11)
+    u = schrodinger_evolve(CauchyDataS(sf), np.linspace(0.0, 2.0, 5))
+    assert len(made) == 1 and np.shares_memory(u.values, made[0])
+
+
+def test_schrodinger_evolve_peak_memory_is_about_two_outputs():
+    """A memory bound, not a timing: the band contraction's output and the
+    synthesis buffer are the only output-sized arrays alive at once (a copy
+    or a temporary in the s-synthesis would add another)."""
+    import tracemalloc
+
+    grid = Grid(d=1, n_rho=64, r_max=12.0, n_s=128, s_half=40.0)
+    sf = banded_spectrum(grid, L_max=8, seed=16)
+    times = np.linspace(0.0, 1.0, 33)
+    tracemalloc.start()
+    try:
+        u = schrodinger_evolve(CauchyDataS(sf), times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.3 * u.values.nbytes
 
 
 SCHRODINGER_TABLE = [

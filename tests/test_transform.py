@@ -323,17 +323,41 @@ def test_band_contraction_matches_per_frequency_loop(d, L_max, batch):
                     _reference_inverse(grid, theta)) < 1e-13
 
 
+@pytest.mark.parametrize("adjoint", [False, True])
+@pytest.mark.parametrize("d", [1, 2])
+def test_lam_contract_bytes_do_not_depend_on_block_size(monkeypatch, d, adjoint):
+    """At r_max = 12 and |lam| up to 10 the kernels underflow at the outer
+    radii, so each block size cuts the gemms at other radii; the bytes must
+    not move."""
+    from hharm import transform
+
+    grid = Grid(d=d, n_rho=48, r_max=12.0, n_s=128, s_half=20.0)
+    L_max = 20
+    rng = np.random.default_rng(d)
+    n = L_max + 1 if adjoint else grid.n_rho
+    X = rng.standard_normal((grid.n_s, n, 3)) + 1j * rng.standard_normal((grid.n_s, n, 3))
+    out = []
+    for block in (1, 16, 32, grid.n_s // 2):
+        monkeypatch.setattr(transform, "_LAM_BLOCK", block)
+        out.append(transform._lam_contract(grid, X, L_max, adjoint).tobytes())
+    assert len(set(out)) == 1
+
+
 _THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
 from hharm.fields import Grid
 from hharm.transform import _forward_samples, _inverse_samples
-grid = Grid(d=2, n_rho=96, r_max=8.0, n_s=128, s_half=20.0)
+digest = hashlib.sha256()
 rng = np.random.default_rng(7)
-v = rng.standard_normal((16, 96, 128)) + 1j * rng.standard_normal((16, 96, 128))
-theta = _forward_samples(grid, v, 40)
-f = _inverse_samples(grid, theta)
-sys.stdout.write(hashlib.sha256(theta.tobytes() + f.tobytes()).hexdigest())
+# at r_max = 12 the outer radii underflow and the gemms stop short of them
+for r_max in (8.0, 12.0):
+    grid = Grid(d=2, n_rho=96, r_max=r_max, n_s=128, s_half=20.0)
+    v = rng.standard_normal((16, 96, 128)) + 1j * rng.standard_normal((16, 96, 128))
+    theta = _forward_samples(grid, v, 40)
+    f = _inverse_samples(grid, theta)
+    digest.update(theta.tobytes() + f.tobytes())
+sys.stdout.write(digest.hexdigest())
 """
 
 
