@@ -15,10 +15,9 @@ Special Functions*, 2007).  Those values are bounded by the multiplicity, so no
 band count overflows, whereas the product of an unscaled L_ell(u) with an
 underflowed e^{-u/2} gives inf * 0 = NaN.  The transform, the propagators,
 restriction, extension and twisted convolution all draw their kernels from
-it.  Once e^{-u/2} underflows to 0 (u > ~1490), every K_ell is exactly 0:
-`wigner_radial_table` leaves that tail out of the recurrence, and the
-transform leaves it out of its contractions (28 % of the default 256 x 512,
-L = 64 table).  The unscaled `laguerre_table` remains for quadrature rules
+it.  Once e^{-u/2} underflows to 0 (u > ~1490), every K_ell is exactly 0,
+and the transform leaves those outer radii out of its tables and
+contractions.  The unscaled `laguerre_table` remains for quadrature rules
 whose weight already carries the exponential.
 """
 
@@ -126,19 +125,12 @@ def wigner_radial_table(lmax, lam, rho, d=1):
     shape of lam and rho (the transform passes a column of |lam| rows).
 
     The table is filled in place, band by band, by the `kernel_rows`
-    recurrence, with no per-band temporaries.  Where e^{-u/2} has
-    underflowed to 0 (u > ~1490) every band is 0, so the recurrence runs
-    only up to the last nonzero K_0 in memory order and the entries after
-    it are exact zeros: for an ascending rho, the underflowed outer radii.
+    recurrence, with no per-band temporaries.
     """
     u = 2.0 * np.abs(lam) * np.asarray(rho, dtype=float) ** 2
     out = np.empty((lmax + 1,) + u.shape)
-    rows = out.reshape(lmax + 1, -1)
-    k0 = np.exp(np.divide(u.reshape(-1), -2, out=rows[0]), out=rows[0])
-    live = np.flatnonzero(k0)
-    p = live[-1] + 1 if live.size else 0
-    rows[1:, p:] = 0.0
-    for _ in _recurrence(lmax, u.reshape(-1)[:p], d, k0[:p], lambda k: rows[k, :p]):
+    k0 = np.exp(np.divide(u, -2, out=out[0, ...]), out=out[0, ...])
+    for _ in _recurrence(lmax, u, d, k0, lambda k: out[k, ...]):
         pass
     return out
 

@@ -156,7 +156,11 @@ def _lam_contract(grid: Grid, X, L_max, adjoint=False):
     |lam|.  A block is therefore built and contracted on the radii before
     the first zero of its smallest |lam| row only; the adjoint's rows
     beyond them are set to 0.  On the default 256 x 512 grid that skips
-    25 % of the kernel entries.
+    25 % of the kernel entries.  A NaN or inf sample at such a radius (or,
+    for the adjoint, in a lam row of such a block) therefore reaches only
+    the frequencies whose kernel is nonzero there: the forward output at the
+    other |lam| and the adjoint's cut rows stay finite, where a product with
+    the exact-zero kernel would have made them NaN.
     """
     n_s, izero = grid.n_s, grid.izero
     Z = np.empty((n_s, grid.n_rho if adjoint else L_max + 1, X.shape[-1]), dtype=complex)

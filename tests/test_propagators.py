@@ -221,7 +221,7 @@ def test_schrodinger_evolve_peak_memory_is_about_two_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.3 * u.values.nbytes
+    assert peak <= 2.6 * u.values.nbytes
 
 
 SCHRODINGER_TABLE = [

@@ -163,16 +163,12 @@ def test_wigner_radial_table_consistency():
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("lam", [10.0, np.array([[6.0], [8.0], [10.0]])])
 def test_table_fill_equals_stacked_kernel_rows(lam, d, lmax):
-    """The in-place fill runs the kernel_rows recurrence bit for bit; on u
-    from 0 to ~2900, past e^{-u/2}'s underflow at ~1490, the outer radii it
-    leaves out are exactly 0 in every band."""
+    """The in-place fill runs the kernel_rows recurrence bit for bit, on u
+    from 0 to ~2900, past e^{-u/2}'s underflow at ~1490."""
     rho = np.linspace(0.0, 12.0, 97)
     tab = wigner_radial_table(lmax, lam, rho, d)
     u = 2.0 * lam * rho**2
     assert np.array_equal(tab, np.stack(list(kernel_rows(lmax, u, d))))
-    dead = np.exp(u / -2) == 0.0
-    assert dead[..., -1].all() and not dead[..., 0].any()
-    assert np.all(tab[:, dead] == 0.0) and np.all(np.isfinite(tab))
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 3])

@@ -343,6 +343,28 @@ def test_lam_contract_bytes_do_not_depend_on_block_size(monkeypatch, d, adjoint)
     assert len(set(out)) == 1
 
 
+def test_nonfinite_sample_at_underflowed_radius_reaches_only_live_frequencies(monkeypatch):
+    """The contraction leaves out the radii where the kernel is exactly 0,
+    so a NaN there spreads to the small |lam| only, in both directions.
+    One |lam| row per block makes the cut exact at every frequency."""
+    from hharm import transform
+
+    monkeypatch.setattr(transform, "_LAM_BLOCK", 1)
+    grid = Grid(d=1, n_rho=48, r_max=12.0, n_s=128, s_half=20.0)
+    live = wigner_radial_table(0, grid.lam, grid.rho[-1])[0] != 0.0
+    live[grid.izero] = True
+    assert live.any() and not live.all()
+    values = np.ones((grid.n_rho, grid.n_s), dtype=complex)
+    values[-1, 5] = np.nan
+    theta = _forward_samples(grid, values, 4)
+    assert np.isnan(theta[:, live & (grid.lam != 0)]).all()
+    assert np.isfinite(theta[:, ~live]).all()
+    X = np.ones((grid.n_s, 5, 1), dtype=complex)
+    X[~live] = np.nan
+    G = transform._lam_contract(grid, X, 4, adjoint=True)
+    assert np.isnan(G[~live, 0]).all() and not G[~live, -1].any()
+
+
 _THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
