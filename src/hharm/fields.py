@@ -448,9 +448,16 @@ class GaussianClosure:
         )
 
     def sample(self, grid: Grid) -> RadialField:
-        return RadialField(
-            grid, self.values(grid.rho[:, None], grid.s[None, :])
-        )
+        buf = np.empty((grid.n_rho, grid.n_s), dtype=complex)
+        return RadialField(grid, self._sample_into(grid, buf))
+
+    def _sample_into(self, grid: Grid, buf):
+        """`values` on the grid, written into buf (n_rho, n_s) from its three
+        1-D factors, with the products in the order `values` takes them."""
+        radial = self.amp * np.exp(-self.a * grid.rho**2)
+        np.multiply(radial[:, None], np.exp(-self.b * (grid.s - self.s0) ** 2), out=buf)
+        buf *= np.exp(1j * self.omega * grid.s)
+        return buf
 
     def phat(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -492,7 +499,9 @@ def random_packet(rng, d=1, n_terms=2, omega_range=(4.0, 6.5)):
 
 
 def sample_packets(parts, grid: Grid) -> RadialField:
+    """The sum of the closures' samples on the grid, through one scratch buffer."""
     out = np.zeros((grid.n_rho, grid.n_s), dtype=complex)
+    buf = np.empty_like(out)
     for p in parts:
-        out += p.sample(grid).values
+        out += p._sample_into(grid, buf)
     return RadialField(grid, out)

@@ -22,11 +22,21 @@ multiplicity, which K_ell already carries.
 Both surfaces are lists of rays (ell, lam) off the lambda lattice, so
 restriction and extension are one ray contraction and its adjoint.
 `_restrict_rays` evaluates the transform of samples (Q, n_rho, n_s) on rays
-lam[ell, q]: one batched @ against h_s e^{-+ i s lam} (the exact nonuniform
-DFT in s), then the kernels K_ell(lam, rho) against the radial weights.
+lam[ell, q] rho first, as the transform does: one real gemm of the weighted
+kernel table w_radial K_ell(lam, rho), (Q, L+1, n_rho), with the samples
+read as interleaved float64, then each (q, ell) row dotted with its phase
+row h_s e^{-+ i s lam} (the exact nonuniform DFT in s).  The table depends
+only on the radial rule and the rays, and the verify suites restrict 200
+samples per geometry, so `_ray_table` keeps the last few tables of at most
+`_RAY_TABLE_BYTES` (1 MB), read-only, keyed on d and the bytes of the
+radial nodes, the radial weights and the rays; larger ones are built per
+call.  The complex phase rows are rebuilt on every call: keeping them as
+well raised the peak resident memory of `hharm verify all` by far more than
+their size, as the allocator keeps the freed blocks around them.
 `_extend_rays` synthesises from ray values with one @ over the flattened
-(ell, q) axis.  The sphere is one ray per band (Q = 1); the paraboloid first
-contracts t against w_t e^{-i t alpha} and has a ray per Gauss node alpha_q.
+(ell, q) axis and builds its kernels per call.  The sphere is one ray per
+band (Q = 1); the paraboloid first contracts t against w_t e^{-i t alpha}
+and has a ray per Gauss node alpha_q.
 
 Pairings of smooth spectral functions against these measures converge like
 sum (2 ell + d)^{-(d+1)}; band tails are completed by a continuation
@@ -38,6 +48,7 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -367,25 +378,52 @@ def _bands(L_max: int) -> np.ndarray:
     return np.arange(L_max + 1)
 
 
+# Weighted ray-kernel tables of at most this many bytes are kept between
+# calls, the last _RAY_TABLES of them: the verify suites' sphere and
+# paraboloid tables are 34-460 KB.  A larger ray set is built per call.
+_RAY_TABLE_BYTES = 1 << 20
+_RAY_TABLES = 4
+
+
+@lru_cache(maxsize=_RAY_TABLES)
+def _ray_table(d, rho, w_radial, lam, shape):
+    """Read-only w_radial K_ell(lam[ell, q], rho), shape (Q, L+1, n_rho), for
+    rays lam of `shape` (L+1, Q); rho, w_radial and lam come as the bytes of
+    their float64 arrays, so the key is everything the table is built from."""
+    rho, w_radial = np.frombuffer(rho), np.frombuffer(w_radial)
+    lam = np.frombuffer(lam).reshape(shape)
+    K = _kernel_diag(np.arange(shape[0]), 2.0 * lam[:, :, None] * rho**2, d)
+    wK = np.multiply(K.transpose(1, 0, 2), w_radial, order="C")
+    wK.flags.writeable = False
+    return wK
+
+
+def _ray_kernel(grid: Grid, lam):
+    """`_ray_table` of the grid's radial rule on rays lam (L+1, Q), kept
+    between calls when it fits in _RAY_TABLE_BYTES."""
+    key = (grid.d, grid.rho.tobytes(), grid.w_radial.tobytes(), lam.tobytes(), lam.shape)
+    if lam.size * grid.n_rho * 8 > _RAY_TABLE_BYTES:
+        return _ray_table.__wrapped__(*key)
+    return _ray_table(*key)
+
+
 def _restrict_rays(grid: Grid, values, lam):
     """theta_+-[ell, q] = mult^{-1} int K_ell(lam, Y) e^{-+ i s lam} values[q] dY ds.
 
     `values` (Q, n_rho, n_s) are samples and `lam` (L+1, Q) positive ray
     frequencies off the lambda lattice; the s-integral is the exact
     nonuniform DFT of the samples (the trigonometric interpolant of the grid
-    spectrum).  Returns theta_plus, theta_minus, each (L+1, Q).
+    spectrum).  One real gemm contracts rho, then an einsum dots each
+    (q, ell) row with its phase row.  Returns theta_plus, theta_minus, each
+    (L+1, Q).
     """
-    n_l, n_q = lam.shape
-    E = grid.h_s * np.exp(-1j * (grid.s[:, None] * lam.T[:, None, :]))  # (Q, n_s, L+1)
-    F = values[:, None] @ np.stack([E, np.conj(E)], axis=1)  # (Q, 2, n_rho, L+1)
-    K = _kernel_diag(np.arange(n_l), 2.0 * lam[:, :, None] * grid.rho**2, grid.d)
-    wK = K.transpose(1, 2, 0) * grid.w_radial[:, None]  # (Q, n_rho, L+1)
-    mult = _mult_table(n_l - 1, grid.d)
-    # rho is not the innermost axis of the product, so numpy sums it in
-    # order rather than pairwise: the golden sphere-duality figure is a
-    # rounding-level number that depends on this order
-    theta = (F * wK[:, None]).sum(axis=2) / mult
-    return theta[:, 0].T, theta[:, 1].T
+    V = np.ascontiguousarray(values, dtype=complex)
+    W = np.matmul(_ray_kernel(grid, lam), V.view(float)).view(complex)  # (Q, L+1, n_s)
+    E = grid.h_s * np.exp(-1j * (lam.T[:, :, None] * grid.s))  # (Q, L+1, n_s)
+    mult = _mult_table(lam.shape[0] - 1, grid.d)
+    tp = np.einsum("qls,qls->ql", W, E) / mult
+    tm = np.einsum("qls,qls->ql", W, np.conj(E)) / mult
+    return tp.T, tm.T
 
 
 def _extend_rays(grid: Grid, A, lam, c_plus, c_minus):

@@ -321,3 +321,20 @@ def test_random_packet_deterministic_and_sampled():
     f = sample_packets(parts, G)
     total = sum(p.values(G.rho[:, None], G.s[None, :]) for p in parts)
     assert np.array_equal(f.values, np.asarray(total, dtype=complex))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("grid_kw", [dict(n_rho=64, n_s=128, s_half=20.0),
+                                     dict(n_rho=256, n_s=512, s_half=40.0)])
+def test_sampled_packets_have_the_bytes_of_values(d, grid_kw):
+    """sample() and sample_packets build the samples from 1-D factors in one
+    buffer; the bytes equal those of values() on the 2-D grid, summed."""
+    grid = Grid(d=d, **grid_kw)
+    rho, s = grid.rho[:, None], grid.s[None, :]
+    parts = random_packet(np.random.default_rng(50 + d), d=d, n_terms=3)
+    parts.append(GaussianClosure(d=d, a=0.9, b=0.5, omega=-1.5, s0=0.3, amp=0.7 + 0.2j))
+    total = np.zeros((grid.n_rho, grid.n_s), dtype=complex)
+    for p in parts:
+        assert p.sample(grid).values.tobytes() == p.values(rho, s).tobytes()
+        total += p.values(rho, s)
+    assert sample_packets(parts, grid).values.tobytes() == total.tobytes()

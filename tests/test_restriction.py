@@ -10,8 +10,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hharm.fields import GaussianClosure, Grid, RadialField, SpaceTimeField, l2_inner
+from hharm import restriction
+from hharm.fields import (
+    GaussianClosure,
+    Grid,
+    RadialField,
+    SpaceTimeField,
+    l2_inner,
+    random_packet,
+    sample_packets,
+)
 from hharm.restriction import (
+    _alpha_rule,
+    _kernel_diag,
+    _ray_kernel,
+    _ray_table,
+    _restrict_rays,
+    _sphere_rays,
     SigmaMeasure,
     SigmaValues,
     SphereMeasure,
@@ -27,7 +42,7 @@ from hharm.restriction import (
     sphere_norm_sq,
     sphere_pair,
 )
-from hharm.specfun import multiplicity
+from hharm.specfun import _mult_table, multiplicity
 from hharm.windows import ball_profile
 
 
@@ -312,3 +327,120 @@ def test_extend_rejects_values_of_another_dimension():
     vs = SigmaValues(SigmaMeasure(), 1, al, wa, np.ones((2, 3)), np.ones((2, 3)))
     with pytest.raises(ValueError):
         extend_sigma(vs, g2.with_times([0.0, 0.1]))
+
+
+# ---------------------------------------------------------------------------
+# Ray contraction: rho first against a stored real kernel table
+# ---------------------------------------------------------------------------
+
+def _restrict_rays_reference(grid, values, lam):
+    """The ray restriction contracted s first: one complex gemm of the
+    samples against h_s e^{-+ i s lam}, then the weighted kernels summed
+    over rho."""
+    n_l = lam.shape[0]
+    E = grid.h_s * np.exp(-1j * (grid.s[:, None] * lam.T[:, None, :]))  # (Q, n_s, L+1)
+    F = values[:, None] @ np.stack([E, np.conj(E)], axis=1)  # (Q, 2, n_rho, L+1)
+    K = _kernel_diag(np.arange(n_l), 2.0 * lam[:, :, None] * grid.rho**2, grid.d)
+    wK = K.transpose(1, 2, 0) * grid.w_radial[:, None]  # (Q, n_rho, L+1)
+    theta = (F * wK[:, None]).sum(axis=2) / _mult_table(n_l - 1, grid.d)
+    return theta[:, 0].T, theta[:, 1].T
+
+
+def _sphere_lam(L, d, R=1.0):
+    return _sphere_rays(np.arange(L + 1), d, R)[0][:, None]
+
+
+def _sigma_lam(L, d, n_alpha=12):
+    c = 1.0 / (4.0 * (2.0 * np.arange(L + 1) + d))
+    return c[:, None] * _alpha_rule(SigmaMeasure(), n_alpha)[0]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("rays", ["sphere", "sigma"])
+def test_restrict_rays_matches_complex_gemm_reference(d, rays):
+    rng = np.random.default_rng(30 + d)
+    grid = _grid(d)
+    lam = _sphere_lam(32, d) if rays == "sphere" else _sigma_lam(12, d)
+    shape = (lam.shape[1], grid.n_rho, grid.n_s)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for got, ref in zip(_restrict_rays(grid, values, lam),
+                        _restrict_rays_reference(grid, values, lam)):
+        assert got.shape == ref.shape == lam.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_stored_ray_tables_give_bit_equal_restrictions(monkeypatch):
+    rng = np.random.default_rng(33)
+    grid = _grid(2)
+    f = RadialField(grid, rng.standard_normal((grid.n_rho, grid.n_s))
+                    + 1j * rng.standard_normal((grid.n_rho, grid.n_s)))
+    gt = grid.with_times(np.linspace(0.0, 0.25, 4))
+    u = SpaceTimeField(gt, rng.standard_normal((4, grid.n_rho, grid.n_s))
+                       + 1j * rng.standard_normal((4, grid.n_rho, grid.n_s)))
+
+    def run():
+        sv = restrict_sphere(f, SphereMeasure(), L_max=16)
+        gv = restrict_sigma(u, SigmaMeasure(), L_max=8, n_alpha=10)
+        return [a.tobytes() for a in (sv.theta_plus, sv.theta_minus,
+                                      gv.theta_plus, gv.theta_minus)]
+
+    _ray_table.cache_clear()
+    run()
+    stored = run()
+    assert _ray_table.cache_info().hits == 2
+    monkeypatch.setattr(restriction, "_ray_table", _ray_table.__wrapped__)
+    assert run() == stored
+
+
+def test_stored_ray_table_is_read_only():
+    table = _ray_kernel(GRID, _sphere_lam(8, 1))
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+
+
+def test_ray_tables_are_keyed_on_the_radial_rule_and_the_rays():
+    """A grid that differs in d, n_rho or r_max, or another ray set, is a new
+    entry; another s axis is the same one."""
+    base = dict(d=1, n_rho=32, r_max=12.0, n_s=64, s_half=20.0)
+    cases = [(base, 1.0), (dict(base, d=2), 1.0), (dict(base, n_rho=40), 1.0),
+             (dict(base, r_max=10.0), 1.0), (base, 2.0)]
+    _ray_table.cache_clear()
+    for kw, R in cases:
+        grid = Grid(**kw)
+        lam = _sphere_lam(8, grid.d, R)
+        misses = _ray_table.cache_info().misses
+        first = _ray_kernel(grid, lam)
+        assert _ray_table.cache_info().misses == misses + 1
+        assert _ray_kernel(grid, lam) is first
+        assert _ray_table.cache_info().misses == misses + 1
+        assert _ray_kernel(Grid(**dict(kw, n_s=128, s_half=30.0)), lam) is first
+
+
+def test_ray_tables_over_the_byte_bound_are_not_kept():
+    lam = _sigma_lam(119, 1)  # 12 x 120 x 96 float64: 1.1 MB
+    assert lam.size * GRID.n_rho * 8 > restriction._RAY_TABLE_BYTES
+    _ray_table.cache_clear()
+    table = _ray_kernel(GRID, lam)
+    assert _ray_table.cache_info().currsize == 0
+    assert table.tobytes() == _ray_table.__wrapped__(
+        1, GRID.rho.tobytes(), GRID.w_radial.tobytes(), lam.tobytes(), lam.shape).tobytes()
+
+
+def test_sphere_ratio_loop_builds_its_table_once():
+    """The sphere suite's ratio loop at one refinement: 200 samples on one
+    geometry, one table build."""
+    rng = np.random.default_rng(41)
+    grid = Grid(d=1, n_rho=128, r_max=12.0, n_s=256, s_half=40.0)
+    _ray_table.cache_clear()
+    for _ in range(200):
+        f = sample_packets(random_packet(rng, d=1, omega_range=(0.0, 1.5)), grid)
+        restrict_sphere(f, SphereMeasure(1.0), L_max=32)
+    info = _ray_table.cache_info()
+    assert (info.misses, info.hits) == (1, 199)
+
+
+def test_restrict_nan_sample_gives_nan_theta():
+    values = np.zeros((GRID.n_rho, GRID.n_s), dtype=complex)
+    values[40, 100] = np.nan
+    vals = restrict_sphere(RadialField(GRID, values), SphereMeasure(), L_max=8)
+    assert np.isnan(vals.theta_plus).all() and np.isnan(vals.theta_minus).all()

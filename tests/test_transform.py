@@ -368,7 +368,8 @@ def test_nonfinite_sample_at_underflowed_radius_reaches_only_live_frequencies(mo
 _THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
-from hharm.fields import Grid
+from hharm.fields import Grid, RadialField, SpaceTimeField
+from hharm.restriction import SigmaMeasure, SphereMeasure, restrict_sigma, restrict_sphere
 from hharm.transform import _forward_samples, _inverse_samples
 digest = hashlib.sha256()
 rng = np.random.default_rng(7)
@@ -379,13 +380,19 @@ for r_max in (8.0, 12.0):
     theta = _forward_samples(grid, v, 40)
     f = _inverse_samples(grid, theta)
     digest.update(theta.tobytes() + f.tobytes())
+    sv = restrict_sphere(RadialField(grid, v[0]), SphereMeasure(), L_max=40)
+    u = SpaceTimeField(grid.with_times(np.linspace(0.0, 0.25, 16)), v)
+    gv = restrict_sigma(u, SigmaMeasure(), L_max=12, n_alpha=12)
+    for a in (sv.theta_plus, sv.theta_minus, gv.theta_plus, gv.theta_minus):
+        digest.update(a.tobytes())
 sys.stdout.write(digest.hexdigest())
 """
 
 
 def test_band_contraction_bytes_do_not_depend_on_thread_count():
-    """forward/inverse reach BLAS gemm; its results must not depend on how
-    many threads HH_THREADS gives the BLAS pool."""
+    """forward/inverse and the sphere and paraboloid restrictions reach BLAS
+    gemm; their results must not depend on how many threads HH_THREADS gives
+    the BLAS pool."""
     import os
     import subprocess
     import sys
