@@ -20,10 +20,9 @@ from .fields import RadialField, l2_norm
 from .propagators import (
     CauchyDataS,
     CauchyDataW,
+    _wave_evolve_with_energy,
     schrodinger_evolve,
     transport_reference,
-    wave_energy_series,
-    wave_evolve,
 )
 from .transform import (
     SpectralField,
@@ -173,8 +172,7 @@ def cmd_propagate(args) -> int:
                 _err("--u1 grid does not match the --in grid")
                 return EXIT_USAGE
         data = CauchyDataW(sf0, u1)
-        st = wave_evolve(data, times)
-        energy = wave_energy_series(data, times)
+        st, energy = _wave_evolve_with_energy(data, times)
         drift = float(np.abs(energy / energy[0] - 1.0).max()) if energy[0] else 0.0
         print(f"wave evolution over {times.size} times, t in [0, {t_final:g}]")
         print(f"energy conservation drift: {drift:.3e}")

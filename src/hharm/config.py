@@ -7,7 +7,7 @@ import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .fields import Grid, radial_weights_finite
+from .fields import N_RHO_MAX, Grid, radial_weights_finite
 
 __all__ = ["ConfigError", "RunConfig", "SCHEMA"]
 
@@ -42,8 +42,8 @@ class RunConfig:
             raise ConfigError("d must be >= 1")
         if self.L_max < 0:
             raise ConfigError("L_max must be >= 0")
-        if self.n_rho < 8:
-            raise ConfigError("n_rho must be >= 8")
+        if not 8 <= self.n_rho <= N_RHO_MAX:
+            raise ConfigError(f"n_rho must be >= 8 and <= {N_RHO_MAX}")
         if self.n_s < 8 or self.n_s & (self.n_s - 1):
             raise ConfigError("n_s must be a power of two and >= 8")
         for name in ("r_max", "s_half", "t_final"):

@@ -38,6 +38,10 @@ from math import factorial, isfinite
 import numpy as np
 from scipy.special import roots_legendre
 
+from .specfun import _FLOOR
+
+_LOG_FLOOR = np.log(_FLOOR)
+
 __all__ = [
     "Grid",
     "RadialField",
@@ -74,6 +78,12 @@ def radial_weights_finite(d: int, r_max: float) -> bool:
         return False
 
 
+# The largest number of radial nodes a Grid takes.  Its Gauss-Legendre rule
+# costs about n_rho^2 to build (about 2 s at this size, 3.1 s at 10000), and
+# an HHFLD header or a config may ask for any size.
+N_RHO_MAX = 8192
+
+
 @lru_cache(maxsize=8)
 def _legendre_rule(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared by
@@ -86,7 +96,11 @@ def _legendre_rule(n: int):
 
 @dataclass
 class Grid:
-    """Tensor grid for radial fields on H^d (optionally with a time axis)."""
+    """Tensor grid for radial fields on H^d (optionally with a time axis).
+
+    n_rho is at most N_RHO_MAX (8192); a larger grid is refused with
+    ValueError before its Gauss-Legendre rule is built.
+    """
 
     d: int = 1
     n_rho: int = 256
@@ -106,6 +120,8 @@ class Grid:
             v = getattr(self, name)
             if not isinstance(v, (int, np.integer)) or v < 1:
                 raise ValueError(f"{name} must be an int >= 1, got {v!r}")
+        if self.n_rho > N_RHO_MAX:
+            raise ValueError(f"n_rho must be <= {N_RHO_MAX}, got {self.n_rho}")
         if self.n_s % 2:
             raise ValueError("n_s must be even")
         if not all(np.isfinite(v) and v > 0 for v in (self.r_max, self.s_half)):
@@ -418,10 +434,22 @@ def dilate(f: RadialField, a: float) -> RadialField:
 # ---------------------------------------------------------------------------
 # Analytic closures for test data
 # ---------------------------------------------------------------------------
+#
+# A closure's samples are exact 0 where |amp| e^{-a rho^2} e^{-b (s-s0)^2}
+# is below the normal-range floor `specfun._FLOOR` = 2^-969, so their
+# Gaussian tails hold no subnormal float for the transforms and restrictions
+# to run on.  The cut is decided from the exponents
+# log|amp| - a rho^2 - b (s-s0)^2 before the 2-D product is formed, and the
+# product is formed only where it is kept.  Sampled data from elsewhere is
+# used as given: subnormal values in it are not flushed.
 
 @dataclass
 class GaussianClosure:
     """Separable packet amp * e^{-a rho^2} * e^{-b (s-s0)^2} e^{i omega s}.
+
+    Sampled (`values`, `sample`), it is exact 0 wherever
+    |amp| e^{-a rho^2} e^{-b (s-s0)^2} < 2^-969, the floor that keeps the
+    samples in the normal floating-point range (see the section comment).
 
     Carries its own s-Fourier transform and, through the Laplace transform of
     the Laguerre family, the exact spectral coefficients: with
@@ -440,24 +468,34 @@ class GaussianClosure:
     def values(self, rho, s):
         rho = np.asarray(rho, dtype=float)
         s = np.asarray(s, dtype=float)
-        return (
-            self.amp
-            * np.exp(-self.a * rho**2)
-            * np.exp(-self.b * (s - self.s0) ** 2)
-            * np.exp(1j * self.omega * s)
-        )
+        out = np.empty(np.broadcast_shapes(rho.shape, s.shape), dtype=complex)
+        return self._fill(rho, s, out)[()]
 
     def sample(self, grid: Grid) -> RadialField:
         buf = np.empty((grid.n_rho, grid.n_s), dtype=complex)
         return RadialField(grid, self._sample_into(grid, buf))
 
     def _sample_into(self, grid: Grid, buf):
-        """`values` on the grid, written into buf (n_rho, n_s) from its three
-        1-D factors, with the products in the order `values` takes them."""
-        radial = self.amp * np.exp(-self.a * grid.rho**2)
-        np.multiply(radial[:, None], np.exp(-self.b * (grid.s - self.s0) ** 2), out=buf)
-        buf *= np.exp(1j * self.omega * grid.s)
-        return buf
+        """`values` on the grid, written into buf (n_rho, n_s)."""
+        return self._fill(grid.rho[:, None], grid.s, buf)
+
+    def _fill(self, rho, s, out):
+        """`values` at broadcast rho and s, written into out: the products
+        amp e^{-a rho^2}, times e^{-b (s-s0)^2}, times e^{i omega s} on the
+        entries above the floor, and 0 on the others.  A NaN exponent keeps
+        its entry, so NaN parameters give NaN samples."""
+        e_r = -self.a * rho**2
+        with np.errstate(divide="ignore"):  # amp = 0 cuts every entry
+            log_r = np.log(abs(self.amp)) + e_r
+        e_s = -self.b * (s - self.s0) ** 2
+        keep = ~(e_s < _LOG_FLOOR - log_r)
+        # complex before the masked product: a real one would be cast
+        # through the complex `out` and warn
+        radial = np.asarray(self.amp * np.exp(e_r), dtype=complex)
+        out.fill(0.0)
+        np.multiply(radial, np.exp(e_s), out=out, where=keep)
+        out *= np.exp(1j * self.omega * s)
+        return out
 
     def phat(self, lam):
         lam = np.asarray(lam, dtype=float)

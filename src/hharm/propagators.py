@@ -104,10 +104,27 @@ def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:
     implementation honestly.
     """
     up, um, omega = _halfwave_split(data, times)
-    uh = up + um
-    vh = 1j * omega * (up - um)  # d/dt of the spectrum
+    return _wave_energy(data, up, um, omega, up + um)
+
+
+def _wave_energy(data: CauchyDataW, up, um, omega, uh):
+    vh = 1j * omega * (up - um)  # d/dt of the spectrum uh = up + um
     dens = omega**2 * np.abs(uh) ** 2 + np.abs(vh) ** 2
     return (data.u0.weights() * dens).sum(axis=(-2, -1))
+
+
+def _wave_evolve_with_energy(data: CauchyDataW, times):
+    """(wave_evolve, wave_energy_series) of one datum, bit for bit, from one
+    half-wave split.  The energy is summed first, and the half-wave spectra
+    are freed before the synthesis, so the peak memory is that of the
+    synthesis of up + um alone."""
+    times = np.asarray(times, dtype=float)
+    up, um, omega = _halfwave_split(data, times)
+    uh = up + um
+    energy = _wave_energy(data, up, um, omega, uh)
+    del up, um
+    grid = data.u0.grid
+    return SpaceTimeField(grid.with_times(times), _inverse_samples(grid, uh)), energy
 
 
 def transport_reference(u0: RadialField, ell: int, t: float) -> RadialField:

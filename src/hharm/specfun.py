@@ -15,10 +15,22 @@ Special Functions*, 2007).  Those values are bounded by the multiplicity, so no
 band count overflows, whereas the product of an unscaled L_ell(u) with an
 underflowed e^{-u/2} gives inf * 0 = NaN.  The transform, the propagators,
 restriction, extension and twisted convolution all draw their kernels from
-it.  Once e^{-u/2} underflows to 0 (u > ~1490), every K_ell is exactly 0,
-and the transform leaves those outer radii out of its tables and
-contractions.  The unscaled `laguerre_table` remains for quadrature rules
-whose weight already carries the exponential.
+it.
+
+The starting row K_0 = e^{-u/2} is set to 0 where it falls below the
+normal-range floor `_FLOOR` = tiny * 2^53 = 2^-969 (u > 1938 ln 2, about
+1343.3), and the linear recurrence then gives exact 0 in every band there.
+So no kernel table holds a subnormal float, and no gemm, FFT or sum over it
+runs on one (an x86 product that touches a subnormal value is about 8x
+slower).  What the cut drops is small while the bands are: past the
+largest Laguerre zero, e^{-u/2} |L_ell(u)| falls with u, and at u = 1343 it
+is about 1e-182 for ell = 64 and 5e-26 for ell = 256, against
+K_ell(0) = multiplicity.  From ell ~ 300 on the kernel is no longer small
+there, and the cut truncates it, as the underflow of e^{-u/2} at u ~ 1490
+already did.  Where K_0 is 0, every K_ell is exactly 0, and the transform
+leaves those outer radii out of its tables and contractions.  The unscaled
+`laguerre_table` remains for quadrature rules whose weight already carries
+the exponential.
 """
 
 from __future__ import annotations
@@ -26,6 +38,15 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
+
+# The normal-range floor of the Gaussian tails: tiny * 2^53 = 2^-969.  A
+# value at or above it is a normal float, and so is every nonzero sum or
+# difference of two such values (their exact result is a multiple of
+# 2^-1021), and the real and imaginary parts of m e^{i x}, |m| >= 2^-969,
+# stay normal while |cos x| and |sin x| exceed 2^-53.  `kernel_rows`,
+# `wigner_radial_table` and `fields.GaussianClosure` set the factors they
+# produce below it to exact 0.
+_FLOOR = np.finfo(float).tiny * 2.0**53
 
 __all__ = [
     "kernel_rows",
@@ -46,14 +67,23 @@ def kernel_rows(lmax, u, d=1):
         (k+1) K_{k+1} = (2k+d-u) K_k - (k+d-1) K_{k-1},
 
     started from K_0 = e^{-u/2} and K_1 = (d-u) e^{-u/2}; it is linear, so
-    the scaled functions obey it unchanged.  Each yielded array is fresh
-    (callers may keep it) and has the shape of `u`, which may stack any
-    number of arguments, e.g. one row of per-band arguments per band.
+    the scaled functions obey it unchanged.  K_0 is 0 where e^{-u/2} is
+    below `_FLOOR`, so every band is exactly 0 there.  Each yielded array is
+    fresh (callers may keep it) and has the shape of `u`, which may stack
+    any number of arguments, e.g. one row of per-band arguments per band.
     """
     u = np.asarray(u, dtype=float)
-    k0 = np.exp(u / -2)
+    k0 = _start(u, np.empty(u.shape))
     yield k0
     yield from _recurrence(lmax, u, d, k0, lambda k: np.empty(u.shape))
+
+
+def _start(u, out):
+    """K_0 = e^{-u/2} written into out, set to 0 where it is below `_FLOOR`
+    (a NaN u stays NaN)."""
+    np.exp(np.divide(u, -2, out=out), out=out)
+    np.copyto(out, 0.0, where=out < _FLOOR)
+    return out
 
 
 def _recurrence(lmax, u, d, k0, row):
@@ -125,11 +155,11 @@ def wigner_radial_table(lmax, lam, rho, d=1):
     shape of lam and rho (the transform passes a column of |lam| rows).
 
     The table is filled in place, band by band, by the `kernel_rows`
-    recurrence, with no per-band temporaries.
+    recurrence (with its floor on K_0), with no per-band temporaries.
     """
     u = 2.0 * np.abs(lam) * np.asarray(rho, dtype=float) ** 2
     out = np.empty((lmax + 1,) + u.shape)
-    k0 = np.exp(np.divide(u, -2, out=out[0, ...]), out=out[0, ...])
+    k0 = _start(u, out[0, ...])
     for _ in _recurrence(lmax, u, d, k0, lambda k: out[k, ...]):
         pass
     return out

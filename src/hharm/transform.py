@@ -38,9 +38,13 @@ matrix product with the (L+1, n_rho) kernel table K(lam): one BLAS gemm
 per block of |lam| rows and sign of lam (`_lam_contract`).  The table is
 evaluated on the even half lam > 0 only, 32 |lam| rows at a time (about
 4 MB at 65 bands x 256 radii), filled in place and only on the radii where
-it is not underflowed to 0.  It is rebuilt on every call and never stored:
-the default grid's tables would raise the resident memory by more than the
-benchmark's 10 % peak-RSS bound.  Batch axes (times, alpha, stacked
+it is not 0.  The kernel is exactly 0 where e^{-|lam| rho^2} is below the
+floor 2^-969 (`specfun._FLOOR`, u = 2 |lam| rho^2 > 1343), so its tables
+hold no subnormal float, and neither do the samples of a `GaussianClosure`:
+no gemm or FFT here runs on one unless the caller's data brings it.  The
+table is rebuilt on every call and never stored: the default grid's tables
+would raise the resident memory by more than the benchmark's 10 % peak-RSS
+bound.  Batch axes (times, alpha, stacked
 samples) and the real and imaginary parts are the gemm columns.  The
 inverse's s-synthesis then writes one C-ordered buffer, which the returned
 field keeps as its values.
@@ -151,16 +155,17 @@ def _lam_contract(grid: Grid, X, L_max, adjoint=False):
     so the real kernel sees the real and imaginary parts of every batch
     index as 2B gemm columns.
 
-    K is exactly 0 at the radii where e^{-|lam| rho^2} underflows, and for
-    the ascending rho these form a tail that is longest at the largest
-    |lam|.  A block is therefore built and contracted on the radii before
-    the first zero of its smallest |lam| row only; the adjoint's rows
-    beyond them are set to 0.  On the default 256 x 512 grid that skips
-    25 % of the kernel entries.  A NaN or inf sample at such a radius (or,
-    for the adjoint, in a lam row of such a block) therefore reaches only
-    the frequencies whose kernel is nonzero there: the forward output at the
-    other |lam| and the adjoint's cut rows stay finite, where a product with
-    the exact-zero kernel would have made them NaN.
+    K is exactly 0 at the radii where e^{-|lam| rho^2} is below the floor
+    `specfun._FLOOR`, and for the ascending rho these form a tail that is
+    longest at the largest |lam|.  A block is therefore built and
+    contracted on the radii before the first zero of its smallest |lam| row
+    only; the adjoint's rows beyond them are set to 0.  On the default
+    256 x 512 grid that skips 28 % of the kernel entries.  A NaN or inf
+    sample at such a radius (or, for the adjoint, in a lam row of such a
+    block) therefore reaches only the frequencies whose kernel is nonzero
+    there: the forward output at the other |lam| and the adjoint's cut rows
+    stay finite, where a product with the exact-zero kernel would have made
+    them NaN.
     """
     n_s, izero = grid.n_s, grid.izero
     Z = np.empty((n_s, grid.n_rho if adjoint else L_max + 1, X.shape[-1]), dtype=complex)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from hharm.cli import EXIT_OK, EXIT_REFUSED, EXIT_TOLERANCE, EXIT_USAGE, main
 from hharm.config import SCHEMA, ConfigError, RunConfig
 from hharm.container import read_hhfld, write_hhfld
-from hharm.fields import Grid, RadialField
-from hharm.transform import SpectralField, inverse
+from hharm.fields import N_RHO_MAX, Grid, RadialField
+from hharm.transform import SpectralField, forward, inverse
 from hharm.windows import bump
 
 
@@ -52,6 +52,7 @@ def test_config_defaults():
         ({"seed": -3}, "seed must be >= 0"),
         ({"seed": 1.5}, "seed must be an integer"),
         ({"seed": True}, "seed must be an integer"),
+        ({"n_rho": N_RHO_MAX + 1}, "n_rho must be >= 8 and <= 8192"),
     ],
 )
 def test_config_validation(kw, frag):
@@ -210,6 +211,21 @@ def test_config_refusals_are_usage_errors(tmp_path, cfg, frag, capsys):
     code = main(["verify", "hardy", "--config", str(p), "--out", str(tmp_path / "r.json")])
     assert code == EXIT_USAGE
     assert frag in capsys.readouterr().err
+
+
+def test_config_above_the_n_rho_cap_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """n_rho above the cap exits 2 before a Gauss-Legendre rule is built."""
+    from hharm import fields
+
+    def no_rule(n):
+        raise AssertionError("a Gauss-Legendre rule was built")
+
+    monkeypatch.setattr(fields, "roots_legendre", no_rule)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"n_rho": N_RHO_MAX + 1}))
+    code = main(["verify", "hardy", "--config", str(p), "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_USAGE
+    assert "n_rho" in capsys.readouterr().err
 
 
 def _edit_container(path, edit_header=None, edit_values=None):
@@ -375,6 +391,43 @@ def test_propagate_wave_zero_velocity(small_cfg, band_file, capsys):
     assert "energy conservation drift" in out
 
 
+@pytest.mark.parametrize("velocity", [False, True])
+def test_propagate_wave_splits_once_and_matches_the_public_pair(
+        tmp_path, small_cfg, small_grid, band_file, velocity, monkeypatch, capsys):
+    """`propagate --eq wave` runs the half-wave split once; its output file
+    holds the bytes of wave_evolve and its printed drift is that of
+    wave_energy_series."""
+    from hharm import propagators
+    from hharm.propagators import CauchyDataW, wave_energy_series, wave_evolve
+
+    sf0 = forward(read_hhfld(band_file), SMALL["L_max"])
+    if velocity:
+        theta1 = 0.5 * sf0.values * bump(np.abs(small_grid.lam), 0.6, 1.8)[None, :]
+        u1 = SpectralField(small_grid, theta1)
+        write_hhfld(tmp_path / "u1.hhfld", u1)
+        u1_arg = str(tmp_path / "u1.hhfld")
+    else:
+        u1 = SpectralField(small_grid, np.zeros_like(sf0.values))
+        u1_arg = "zero"
+    times = np.linspace(0.0, SMALL["t_final"], SMALL["n_t"])
+    data = CauchyDataW(sf0, u1)
+    st_ref = wave_evolve(data, times)
+    energy = wave_energy_series(data, times)
+    drift = float(np.abs(energy / energy[0] - 1.0).max())
+
+    calls = []
+    split = propagators._halfwave_split
+    monkeypatch.setattr(propagators, "_halfwave_split",
+                        lambda *a: calls.append(1) or split(*a))
+    out = tmp_path / "wave.hhfld"
+    code = main(["propagate", "--eq", "wave", "--in", band_file, "--u1", u1_arg,
+                 "--config", small_cfg, "--out", str(out)])
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    assert read_hhfld(out).values.tobytes() == st_ref.values.tobytes()
+    assert f"energy conservation drift: {drift:.3e}" in capsys.readouterr().out
+
+
 def test_propagate_wave_refuses_central_velocity(tmp_path, small_cfg, small_grid,
                                                  band_file, capsys):
     theta1 = np.zeros((5, small_grid.n_s), dtype=complex)
@@ -459,7 +512,9 @@ def test_verify_on_a_grid_too_small_for_the_data_fails_rows(tmp_path, suite, row
 
 # Grid and band sizes are capped (n_rho <= 64, n_s <= 128, L_max <= 16,
 # n_t <= 16): the fuzz checks exit codes, and an uncapped draw could ask for
-# gigabytes.  The caps are the only filter on the drawn values.
+# gigabytes.  The caps are the only filter on the drawn values, and an n_rho
+# above the library's N_RHO_MAX passes them: it is refused before any grid
+# is built.
 _SIZE_CAPS = {"n_rho": 64, "n_s": 128, "L_max": 16, "n_t": 16}
 
 _json = st.recursive(
@@ -476,7 +531,7 @@ _PLAUSIBLE = {
     "schema": st.just(SCHEMA),
     "d": st.integers(1, 400),
     "L_max": st.integers(0, 16),
-    "n_rho": st.integers(8, 64),
+    "n_rho": st.integers(8, 64) | st.integers(N_RHO_MAX + 1, 2**64),
     "r_max": _positive,
     "n_s": st.sampled_from([8, 16, 32, 64, 128]),
     "s_half": _positive,
@@ -491,6 +546,7 @@ _near_valid = st.fixed_dictionaries({}, optional=_PLAUSIBLE)
 
 def _small(cfg):
     return all(not isinstance(cfg.get(k), int) or cfg[k] <= cap
+               or (k == "n_rho" and cfg[k] > N_RHO_MAX)
                for k, cap in _SIZE_CAPS.items())
 
 
@@ -526,3 +582,6 @@ def test_fuzzed_config_exits_with_a_documented_code(fuzz_dir, raw, command):
     with np.errstate(all="ignore"):
         code = main(argv + ["--config", str(cfg)])
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_TOLERANCE, EXIT_REFUSED)
+    n_rho = raw.get("n_rho") if isinstance(raw, dict) else None
+    if isinstance(n_rho, int) and not isinstance(n_rho, bool) and n_rho > N_RHO_MAX:
+        assert code == EXIT_USAGE

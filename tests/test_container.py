@@ -256,6 +256,39 @@ def test_short_file_declaring_a_large_grid_is_refused_before_the_grid(
         read_hhfld(p)
 
 
+@pytest.mark.parametrize("kind", ["radial", "spectral"])
+def test_header_above_the_n_rho_cap_is_refused_before_the_rule(tmp_path, monkeypatch, kind):
+    """A file consistent in every size but with n_rho = N_RHO_MAX + 1 is
+    refused without building its Gauss-Legendre rule (about n_rho^2 work:
+    3.1 s at 10000 nodes).  A spectrum's payload does not grow with n_rho."""
+    from hharm import fields
+
+    n = fields.N_RHO_MAX + 1
+    small = Grid(d=1, n_rho=8, r_max=4.0, n_s=8, s_half=4.0)
+    obj = (RadialField(small, np.ones((8, 8))) if kind == "radial"
+           else SpectralField(small, np.ones((3, 8))))
+    p = tmp_path / "cap.hhfld"
+    write_hhfld(p, obj)
+    raw = p.read_bytes()
+    header = _header_of(raw)
+    header["grid"].update(n_rho=n, rho_nodes=np.linspace(0.0, 4.0, n).tolist(),
+                          rho_weights=np.full(n, 4.0 / n).tolist())
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    payload = raw[10 + hlen:]
+    if kind == "radial":
+        header["shape"] = [n, 8]
+        payload = np.ones((n, 8), dtype="<c16").tobytes()
+    blob = json.dumps(header, sort_keys=True).encode()
+    p.write_bytes(raw[:6] + struct.pack("<I", len(blob)) + blob + payload)
+
+    def no_rule(m):
+        raise AssertionError("the reader built a Gauss-Legendre rule")
+
+    monkeypatch.setattr(fields, "roots_legendre", no_rule)
+    with pytest.raises(HHFLDError, match="n_rho must be <= 8192"):
+        read_hhfld(p)
+
+
 # --- fuzzing: a returned field or HHFLDError, nothing else -----------------
 
 

@@ -107,6 +107,20 @@ def test_grids_share_one_gauss_legendre_rule(tmp_path, monkeypatch):
         w[0] = 0.0
 
 
+def test_grid_refuses_n_rho_above_the_cap(monkeypatch):
+    """The cap is checked before the Gauss-Legendre rule, whose cost grows as
+    n_rho^2."""
+    from hharm import fields
+
+    def no_rule(n):
+        raise AssertionError("a Gauss-Legendre rule was built")
+
+    monkeypatch.setattr(fields, "roots_legendre", no_rule)
+    assert fields.N_RHO_MAX == 8192
+    with pytest.raises(ValueError, match="n_rho must be <= 8192"):
+        Grid(n_rho=fields.N_RHO_MAX + 1)
+
+
 def test_radial_field_shape_guard():
     with pytest.raises(ValueError):
         RadialField(G, np.zeros((3, 3)))

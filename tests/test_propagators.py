@@ -176,6 +176,25 @@ def test_wave_evolve_equals_per_time_inverse(times):
     assert np.array_equal(wave_evolve(CauchyDataW(g0, g1), times).values, ref)
 
 
+def test_wave_evolve_with_energy_is_the_public_pair_from_one_split(monkeypatch):
+    """The CLI's one-split helper returns wave_evolve and wave_energy_series
+    bit for bit, and runs the half-wave split once."""
+    data = CauchyDataW(banded_spectrum(SMALL_G, L_max=3, seed=15),
+                       banded_spectrum(SMALL_G, L_max=3, seed=16))
+    times = np.linspace(0.0, 1.5, 4)
+    st_ref = wave_evolve(data, times)
+    energy_ref = wave_energy_series(data, times)
+    calls = []
+    split = propagators._halfwave_split
+    monkeypatch.setattr(propagators, "_halfwave_split",
+                        lambda *a: calls.append(1) or split(*a))
+    st, energy = propagators._wave_evolve_with_energy(data, times)
+    assert len(calls) == 1
+    assert st.values.tobytes() == st_ref.values.tobytes()
+    assert np.array_equal(st.grid.t_nodes, st_ref.grid.t_nodes)
+    assert energy.tobytes() == energy_ref.tobytes()
+
+
 def test_duhamel_equals_per_time_inverse():
     w = banded_spectrum(SMALL_G, L_max=3, seed=14)
     f = banded_spectrum(SMALL_G, L_max=3, seed=15)
