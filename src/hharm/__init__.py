@@ -73,7 +73,6 @@ from .transform import (
     LocalizerSpec,
     SpectralField,
     SpectralFieldD,
-    bernstein_check,
     forward,
     inverse,
     localize,
@@ -86,11 +85,8 @@ from .transform import (
 from .twisted import (
     PlanarField,
     PlanarGrid,
-    est2_scan,
-    hardy_check,
     kernel_field,
     operator_norm,
-    orth_check,
     tn_apply,
     twisted_convolve,
 )
@@ -145,7 +141,6 @@ __all__ = [
     "LocalizerSpec",
     "SpectralField",
     "SpectralFieldD",
-    "bernstein_check",
     "forward",
     "inverse",
     "localize",
@@ -156,11 +151,8 @@ __all__ = [
     "transform_D",
     "PlanarField",
     "PlanarGrid",
-    "est2_scan",
-    "hardy_check",
     "kernel_field",
     "operator_norm",
-    "orth_check",
     "tn_apply",
     "twisted_convolve",
     "SUITES",

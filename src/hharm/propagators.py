@@ -1,4 +1,4 @@
-"""Spectral propagators: Schrodinger and wave flows, Duhamel, decay probes.
+"""Spectral propagators: Schrodinger and wave flows, Duhamel, admissibility gates.
 
 On each spectral ray (ell, lam) the generator acts by the scalar
 eigenvalue(ell, lam, d) = 4 |lam| (2 ell + d), so the free Schrodinger flow
@@ -13,12 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
-from .fields import Grid, RadialField, SpaceTimeField, s_translate
-from .specfun import wigner_radial
-from .transform import SpectralField, _inverse_samples, inverse
-from .windows import bump
+from .fields import RadialField, SpaceTimeField, s_translate
+from .transform import SpectralField, _inverse_samples
 
 __all__ = [
     "CauchyDataS",
@@ -29,8 +26,6 @@ __all__ = [
     "transport_reference",
     "duhamel",
     "admissible",
-    "wave_decay_probe",
-    "schrodinger_decay_probe",
 ]
 
 
@@ -183,98 +178,3 @@ def admissible(equation: str, p: float, q: float, d: int) -> bool:
     if equation == "wave":
         return iq + 2 * d * ip <= Q / 2 - 1 + 1e-12
     raise ValueError(f"unknown equation {equation!r}")
-
-
-# ---------------------------------------------------------------------------
-# Dispersive decay probes
-# ---------------------------------------------------------------------------
-
-# s-rows per block of the decay probe: its offset table and each block's field
-# are (512, n_quad) and (512, 4), whatever the length of the s-window
-_S_BLOCK = 512
-
-
-def wave_decay_probe(d: int = 1, times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
-                     n_quad: int = 3200) -> dict:
-    """Sup-norm decay of a positive half-wave packet, fitted in log-log.
-
-    The packet sits on band ell = 0 with the smooth spectral weight
-    g(lam) = exp(-lam / freq_scale), freq_scale = 16, i.e. concentrated
-    around eigenvalue ~ 4 * freq_scale * d.  Putting the data at a high
-    frequency scale matters: the sup norm is flat until the group-velocity
-    spread has dispersed the initial profile, and at this scale that onset
-    sits below t = 1, so the whole fit window shows the stationary-phase
-    rate t^{-1/2} (d = 1).  The field is synthesized by direct oscillatory
-    quadrature on an s-window that follows the slowest/fastest rays
-    s ~ -t sqrt(m / lam), so no grid truncation can fake decay.
-
-    The window is cut into blocks of 512 s-rows, so memory stays bounded
-    however long it grows with t.  `np.arange` fills s[k] = s[0] + k ds with
-    ds = s[1] - s[0], exactly, so row lo + j has the phase
-    e^{i s[lo] lam} e^{i j ds lam}: one offset table e^{i j ds lam}
-    (512 x n_quad) per time serves every block, and a block is one matrix
-    product of that table with the (n_quad, n_rho) factor that carries the
-    block's start phase, the half-wave phase e^{2 i t sqrt(lam m)} and the
-    quadrature weight.  The sup over s-blocks is an np.max, so a NaN block
-    propagates.
-    """
-    ell, freq_scale = 0, 16.0
-    m = 2 * ell + d
-    lam_hi = 14.0 * freq_scale  # weight below e^{-14} past here
-    xq, wq = roots_legendre(n_quad)
-    lam = lam_hi * (xq + 1) / 2
-    wl = lam_hi / 2 * wq
-    g = np.exp(-lam / freq_scale)
-    const = 2.0 ** (d - 1) / np.pi ** (d + 1)
-    rhos = np.array([0.0, 0.5, 1.0, 2.0])
-    K = wigner_radial(ell, lam[:, None], rhos, d)  # (nq, n_rho)
-    weight = g * wl * lam**d
-    sups = []
-    for t in times:
-        s = np.arange(-0.8 * np.sqrt(m) * t - 30.0, 30.0, 0.02)
-        ds = s[1] - s[0]
-        offsets = ds * np.arange(min(_S_BLOCK, s.size))
-        # (block, nq), exponentiated in place: one 26 MB complex table at the
-        # default sizes instead of two while it is built
-        table = 1j * np.outer(offsets, lam)
-        np.exp(table, out=table)
-        halfwave = 2.0 * t * np.sqrt(lam * m)
-        block_sups = []
-        for lo in range(0, s.size, _S_BLOCK):
-            v = np.exp(1j * (s[lo] * lam + halfwave)) * weight
-            field = const * (table[:s.size - lo] @ (v[:, None] * K))  # (block, n_rho)
-            block_sups.append(np.abs(field).max())
-        sups.append(np.max(block_sups))
-    times = np.asarray(times, dtype=float)
-    sups = np.asarray(sups)
-    slope = np.polyfit(np.log(times), np.log(sups), 1)[0]
-    return {"times": times, "sup_norms": sups, "fitted_exponent": float(slope)}
-
-
-def schrodinger_decay_probe() -> dict:
-    """Sup-norm along the free Schrodinger flow of a single-band datum.
-
-    The datum sits on band ell = 1 of the default grid.  The flow transports
-    the profile, so the sup norm is exactly flat; the six times t_unit 2^k
-    are chosen so the central shift 4 t (2 ell + d) is a whole number of
-    grid steps and the invariance is exact rather than sampled.
-    """
-    grid = Grid()
-    d, ell, L_max, n_steps = grid.d, 1, 8, 6
-    theta = np.zeros((L_max + 1, grid.n_s), dtype=complex)
-    theta[ell] = bump(grid.lam, 0.5, 2.0)
-    sf = SpectralField(grid, theta)
-    u0 = inverse(sf)
-    speed = 4.0 * (2 * ell + d)
-    t_unit = grid.h_s / speed  # shift of exactly one s-cell
-    times = np.array([0.0] + [t_unit * 2**k for k in range(n_steps)])
-    st = schrodinger_evolve(CauchyDataS(sf), times)
-    sups = np.abs(st.values).max(axis=(1, 2))
-    ref = np.abs(u0.values).max()
-    slope = np.polyfit(np.log(times[1:]), np.log(sups[1:]), 1)[0]
-    return {
-        "times": times,
-        "sup_norms": sups,
-        "fitted_exponent": float(slope),
-        "max_rel_drift": float(np.abs(sups / ref - 1.0).max()),
-    }

@@ -60,10 +60,8 @@ from scipy.special import roots_genlaguerre
 from .fields import (
     GaussianClosure,
     Grid,
-    MixedNormSpec,
     RadialField,
     SpaceTimeField,
-    mixed_norm,
     s_analysis,
     s_synthesis,
     sphere_area,
@@ -82,7 +80,6 @@ __all__ = [
     "sobolev_multiplier",
     "LocalizerSpec",
     "localize",
-    "bernstein_check",
     "transform_D",
     "spectral_inner_D",
 ]
@@ -341,39 +338,6 @@ def sobolev_multiplier(sf: SpectralField, sigma: float) -> SpectralField:
     sobolev_norm(sf, sigma) equals sobolev_norm(sobolev_multiplier(sf, sigma), 0).
     """
     return SpectralField(sf.grid, sf.values * sf.eig() ** (sigma / 2.0))
-
-
-def bernstein_check(f: RadialField, loc: LocalizerSpec, p: float, q: float,
-                    scales=(1.0, 2.0, 4.0, 8.0), L_max: int = 64) -> dict:
-    """Norm-comparison exponent for localized fields across dilation scales.
-
-    Localizes f with `loc`, then forms the exact dilation family (the same
-    sample array read on grids shrunk by 1/scale in Y and 1/scale^2 in s) and
-    measures ||f_a||_q / ||f_a||_p.  Both norms are exactly covariant, so the
-    fitted log-log exponent must match Q (1/p - 1/q), Q = 2d + 2.
-    """
-    if q < p:
-        raise ValueError("needs p <= q")
-    f0 = inverse(localize(forward(f, L_max=L_max), loc))
-    g0 = f0.grid
-    Q = 2.0 * g0.d + 2.0
-    ratios = []
-    for a in scales:
-        ga = Grid(d=g0.d, n_rho=g0.n_rho, r_max=g0.r_max / a,
-                  n_s=g0.n_s, s_half=g0.s_half / a**2)
-        fa = RadialField(ga, f0.values)
-        num = mixed_norm(fa, MixedNormSpec((q, q), ("Y", "s")))
-        den = mixed_norm(fa, MixedNormSpec((p, p), ("Y", "s")))
-        ratios.append(num / den)
-    scales = np.asarray(scales, dtype=float)
-    ratios = np.asarray(ratios)
-    fitted = float(np.polyfit(np.log(scales), np.log(ratios), 1)[0])
-    return {
-        "scales": scales,
-        "ratios": ratios,
-        "fitted_exponent": fitted,
-        "target_exponent": Q * (1.0 / p - 1.0 / q),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,8 @@ from hharm.propagators import (
     CauchyDataW,
     admissible,
     duhamel,
-    schrodinger_decay_probe,
     schrodinger_evolve,
     transport_reference,
-    wave_decay_probe,
     wave_energy_series,
 )
 from hharm.restriction import SphereMeasure, g_function, sphere_pair
@@ -48,8 +46,7 @@ from hharm.transform import (
     sobolev_norm,
     spectral_inner,
 )
-from hharm.twisted import est2_scan, hardy_check, orth_check
-from hharm.verify import run_suites
+from hharm.verify import hardy_check, run_suites
 from hharm.windows import bump
 
 
@@ -73,6 +70,12 @@ def verify_all(tmp_path_factory):
         capture_output=True, text=True, timeout=1200,
     )
     return proc, path
+
+
+def _report_rows(verify_all) -> dict:
+    """The rows of the `verify all --seed 42` report, keyed by name."""
+    _, path = verify_all
+    return {r["name"]: r for r in json.loads(path.read_text())["results"]}
 
 
 # --- 1 -----------------------------------------------------------------
@@ -246,12 +249,13 @@ def test_c09_sphere_measure_total():
 
 # --- 10 ----------------------------------------------------------------
 
-def test_c10_band_kernel_orthogonality():
+def test_c10_band_kernel_orthogonality(verify_all):
     """|k_ell||k_2ell| pair integrals decay like 1/ell (fitted slope in
-    [-1.3, -0.7] over ell = 1..64) and max(ell,m) I(ell,m) shows no growth."""
-    out = orth_check(ells=(1, 2, 4, 8, 16, 32, 64), d=1)
-    assert -1.3 < out["offdiag_slope"] < -0.7
-    assert out["scaled_growth_slope"] < 0.1
+    [-1.3, -0.7] over ell = 1..64) and max(ell,m) I(ell,m) shows no growth.
+    The rows come from the `verify all --seed 42` report (`orth` suite)."""
+    res = _report_rows(verify_all)
+    assert -1.3 < res["orth-decay-slope"]["measured"]["slope"] < -0.7
+    assert res["orth-scaled-bounded"]["measured"]["growth_slope"] < 0.1
 
 
 # --- 11 ----------------------------------------------------------------
@@ -267,11 +271,12 @@ def test_c11_hardy_bound(p):
 # --- 12 ----------------------------------------------------------------
 
 @pytest.mark.parametrize("p", [1.0, 2.0])
-def test_c12_band_operator_scaling(p):
+def test_c12_band_operator_scaling(p, verify_all):
     """Fitted lam-exponent of the band operator L^p -> L^p' ratio lands
-    within 0.1 of the sharp value -2d/p'."""
-    out = est2_scan(p=p)
-    assert abs(out["slope"] - out["target_slope"]) <= 0.1
+    within 0.1 of the sharp value -2d/p'.  The row comes from the
+    `verify all --seed 42` report (`est2` suite)."""
+    row = _report_rows(verify_all)[f"est2-slope-p{p:g}"]
+    assert abs(row["measured"]["slope"] - row["targets"]["slope"]["value"]) <= 0.1
 
 
 # --- 13 ----------------------------------------------------------------
@@ -281,8 +286,7 @@ def test_c13_restriction_ratio_stability(verify_all):
     seeded samples move <= 5% when N_rho, N_s, L_max are doubled together.
     The rows come from the `verify all --seed 42` report, which runs the
     `sphere` and `sigma` suites at the default config."""
-    _, path = verify_all
-    res = {r["name"]: r for r in json.loads(path.read_text())["results"]}
+    res = _report_rows(verify_all)
     for name in ("sphere-ratio-stability", "sigma-ratio-stability"):
         r = res[name]
         assert r["measured"]["n_samples"] == 200
@@ -309,13 +313,14 @@ def test_c14_strichartz_scaling_and_gates():
 
 # --- 15 ----------------------------------------------------------------
 
-def test_c15_decay_probes():
+def test_c15_decay_probes(verify_all):
     """Wave sup norms over t in [1, 64] fit an exponent <= -0.4; the
-    Schrodinger single-band probe fits an exponent within 0.05 of zero."""
-    wave = wave_decay_probe()
-    assert wave["fitted_exponent"] <= -0.4
-    sch = schrodinger_decay_probe()
-    assert abs(sch["fitted_exponent"]) <= 0.05
+    Schrodinger single-band probe fits an exponent within 0.05 of zero.
+    The rows come from the `verify all --seed 42` report (`decay-probe`
+    suite)."""
+    res = _report_rows(verify_all)
+    assert res["wave-decay-exponent"]["measured"]["fitted_exponent"] <= -0.4
+    assert abs(res["schrodinger-nondecay"]["measured"]["fitted_exponent"]) <= 0.05
 
 
 # --- 16 ----------------------------------------------------------------

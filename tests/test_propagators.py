@@ -1,5 +1,5 @@
 """Spectral propagators: unitarity, transport, half-waves, Duhamel stepping,
-admissibility gates, and the decay probes."""
+admissibility gates, and the decay probes of `hharm.verify`."""
 
 from __future__ import annotations
 
@@ -9,22 +9,21 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
-from hharm import propagators
+from hharm import propagators, verify
 from hharm.fields import Grid, RadialField, l2_norm, s_synthesis
 from hharm.propagators import (
     CauchyDataS,
     CauchyDataW,
     admissible,
     duhamel,
-    schrodinger_decay_probe,
     schrodinger_evolve,
     transport_reference,
-    wave_decay_probe,
     wave_energy_series,
     wave_evolve,
 )
 from hharm.specfun import wigner_radial
 from hharm.transform import SpectralField, forward, inverse
+from hharm.verify import schrodinger_decay_probe, wave_decay_probe
 from hharm.windows import bump
 
 G = Grid(d=1, n_rho=128, r_max=12.0, n_s=256, s_half=40.0)
@@ -280,14 +279,14 @@ def test_wave_decay_probe_quick():
 def test_wave_decay_probe_propagates_a_nan_kernel(monkeypatch):
     """A NaN in the kernel makes every sup norm NaN rather than dropping out
     of the running sup over s-blocks (which left 0.0)."""
-    real = propagators.wigner_radial
+    real = verify.wigner_radial
 
     def kernel(*args):
         K = real(*args)
         K[0, 1] = np.nan
         return K
 
-    monkeypatch.setattr(propagators, "wigner_radial", kernel)
+    monkeypatch.setattr(verify, "wigner_radial", kernel)
     out = wave_decay_probe(times=(1.0, 2.0), n_quad=200)
     assert np.isnan(out["sup_norms"]).all()
 
@@ -297,7 +296,7 @@ def test_wave_decay_probe_matches_the_direct_phase_sum():
     np.exp phase sum; every window here is longer than one block and ends in
     a partial block."""
     times, n_quad, d = (1.0, 8.0, 64.0), 400, 1
-    out = wave_decay_probe(d=d, times=times, n_quad=n_quad)
+    out = wave_decay_probe(times=times, n_quad=n_quad)
     m, freq_scale = d, 16.0
     lam_hi = 14.0 * freq_scale
     xq, wq = roots_legendre(n_quad)

@@ -1,5 +1,6 @@
 """Radial transform: closed-form Gaussian oracles, Plancherel, inversion,
-multipliers, and the spacetime product transform."""
+multipliers, the spacetime product transform, and the Bernstein exponent
+check of `hharm.verify`."""
 
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from hharm.specfun import multiplicity, wigner_radial_table
 from hharm.transform import (
     LocalizerSpec,
     SpectralField,
-    bernstein_check,
     forward,
     inverse,
     localize,
@@ -34,6 +34,7 @@ from hharm.transform import (
     transform_D,
 )
 from hharm.transform import _forward_samples, _inverse_samples
+from hharm.verify import bernstein_check
 from hharm.windows import bump
 
 G = Grid(d=1, n_rho=128, r_max=12.0, n_s=256, s_half=40.0)

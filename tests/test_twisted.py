@@ -1,5 +1,7 @@
-"""Planar twisted convolution: lattice machinery, band kernels, and the
-sequence-space averaging bound."""
+"""Planar twisted convolution: lattice machinery and band kernels; and the
+checks `hharm.verify` runs on them (scaling scans, Young and algebra bounds,
+the norm proxy, band-kernel orthogonality) and on the sequence-space
+averaging bound."""
 
 from __future__ import annotations
 
@@ -7,21 +9,24 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import as_strided
 
-from hharm import twisted
+from hharm import verify
+from hharm.config import RunConfig
 from hharm.specfun import normalized_kernel
 from hharm.twisted import (
     PlanarField,
     PlanarGrid,
+    kernel_field,
+    operator_norm,
+    planar_norm,
+    tn_apply,
+    twisted_convolve,
+)
+from hharm.verify import (
     algebra_scaling,
     est2_scan,
     hardy_check,
-    kernel_field,
-    operator_norm,
     orth_check,
-    planar_norm,
-    tn_apply,
     tn_norm_proxy,
-    twisted_convolve,
     young_check,
 )
 
@@ -206,9 +211,9 @@ def test_convolve_warns_on_edge_mass():
 
 
 def test_young_inequality():
-    out = young_check()
-    assert out["worst_ratio"] <= out["bound"] + 1e-12
-    assert out["worst_ratio"] > 0.0
+    worst = young_check()
+    assert worst <= 1.0 + 1e-12
+    assert worst > 0.0
 
 
 def test_algebra_scaling_saturates():
@@ -218,9 +223,10 @@ def test_algebra_scaling_saturates():
 
 
 def test_est2_scan_slope():
-    out = est2_scan(p=2.0, lams=(0.5, 1.0, 2.0, 4.0))
+    lams = (0.5, 1.0, 2.0, 4.0)
+    out = est2_scan(p=2.0, lams=lams)
     assert abs(out["slope"] - out["target_slope"]) < 0.05
-    flat = out["flattened"]
+    flat = out["ratios"] * np.asarray(lams) ** (-out["target_slope"])
     assert np.max(flat) / np.min(flat) < 1.02
     with pytest.raises(ValueError, match="p must lie"):
         est2_scan(p=2.5)
@@ -236,7 +242,7 @@ def test_orth_check_quick():
 
 
 def test_tn_norm_proxy_bounded_by_exact():
-    out = tn_norm_proxy(0, 1.0, n=33, n_inputs=12)
+    out = tn_norm_proxy(n=33, n_inputs=12)
     assert out["measured_norm_proxy"] <= out["exact_norm"] * (1.0 + 1e-9)
     assert out["measured_norm_proxy"] > 0.5 * out["exact_norm"]
 
@@ -248,10 +254,10 @@ def test_hardy_bound(p):
 
 
 def test_hardy_spike_value():
-    out = hardy_check(p=2.0, n_seeds=1)
-    assert out["e1_limit"] == pytest.approx(np.pi / np.sqrt(6.0))
-    defect = out["e1_limit"] - out["e1_ratio"]
-    assert 0.0 < defect <= out["e1_defect_allowance"]
+    row = {r.name: r for r in verify.suite_hardy(RunConfig())}["hardy-spike"]
+    assert row.passed
+    assert row.targets["limit"]["value"] == pytest.approx(np.pi / np.sqrt(6.0))
+    assert row.measured["defect"] > 0.0
 
 
 def test_hardy_rejects_p_at_most_one():
@@ -286,12 +292,12 @@ def test_running_maxima_propagate_one_nan(monkeypatch, site):
     """One NaN sample makes the worst-case figure NaN instead of dropping out
     of it: each maximum is an np.max over all samples."""
     if site == "young":
-        monkeypatch.setattr(twisted, "twisted_convolve", _nan_on_call(twisted_convolve, 1))
-        figure = young_check()["worst_ratio"]
+        monkeypatch.setattr(verify, "twisted_convolve", _nan_on_call(twisted_convolve, 1))
+        figure = young_check()
     elif site == "tn_norm_proxy":
-        monkeypatch.setattr(twisted, "tn_apply", _nan_on_call(tn_apply, 1))
-        figure = tn_norm_proxy(0, 1.0, n=33, n_inputs=3)["measured_norm_proxy"]
+        monkeypatch.setattr(verify, "tn_apply", _nan_on_call(tn_apply, 1))
+        figure = tn_norm_proxy(n=33, n_inputs=3)["measured_norm_proxy"]
     else:
-        monkeypatch.setattr(twisted, "normalized_kernel", _nan_kernel_at(8))
+        monkeypatch.setattr(verify, "normalized_kernel", _nan_kernel_at(8))
         figure = orth_check(ells=(1, 2, 4, 8), n_quad=512)["max_scaled_offdiag"]
     assert np.isnan(figure)

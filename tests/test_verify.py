@@ -7,10 +7,11 @@ import json
 
 import numpy as np
 
+import hharm
 from hharm.config import RunConfig
 from hharm.report import CheckResult, VerificationReport, _jsonable
-from hharm import verify
-from hharm.verify import SUITE_ORDER, SUITES, _row, run_suites, translate_identity_check
+from hharm import propagators, transform, twisted, verify
+from hharm.verify import SUITES, _row, run_suites, translate_identity_check
 
 EXPECTED_SUITES = [
     "plancherel", "roundtrip", "transport", "bernstein", "hausdorff-young",
@@ -20,8 +21,26 @@ EXPECTED_SUITES = [
 
 
 def test_suite_registry():
-    assert list(SUITE_ORDER) == EXPECTED_SUITES
-    assert set(SUITES) == set(EXPECTED_SUITES)
+    assert list(SUITES) == EXPECTED_SUITES
+
+
+CHECKS = (
+    "est2_scan", "orth_check", "young_check", "algebra_scaling", "tn_norm_proxy",
+    "hardy_check", "wave_decay_probe", "schrodinger_decay_probe", "bernstein_check",
+)
+
+
+def test_operator_modules_export_operators_only():
+    """Every exported name resolves, and the checks live in `verify` alone:
+    none is reachable from the package or from an operator module."""
+    modules = (hharm, twisted, propagators, transform)
+    for mod in modules:
+        for name in mod.__all__:
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"
+    for name in CHECKS:
+        assert callable(getattr(verify, name))
+        for mod in modules:
+            assert not hasattr(mod, name), f"{mod.__name__}.{name}"
 
 
 def test_check_result_line():
