@@ -84,10 +84,16 @@ def radial_weights_finite(d: int, r_max: float) -> bool:
 N_RHO_MAX = 8192
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=16)
 def _legendre_rule(n: int):
     """Gauss-Legendre nodes and weights on [-1, 1], read-only and shared by
-    every grid with n radial nodes (`Grid.with_times` rebuilds its grid)."""
+    every grid with n radial nodes (`Grid.with_times` rebuilds its grid) and
+    by the quadrature rules of the checks in `hharm.verify`.
+
+    `hharm verify all` asks for 8 sizes (80, 96, 128, 192, 256, 700, 3200
+    and 4096 nodes, about 140 KB in all), so 16 entries leave room for a
+    user's grids beside them.  Callers only read a rule and build new arrays
+    from it."""
     x, w = roots_legendre(n)
     x.flags.writeable = False
     w.flags.writeable = False

@@ -14,7 +14,6 @@ row instead of dropping out of it.  A check function that a suite calls
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .config import RunConfig
 from .fields import (
@@ -23,6 +22,7 @@ from .fields import (
     MixedNormSpec,
     RadialField,
     SpaceTimeField,
+    _legendre_rule,
     dilate,
     l2_inner,
     l2_norm,
@@ -197,7 +197,7 @@ def suite_roundtrip(cfg: RunConfig):
     for d in (1, 2):
         rng = np.random.default_rng(cfg.seed + 17 * d)
         f, sf = _band_projected(cfg, rng, d)
-        g = inverse(forward(f, cfg.L_max))
+        g = inverse(sf)
         err = l2_norm(RadialField(f.grid, g.values - f.values)) / l2_norm(f)
         out.append(_row(f"roundtrip-d{d}", err <= tol,
                         {"rel_l2_err": float(err), "tail_fraction": _tail_fraction(sf)},
@@ -550,7 +550,7 @@ def suite_sigma(cfg: RunConfig):
         th[l] = theta0(l, bigg.lam)
     times = np.linspace(0.0, 0.12, 6)
     u_ref = schrodinger_evolve(CauchyDataS(SpectralField(bigg, th)), times)
-    xq, wq = roots_legendre(700)
+    xq, wq = _legendre_rule(700)
     al, wa = 110.0 * (xq + 1.0), 110.0 * wq  # Gauss-Legendre on (0, 220)
     tp = np.empty((al.size, L_small + 1), dtype=complex)
     tm = np.empty_like(tp)
@@ -612,36 +612,42 @@ def _ones_like_sigma(alpha, ell, lam):
     return np.ones_like(np.asarray(alpha, dtype=float))
 
 
-def est2_scan(p: float = 2.0, lams=(0.25, 0.5, 1.0, 2.0, 4.0), seed: int = 42) -> dict:
-    """Scale behaviour of f -> f *_lam K_0 from L^p into L^{p'}.
+def est2_scan(ps=(2.0,), lams=(0.25, 0.5, 1.0, 2.0, 4.0), seed: int = 42) -> list:
+    """Scale behaviour of f -> f *_lam K_0 from L^p into L^{p'}, one entry per
+    exponent p in the tuple `ps` (each in [1, 2]).
 
     Measures ||f_lam *_lam K_0||_{p'} / ||f_lam||_p along a lam ladder on
     the default PlanarGrid for the lam-adapted family
     f_lam(Y) = phi(sqrt(lam) Y), phi a fixed random mixture of three
     Gaussians.  Twisted scaling covariance makes the ratio exactly
     proportional to lam^{-2d/p'} (d = 1), so the fitted log-log slope is the
-    sharp exponent and ratio * lam^{2d/p'} is flat.
+    sharp exponent and ratio * lam^{2d/p'} is flat.  Each (f_lam, T_0 f_lam)
+    pair is formed once and measured in every exponent; the result lists one
+    {"ratios", "slope", "target_slope"} dict per p, in the order of `ps`.
     """
-    if not 1.0 <= p <= 2.0:
+    if not all(1.0 <= p <= 2.0 for p in ps):
         raise ValueError("p must lie in [1, 2]")
     grid = PlanarGrid()
     n_terms = 3
-    pp = np.inf if p == 1.0 else p / (p - 1.0)
+    pps = [np.inf if p == 1.0 else p / (p - 1.0) for p in ps]
     rng = np.random.default_rng(seed)
     kappas = rng.uniform(6.0, 10.0, n_terms)
     coefs = rng.standard_normal(n_terms) + 1j * rng.standard_normal(n_terms)
     y, eta = grid.mesh()
     rsq = y**2 + eta**2
-    ratios = []
-    for lam in lams:
+    ratios = np.empty((len(ps), len(lams)))
+    for j, lam in enumerate(lams):
         vals = sum(c * np.exp(-k * lam * rsq) for c, k in zip(coefs, kappas))
         f = PlanarField(grid, vals)
         out = tn_apply(f, 0, lam)
-        ratios.append(planar_norm(out, pp) / planar_norm(f, p))
-    ratios = np.asarray(ratios)
-    target = 0.0 if np.isinf(pp) else -2.0 / pp
-    slope = float(np.polyfit(np.log(lams), np.log(ratios), 1)[0])
-    return {"ratios": ratios, "slope": slope, "target_slope": target}
+        for i, (p, pp) in enumerate(zip(ps, pps)):
+            ratios[i, j] = planar_norm(out, pp) / planar_norm(f, p)
+    return [
+        {"ratios": r,
+         "slope": float(np.polyfit(np.log(lams), np.log(r), 1)[0]),
+         "target_slope": 0.0 if np.isinf(pp) else -2.0 / pp}
+        for r, pp in zip(ratios, pps)
+    ]
 
 
 def young_check(seed: int = 7) -> float:
@@ -730,8 +736,8 @@ def suite_est2(cfg: RunConfig):
     """Band-projection operators under twisted convolution: sharp lam-scaling,
     exact reproducing identities, Young bound, algebra scaling, norm proxy."""
     out = []
-    for p, name in ((2.0, "est2-slope-p2"), (1.0, "est2-slope-p1")):
-        res = est2_scan(p=p, seed=cfg.seed)
+    scans = est2_scan((2.0, 1.0), seed=cfg.seed)
+    for res, name in zip(scans, ("est2-slope-p2", "est2-slope-p1")):
         err = abs(res["slope"] - res["target_slope"])
         out.append(_row(name, err <= 0.1,
                         {"slope": res["slope"], "ratios": res["ratios"]},
@@ -786,7 +792,7 @@ def orth_check(ells=(1, 2, 4, 8, 16, 32, 64), n_quad: int = 4096) -> dict:
     surf = sphere_area(d)
     m_big = int(ells.max()) * 2
     R = 2.0 * (2.0 * m_big + d) + 40.0
-    xq, wq = roots_legendre(n_quad)
+    xq, wq = _legendre_rule(n_quad)
     rho = 0.5 * R * (xq + 1.0)
     w = 0.5 * R * wq * surf * rho ** (2 * d - 1)
     table = {int(l): np.abs(normalized_kernel(int(l), rho, d)) for l in ells}
@@ -971,16 +977,22 @@ def wave_decay_probe(times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
     however long it grows with t.  `np.arange` fills s[k] = s[0] + k ds with
     ds = s[1] - s[0], exactly, so row lo + j has the phase
     e^{i s[lo] lam} e^{i j ds lam}: one offset table e^{i j ds lam}
-    (512 x n_quad) per time serves every block, and a block is one matrix
-    product of that table with the (n_quad, n_rho) factor that carries the
-    block's start phase, the half-wave phase e^{2 i t sqrt(lam m)} and the
-    quadrature weight.  The sup over s-blocks is an np.max, so a NaN block
-    propagates.
+    (512 x n_quad) serves every block, and a block is one matrix product of
+    that table with the (n_quad, n_rho) factor that carries the block's start
+    phase, the half-wave phase e^{2 i t sqrt(lam m)} and the quadrature
+    weight.  The sup over s-blocks is an np.max, so a NaN block propagates.
+
+    The table is rebuilt only when the step ds or its row count changes.
+    `np.arange` takes its step as (s[0] + 0.02) - s[0], which is 0.02
+    rounded to the spacing of the floats near the window's start, so starts
+    in one binade share a step to the last bit: the seven default times give
+    three steps (t = 1 and 2; t = 4 to 32; t = 64), and the probe builds
+    three tables rather than seven, one at a time.
     """
     d, ell, freq_scale = 1, 0, 16.0
     m = 2 * ell + d
     lam_hi = 14.0 * freq_scale  # weight below e^{-14} past here
-    xq, wq = roots_legendre(n_quad)
+    xq, wq = _legendre_rule(n_quad)
     lam = lam_hi * (xq + 1) / 2
     wl = lam_hi / 2 * wq
     g = np.exp(-lam / freq_scale)
@@ -989,14 +1001,17 @@ def wave_decay_probe(times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
     K = wigner_radial(ell, lam[:, None], rhos, d)  # (nq, n_rho)
     weight = g * wl * lam**d
     sups = []
+    table, step = None, None
     for t in times:
         s = np.arange(-0.8 * np.sqrt(m) * t - 30.0, 30.0, 0.02)
         ds = s[1] - s[0]
-        offsets = ds * np.arange(min(_S_BLOCK, s.size))
-        # (block, nq), exponentiated in place: one 26 MB complex table at the
-        # default sizes instead of two while it is built
-        table = 1j * np.outer(offsets, lam)
-        np.exp(table, out=table)
+        rows = min(_S_BLOCK, s.size)
+        if (ds, rows) != step:
+            # (block, nq), exponentiated in place: one 26 MB complex table at
+            # the default sizes, the old one released before it is built
+            table, step = None, (ds, rows)
+            table = 1j * np.outer(ds * np.arange(rows), lam)
+            np.exp(table, out=table)
         halfwave = 2.0 * t * np.sqrt(lam * m)
         block_sups = []
         for lo in range(0, s.size, _S_BLOCK):
@@ -1065,10 +1080,10 @@ def translate_identity_check() -> dict:
     ells, lams, Y0, s0, n_y, n_s = (0, 1, 2, 3), (0.7, 1.3), (0.3, -0.2), 0.5, 80, 128
     closure = GaussianClosure(d=1, a=1.0, b=0.5, omega=2.0, s0=0.0, amp=1.0)
     Ly, Ls = 6.0, 12.0
-    xy, wy = roots_legendre(n_y)
+    xy, wy = _legendre_rule(n_y)
     y = Ly * xy
     wy = Ly * wy
-    xs, ws = roots_legendre(n_s)
+    xs, ws = _legendre_rule(n_s)
     s = Ls * xs
     ws = Ls * ws
     yv = y[:, None, None]

@@ -294,8 +294,9 @@ def test_wave_decay_probe_propagates_a_nan_kernel(monkeypatch):
 def test_wave_decay_probe_matches_the_direct_phase_sum():
     """The offset-table products reproduce the sup norms of the per-block
     np.exp phase sum; every window here is longer than one block and ends in
-    a partial block."""
-    times, n_quad, d = (1.0, 8.0, 64.0), 400, 1
+    a partial block.  t = 1 and 2 share a step, so t = 2 reuses the table
+    built for t = 1, and t = 8 and 64 each build their own."""
+    times, n_quad, d = (1.0, 2.0, 8.0, 64.0), 400, 1
     out = wave_decay_probe(times=times, n_quad=n_quad)
     m, freq_scale = d, 16.0
     lam_hi = 14.0 * freq_scale

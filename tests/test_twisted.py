@@ -224,12 +224,51 @@ def test_algebra_scaling_saturates():
 
 def test_est2_scan_slope():
     lams = (0.5, 1.0, 2.0, 4.0)
-    out = est2_scan(p=2.0, lams=lams)
+    (out,) = est2_scan((2.0,), lams=lams)
     assert abs(out["slope"] - out["target_slope"]) < 0.05
     flat = out["ratios"] * np.asarray(lams) ** (-out["target_slope"])
     assert np.max(flat) / np.min(flat) < 1.02
     with pytest.raises(ValueError, match="p must lie"):
-        est2_scan(p=2.5)
+        est2_scan((2.5,))
+    with pytest.raises(ValueError, match="p must lie"):
+        est2_scan((2.0, 2.5))
+
+
+def test_est2_scan_measures_one_convolution_in_every_exponent():
+    """The ratios of one scan over p = 2 and p = 1 equal, bit for bit, the
+    ratios of each exponent measured on its own convolution."""
+    lams, seed = (0.5, 1.0, 2.0), 42
+    scans = est2_scan((2.0, 1.0), lams=lams, seed=seed)
+    rng = np.random.default_rng(seed)
+    kappas = rng.uniform(6.0, 10.0, 3)
+    coefs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    y, eta = GRID.mesh()
+    rsq = y**2 + eta**2
+    for res, p, pp in zip(scans, (2.0, 1.0), (2.0, np.inf)):
+        want = []
+        for lam in lams:
+            f = PlanarField(GRID, sum(c * np.exp(-k * lam * rsq) for c, k in zip(coefs, kappas)))
+            want.append(planar_norm(tn_apply(f, 0, lam), pp) / planar_norm(f, p))
+        assert np.array_equal(res["ratios"], want)
+
+
+def test_suite_est2_convolves_each_pair_once(monkeypatch):
+    """`suite_est2` makes 79 twisted convolutions: the two slope rows share
+    their 5, then 2 kernel identities, 64 norm-proxy inputs, 4 Young pairs
+    and 4 algebra-slope points."""
+    from hharm import twisted
+
+    calls = []
+    real = twisted.twisted_convolve
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(twisted, "twisted_convolve", counting)
+    monkeypatch.setattr(verify, "twisted_convolve", counting)
+    verify.suite_est2(RunConfig(seed=42))
+    assert len(calls) == 79
 
 
 def test_orth_check_quick():

@@ -10,7 +10,7 @@ import numpy as np
 import hharm
 from hharm.config import RunConfig
 from hharm.report import CheckResult, VerificationReport, _jsonable
-from hharm import propagators, transform, twisted, verify
+from hharm import fields, propagators, transform, twisted, verify
 from hharm.verify import SUITES, _row, run_suites, translate_identity_check
 
 EXPECTED_SUITES = [
@@ -41,6 +41,27 @@ def test_operator_modules_export_operators_only():
         assert callable(getattr(verify, name))
         for mod in modules:
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+    # every quadrature rule of the checks comes from fields._legendre_rule
+    assert not hasattr(verify, "roots_legendre")
+
+
+def test_checks_build_each_gauss_legendre_rule_once(monkeypatch):
+    """The checks read their rules from the store the grids use, so a
+    repeated check builds no rule."""
+    from scipy.special import roots_legendre
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return roots_legendre(n)
+
+    fields._legendre_rule.cache_clear()
+    monkeypatch.setattr(fields, "roots_legendre", counting)
+    for _ in range(2):
+        verify.orth_check(ells=(1, 2), n_quad=512)
+        verify.wave_decay_probe(times=(1.0, 2.0), n_quad=200)
+    assert calls == [512, 200]
 
 
 def test_check_result_line():
