@@ -62,6 +62,12 @@ __all__ = [
 ]
 
 
+def _check_int(name, v, low):
+    """Refuse v unless it is an int >= low (a bool is not one)."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < low:
+        raise ValueError(f"{name} must be an int >= {low}, got {v!r}")
+
+
 def sphere_area(d: int) -> float:
     """Surface area of the unit sphere in R^{2d}: 2 pi^d / (d-1)!."""
     return 2.0 * np.pi**d / factorial(d - 1)
@@ -90,9 +96,9 @@ def _legendre_rule(n: int):
     every grid with n radial nodes (`Grid.with_times` rebuilds its grid) and
     by the quadrature rules of the checks in `hharm.verify`.
 
-    `hharm verify all` asks for 8 sizes (80, 96, 128, 192, 256, 700, 3200
-    and 4096 nodes, about 140 KB in all), so 16 entries leave room for a
-    user's grids beside them.  Callers only read a rule and build new arrays
+    `hharm verify all` asks for 12 sizes (12, 16, 48, 64, 80, 96, 128, 192,
+    256, 700, 3200 and 4096 nodes, 142 KB in all), so 16 entries leave room
+    for a user's grid beside them.  Callers only read a rule and build new arrays
     from it."""
     x, w = roots_legendre(n)
     x.flags.writeable = False
@@ -123,9 +129,7 @@ class Grid:
 
     def __post_init__(self):
         for name in ("d", "n_rho", "n_s"):
-            v = getattr(self, name)
-            if not isinstance(v, (int, np.integer)) or v < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {v!r}")
+            _check_int(name, getattr(self, name), 1)
         if self.n_rho > N_RHO_MAX:
             raise ValueError(f"n_rho must be <= {N_RHO_MAX}, got {self.n_rho}")
         if self.n_s % 2:

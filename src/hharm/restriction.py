@@ -20,23 +20,14 @@ pairings, norms and extensions all read them; an extension divides out the
 multiplicity, which K_ell already carries.
 
 Both surfaces are lists of rays (ell, lam) off the lambda lattice, so
-restriction and extension are one ray contraction and its adjoint.
-`_restrict_rays` evaluates the transform of samples (Q, n_rho, n_s) on rays
-lam[ell, q] rho first, as the transform does: one real gemm of the weighted
-kernel table w_radial K_ell(lam, rho), (Q, L+1, n_rho), with the samples
-read as interleaved float64, then each (q, ell) row dotted with its phase
-row h_s e^{-+ i s lam} (the exact nonuniform DFT in s).  The table depends
-only on the radial rule and the rays, and the verify suites restrict 200
-samples per geometry, so `_ray_table` keeps the last few tables of at most
-`_RAY_TABLE_BYTES` (1 MB), read-only, keyed on d and the bytes of the
-radial nodes, the radial weights and the rays; larger ones are built per
-call.  The complex phase rows are rebuilt on every call: keeping them as
-well raised the peak resident memory of `hharm verify all` by far more than
-their size, as the allocator keeps the freed blocks around them.
-`_extend_rays` synthesises from ray values with one @ over the flattened
-(ell, q) axis and builds its kernels per call.  The sphere is one ray per
-band (Q = 1); the paraboloid first contracts t against w_t e^{-i t alpha}
-and has a ray per Gauss node alpha_q.
+restriction and extension are one ray contraction, `_restrict_rays`, and
+its adjoint, `_extend_rays`, both against the table K_ell(lam[ell, q], rho)
+of `_ray_kernels`, which a `specfun.kept_kernels()` scope keeps for a loop
+over samples on one geometry.  The complex phase rows are rebuilt on every
+call: keeping them as well raised the peak resident memory of `hharm verify
+all` by far more than their size, as the allocator keeps the freed blocks
+around them.  The sphere is one ray per band (Q = 1); the paraboloid first
+contracts t against w_t e^{-i t alpha} and has a ray per Gauss node alpha_q.
 
 The kernels are exactly 0 where e^{-lam rho^2} is below the floor 2^-969
 (`specfun._FLOOR`), and `GaussianClosure` samples are exactly 0 where their
@@ -55,14 +46,13 @@ value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln, roots_legendre
+from scipy.special import gammaln
 
-from .fields import Grid, RadialField, SpaceTimeField
-from .specfun import _mult_table, kernel_rows
+from .fields import Grid, RadialField, SpaceTimeField, _check_int, _legendre_rule
+from .specfun import _kept, _mult_table, kernel_rows
 from .windows import sigma_window
 
 __all__ = [
@@ -137,10 +127,7 @@ def _band_tail_integral(h, L, d, n_quad=64):
     `h` must accept a real array of band indices; the integrand it produces
     for surface pairings is smooth in u, so Gauss-Legendre converges fast.
     """
-    u0 = 1.0 / (2.0 * (L + 0.5) + d)
-    xq, wq = roots_legendre(n_quad)
-    u = 0.5 * u0 * (xq + 1.0)
-    w = 0.5 * u0 * wq
+    u, w = _gauss_rule(0.0, 1.0 / (2.0 * (L + 0.5) + d), n_quad)
     x = (1.0 / u - d) / 2.0
     return float(np.sum(w * h(x) / (2.0 * u**2)))
 
@@ -155,6 +142,7 @@ def sphere_pair(theta, measure: SphereMeasure, d: int = 1) -> dict:
     continuation integral past L = 10000 (midpoint-rule argument in reverse:
     error O(L^{-3})).
     """
+    _check_int("d", d, 1)
     L_max = 10000
 
     def h(x):
@@ -167,9 +155,9 @@ def sphere_pair(theta, measure: SphereMeasure, d: int = 1) -> dict:
     return {"value": partial + tail_val, "partial": partial, "tail": tail_val}
 
 
-def _alpha_rule(measure: SigmaMeasure, n_alpha: int):
-    a0, a1 = measure.support
-    xq, wq = roots_legendre(n_alpha)
+def _gauss_rule(a0, a1, n):
+    """The n-node Gauss-Legendre rule on [a0, a1]."""
+    xq, wq = _legendre_rule(n)
     return 0.5 * (a1 - a0) * (xq + 1.0) + a0, 0.5 * (a1 - a0) * wq
 
 
@@ -184,8 +172,9 @@ def sigma_pair(theta, measure: SigmaMeasure, d: int = 1) -> dict:
     be a real number in the tail continuation past L = 4096), at 48 Gauss
     nodes in alpha.
     """
+    _check_int("d", d, 1)
     L_max = 4096
-    al, wa = _alpha_rule(measure, 48)
+    al, wa = _gauss_rule(*measure.support, 48)
     wa = _alpha_density(measure, al, wa, d)
 
     def h(x):
@@ -258,6 +247,8 @@ def g_function(rho, s, d: int = 1, radius: float = 1.0, L_max: int = 4096):
 
     Returns (value, tail_estimate) broadcast over the inputs.
     """
+    _check_int("d", d, 1)
+    _check_int("L_max", L_max, 2)  # S_{L/2} needs a band
     _check_radius(radius)
     rho_b, s_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(s, float))
     shape = rho_b.shape
@@ -310,14 +301,10 @@ def g_sigma(t, rho, s, measure: SigmaMeasure | None = None, d: int = 1) -> dict:
     """
     measure = measure or SigmaMeasure()
     a0, a1 = measure.support
-    xq, wq = roots_legendre(16)
 
     def evaluate(n_panels):
         edges = np.linspace(a0, a1, n_panels + 1)
-        al = np.concatenate(
-            [0.5 * (e1 - e0) * (xq + 1.0) + e0 for e0, e1 in zip(edges, edges[1:])]
-        )
-        wa = np.concatenate([0.5 * (e1 - e0) * wq for e0, e1 in zip(edges, edges[1:])])
+        al, wa = np.hstack([_gauss_rule(e0, e1, 16) for e0, e1 in zip(edges, edges[1:])])
         gvals, _ = g_function(np.sqrt(al) * rho, al * s, d=d, radius=1.0, L_max=2048)
         density = _alpha_density(measure, al, wa, d)
         return 2.0 * np.pi * np.sum(density * gvals * np.exp(-1j * t * al))
@@ -380,38 +367,17 @@ class SigmaValues:
 
 
 def _bands(L_max: int) -> np.ndarray:
-    if L_max < 0:
-        raise ValueError(f"L_max must be >= 0, got {L_max}")
+    _check_int("L_max", L_max, 0)
     return np.arange(L_max + 1)
 
 
-# Weighted ray-kernel tables of at most this many bytes are kept between
-# calls, the last _RAY_TABLES of them: the verify suites' sphere and
-# paraboloid tables are 34-460 KB.  A larger ray set is built per call.
-_RAY_TABLE_BYTES = 1 << 20
-_RAY_TABLES = 4
-
-
-@lru_cache(maxsize=_RAY_TABLES)
-def _ray_table(d, rho, w_radial, lam, shape):
-    """Read-only w_radial K_ell(lam[ell, q], rho), shape (Q, L+1, n_rho), for
-    rays lam of `shape` (L+1, Q); rho, w_radial and lam come as the bytes of
-    their float64 arrays, so the key is everything the table is built from."""
-    rho, w_radial = np.frombuffer(rho), np.frombuffer(w_radial)
-    lam = np.frombuffer(lam).reshape(shape)
-    K = _kernel_diag(np.arange(shape[0]), 2.0 * lam[:, :, None] * rho**2, d)
-    wK = np.multiply(K.transpose(1, 0, 2), w_radial, order="C")
-    wK.flags.writeable = False
-    return wK
-
-
-def _ray_kernel(grid: Grid, lam):
-    """`_ray_table` of the grid's radial rule on rays lam (L+1, Q), kept
-    between calls when it fits in _RAY_TABLE_BYTES."""
-    key = (grid.d, grid.rho.tobytes(), grid.w_radial.tobytes(), lam.tobytes(), lam.shape)
-    if lam.size * grid.n_rho * 8 > _RAY_TABLE_BYTES:
-        return _ray_table.__wrapped__(*key)
-    return _ray_table(*key)
+def _ray_kernels(grid: Grid, lam):
+    """K_ell(lam[ell, q], rho), (Q, L+1, n_rho), for rays lam (L+1, Q): a view
+    of the `_kernel_diag` table, kept in a `kept_kernels()` scope."""
+    def build():
+        U = 2.0 * lam[:, :, None] * grid.rho**2
+        return _kernel_diag(np.arange(lam.shape[0]), U, grid.d).transpose(1, 0, 2)
+    return _kept(lambda: ("rays", grid.d, grid.rho.tobytes(), lam.tobytes(), lam.shape), build)
 
 
 def _restrict_rays(grid: Grid, values, lam):
@@ -425,7 +391,8 @@ def _restrict_rays(grid: Grid, values, lam):
     (L+1, Q).
     """
     V = np.ascontiguousarray(values, dtype=complex)
-    W = np.matmul(_ray_kernel(grid, lam), V.view(float)).view(complex)  # (Q, L+1, n_s)
+    wK = np.multiply(_ray_kernels(grid, lam), grid.w_radial, order="C")
+    W = np.matmul(wK, V.view(float)).view(complex)  # (Q, L+1, n_s)
     E = grid.h_s * np.exp(-1j * (lam.T[:, :, None] * grid.s))  # (Q, L+1, n_s)
     mult = _mult_table(lam.shape[0] - 1, grid.d)
     tp = np.einsum("qls,qls->ql", W, E) / mult
@@ -443,8 +410,7 @@ def _extend_rays(grid: Grid, A, lam, c_plus, c_minus):
     n_l, n_q = lam.shape
     E = np.exp(1j * (lam[:, :, None] * grid.s))  # (L+1, Q, n_s)
     T = c_plus[:, :, None] * E + c_minus[:, :, None] * np.conj(E)
-    K = _kernel_diag(np.arange(n_l), 2.0 * lam[:, :, None] * grid.rho**2, grid.d)
-    M = A[:, None, None, :] * K.transpose(2, 0, 1)  # (B, n_rho, L+1, Q)
+    M = A[:, None, None, :] * _ray_kernels(grid, lam).transpose(2, 1, 0)  # (B, n_rho, L+1, Q)
     return M.reshape(len(A), grid.n_rho, n_l * n_q) @ T.reshape(n_l * n_q, grid.n_s)
 
 
@@ -494,7 +460,7 @@ def restrict_sigma(u: SpaceTimeField, measure: SigmaMeasure, L_max: int = 32,
     """
     grid = u.grid
     c, _ = _sigma_rays(_bands(L_max), grid.d)
-    al, wa = _alpha_rule(measure, n_alpha)
+    al, wa = _gauss_rule(*measure.support, n_alpha)
     B = grid.w_t[:, None] * np.exp(-1j * np.outer(grid.t_nodes, al))  # (n_t, n_q)
     # contract the time axis first: (n_q, n_rho, n_s)
     Ut = np.tensordot(B, u.values, axes=(0, 0))

@@ -30,11 +30,13 @@ there, and the cut truncates it, as the underflow of e^{-u/2} at u ~ 1490
 already did.  Where K_0 is 0, every K_ell is exactly 0, and the transform
 leaves those outer radii out of its tables and contractions.  The unscaled
 `laguerre_table` remains for quadrature rules whose weight already carries
-the exponential.
+the exponential.  The tables of the transform, restriction and extension
+come through `_kept`, which keeps them for a caller's `kept_kernels()` scope.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from math import comb
 
 import numpy as np
@@ -56,7 +58,38 @@ __all__ = [
     "wigner_radial_table",
     "normalized_kernel",
     "eigenvalue",
+    "kept_kernels",
 ]
+
+# The open kept_kernels() scope's tables by key; None outside every scope.
+_scope = None
+
+
+@contextmanager
+def kept_kernels():
+    """Keep each kernel table built in the scope, read-only and bit-equal to
+    one built afresh, until the outermost scope exits."""
+    global _scope
+    if _scope is not None:  # nested: the outermost scope owns the tables
+        yield
+        return
+    _scope = {}
+    try:
+        yield
+    finally:
+        _scope = None
+
+
+def _kept(key, build):
+    """build(), or in a kept_kernels() scope the read-only table kept under
+    key(), which must name everything the table is built from."""
+    if _scope is None:
+        return build()
+    k = key()
+    if k not in _scope:
+        _scope[k] = build()
+        _scope[k].flags.writeable = False
+    return _scope[k]
 
 
 def kernel_rows(lmax, u, d=1):

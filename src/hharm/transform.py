@@ -41,13 +41,12 @@ evaluated on the even half lam > 0 only, 32 |lam| rows at a time (about
 it is not 0.  The kernel is exactly 0 where e^{-|lam| rho^2} is below the
 floor 2^-969 (`specfun._FLOOR`, u = 2 |lam| rho^2 > 1343), so its tables
 hold no subnormal float, and neither do the samples of a `GaussianClosure`:
-no gemm or FFT here runs on one unless the caller's data brings it.  The
-table is rebuilt on every call and never stored: the default grid's tables
-would raise the resident memory by more than the benchmark's 10 % peak-RSS
-bound.  Batch axes (times, alpha, stacked
-samples) and the real and imaginary parts are the gemm columns.  The
-inverse's s-synthesis then writes one C-ordered buffer, which the returned
-field keeps as its values.
+no gemm or FFT here runs on one unless the caller's data brings it.  A
+call builds its tables, unless a `specfun.kept_kernels()` scope keeps them
+for every call on the same frequencies, radii and band count.  Batch axes
+(times, alpha, stacked samples) and the real and imaginary parts are the
+gemm columns.  The inverse's s-synthesis then writes one C-ordered buffer,
+which the returned field keeps as its values.
 """
 
 from __future__ import annotations
@@ -62,11 +61,12 @@ from .fields import (
     Grid,
     RadialField,
     SpaceTimeField,
+    _check_int,
     s_analysis,
     s_synthesis,
     sphere_area,
 )
-from .specfun import _mult_table, eigenvalue, laguerre_table, wigner_radial_table
+from .specfun import _kept, _mult_table, eigenvalue, laguerre_table, wigner_radial_table
 from .windows import ball_profile, ring_profile
 
 __all__ = [
@@ -133,9 +133,8 @@ def _spectral_weights(grid: Grid, L_max: int):
 
 
 # |lam| rows per kernel block: one block is (rows, L+1, n_rho) float64,
-# about 4 MB at 65 bands x 256 radii.  Rebuilt on every call, never stored:
-# a store of the default grid's tables costs more resident memory than the
-# benchmark's 10 % peak-RSS bound allows
+# about 4 MB at 65 bands x 256 radii; a kept_kernels() scope keeps all of
+# them (8 blocks, 24.7 MB, for the default grid at L = 64)
 _LAM_BLOCK = 32
 
 
@@ -145,12 +144,12 @@ def _lam_contract(grid: Grid, X, L_max, adjoint=False):
     Returns Z with Z[k] = K(lam_k) @ X[k], K the (L+1, n_rho) table of K_ell,
     or K(lam_k)^T @ X[k] when `adjoint`; Z[izero] (lam = 0) is 0.  K is even
     in lam, so `wigner_radial_table` (one `kernel_rows` pass) builds it on
-    the half |lam| = dlam m, m = 1..n_s/2, _LAM_BLOCK rows at a time.  Each
-    block is one np.matmul for the rows izero + m (a contiguous lam slice;
-    m = n_s/2 has no +lam row) and one for the rows izero - m (the same
-    block reversed, as a view).  Complex X is read as interleaved float64,
-    so the real kernel sees the real and imaginary parts of every batch
-    index as 2B gemm columns.
+    the half |lam| = dlam m, m = 1..n_s/2, _LAM_BLOCK rows at a time (kept
+    in a `kept_kernels()` scope).  A block is one np.matmul for the rows
+    izero + m (a contiguous lam slice; m = n_s/2 has no +lam row) and one
+    for the rows izero - m (the same block reversed, as a view).  Complex X
+    is read as interleaved float64, so the real kernel sees the real and
+    imaginary parts of every batch index as 2B gemm columns.
 
     K is exactly 0 at the radii where e^{-|lam| rho^2} is below the floor
     `specfun._FLOOR`, and for the ascending rho these form a tail that is
@@ -172,7 +171,8 @@ def _lam_contract(grid: Grid, X, L_max, adjoint=False):
         m1 = min(m0 + _LAM_BLOCK, izero + 1)
         lam = np.abs(grid.lam[izero - np.arange(m0, m1)])
         p = np.count_nonzero(wigner_radial_table(0, lam[0], grid.rho, grid.d))
-        K = wigner_radial_table(L_max, lam[:, None], grid.rho[None, :p], grid.d)
+        K = _kept(lambda: ("lam", grid.d, L_max, lam.tobytes(), grid.rho[:p].tobytes()),
+                  lambda: wigner_radial_table(L_max, lam[:, None], grid.rho[None, :p], grid.d))
         pos = slice(izero + m0, min(izero + m1, n_s))
         neg = slice(izero - m1 + 1, izero - m0 + 1)
         if adjoint:
@@ -223,11 +223,6 @@ def _inverse_samples(grid: Grid, theta):
     return f.reshape(batch + f.shape[1:])
 
 
-def _check_L_max(L_max):
-    if not isinstance(L_max, (int, np.integer)) or L_max < 0:
-        raise ValueError(f"L_max must be an int >= 0, got {L_max!r}")
-
-
 def forward(f, L_max: int = 64, grid: Grid | None = None) -> SpectralField:
     """Radial spectral transform; the quadrature follows the type of f.
 
@@ -241,7 +236,7 @@ def forward(f, L_max: int = 64, grid: Grid | None = None) -> SpectralField:
     for every band ell <= 2 n_quad - 1, with n_quad = max(48, L_max // 2 + 8).
     `grid` supplies the frequency lattice.
     """
-    _check_L_max(L_max)
+    _check_int("L_max", L_max, 0)
     if isinstance(f, RadialField):
         return SpectralField(f.grid, _forward_samples(f.grid, f.values, L_max))
     closures = f if isinstance(f, (list, tuple)) else [f]
@@ -367,7 +362,7 @@ def transform_D(u: SpaceTimeField, L_max: int = 64) -> SpectralFieldD:
     Requires uniformly spaced t_nodes (the t axis is treated as periodic with
     weight dt, so discrete Parseval is exact for t-compact packets).
     """
-    _check_L_max(L_max)
+    _check_int("L_max", L_max, 0)
     grid = u.grid
     t = grid.t_nodes
     n_t = t.size

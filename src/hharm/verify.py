@@ -57,7 +57,7 @@ from .restriction import (
     SigmaValues,
     SphereValues,
 )
-from .specfun import normalized_kernel, wigner_radial
+from .specfun import kept_kernels, normalized_kernel, wigner_radial
 from .transform import (
     LocalizerSpec,
     SpectralField,
@@ -140,7 +140,8 @@ def _ratio_stability(cfg: RunConfig, name, packets, n_rho, L, ratio) -> CheckRes
     for refine in (1, 2):
         g = Grid(d=1, n_rho=n_rho * refine, r_max=cfg.r_max,
                  n_s=256 * refine, s_half=cfg.s_half)
-        ratios = np.array([ratio(parts, g, L * refine) for parts in packets])
+        with kept_kernels():
+            ratios = np.array([ratio(parts, g, L * refine) for parts in packets])
         stats.append((float(ratios.max()), float(np.median(ratios))))
     drift_max = abs(stats[1][0] - stats[0][0]) / stats[0][0]
     drift_med = abs(stats[1][1] - stats[0][1]) / stats[0][1]

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hharm import restriction, specfun
+from hharm import specfun
 from hharm.fields import GaussianClosure, Grid, RadialField, random_packet, sample_packets
 from hharm.restriction import SphereMeasure, restrict_sphere
 from hharm.specfun import kernel_rows, wigner_radial_table
@@ -92,7 +92,6 @@ def test_floor_changes_no_restriction_or_transform_bit(d, monkeypatch):
     assert np.abs(cut - full).max() < len(parts) * FLOOR  # only sub-floor terms differ
 
     def run(values):
-        restriction._ray_table.cache_clear()
         sv = restrict_sphere(RadialField(grid, values), SphereMeasure(1.0), L_max=32)
         theta = _forward_samples(grid, values, 32)
         return sv.theta_plus, sv.theta_minus, theta, _inverse_samples(grid, theta)
@@ -100,7 +99,6 @@ def test_floor_changes_no_restriction_or_transform_bit(d, monkeypatch):
     with_floor = run(cut)
     monkeypatch.setattr(specfun, "_FLOOR", 0.0)
     without_floor = run(full)
-    restriction._ray_table.cache_clear()
     for a, b in zip(with_floor, without_floor):
         assert a.tobytes() == b.tobytes()
 

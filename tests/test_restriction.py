@@ -3,14 +3,15 @@ the restriction/extension adjoint pair."""
 
 from __future__ import annotations
 
+import weakref
 from math import comb
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hharm import restriction
+from hharm import restriction, specfun, transform
 from hharm.fields import (
     GaussianClosure,
     Grid,
@@ -21,10 +22,9 @@ from hharm.fields import (
     sample_packets,
 )
 from hharm.restriction import (
-    _alpha_rule,
+    _gauss_rule,
     _kernel_diag,
-    _ray_kernel,
-    _ray_table,
+    _ray_kernels,
     _restrict_rays,
     _sphere_rays,
     SigmaMeasure,
@@ -42,7 +42,9 @@ from hharm.restriction import (
     sphere_norm_sq,
     sphere_pair,
 )
-from hharm.specfun import _mult_table, multiplicity
+from hharm.propagators import CauchyDataS, schrodinger_evolve
+from hharm.specfun import _mult_table, kept_kernels, multiplicity
+from hharm.transform import forward, inverse
 from hharm.windows import ball_profile
 
 
@@ -201,8 +203,6 @@ def test_sigma_extension_duality(d):
 def test_sigma_extension_reproduces_free_evolution():
     """With psi == 1 on the data's eigenvalue support, extending the trace of
     a Schrodinger datum reproduces its free flow (chart alpha = eigenvalue)."""
-    from hharm.restriction import _alpha_rule
-    from hharm.propagators import CauchyDataS, schrodinger_evolve
     from hharm.transform import SpectralField
 
     bigg = Grid(d=1, n_rho=96, r_max=12.0, n_s=320, s_half=20.0)
@@ -215,7 +215,7 @@ def test_sigma_extension_reproduces_free_evolution():
         return amps[ell] * np.exp(-((lam - 2.2) ** 2) / (2.0 * 0.38**2))
 
     times = np.linspace(0.0, 0.12, 3)
-    al, wa = _alpha_rule(meas, 700)
+    al, wa = _gauss_rule(*meas.support, 700)
     cs = 1.0 / (4.0 * (2.0 * np.arange(2) + 1.0))
     tp = np.stack([theta0(l, al * cs[l]) for l in range(2)], axis=1)
     tm = np.stack([theta0(l, -al * cs[l]) for l in range(2)], axis=1)
@@ -318,6 +318,39 @@ def test_restrict_rejects_negative_L_max():
         restrict_sigma(u, SigmaMeasure(), L_max=-1)
 
 
+@pytest.mark.parametrize("L_max", [2.5, True, np.float64(3.0), "8"])
+def test_restrict_rejects_a_non_integer_L_max(L_max):
+    """The check forward makes: 2.5 gave 4 bands and True gave 2."""
+    f = RadialField(GRID, np.ones((GRID.n_rho, GRID.n_s)))
+    u = SpaceTimeField(GRID.with_times([0.0, 0.1]), np.ones((2, GRID.n_rho, GRID.n_s)))
+    for call in (lambda: restrict_sphere(f, SphereMeasure(), L_max=L_max),
+                 lambda: restrict_sigma(u, SigmaMeasure(), L_max=L_max),
+                 lambda: forward(f, L_max)):
+        with pytest.raises(ValueError, match="L_max must be an int >= 0"):
+            call()
+
+
+@pytest.mark.parametrize("L_max", [1, 0, -3, 2.5])
+def test_g_function_rejects_L_max_below_two(L_max):
+    """The Richardson step needs the half sum S_{L/2}: L_max = 1 raised an
+    IndexError from an empty band range."""
+    with pytest.raises(ValueError, match="L_max must be an int >= 2"):
+        g_function(0.0, 0.0, L_max=L_max)
+
+
+@pytest.mark.parametrize("d", [0, 1.5])
+@pytest.mark.parametrize("kernel", [
+    lambda d: sphere_pair(lambda e, l: np.ones_like(np.asarray(e, float)), SphereMeasure(), d),
+    lambda d: sigma_pair(lambda a, e, l: np.ones_like(a), SigmaMeasure(), d),
+    lambda d: g_function(0.5, 0.8, d=d),
+    lambda d: g_sigma(0.0, 0.0, 0.0, d=d),
+], ids=["sphere_pair", "sigma_pair", "g_function", "g_sigma"])
+def test_surface_kernels_reject_a_bad_dimension(kernel, d):
+    """d = 0 gave NaN with only numpy's warning, d = 1.5 a number."""
+    with pytest.raises(ValueError, match="d must be an int >= 1"):
+        kernel(d)
+
+
 def test_extend_rejects_values_of_another_dimension():
     g2 = _grid(2)
     v = SphereValues(SphereMeasure(), 1, np.ones(3), np.ones(3))
@@ -330,7 +363,7 @@ def test_extend_rejects_values_of_another_dimension():
 
 
 # ---------------------------------------------------------------------------
-# Ray contraction: rho first against a stored real kernel table
+# Ray contraction: rho first against a real kernel table
 # ---------------------------------------------------------------------------
 
 def _restrict_rays_reference(grid, values, lam):
@@ -352,7 +385,7 @@ def _sphere_lam(L, d, R=1.0):
 
 def _sigma_lam(L, d, n_alpha=12):
     c = 1.0 / (4.0 * (2.0 * np.arange(L + 1) + d))
-    return c[:, None] * _alpha_rule(SigmaMeasure(), n_alpha)[0]
+    return c[:, None] * _gauss_rule(*SigmaMeasure().support, n_alpha)[0]
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -369,74 +402,122 @@ def test_restrict_rays_matches_complex_gemm_reference(d, rays):
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-def test_stored_ray_tables_give_bit_equal_restrictions(monkeypatch):
+# ---------------------------------------------------------------------------
+# Kernel tables kept in a caller's kept_kernels() scope
+# ---------------------------------------------------------------------------
+
+def _all_ops(grid, L_max, n_alpha):
+    """Bytes of forward, inverse, schrodinger_evolve, and restriction and
+    extension on the sphere and the paraboloid, on one seeded sample."""
     rng = np.random.default_rng(33)
-    grid = _grid(2)
-    f = RadialField(grid, rng.standard_normal((grid.n_rho, grid.n_s))
-                    + 1j * rng.standard_normal((grid.n_rho, grid.n_s)))
-    gt = grid.with_times(np.linspace(0.0, 0.25, 4))
-    u = SpaceTimeField(gt, rng.standard_normal((4, grid.n_rho, grid.n_s))
-                       + 1j * rng.standard_normal((4, grid.n_rho, grid.n_s)))
-
-    def run():
-        sv = restrict_sphere(f, SphereMeasure(), L_max=16)
-        gv = restrict_sigma(u, SigmaMeasure(), L_max=8, n_alpha=10)
-        return [a.tobytes() for a in (sv.theta_plus, sv.theta_minus,
-                                      gv.theta_plus, gv.theta_minus)]
-
-    _ray_table.cache_clear()
-    run()
-    stored = run()
-    assert _ray_table.cache_info().hits == 2
-    monkeypatch.setattr(restriction, "_ray_table", _ray_table.__wrapped__)
-    assert run() == stored
+    f = RadialField(grid, _cplx(rng, grid.n_rho, grid.n_s))
+    sf = forward(f, L_max)
+    u = schrodinger_evolve(CauchyDataS(sf), np.linspace(0.0, 0.25, 3))
+    sv = restrict_sphere(f, SphereMeasure(), L_max=L_max)
+    gv = restrict_sigma(u, SigmaMeasure(), L_max=L_max, n_alpha=n_alpha)
+    out = (sf.values, inverse(sf).values, u.values, sv.theta_plus, sv.theta_minus,
+           extend_sphere(sv, grid).values, gv.theta_plus, gv.theta_minus,
+           extend_sigma(gv, u.grid).values)
+    return [a.tobytes() for a in out]
 
 
-def test_stored_ray_table_is_read_only():
-    table = _ray_kernel(GRID, _sphere_lam(8, 1))
-    with pytest.raises(ValueError):
-        table[0, 0, 0] = 1.0
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(d=st.integers(1, 2), n_rho=st.integers(8, 48), half_n_s=st.integers(4, 80),
+       L_max=st.integers(0, 12))
+@example(d=1, n_rho=96, half_n_s=64, L_max=119)  # a 1.1 MB paraboloid ray table
+def test_kept_tables_give_bit_equal_results(d, n_rho, half_n_s, L_max):
+    """Every operator gives the same bytes outside a scope, inside one where
+    it builds the tables, and inside one where it reads the kept tables."""
+    grid = Grid(d=d, n_rho=n_rho, r_max=12.0, n_s=2 * half_n_s, s_half=20.0)
+    outside = _all_ops(grid, L_max, 12)
+    with kept_kernels():
+        assert _all_ops(grid, L_max, 12) == outside
+        kept = dict(specfun._scope)
+        assert _all_ops(grid, L_max, 12) == outside
+        assert specfun._scope.keys() == kept.keys()
+        assert all(specfun._scope[k] is kept[k] for k in kept)
 
 
-def test_ray_tables_are_keyed_on_the_radial_rule_and_the_rays():
-    """A grid that differs in d, n_rho or r_max, or another ray set, is a new
-    entry; another s axis is the same one."""
+def test_kept_tables_refuse_writes():
+    f = RadialField(GRID, np.ones((GRID.n_rho, GRID.n_s)))
+    with kept_kernels():
+        restrict_sphere(f, SphereMeasure(), L_max=8)
+        forward(f, 8)
+        assert len(specfun._scope) == 1 + 4  # one ray table, 128 |lam| rows in 4 blocks
+        for table in specfun._scope.values():
+            with pytest.raises(ValueError):
+                table[0, 0, 0] = 1.0
+
+
+def test_nothing_is_kept_after_the_outermost_scope_exits():
+    lam = _sphere_lam(8, 1)
+    with kept_kernels():
+        with kept_kernels():
+            table = _ray_kernels(GRID, lam)
+        assert _ray_kernels(GRID, lam) is table  # the inner exit keeps it
+    assert specfun._scope is None
+    assert _ray_kernels(GRID, lam) is not _ray_kernels(GRID, lam)
+    assert _ray_kernels(GRID, lam).flags.writeable
+    ref = weakref.ref(table)
+    del table
+    assert ref() is None
+
+
+def test_kept_tables_are_keyed_on_everything_they_are_built_from(monkeypatch):
+    """In one scope a grid that differs in d, n_rho or r_max, another L_max
+    or other rays builds its own tables.  Another s axis reuses the ray
+    table; its transform blocks hold other frequencies and are built."""
+    builds = []
+    real = transform.wigner_radial_table
+
+    def wigner(lmax, *args):  # lmax = 0 is the radius cut, not a block build
+        if lmax:
+            builds.append("lam")
+        return real(lmax, *args)
+
+    monkeypatch.setattr(transform, "wigner_radial_table", wigner)
+    monkeypatch.setattr(restriction, "_kernel_diag",
+                        lambda *a: builds.append("rays") or _kernel_diag(*a))
     base = dict(d=1, n_rho=32, r_max=12.0, n_s=64, s_half=20.0)
-    cases = [(base, 1.0), (dict(base, d=2), 1.0), (dict(base, n_rho=40), 1.0),
-             (dict(base, r_max=10.0), 1.0), (base, 2.0)]
-    _ray_table.cache_clear()
-    for kw, R in cases:
-        grid = Grid(**kw)
-        lam = _sphere_lam(8, grid.d, R)
-        misses = _ray_table.cache_info().misses
-        first = _ray_kernel(grid, lam)
-        assert _ray_table.cache_info().misses == misses + 1
-        assert _ray_kernel(grid, lam) is first
-        assert _ray_table.cache_info().misses == misses + 1
-        assert _ray_kernel(Grid(**dict(kw, n_s=128, s_half=30.0)), lam) is first
+    cases = [(base, 8, 1.0, 1, 1), (dict(base, d=2), 8, 1.0, 1, 1),
+             (dict(base, n_rho=40), 8, 1.0, 1, 1), (dict(base, r_max=10.0), 8, 1.0, 1, 1),
+             (base, 6, 1.0, 1, 1), (base, 8, 2.0, 0, 1),
+             (dict(base, n_s=128, s_half=30.0), 8, 1.0, 2, 0)]
+    with kept_kernels():
+        for kw, L, R, n_lam, n_rays in cases:
+            grid = Grid(**kw)
+            f = RadialField(grid, np.ones((grid.n_rho, grid.n_s)))
+            builds.clear()
+            for _ in range(2):
+                forward(f, L)
+                restrict_sphere(f, SphereMeasure(R), L_max=L)
+            assert sorted(builds) == ["lam"] * n_lam + ["rays"] * n_rays, (kw, L, R)
 
 
-def test_ray_tables_over_the_byte_bound_are_not_kept():
-    lam = _sigma_lam(119, 1)  # 12 x 120 x 96 float64: 1.1 MB
-    assert lam.size * GRID.n_rho * 8 > restriction._RAY_TABLE_BYTES
-    _ray_table.cache_clear()
-    table = _ray_kernel(GRID, lam)
-    assert _ray_table.cache_info().currsize == 0
-    assert table.tobytes() == _ray_table.__wrapped__(
-        1, GRID.rho.tobytes(), GRID.w_radial.tobytes(), lam.tobytes(), lam.shape).tobytes()
+def test_restriction_and_extension_share_one_ray_table():
+    gt = GRID.with_times(np.linspace(0.0, 0.25, 4))
+    u = SpaceTimeField(gt, np.ones((4, GRID.n_rho, GRID.n_s)))
+    f = RadialField(GRID, np.ones((GRID.n_rho, GRID.n_s)))
+    with kept_kernels():
+        extend_sigma(restrict_sigma(u, SigmaMeasure(), L_max=8, n_alpha=10), gt)
+        assert len(specfun._scope) == 1
+        extend_sphere(restrict_sphere(f, SphereMeasure(), L_max=8), GRID)
+        assert len(specfun._scope) == 2
 
 
-def test_sphere_ratio_loop_builds_its_table_once():
-    """The sphere suite's ratio loop at one refinement: 200 samples on one
-    geometry, one table build."""
+def test_sphere_ratio_loop_builds_its_table_once(monkeypatch):
+    """The sphere suite's ratio loop at one refinement, in a scope: 200
+    samples on one geometry, one table build."""
+    calls = []
+    monkeypatch.setattr(restriction, "_kernel_diag",
+                        lambda *a: calls.append(1) or _kernel_diag(*a))
     rng = np.random.default_rng(41)
     grid = Grid(d=1, n_rho=128, r_max=12.0, n_s=256, s_half=40.0)
-    _ray_table.cache_clear()
-    for _ in range(200):
-        f = sample_packets(random_packet(rng, d=1, omega_range=(0.0, 1.5)), grid)
-        restrict_sphere(f, SphereMeasure(1.0), L_max=32)
-    info = _ray_table.cache_info()
-    assert (info.misses, info.hits) == (1, 199)
+    with kept_kernels():
+        for _ in range(200):
+            f = sample_packets(random_packet(rng, d=1, omega_range=(0.0, 1.5)), grid)
+            restrict_sphere(f, SphereMeasure(1.0), L_max=32)
+    assert len(calls) == 1
 
 
 def test_restrict_nan_sample_gives_nan_theta():

@@ -10,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
+from hharm import specfun
 from hharm.specfun import (
+    _kept,
     eigenvalue,
+    kept_kernels,
     kernel_rows,
     laguerre_table,
     multiplicity,
@@ -239,3 +242,39 @@ def test_kernel_rows_match_scipy(u, lmax, d):
             ref = eval_genlaguerre(ell, d - 1, u) * np.exp(-u / 2)
         ok = np.isfinite(ref)
         assert np.all(np.abs(K[ok] - ref[ok]) <= 1e-10 * multiplicity(ell, d))
+
+
+# ---------------------------------------------------------------------------
+# The kernel-table provider
+# ---------------------------------------------------------------------------
+
+def test_kept_builds_once_per_key_inside_a_scope_only():
+    builds, keys = [], []
+
+    def key():
+        keys.append(1)
+        return ("k", 1)
+
+    def build():
+        builds.append(1)
+        return np.arange(3.0)
+
+    a, b = _kept(key, build), _kept(key, build)
+    assert a is not b and a.flags.writeable
+    assert (len(builds), len(keys)) == (2, 0)  # outside a scope no key is formed
+    with kept_kernels():
+        a = _kept(key, build)
+        with kept_kernels():
+            assert _kept(key, build) is a
+        assert _kept(key, build) is a and not a.flags.writeable
+        assert _kept(lambda: ("k", 2), build) is not a
+    assert len(builds) == 4 and specfun._scope is None
+
+
+def test_kept_scope_ends_when_its_body_raises():
+    with pytest.raises(RuntimeError):
+        with kept_kernels():
+            _kept(lambda: "k", lambda: np.zeros(2))
+            raise RuntimeError
+    assert specfun._scope is None
+

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 
 import hharm
 from hharm.config import RunConfig
+from hharm.fields import random_packet, sample_packets
+from hharm.propagators import CauchyDataS, schrodinger_evolve
+from hharm.restriction import SigmaMeasure, restrict_sigma, sigma_norm_sq
 from hharm.report import CheckResult, VerificationReport, _jsonable
 from hharm import fields, propagators, transform, twisted, verify
 from hharm.verify import SUITES, _row, run_suites, translate_identity_check
@@ -43,6 +47,11 @@ def test_operator_modules_export_operators_only():
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
     # every quadrature rule of the checks comes from fields._legendre_rule
     assert not hasattr(verify, "roots_legendre")
+    # one store of quadrature rules (fields) and one of kernel tables (specfun)
+    src = {p.stem: p.read_text() for p in Path(hharm.__file__).parent.glob("*.py")}
+    assert [m for m in src if "lru_cache" in src[m]] == ["fields"]
+    assert [m for m in src if "roots_legendre" in src[m]] == ["fields"]
+    assert [m for m in src if "def _kept(" in src[m] or "def kept_kernels(" in src[m]] == ["specfun"]
 
 
 def test_checks_build_each_gauss_legendre_rule_once(monkeypatch):
@@ -62,6 +71,31 @@ def test_checks_build_each_gauss_legendre_rule_once(monkeypatch):
         verify.orth_check(ells=(1, 2), n_quad=512)
         verify.wave_decay_probe(times=(1.0, 2.0), n_quad=200)
     assert calls == [512, 200]
+
+
+def test_ratio_stability_builds_each_transform_block_once_per_level(monkeypatch):
+    """Three samples of the sigma suite's ratio: every forward and inverse of
+    a level reads the kernel blocks its first forward built."""
+    real = transform.wigner_radial_table
+    builds = []
+
+    def counting(lmax, *args):
+        builds.append(lmax)
+        return real(lmax, *args)
+
+    monkeypatch.setattr(transform, "wigner_radial_table", counting)
+    rng = np.random.default_rng(47)
+    packs = [random_packet(rng, d=1, omega_range=(0.0, 0.3)) for _ in range(3)]
+    times = np.linspace(0.0, 0.25, 5)
+
+    def ratio(parts, g, L):
+        u = schrodinger_evolve(CauchyDataS(transform.forward(sample_packets(parts, g), L)), times)
+        return np.sqrt(sigma_norm_sq(restrict_sigma(u, SigmaMeasure(), L_max=L, n_alpha=12)))
+
+    row = verify._ratio_stability(RunConfig(), "sigma", packs, 96, 12, ratio)
+    assert np.isfinite(row.measured["drift_max"])
+    # n_s = 256, then 512: 128 and 256 |lam| rows, 4 and 8 blocks of 32
+    assert [l for l in builds if l > 0] == [12] * 4 + [24] * 8
 
 
 def test_check_result_line():
