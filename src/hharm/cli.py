@@ -102,10 +102,9 @@ def cmd_transform(args) -> int:
 
 def cmd_propagate(args) -> int:
     cfg = _load_config(args.config)
-    t_final = cfg.t_final if args.t is None else args.t
-    if not (np.isfinite(t_final) and t_final > 0):
-        _err("--t must be positive and finite")
-        return EXIT_USAGE
+    if args.t is not None:  # RunConfig refuses a bad --t as it does t_final
+        cfg = dataclasses.replace(cfg, t_final=args.t)
+    t_final = cfg.t_final
     times = np.linspace(0.0, t_final, cfg.n_t)
     cons_tol = 1e-10
 

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .fields import N_RHO_MAX, Grid, radial_weights_finite
+from .fields import N_RHO_MAX, Grid, _check_int, _check_positive, radial_weights_finite
 
 __all__ = ["ConfigError", "RunConfig", "SCHEMA"]
 
@@ -32,27 +31,19 @@ class RunConfig:
     suites: tuple = ("all",)
 
     def __post_init__(self):
-        for name in ("d", "L_max", "n_rho", "n_s", "n_t", "seed"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool):  # JSON true is not 1
-                raise ConfigError(f"{name} must be an integer")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.d < 1:
-            raise ConfigError("d must be >= 1")
-        if self.L_max < 0:
-            raise ConfigError("L_max must be >= 0")
+        # the shared checks of Grid and the operators, then the config's own
+        try:
+            for name, low in (("d", 1), ("L_max", 0), ("n_rho", 1), ("n_s", 1),
+                              ("n_t", 2), ("seed", 0)):
+                _check_int(name, getattr(self, name), low)
+            for name in ("r_max", "s_half", "t_final"):
+                _check_positive(name, getattr(self, name))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 8 <= self.n_rho <= N_RHO_MAX:
             raise ConfigError(f"n_rho must be >= 8 and <= {N_RHO_MAX}")
         if self.n_s < 8 or self.n_s & (self.n_s - 1):
             raise ConfigError("n_s must be a power of two and >= 8")
-        for name in ("r_max", "s_half", "t_final"):
-            v = getattr(self, name)
-            # a bound, not math.isfinite: an int beyond a float overflows it
-            if not (isinstance(v, (int, float)) and 0 < v <= sys.float_info.max):
-                raise ConfigError(f"{name} must be finite and positive")
-        if self.n_t < 2:
-            raise ConfigError("n_t must be >= 2")
         if not radial_weights_finite(self.d, self.r_max):
             raise ConfigError(f"radial weights overflow at d={self.d}, r_max={self.r_max}")
         object.__setattr__(self, "suites", tuple(self.suites))

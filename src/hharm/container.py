@@ -105,18 +105,13 @@ def _rebuild_grid(h: dict) -> Grid:
         )
     if not (np.isfinite(stored).all() and np.isfinite(weights).all()):
         raise HHFLDError("bad header: stored rho nodes or weights are not finite")
-    t_nodes = h.get("t_nodes")
-    if t_nodes is not None:
-        t_nodes = np.asarray(t_nodes, dtype=float)
-        if t_nodes.ndim != 1 or not np.isfinite(t_nodes).all():
-            raise HHFLDError("bad header: t_nodes is not a list of finite times")
-    grid = Grid(
+    grid = Grid(  # which refuses a t_nodes that is not a list of finite times
         d=int(h["d"]),
         n_rho=int(h["n_rho"]),
         r_max=float(h["r_max"]),
         n_s=int(h["n_s"]),
         s_half=float(h["s_half"]),
-        t_nodes=t_nodes,
+        t_nodes=h.get("t_nodes"),
     )
     if not np.allclose(stored, grid.rho, rtol=0, atol=1e-12 * grid.r_max):
         raise HHFLDError("stored rho nodes disagree with the declared grid")

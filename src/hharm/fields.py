@@ -30,10 +30,12 @@ and 1/(2S) = dlam/(2 pi)).
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import factorial, isfinite
+from numbers import Real
 
 import numpy as np
 from scipy.special import roots_legendre
@@ -62,10 +64,33 @@ __all__ = [
 ]
 
 
-def _check_int(name, v, low):
-    """Refuse v unless it is an int >= low (a bool is not one)."""
-    if not isinstance(v, (int, np.integer)) or isinstance(v, bool) or v < low:
+def _check_int(name, v, low, high=None):
+    """Refuse v unless it is an int (a bool is not one) >= low and, given a
+    high, <= high."""
+    if not isinstance(v, (int, np.integer)) or isinstance(v, bool):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    if v < low:
         raise ValueError(f"{name} must be an int >= {low}, got {v!r}")
+    if high is not None and v > high:
+        raise ValueError(f"{name} must be <= {high}, got {v!r}")
+
+
+def _check_positive(name, v):
+    """Refuse v unless it is a real number (a bool is not one), finite and > 0:
+    bounded by the largest float, so an int past the float range is refused."""
+    if not (isinstance(v, Real) and not isinstance(v, bool) and 0 < v <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
+def _uniform_step(t, who):
+    """The step of t, a ladder of >= 2 evenly spaced times; `who` names the
+    caller in the refusal."""
+    if t.size < 2:
+        raise ValueError(f"{who} needs at least two time nodes")
+    dt = t[1] - t[0]
+    if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-12 * abs(dt)):
+        raise ValueError(f"{who} needs uniform time nodes")
+    return dt
 
 
 def sphere_area(d: int) -> float:
@@ -110,8 +135,10 @@ def _legendre_rule(n: int):
 class Grid:
     """Tensor grid for radial fields on H^d (optionally with a time axis).
 
-    n_rho is at most N_RHO_MAX (8192); a larger grid is refused with
-    ValueError before its Gauss-Legendre rule is built.
+    Anything but ints d, n_rho, n_s >= 1 (n_s even, n_rho <= N_RHO_MAX =
+    8192), finite r_max, s_half > 0 with finite radial weights, and 1-D
+    finite t_nodes is refused with ValueError before the Gauss-Legendre rule
+    is built; `RunConfig`, the HHFLD reader and every evolution rely on it.
     """
 
     d: int = 1
@@ -128,16 +155,19 @@ class Grid:
     lam: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("d", "n_rho", "n_s"):
-            _check_int(name, getattr(self, name), 1)
-        if self.n_rho > N_RHO_MAX:
-            raise ValueError(f"n_rho must be <= {N_RHO_MAX}, got {self.n_rho}")
+        _check_int("d", self.d, 1)
+        _check_int("n_rho", self.n_rho, 1, N_RHO_MAX)
+        _check_int("n_s", self.n_s, 1)
         if self.n_s % 2:
             raise ValueError("n_s must be even")
-        if not all(np.isfinite(v) and v > 0 for v in (self.r_max, self.s_half)):
-            raise ValueError("r_max and s_half must be finite and > 0")
+        _check_positive("r_max", self.r_max)
+        _check_positive("s_half", self.s_half)
         if not radial_weights_finite(self.d, self.r_max):
             raise ValueError(f"radial weights overflow at d={self.d}, r_max={self.r_max}")
+        if self.t_nodes is not None:
+            self.t_nodes = np.asarray(self.t_nodes, dtype=float)
+            if self.t_nodes.ndim != 1 or not np.isfinite(self.t_nodes).all():
+                raise ValueError("t_nodes must be a 1-D array of finite times")
         x, w = _legendre_rule(int(self.n_rho))
         self.rho = 0.5 * self.r_max * (x + 1.0)
         self.w_rho = 0.5 * self.r_max * w
@@ -148,8 +178,6 @@ class Grid:
         self.lam = np.pi * k / self.s_half
         self.dlam = np.pi / self.s_half
         self.izero = self.n_s // 2
-        if self.t_nodes is not None:
-            self.t_nodes = np.asarray(self.t_nodes, dtype=float)
 
     @property
     def w_lam(self):
@@ -173,7 +201,8 @@ class Grid:
         return w
 
     def with_times(self, t_nodes) -> "Grid":
-        return replace(self, t_nodes=np.asarray(t_nodes, dtype=float))
+        """This grid on the time axis t_nodes, refused unless 1-D and finite."""
+        return replace(self, t_nodes=t_nodes)
 
     def compatible(self, other: "Grid") -> bool:
         return (
@@ -369,9 +398,12 @@ def s_translate(f: RadialField, s0: float) -> RadialField:
     Shifts by integer multiples of h_s are exact circular rolls; other shifts
     go through the trigonometric interpolant (spectrum times e^{-i s0 lam}),
     which is exact on the trigonometric model space and L^2-isometric.
+    A shift that is not finite in steps of h_s is refused with ValueError.
     """
     g = f.grid
     steps = s0 / g.h_s
+    if not isfinite(steps):
+        raise ValueError(f"shift s0 must be finite in steps of h_s, got s0={s0!r}")
     if abs(steps - round(steps)) < 1e-12:
         return RadialField(g, np.roll(f.values, round(steps), axis=1))
     theta = s_analysis(g, f.values)
@@ -409,10 +441,10 @@ def dilate(f: RadialField, a: float) -> RadialField:
     mass of f lives in the truncated region a warning is issued.
 
     Resampling: trigonometric interpolation in s, barycentric polynomial
-    interpolation on the Gauss-Legendre nodes in rho.
+    interpolation on the Gauss-Legendre nodes in rho.  A factor a that is
+    not finite and > 0 is refused with ValueError.
     """
-    if a <= 0:
-        raise ValueError("dilation factor must be positive")
+    _check_positive("dilation factor a", a)
     g = f.grid
     if a > 1:
         mass = np.abs(f.values) ** 2 * g.w_radial[:, None] * g.h_s

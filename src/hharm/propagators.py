@@ -5,7 +5,8 @@ eigenvalue(ell, lam, d) = 4 |lam| (2 ell + d), so the free Schrodinger flow
 is the multiplier exp(i t eig) and the wave flow splits into half-waves
 exp(+- i t sqrt(eig)).  A datum carried by a single band ell at positive lam
 is transported: u(t)(Y, s) = u0(Y, s + 4 t (2 ell + d)); negative lam
-transports the other way.
+transports the other way.  Every flow takes its times through
+`Grid.with_times`, which refuses any that are not finite before the flow runs.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import RadialField, SpaceTimeField, s_translate
+from .fields import RadialField, SpaceTimeField, _uniform_step, s_translate
 from .transform import SpectralField, _inverse_samples
 
 __all__ = [
@@ -47,14 +48,15 @@ class CauchyDataW:
 def schrodinger_evolve(data: CauchyDataS, times) -> SpaceTimeField:
     """Free flow u(t) = synthesis(exp(i t eig) theta0), all times in one pass."""
     sf = data.u0
-    times = np.asarray(times, dtype=float)
-    theta = np.exp(1j * times[:, None, None] * sf.eig()) * sf.values
-    return SpaceTimeField(sf.grid.with_times(times), _inverse_samples(sf.grid, theta))
+    grid = sf.grid.with_times(times)
+    theta = np.exp(1j * grid.t_nodes[:, None, None] * sf.eig()) * sf.values
+    return SpaceTimeField(grid, _inverse_samples(sf.grid, theta))
 
 
 def _halfwave_split(data: CauchyDataW, times):
-    """Half-wave spectra exp(+-i t omega) gamma_+- at every time, with
-    omega = sqrt(eig) and gamma_+- = (theta0 -+ i theta1 / omega) / 2.
+    """Half-wave spectra exp(+-i t omega) gamma_+- at every time of the array
+    `times` (a grid's t_nodes), with omega = sqrt(eig) and
+    gamma_+- = (theta0 -+ i theta1 / omega) / 2.
 
     The split divides by omega, which is smallest next to the excluded
     lam = 0 column, so velocity mass above 1e-12 (relative) in the bins
@@ -77,7 +79,7 @@ def _halfwave_split(data: CauchyDataW, times):
     omega = np.sqrt(data.u0.eig())
     gp = 0.5 * (data.u0.values - 1j * th1 / omega)
     gm = 0.5 * (data.u0.values + 1j * th1 / omega)
-    t = np.asarray(times, dtype=float)[:, None, None]
+    t = times[:, None, None]
     # exp(-i x) is conj(exp(i x)) bit for bit: cos is even and sin odd
     e = np.exp(1j * t * omega)
     return e * gp, np.conj(e) * gm, omega
@@ -85,10 +87,9 @@ def _halfwave_split(data: CauchyDataW, times):
 
 def wave_evolve(data: CauchyDataW, times) -> SpaceTimeField:
     """Wave flow from (u0, u1) via the half-wave multipliers exp(+-it sqrt(eig))."""
-    times = np.asarray(times, dtype=float)
-    up, um, _ = _halfwave_split(data, times)
-    grid = data.u0.grid
-    return SpaceTimeField(grid.with_times(times), _inverse_samples(grid, up + um))
+    grid = data.u0.grid.with_times(times)
+    up, um, _ = _halfwave_split(data, grid.t_nodes)
+    return SpaceTimeField(grid, _inverse_samples(data.u0.grid, up + um))
 
 
 def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:
@@ -98,7 +99,7 @@ def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:
     spectrum (not from the invariant form), so drift measures the
     implementation honestly.
     """
-    up, um, omega = _halfwave_split(data, times)
+    up, um, omega = _halfwave_split(data, data.u0.grid.with_times(times).t_nodes)
     return _wave_energy(data, up, um, omega, up + um)
 
 
@@ -113,13 +114,12 @@ def _wave_evolve_with_energy(data: CauchyDataW, times):
     half-wave split.  The energy is summed first, and the half-wave spectra
     are freed before the synthesis, so the peak memory is that of the
     synthesis of up + um alone."""
-    times = np.asarray(times, dtype=float)
-    up, um, omega = _halfwave_split(data, times)
+    grid = data.u0.grid.with_times(times)
+    up, um, omega = _halfwave_split(data, grid.t_nodes)
     uh = up + um
     energy = _wave_energy(data, up, um, omega, uh)
     del up, um
-    grid = data.u0.grid
-    return SpaceTimeField(grid.with_times(times), _inverse_samples(grid, uh)), energy
+    return SpaceTimeField(grid, _inverse_samples(data.u0.grid, uh)), energy
 
 
 def transport_reference(u0: RadialField, ell: int, t: float) -> RadialField:
@@ -139,13 +139,10 @@ def duhamel(data: CauchyDataS, source, times) -> SpaceTimeField:
         theta_{n+1} = e^{i dt eig} theta_n
                       - i (dt/2) (e^{i dt eig} fhat_n + fhat_{n+1}).
     """
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise ValueError("duhamel needs a ladder of at least two times")
-    dt = times[1] - times[0]
-    if not np.allclose(np.diff(times), dt, rtol=0, atol=1e-12 * abs(dt)):
-        raise ValueError("duhamel needs a uniform time ladder")
     sf = data.u0
+    grid = sf.grid.with_times(times)
+    times = grid.t_nodes
+    dt = _uniform_step(times, "duhamel")
     prop = np.exp(1j * dt * sf.eig())
     theta = np.empty((times.size,) + sf.values.shape, dtype=complex)
     theta[0] = sf.values
@@ -154,7 +151,7 @@ def duhamel(data: CauchyDataS, source, times) -> SpaceTimeField:
         fh_next = source(times[n]).values
         theta[n] = prop * theta[n - 1] - 1j * (dt / 2.0) * (prop * fh_prev + fh_next)
         fh_prev = fh_next
-    return SpaceTimeField(sf.grid.with_times(times), _inverse_samples(sf.grid, theta))
+    return SpaceTimeField(grid, _inverse_samples(sf.grid, theta))
 
 
 # ---------------------------------------------------------------------------

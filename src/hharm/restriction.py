@@ -51,7 +51,8 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .fields import Grid, RadialField, SpaceTimeField, _check_int, _legendre_rule
+from .fields import (N_RHO_MAX, Grid, RadialField, SpaceTimeField, _check_int,
+                     _check_positive, _legendre_rule)
 from .specfun import _kept, _mult_table, kernel_rows
 from .windows import sigma_window
 
@@ -73,17 +74,12 @@ __all__ = [
 ]
 
 
-def _check_radius(radius):
-    if not (np.isfinite(radius) and radius > 0):
-        raise ValueError(f"radius must be positive and finite, got {radius}")
-
-
 @dataclass(frozen=True)
 class SphereMeasure:
     radius: float = 1.0
 
     def __post_init__(self):
-        _check_radius(self.radius)
+        _check_positive("radius", self.radius)
 
 
 @dataclass
@@ -249,7 +245,7 @@ def g_function(rho, s, d: int = 1, radius: float = 1.0, L_max: int = 4096):
     """
     _check_int("d", d, 1)
     _check_int("L_max", L_max, 2)  # S_{L/2} needs a band
-    _check_radius(radius)
+    _check_positive("radius", radius)
     rho_b, s_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(s, float))
     shape = rho_b.shape
     rf = rho_b.ravel()[None, :]
@@ -457,7 +453,9 @@ def restrict_sigma(u: SpaceTimeField, measure: SigmaMeasure, L_max: int = 32,
     at Gauss-Legendre nodes alpha_q on supp(psi).  The t-integral uses the
     field's (windowed) trapezoid ladder: for fields that are not t-compact
     the values depend on the window, which callers must normalize for.
+    n_alpha is an int in [1, N_RHO_MAX], checked before its rule is built.
     """
+    _check_int("n_alpha", n_alpha, 1, N_RHO_MAX)
     grid = u.grid
     c, _ = _sigma_rays(_bands(L_max), grid.d)
     al, wa = _gauss_rule(*measure.support, n_alpha)

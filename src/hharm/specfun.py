@@ -28,8 +28,9 @@ is about 1e-182 for ell = 64 and 5e-26 for ell = 256, against
 K_ell(0) = multiplicity.  From ell ~ 300 on the kernel is no longer small
 there, and the cut truncates it, as the underflow of e^{-u/2} at u ~ 1490
 already did.  Where K_0 is 0, every K_ell is exactly 0, and the transform
-leaves those outer radii out of its tables and contractions.  The unscaled
-`laguerre_table` remains for quadrature rules whose weight already carries
+leaves those outer radii out of its tables and contractions.  Started from
+K_0 = 1 instead, the recurrence gives the unscaled L_ell^{(d-1)}, which the
+transform's Gauss-Laguerre closure rule uses, as its weight already carries
 the exponential.  The tables of the transform, restriction and extension
 come through `_kept`, which keeps them for a caller's `kept_kernels()` scope.
 """
@@ -52,7 +53,6 @@ _FLOOR = np.finfo(float).tiny * 2.0**53
 
 __all__ = [
     "kernel_rows",
-    "laguerre_table",
     "multiplicity",
     "wigner_radial",
     "wigner_radial_table",
@@ -141,22 +141,6 @@ def _recurrence(lmax, u, d, k0, row):
         nxt /= k + 1
         k0, k1 = k1, nxt
         yield nxt
-
-
-def laguerre_table(lmax, alpha, x):
-    """Unscaled L_ell^{(alpha)}(x) for ell = 0..lmax; shape (lmax+1,) + x.shape.
-
-    Only for quadrature whose weight already holds e^{-x} (the Gauss-Laguerre
-    closure transform): the unscaled values grow like x^ell / ell!.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((lmax + 1,) + x.shape)
-    out[0] = 1.0
-    if lmax >= 1:
-        out[1] = 1.0 + alpha - x
-    for k in range(1, lmax):
-        out[k + 1] = ((2 * k + alpha + 1 - x) * out[k] - (k + alpha) * out[k - 1]) / (k + 1)
-    return out
 
 
 def multiplicity(ell: int, d: int) -> int:

@@ -62,11 +62,12 @@ from .fields import (
     RadialField,
     SpaceTimeField,
     _check_int,
+    _uniform_step,
     s_analysis,
     s_synthesis,
     sphere_area,
 )
-from .specfun import _kept, _mult_table, eigenvalue, laguerre_table, wigner_radial_table
+from .specfun import _kept, _mult_table, _recurrence, eigenvalue, wigner_radial_table
 from .windows import ball_profile, ring_profile
 
 __all__ = [
@@ -259,7 +260,10 @@ def _forward_closure(closures, grid: Grid, L_max: int, n_quad: int) -> SpectralF
         p = c.a / (2.0 * al[live]) + 0.5  # (n_live,)
         # radial integral: p^{-d} sum_q w_q L_ell^{(d-1)}(u_q / p)
         x = uq[None, :] / p[:, None]  # (n_live, n_quad)
-        tab = laguerre_table(L_max, d - 1, x)  # (L+1, n_live, n_quad)
+        tab = np.empty((L_max + 1,) + x.shape)  # (L+1, n_live, n_quad)
+        tab[0] = 1.0  # the unscaled L_ell^{(d-1)}: the weight holds e^{-u}
+        for _ in _recurrence(L_max, x, d, tab[0], lambda k: tab[k]):
+            pass
         rad = (tab * wq[None, None, :]).sum(-1) * p[None, :] ** (-d) * pref[None, :]
         theta[:, live] += (c.phat(grid.lam[live])[None, :] * rad) / mults[:, None]
     return SpectralField(grid, theta)
@@ -366,11 +370,7 @@ def transform_D(u: SpaceTimeField, L_max: int = 64) -> SpectralFieldD:
     grid = u.grid
     t = grid.t_nodes
     n_t = t.size
-    if n_t < 2:
-        raise ValueError("transform_D needs at least two time nodes")
-    dt = t[1] - t[0]
-    if not np.allclose(np.diff(t), dt, rtol=0, atol=1e-12 * abs(dt)):
-        raise ValueError("transform_D needs uniform t_nodes")
+    dt = _uniform_step(t, "transform_D")
     m = np.arange(n_t) - n_t // 2
     alpha = 2.0 * np.pi * m / (n_t * dt)
     fw = np.fft.fftshift(np.fft.fft(u.values, axis=0), axes=0)

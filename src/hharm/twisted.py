@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fields import _check_int
 from .specfun import kernel_rows
 
 __all__ = [
@@ -53,8 +54,7 @@ class PlanarGrid:
     h: float = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)) or self.n < 3:
-            raise ValueError(f"n must be an int >= 3, got {self.n!r}")
+        _check_int("n", self.n, 3)
         if self.n % 2 == 0:
             raise ValueError("n must be odd (origin-centred lattice)")
         if not (self.half_width > 0 and np.isfinite(2.0 * self.half_width)):

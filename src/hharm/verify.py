@@ -1136,9 +1136,9 @@ SUITES = {
 }
 
 
-def run_suites(cfg: RunConfig, names=None) -> VerificationReport:
-    """Run the named suites (default: the config's) and assemble the report."""
-    names = list(names if names is not None else cfg.suites)
+def run_suites(cfg: RunConfig) -> VerificationReport:
+    """Run the config's suites and assemble the report."""
+    names = list(cfg.suites)
     if "all" in names:
         names = list(SUITES)
     unknown = [n for n in names if n not in SUITES]

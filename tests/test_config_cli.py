@@ -49,15 +49,61 @@ def test_config_defaults():
         ({"s_half": float("nan")}, "finite"),
         ({"L_max": 8.5}, "L_max must be an integer"),
         ({"n_s": 512.0}, "n_s must be an integer"),
-        ({"seed": -3}, "seed must be >= 0"),
+        ({"seed": -3}, "seed must be an int >= 0"),
         ({"seed": 1.5}, "seed must be an integer"),
         ({"seed": True}, "seed must be an integer"),
         ({"n_rho": N_RHO_MAX + 1}, "n_rho must be >= 8 and <= 8192"),
+        ({"r_max": True}, "r_max must be finite and positive"),  # was taken as 1
+        ({"t_final": True}, "t_final must be finite and positive"),
     ],
 )
 def test_config_validation(kw, frag):
     with pytest.raises(ConfigError, match=frag):
         RunConfig(**kw)
+
+
+# Each geometry field is drawn, one time in four, from ints, floats, bools,
+# NaN, +-inf and ints past the float range, and otherwise from a plausible
+# range; n_rho stays small, or is just past the cap, so no large
+# Gauss-Legendre rule is built.
+_any_number = (st.integers(-1, 400) | st.booleans() | st.floats()
+               | st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                                  10**400, -(10**400), N_RHO_MAX + 1]))
+
+
+def _field(plausible):
+    return st.integers(0, 3).flatmap(lambda i: plausible if i else _any_number)
+
+
+_length = st.integers(1, 100) | st.floats(0.5, 50.0)
+_GEOMETRY = st.fixed_dictionaries({
+    "d": _field(st.integers(1, 3)),
+    "n_rho": _field(st.integers(1, 64)),
+    "r_max": _field(_length),
+    "n_s": _field(st.sampled_from([4, 8, 16, 32, 64, 100, 128])),
+    "s_half": _field(_length),
+})
+
+
+@settings(max_examples=300)
+@given(kw=_GEOMETRY)
+def test_config_and_grid_refuse_alike(kw):
+    """A Grid builds or raises ValueError, and RunConfig refuses exactly the
+    geometries Grid refuses, plus those its own size rules refuse."""
+    with np.errstate(all="ignore"):  # a subnormal s_half overflows lam
+        try:
+            Grid(**kw)
+            grid_refused = False
+        except ValueError:
+            grid_refused = True
+    config_only = not grid_refused and (
+        kw["n_rho"] < 8 or kw["n_s"] < 8 or kw["n_s"] & (kw["n_s"] - 1) != 0)
+    try:
+        RunConfig(**kw)
+        config_refused = False
+    except ConfigError:
+        config_refused = True
+    assert config_refused == (grid_refused or config_only)
 
 
 def test_config_json_roundtrip(tmp_path):
@@ -201,11 +247,13 @@ def test_transform_tolerance_breach(tmp_path, band_file, capsys):
     ({"d": 200}, "radial weights overflow"),
     ({"d": 171}, "radial weights overflow"),
     ({"d": 1, "r_max": 1e300}, "radial weights overflow"),
+    ({"r_max": True}, "r_max must be finite and positive"),
 ])
 def test_config_refusals_are_usage_errors(tmp_path, cfg, frag, capsys):
-    """A `tolerances` key and geometries whose radial weights overflow exit 2.
-    At d = 200 the run died on an OverflowError; at d = 171 and r_max = 1e300
-    it exited 0 with a nan band-tail fraction."""
+    """A `tolerances` key, geometries whose radial weights overflow and a
+    JSON true for r_max exit 2.  At d = 200 the run died on an
+    OverflowError; at d = 171 and r_max = 1e300 it exited 0 with a nan
+    band-tail fraction, and r_max = true ran on r_max = 1."""
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(cfg, n_rho=8, n_s=8, L_max=2)))
     code = main(["verify", "hardy", "--config", str(p), "--out", str(tmp_path / "r.json")])
@@ -328,7 +376,7 @@ def test_propagate_bad_time(small_cfg, capsys):
     code = main(["propagate", "--eq", "schrodinger", "--transport-ell", "0",
                  "--t", "-1", "--config", small_cfg])
     assert code == EXIT_USAGE
-    assert "--t must be positive" in capsys.readouterr().err
+    assert "t_final must be finite and positive" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("eq", ["schrodinger", "wave"])
@@ -339,7 +387,7 @@ def test_propagate_nonfinite_time_is_usage_error(tmp_path, small_cfg, band_file,
     code = main(["propagate", "--eq", eq, "--in", band_file, "--t", t,
                  "--out", str(out_path), "--config", small_cfg])
     assert code == EXIT_USAGE
-    assert "--t must be positive and finite" in capsys.readouterr().err
+    assert "t_final must be finite and positive" in capsys.readouterr().err
     assert not out_path.exists()
 
 

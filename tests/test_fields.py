@@ -49,21 +49,34 @@ GEOMETRY = dict(d=1, n_rho=16, r_max=12.0, n_s=32, s_half=40.0)
 @pytest.mark.parametrize("kw, frag", [
     ({"n_s": 0}, "n_s must be an int >= 1"),
     ({"n_s": -2}, "n_s must be an int >= 1"),
-    ({"n_s": 32.0}, "n_s must be an int >= 1"),
+    ({"n_s": 32.0}, "n_s must be an integer"),
     ({"n_rho": 0}, "n_rho must be an int >= 1"),
     ({"d": 0}, "d must be an int >= 1"),
-    ({"r_max": 0.0}, "r_max and s_half"),
-    ({"r_max": np.inf}, "r_max and s_half"),
-    ({"s_half": 0.0}, "r_max and s_half"),
-    ({"s_half": -40.0}, "r_max and s_half"),
-    ({"s_half": np.nan}, "r_max and s_half"),
+    ({"r_max": 0.0}, "r_max must be finite and positive"),
+    ({"r_max": np.inf}, "r_max must be finite and positive"),
+    ({"s_half": 0.0}, "s_half must be finite and positive"),
+    ({"s_half": -40.0}, "s_half must be finite and positive"),
+    ({"s_half": np.nan}, "s_half must be finite and positive"),
     ({"d": 150}, "radial weights overflow"),  # rho^299 at rho near 12
     ({"d": 200}, "radial weights overflow"),  # 199! is beyond a float
     ({"r_max": 1e300}, "radial weights overflow"),  # w_rho * rho at d = 1
+    ({"r_max": 10**400}, "r_max must be finite and positive"),  # was a TypeError
+    ({"s_half": True}, "s_half must be finite and positive"),  # was taken as 1
 ])
 def test_grid_rejects_bad_geometry(kw, frag):
     with pytest.raises(ValueError, match=frag):
         Grid(**dict(GEOMETRY, **kw))
+
+
+@pytest.mark.parametrize("t_nodes", [[np.nan, 0.1], [0.0, np.inf], [-np.inf],
+                                     [[0.0, 0.1]], 0.5])
+def test_grid_refuses_a_time_axis_that_is_not_1d_and_finite(t_nodes):
+    """Every evolution takes its times through `with_times`, so this is where
+    a NaN or infinite time is refused (they gave non-finite fields)."""
+    g = Grid(**GEOMETRY)
+    for make in (lambda: g.with_times(t_nodes), lambda: Grid(**GEOMETRY, t_nodes=t_nodes)):
+        with pytest.raises(ValueError, match="t_nodes must be a 1-D array of finite times"):
+            make()
 
 
 @pytest.mark.parametrize("r_max", [0.5, 12.0, 40.0])
@@ -308,6 +321,21 @@ def test_dilate_truncation_warning_and_guards():
         dilate(wide, 1.25)
     with pytest.raises(ValueError):
         dilate(gaussian_field(), 0.0)
+
+
+@pytest.mark.parametrize("a", [np.nan, np.inf, -1.0, True])
+def test_dilate_refuses_a_factor_that_is_not_finite_and_positive(a):
+    """NaN and inf gave an all-zero field, and True dilated by 1."""
+    with pytest.raises(ValueError, match="dilation factor a must be finite and positive"):
+        dilate(gaussian_field(), a)
+
+
+@pytest.mark.parametrize("s0", [np.nan, np.inf, -np.inf, 1e308])
+def test_s_translate_refuses_a_shift_that_is_not_finite(s0):
+    """inf raised OverflowError from round() and NaN failed inside it; 1e308
+    is finite but not in steps of h_s = 0.3125."""
+    with pytest.raises(ValueError, match="shift s0 must be finite"):
+        s_translate(gaussian_field(), s0)
 
 
 def test_dilate_bitwise_reproducible():

@@ -142,8 +142,36 @@ def test_duhamel_rejects_nonuniform_ladder():
 @pytest.mark.parametrize("times", [[0.0], []])
 def test_duhamel_rejects_short_ladder(times):
     w = banded_spectrum(L_max=2, seed=9)
-    with pytest.raises(ValueError, match="two times"):
+    with pytest.raises(ValueError, match="two time nodes"):
         duhamel(CauchyDataS(w), lambda t: w, np.array(times))
+
+
+@pytest.mark.parametrize("times", [[np.nan, 0.1], [0.0, np.inf]])
+@pytest.mark.parametrize("flow", [
+    lambda w, t: schrodinger_evolve(CauchyDataS(w), t),
+    lambda w, t: wave_evolve(CauchyDataW(w, w), t),
+    lambda w, t: propagators._wave_evolve_with_energy(CauchyDataW(w, w), t),
+    lambda w, t: wave_energy_series(CauchyDataW(w, w), t),
+    lambda w, t: duhamel(CauchyDataS(w), lambda tau: w, t),
+], ids=["schrodinger_evolve", "wave_evolve", "wave_with_energy", "wave_energy_series",
+        "duhamel"])
+def test_evolutions_refuse_non_finite_times_before_synthesis(monkeypatch, flow, times):
+    """The evolutions returned non-finite fields with no error; they now take
+    their times through `Grid.with_times`, which refuses them first."""
+    def no_synthesis(*args):
+        raise AssertionError("synthesized at a non-finite time")
+
+    monkeypatch.setattr(propagators, "_inverse_samples", no_synthesis)
+    w = banded_spectrum(L_max=2, seed=9, positive=True)
+    with pytest.raises(ValueError, match="t_nodes must be a 1-D array of finite times"):
+        flow(w, np.array(times))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_transport_reference_refuses_a_non_finite_time(t):
+    u0 = inverse(banded_spectrum(L_max=2, seed=9))
+    with pytest.raises(ValueError, match="shift s0 must be finite"):
+        transport_reference(u0, 1, t)
 
 
 # Every evolution synthesises all of its times in one pass; the result must be

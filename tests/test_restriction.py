@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from hharm import restriction, specfun, transform
 from hharm.fields import (
+    N_RHO_MAX,
     GaussianClosure,
     Grid,
     RadialField,
@@ -326,15 +327,30 @@ def test_restrict_rejects_a_non_integer_L_max(L_max):
     for call in (lambda: restrict_sphere(f, SphereMeasure(), L_max=L_max),
                  lambda: restrict_sigma(u, SigmaMeasure(), L_max=L_max),
                  lambda: forward(f, L_max)):
-        with pytest.raises(ValueError, match="L_max must be an int >= 0"):
+        with pytest.raises(ValueError, match="L_max must be an integer"):
             call()
+
+
+@pytest.mark.parametrize("n_alpha", [True, 0, -1, 2.5, N_RHO_MAX + 1])
+def test_restrict_sigma_refuses_n_alpha_before_building_a_rule(monkeypatch, n_alpha):
+    """True gave one alpha node and 0, -1 and 2.5 failed inside scipy; the
+    size is capped at N_RHO_MAX, as a grid's is, since a rule costs n^2."""
+    from hharm import fields
+
+    def no_rule(n):
+        raise AssertionError("a Gauss-Legendre rule was built")
+
+    monkeypatch.setattr(fields, "roots_legendre", no_rule)
+    u = SpaceTimeField(GRID.with_times([0.0, 0.1]), np.ones((2, GRID.n_rho, GRID.n_s)))
+    with pytest.raises(ValueError, match="n_alpha must be"):
+        restrict_sigma(u, SigmaMeasure(), L_max=2, n_alpha=n_alpha)
 
 
 @pytest.mark.parametrize("L_max", [1, 0, -3, 2.5])
 def test_g_function_rejects_L_max_below_two(L_max):
     """The Richardson step needs the half sum S_{L/2}: L_max = 1 raised an
     IndexError from an empty band range."""
-    with pytest.raises(ValueError, match="L_max must be an int >= 2"):
+    with pytest.raises(ValueError, match="L_max must be an int"):
         g_function(0.0, 0.0, L_max=L_max)
 
 
@@ -347,7 +363,7 @@ def test_g_function_rejects_L_max_below_two(L_max):
 ], ids=["sphere_pair", "sigma_pair", "g_function", "g_sigma"])
 def test_surface_kernels_reject_a_bad_dimension(kernel, d):
     """d = 0 gave NaN with only numpy's warning, d = 1.5 a number."""
-    with pytest.raises(ValueError, match="d must be an int >= 1"):
+    with pytest.raises(ValueError, match="d must be an int"):
         kernel(d)
 
 

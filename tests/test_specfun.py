@@ -13,10 +13,10 @@ from scipy.special import eval_genlaguerre
 from hharm import specfun
 from hharm.specfun import (
     _kept,
+    _recurrence,
     eigenvalue,
     kept_kernels,
     kernel_rows,
-    laguerre_table,
     multiplicity,
     normalized_kernel,
     wigner_radial,
@@ -88,10 +88,20 @@ def wigner_bruteforce(n, m, lam, Y, n_quad=400, tol=1e-8):
     return v2
 
 
+def unscaled_table(lmax, alpha, x):
+    """L_ell^{(alpha)}(x), ell = 0..lmax, from the one recurrence started at
+    K_0 = 1, as the transform's Gauss-Laguerre closure rule fills its table."""
+    out = np.empty((lmax + 1,) + x.shape)
+    out[0] = 1.0
+    for _ in _recurrence(lmax, x, alpha + 1, out[0], lambda k: out[k]):
+        pass
+    return out
+
+
 @pytest.mark.parametrize("ell", [0, 1, 2, 3, 7, 16, 40])
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 2.0])
 def test_laguerre_matches_scipy(ell, alpha):
-    ours = laguerre_table(ell, alpha, X)[ell]
+    ours = unscaled_table(ell, alpha, X)[ell]
     ref = eval_genlaguerre(ell, alpha, X)
     scale = np.maximum(np.abs(ref), 1.0)
     assert np.max(np.abs(ours - ref) / scale) < 1e-12
@@ -100,19 +110,19 @@ def test_laguerre_matches_scipy(ell, alpha):
 def test_laguerre_explicit_small_degrees():
     # independent route: the explicit polynomials, no recurrence involved
     x = np.linspace(0.0, 9.0, 37)
-    assert np.allclose(laguerre_table(1, 0.0, x)[1], 1.0 - x, atol=1e-14)
-    assert np.allclose(laguerre_table(2, 0.0, x)[2], 1.0 - 2.0 * x + 0.5 * x**2, atol=1e-13)
+    assert np.allclose(unscaled_table(1, 0.0, x)[1], 1.0 - x, atol=1e-14)
+    assert np.allclose(unscaled_table(2, 0.0, x)[2], 1.0 - 2.0 * x + 0.5 * x**2, atol=1e-13)
     assert np.allclose(
-        laguerre_table(2, 1.0, x)[2], 3.0 - 3.0 * x + 0.5 * x**2, atol=1e-13
+        unscaled_table(2, 1.0, x)[2], 3.0 - 3.0 * x + 0.5 * x**2, atol=1e-13
     )
 
 
 def test_laguerre_table_consistency():
     # a shorter table is the prefix of a longer one: row ell does not depend
     # on how many rows follow it
-    tab = laguerre_table(12, 1.0, X)
+    tab = unscaled_table(12, 1.0, X)
     for ell in (0, 3, 12):
-        assert np.array_equal(tab[ell], laguerre_table(ell, 1.0, X)[ell])
+        assert np.array_equal(tab[ell], unscaled_table(ell, 1.0, X)[ell])
 
 
 @pytest.mark.parametrize(
