@@ -167,10 +167,11 @@ def cmd_propagate(args) -> int:
             else:
                 _err("--u1 expects 'zero' or a radial/spectral container")
                 return EXIT_USAGE
-            if not u1.grid.compatible(sf0.grid):
-                _err("--u1 grid does not match the --in grid")
-                return EXIT_USAGE
-        data = CauchyDataW(sf0, u1)
+        try:
+            data = CauchyDataW(sf0, u1)
+        except ValueError as exc:  # --u1 cannot be paired with --in
+            _err(f"--u1 does not match --in: {exc}")
+            return EXIT_USAGE
         st, energy = _wave_evolve_with_energy(data, times)
         drift = float(np.abs(energy / energy[0] - 1.0).max()) if energy[0] else 0.0
         print(f"wave evolution over {times.size} times, t in [0, {t_final:g}]")

@@ -6,7 +6,7 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .fields import N_RHO_MAX, Grid, _check_int, _check_positive, radial_weights_finite
+from .fields import _GEOMETRY, Grid, _check_geometry, _check_int, _check_positive
 
 __all__ = ["ConfigError", "RunConfig", "SCHEMA"]
 
@@ -31,31 +31,22 @@ class RunConfig:
     suites: tuple = ("all",)
 
     def __post_init__(self):
-        # the shared checks of Grid and the operators, then the config's own
+        # Grid's geometry rule and the shared checks, then the config's own
         try:
-            for name, low in (("d", 1), ("L_max", 0), ("n_rho", 1), ("n_s", 1),
-                              ("n_t", 2), ("seed", 0)):
+            _check_geometry(*(getattr(self, k) for k in _GEOMETRY))
+            for name, low in (("L_max", 0), ("n_t", 2), ("seed", 0)):
                 _check_int(name, getattr(self, name), low)
-            for name in ("r_max", "s_half", "t_final"):
-                _check_positive(name, getattr(self, name))
+            _check_positive("t_final", self.t_final)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not 8 <= self.n_rho <= N_RHO_MAX:
-            raise ConfigError(f"n_rho must be >= 8 and <= {N_RHO_MAX}")
+        if self.n_rho < 8:
+            raise ConfigError(f"n_rho must be >= 8, got {self.n_rho!r}")
         if self.n_s < 8 or self.n_s & (self.n_s - 1):
             raise ConfigError("n_s must be a power of two and >= 8")
-        if not radial_weights_finite(self.d, self.r_max):
-            raise ConfigError(f"radial weights overflow at d={self.d}, r_max={self.r_max}")
         object.__setattr__(self, "suites", tuple(self.suites))
 
     def grid(self) -> Grid:
-        return Grid(
-            d=self.d,
-            n_rho=self.n_rho,
-            r_max=self.r_max,
-            n_s=self.n_s,
-            s_half=self.s_half,
-        )
+        return Grid(**{k: getattr(self, k) for k in _GEOMETRY})
 
     def as_dict(self) -> dict:
         return {"schema": SCHEMA, **asdict(self)}

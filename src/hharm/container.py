@@ -23,7 +23,8 @@ import struct
 
 import numpy as np
 
-from .fields import Grid, RadialField, SpaceTimeField
+from .fields import _GEOMETRY, Grid, RadialField, SpaceTimeField
+from .transform import SpectralField
 
 MAGIC = b"HHFLD"
 VERSION = 1
@@ -50,8 +51,6 @@ def _grid_header(grid: Grid) -> dict:
 
 def write_hhfld(path, obj) -> None:
     """Serialize a RadialField, SpectralField, or SpaceTimeField."""
-    from .transform import SpectralField  # avoid import cycle
-
     if isinstance(obj, RadialField):
         kind = "radial"
     elif isinstance(obj, SpectralField):
@@ -95,6 +94,8 @@ def _declared_shape(kind, g: dict, shape: tuple) -> tuple:
 
 
 def _rebuild_grid(h: dict) -> Grid:
+    """`Grid` of the header's values as written, so the reader refuses what
+    the library refuses; the stored rho nodes and weights are only checked."""
     # the stored quadrature comes with the grid sizes it claims, so a header
     # cannot ask for a Gauss-Legendre rule larger than the file that holds it
     stored = np.asarray(h["rho_nodes"], dtype=float)
@@ -105,24 +106,11 @@ def _rebuild_grid(h: dict) -> Grid:
         )
     if not (np.isfinite(stored).all() and np.isfinite(weights).all()):
         raise HHFLDError("bad header: stored rho nodes or weights are not finite")
-    grid = Grid(  # which refuses a t_nodes that is not a list of finite times
-        d=int(h["d"]),
-        n_rho=int(h["n_rho"]),
-        r_max=float(h["r_max"]),
-        n_s=int(h["n_s"]),
-        s_half=float(h["s_half"]),
-        t_nodes=h.get("t_nodes"),
-    )
+    grid = Grid(**{k: h[k] for k in _GEOMETRY}, t_nodes=h.get("t_nodes"))
     if not np.allclose(stored, grid.rho, rtol=0, atol=1e-12 * grid.r_max):
         raise HHFLDError("stored rho nodes disagree with the declared grid")
     if not np.allclose(weights, grid.w_rho, rtol=0, atol=1e-12 * grid.r_max):
         raise HHFLDError("stored rho weights disagree with the declared grid")
-    # the stored arrays are authoritative (robust across quadrature libraries)
-    grid.rho = stored
-    grid.w_rho = weights
-    from .fields import sphere_area
-
-    grid.w_radial = grid.w_rho * sphere_area(grid.d) * grid.rho ** (2 * grid.d - 1)
     return grid
 
 
@@ -133,8 +121,6 @@ def read_hhfld(path):
     payload length before the grid (and its Gauss-Legendre rule) is built, so
     a short file cannot make the reader build a large grid.
     """
-    from .transform import SpectralField
-
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < 10 or raw[:5] != MAGIC:

@@ -34,7 +34,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from math import factorial, isfinite
+from math import factorial, inf, isfinite, pi
 from numbers import Real
 
 import numpy as np
@@ -60,7 +60,6 @@ __all__ = [
     "s_translate",
     "dilate",
     "sphere_area",
-    "radial_weights_finite",
 ]
 
 
@@ -98,21 +97,44 @@ def sphere_area(d: int) -> float:
     return 2.0 * np.pi**d / factorial(d - 1)
 
 
-def radial_weights_finite(d: int, r_max: float) -> bool:
-    """Whether Grid(d=d, r_max=r_max).w_radial = w_rho * sphere_area(d) *
-    rho^(2d-1) is finite, decided without the Gauss-Legendre rule: rho < r_max
-    and w_rho <= r_max bound every factor and partial product by the same
-    product at r_max."""
-    try:
-        return isfinite(float(r_max) * sphere_area(d) * float(r_max) ** (2 * d - 1))
-    except OverflowError:  # pi^d, (d-1)! or r_max^(2d-1) beyond a float
-        return False
-
-
 # The largest number of radial nodes a Grid takes.  Its Gauss-Legendre rule
 # costs about n_rho^2 to build (about 2 s at this size, 3.1 s at 10000), and
 # an HHFLD header or a config may ask for any size.
 N_RHO_MAX = 8192
+
+# The fields of a Grid that `_check_geometry` rules on, in its order.
+_GEOMETRY = ("d", "n_rho", "r_max", "n_s", "s_half")
+
+
+def _check_geometry(d, n_rho, r_max, n_s, s_half):
+    """The one rule for which (d, n_rho, r_max, n_s, s_half) make a Grid,
+    decided from the five numbers before any array is built; a refusal is a
+    ValueError, never an OverflowError.  Past each number's own check, the
+    radial weights |S^{2d-1}| rho^(2d-1) w_rho (at most their value at rho =
+    w_rho = r_max), h_s = 2 s_half / n_s > 0 and the spectral weight
+    dlam |lam|^d at the largest |lam| = pi (n_s/2) / s_half must be finite."""
+    _check_int("d", d, 1)
+    _check_int("n_rho", n_rho, 1, N_RHO_MAX)
+    _check_int("n_s", n_s, 1)
+    if n_s % 2:
+        raise ValueError("n_s must be even")
+    _check_positive("r_max", r_max)
+    _check_positive("s_half", s_half)
+    # in Python numbers, which overflow to inf or raise, and never warn
+    dd, nn, r, sh = int(d), int(n_s), float(r_max), float(s_half)
+    try:  # pi^d, (d-1)! or r^(2d-1) past a float
+        radial = r * sphere_area(dd) * r ** (2 * dd - 1)
+    except OverflowError:
+        radial = inf
+    if not isfinite(radial):
+        raise ValueError(f"radial weights overflow at d={d}, r_max={r_max}")
+    try:  # n_s or |lam|^d past a float
+        h_s, spectral = 2.0 * sh / nn, pi / sh * (pi * (nn // 2) / sh) ** dd
+    except OverflowError:
+        h_s = spectral = inf
+    if not (0 < h_s < inf and isfinite(spectral)):
+        raise ValueError(f"s-axis step or spectral weights not finite and > 0 at "
+                         f"d={d}, n_s={n_s}, s_half={s_half}")
 
 
 @lru_cache(maxsize=16)
@@ -135,10 +157,10 @@ def _legendre_rule(n: int):
 class Grid:
     """Tensor grid for radial fields on H^d (optionally with a time axis).
 
-    Anything but ints d, n_rho, n_s >= 1 (n_s even, n_rho <= N_RHO_MAX =
-    8192), finite r_max, s_half > 0 with finite radial weights, and 1-D
-    finite t_nodes is refused with ValueError before the Gauss-Legendre rule
-    is built; `RunConfig`, the HHFLD reader and every evolution rely on it.
+    `_check_geometry` decides which (d, n_rho, r_max, n_s, s_half) build, and
+    t_nodes must be a 1-D array of finite ints or floats (checked before any
+    cast).  Anything else is refused with ValueError before the Gauss-Legendre
+    rule is built; `RunConfig`, the HHFLD reader and every evolution rely on it.
     """
 
     d: int = 1
@@ -155,19 +177,12 @@ class Grid:
     lam: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_int("d", self.d, 1)
-        _check_int("n_rho", self.n_rho, 1, N_RHO_MAX)
-        _check_int("n_s", self.n_s, 1)
-        if self.n_s % 2:
-            raise ValueError("n_s must be even")
-        _check_positive("r_max", self.r_max)
-        _check_positive("s_half", self.s_half)
-        if not radial_weights_finite(self.d, self.r_max):
-            raise ValueError(f"radial weights overflow at d={self.d}, r_max={self.r_max}")
+        _check_geometry(self.d, self.n_rho, self.r_max, self.n_s, self.s_half)
         if self.t_nodes is not None:
-            self.t_nodes = np.asarray(self.t_nodes, dtype=float)
-            if self.t_nodes.ndim != 1 or not np.isfinite(self.t_nodes).all():
+            t = np.asarray(self.t_nodes)  # its own dtype: no cast before the check
+            if t.ndim != 1 or t.dtype.kind not in "iuf" or not np.isfinite(t).all():
                 raise ValueError("t_nodes must be a 1-D array of finite times")
+            self.t_nodes = t.astype(float)
         x, w = _legendre_rule(int(self.n_rho))
         self.rho = 0.5 * self.r_max * (x + 1.0)
         self.w_rho = 0.5 * self.r_max * w
@@ -201,20 +216,14 @@ class Grid:
         return w
 
     def with_times(self, t_nodes) -> "Grid":
-        """This grid on the time axis t_nodes, refused unless 1-D and finite."""
+        """This grid on the time axis t_nodes, refused as `Grid` refuses it."""
         return replace(self, t_nodes=t_nodes)
 
     def compatible(self, other: "Grid") -> bool:
-        return (
-            self.d == other.d
-            and self.n_rho == other.n_rho
-            and self.n_s == other.n_s
-            and self.r_max == other.r_max
-            and self.s_half == other.s_half
-            and (self.t_nodes is None if other.t_nodes is None
-                 else self.t_nodes is not None
-                 and np.array_equal(self.t_nodes, other.t_nodes))
-        )
+        """Same geometry and time axis (so true for the grid itself)."""
+        a, b = self.t_nodes, other.t_nodes
+        return (all(getattr(self, k) == getattr(other, k) for k in _GEOMETRY)
+                and (a is b or a is not None and b is not None and np.array_equal(a, b)))
 
 
 @dataclass
@@ -379,7 +388,7 @@ def l2_inner(f, g):
     """
     if type(f) is not type(g) or f.values.shape != g.values.shape:
         raise ValueError("l2_inner pairs two fields of one kind and shape")
-    if f.grid is not g.grid and not f.grid.compatible(g.grid):
+    if not f.grid.compatible(g.grid):
         raise ValueError("fields live on different grids")
     gr = f.grid
     prod = gr.w_radial[:, None] * f.values * np.conj(g.values)

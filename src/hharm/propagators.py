@@ -39,10 +39,17 @@ class CauchyDataS:
 
 @dataclass
 class CauchyDataW:
-    """Wave initial data (position, velocity)."""
+    """Wave initial data (position, velocity), on one grid with one band count."""
 
     u0: SpectralField
     u1: SpectralField
+
+    def __post_init__(self):
+        if not self.u1.grid.compatible(self.u0.grid):
+            raise ValueError("velocity u1 lives on a different grid than position u0")
+        if self.u1.L_max != self.u0.L_max:
+            raise ValueError(f"velocity u1 has L_max={self.u1.L_max}, "
+                             f"position u0 has L_max={self.u0.L_max}")
 
 
 def schrodinger_evolve(data: CauchyDataS, times) -> SpaceTimeField:

@@ -102,7 +102,7 @@ class SpectralField:
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex)
+        self.values = np.array(self.values, dtype=complex)  # a copy: zeroed below
         if (self.values.ndim != 2 or self.values.shape[0] < 1
                 or self.values.shape[1] != self.grid.n_s):
             raise ValueError("values must have shape (L_max+1, n_s) with L_max >= 0")
@@ -276,7 +276,7 @@ def inverse(sf: SpectralField) -> RadialField:
 
 def spectral_inner(sf: SpectralField, sg: SpectralField) -> complex:
     """Spectral pairing sum_ell mult int theta_f conj(theta_g) |lam|^d dlam."""
-    if sf.grid is not sg.grid and not sf.grid.compatible(sg.grid):
+    if not sf.grid.compatible(sg.grid):
         raise ValueError("spectral fields live on different grids")
     if sf.L_max != sg.L_max:
         raise ValueError("band sizes differ")
@@ -381,7 +381,7 @@ def transform_D(u: SpaceTimeField, L_max: int = 64) -> SpectralFieldD:
 
 def spectral_inner_D(a: SpectralFieldD, b: SpectralFieldD) -> complex:
     """sum_alpha dalpha sum_ell mult int theta conj(theta') |lam|^d dlam."""
-    if a.grid is not b.grid and not a.grid.compatible(b.grid):
+    if not a.grid.compatible(b.grid):
         raise ValueError("spectral fields live on different grids")
     if a.values.shape != b.values.shape or not np.array_equal(a.alpha, b.alpha):
         raise ValueError("joint spectra differ in alpha nodes or band sizes")

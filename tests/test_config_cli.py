@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hharm.cli import EXIT_OK, EXIT_REFUSED, EXIT_TOLERANCE, EXIT_USAGE, main
@@ -52,7 +53,7 @@ def test_config_defaults():
         ({"seed": -3}, "seed must be an int >= 0"),
         ({"seed": 1.5}, "seed must be an integer"),
         ({"seed": True}, "seed must be an integer"),
-        ({"n_rho": N_RHO_MAX + 1}, "n_rho must be >= 8 and <= 8192"),
+        ({"n_rho": N_RHO_MAX + 1}, "n_rho must be <= 8192"),
         ({"r_max": True}, "r_max must be finite and positive"),  # was taken as 1
         ({"t_final": True}, "t_final must be finite and positive"),
     ],
@@ -85,24 +86,39 @@ _GEOMETRY = st.fixed_dictionaries({
 })
 
 
+_VALID_GEOMETRY = {"d": 1, "n_rho": 8, "r_max": 12.0, "n_s": 8, "s_half": 40.0}
+
+
 @settings(max_examples=300)
 @given(kw=_GEOMETRY)
+@example(kw=dict(_VALID_GEOMETRY, n_s=2**1100))  # raised OverflowError
+@example(kw=dict(_VALID_GEOMETRY, s_half=1e308))  # h_s = inf
+@example(kw=dict(_VALID_GEOMETRY, s_half=5e-324))  # lam = -inf
+@example(kw=dict(_VALID_GEOMETRY, s_half=1e-150))  # accepted: dlam |lam| ~ 4e301
+@example(kw=dict(_VALID_GEOMETRY, n_s=2, s_half=1e307))  # accepted: h_s = 1e307
+@example(kw=dict(_VALID_GEOMETRY, d=100, r_max=1.0))  # accepted: |lam|^100 ~ 5e-51
 def test_config_and_grid_refuse_alike(kw):
-    """A Grid builds or raises ValueError, and RunConfig refuses exactly the
-    geometries Grid refuses, plus those its own size rules refuse."""
-    with np.errstate(all="ignore"):  # a subnormal s_half overflows lam
+    """A Grid builds, with finite weights and no warning, or raises
+    ValueError, and RunConfig refuses exactly the geometries Grid refuses,
+    plus those its own size rules refuse."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         try:
-            Grid(**kw)
+            grid = Grid(**kw)
             grid_refused = False
         except ValueError:
             grid_refused = True
-    config_only = not grid_refused and (
-        kw["n_rho"] < 8 or kw["n_s"] < 8 or kw["n_s"] & (kw["n_s"] - 1) != 0)
-    try:
-        RunConfig(**kw)
-        config_refused = False
-    except ConfigError:
-        config_refused = True
+        if not grid_refused:
+            for a in (grid.s, grid.w_lam, grid.w_radial):
+                assert np.isfinite(a).all()
+            assert grid.h_s > 0
+        config_only = not grid_refused and (
+            kw["n_rho"] < 8 or kw["n_s"] < 8 or kw["n_s"] & (kw["n_s"] - 1) != 0)
+        try:
+            RunConfig(**kw)
+            config_refused = False
+        except ConfigError:
+            config_refused = True
     assert config_refused == (grid_refused or config_only)
 
 
@@ -261,6 +277,19 @@ def test_config_refusals_are_usage_errors(tmp_path, cfg, frag, capsys):
     assert frag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("geometry", [{"s_half": 1e308}, {"s_half": 5e-324},
+                                      {"n_s": 2**1100}])
+def test_config_with_a_non_finite_s_axis_is_a_usage_error(tmp_path, geometry, capsys):
+    """h_s or the spectral weights would not be finite: exit 2.  Before the s-axis
+    check n_s = 2**1100 died on an OverflowError, and the two s_half ran."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(SMALL, **geometry)))
+    code = main(["propagate", "--eq", "schrodinger", "--transport-ell", "0",
+                 "--config", str(p)])
+    assert code == EXIT_USAGE
+    assert "s-axis step or spectral weights" in capsys.readouterr().err
+
+
 def test_config_above_the_n_rho_cap_is_a_usage_error(tmp_path, monkeypatch, capsys):
     """n_rho above the cap exits 2 before a Gauss-Legendre rule is built."""
     from hharm import fields
@@ -347,6 +376,17 @@ def test_transform_header_grid_with_zero_extent_is_usage_error(tmp_path, small_c
                  "--out", str(tmp_path / "o.hhfld"), "--config", small_cfg])
     assert code == EXIT_USAGE
     assert "bad header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("d", 1.5), ("n_s", 128.0)])
+def test_transform_header_grid_field_goes_to_grid_as_written(tmp_path, small_cfg,
+                                                             band_file, key, value, capsys):
+    """The reader used to cast the header with int(), so d = 1.5 read as d = 1."""
+    _edit_container(band_file, edit_header=lambda h: h["grid"].__setitem__(key, value))
+    code = main(["transform", "--dir", "fwd", "--in", band_file,
+                 "--out", str(tmp_path / "o.hhfld"), "--config", small_cfg])
+    assert code == EXIT_USAGE
+    assert f"{key} must be an integer" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["transform", "--dir", "inv"],
@@ -478,7 +518,8 @@ def test_propagate_wave_splits_once_and_matches_the_public_pair(
 
 def test_propagate_wave_refuses_central_velocity(tmp_path, small_cfg, small_grid,
                                                  band_file, capsys):
-    theta1 = np.zeros((5, small_grid.n_s), dtype=complex)
+    # as many bands as the forward transform of --in at the config's L_max
+    theta1 = np.zeros((SMALL["L_max"] + 1, small_grid.n_s), dtype=complex)
     theta1[0, small_grid.izero + 1] = 1.0  # velocity mass next to lambda = 0
     u1 = tmp_path / "u1.hhfld"
     write_hhfld(u1, SpectralField(small_grid, theta1))
@@ -487,6 +528,24 @@ def test_propagate_wave_refuses_central_velocity(tmp_path, small_cfg, small_grid
     err = capsys.readouterr().err
     assert code == EXIT_REFUSED
     assert "refused" in err and "lambda = 0" in err
+
+
+@pytest.mark.parametrize("u1_grid, bands, frag", [
+    (Grid(d=1, n_rho=64, r_max=12.0, n_s=128, s_half=20.0), 5, "different grid"),
+    (None, 3, "L_max=2"),  # was exit 4: operands could not be broadcast together
+])
+def test_propagate_wave_refuses_a_velocity_it_cannot_pair(tmp_path, small_cfg, small_grid,
+                                                          u1_grid, bands, frag, capsys):
+    """`CauchyDataW` refuses the pair, and the CLI maps that to exit 2."""
+    band = bump(np.abs(small_grid.lam), 0.5, 2.0)
+    u0, u1 = tmp_path / "u0.hhfld", tmp_path / "u1.hhfld"
+    write_hhfld(u0, SpectralField(small_grid, np.tile(band, (5, 1))))
+    write_hhfld(u1, SpectralField(u1_grid or small_grid, np.tile(band, (bands, 1))))
+    code = main(["propagate", "--eq", "wave", "--in", str(u0), "--u1", str(u1),
+                 "--config", small_cfg])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "--u1 does not match --in" in err and frag in err
 
 
 def test_verify_unknown_suite(capsys):

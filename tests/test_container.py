@@ -7,7 +7,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from hharm.container import HHFLDError, MAGIC, read_hhfld, write_hhfld
@@ -196,6 +196,27 @@ def test_rejects_header_grid_that_does_not_build(tmp_path, key, value):
     _rewrite_header(p, lambda h: h["grid"].__setitem__(key, value))
     with pytest.raises(HHFLDError, match="bad header"):
         read_hhfld(p)
+
+
+@pytest.mark.parametrize("key, value", [("d", 1.5), ("n_s", 128.0), ("n_rho", 64.0),
+                                        ("r_max", True), ("s_half", "20.0")])
+def test_header_grid_fields_go_to_grid_as_written(tmp_path, key, value):
+    """The reader used to cast them with int() and float(): d = 1.5 read as 1."""
+    p = tmp_path / "g.hhfld"
+    write_hhfld(p, radial_fixture())
+    _rewrite_header(p, lambda h: h["grid"].__setitem__(key, value))
+    with pytest.raises(HHFLDError, match="bad header"):
+        read_hhfld(p)
+
+
+def test_reader_uses_the_grid_it_builds(tmp_path):
+    """The stored nodes are checked against the grid, not put in its place."""
+    p = tmp_path / "f.hhfld"
+    write_hhfld(p, radial_fixture())
+    _rewrite_header(p, lambda h: h["grid"]["rho_nodes"].__setitem__(0, G.rho[0] + 1e-14))
+    g = read_hhfld(p).grid
+    for name in ("rho", "w_rho", "w_radial"):
+        assert getattr(g, name).tobytes() == getattr(G, name).tobytes()
 
 
 def test_rejects_spectral_field_without_bands(tmp_path):
@@ -387,3 +408,54 @@ def test_fuzz_random_header(tmp_path, kind, header, grid, drop, whole):
         if isinstance(h.get("grid"), dict):
             h["grid"].pop(key, None)
     _read_outcome(tmp_path / "f.hhfld", _with_header(raw, h if whole is None else whole))
+
+
+# --- the reader and Grid refuse the same grids ------------------------------
+
+# Each grid field is drawn, one time in four, from ints, floats, bools,
+# strings, 1.5, NaN, +-inf and ints past the float range, and otherwise from
+# a small valid range, so n_rho stays small.
+_odd = (st.integers(-2, 300) | st.booleans() | st.floats() | st.text(max_size=3)
+        | st.sampled_from([1.5, float("nan"), float("inf"), -float("inf"),
+                           10**400, -(10**400), 2**1100]))
+
+
+def _field(valid):
+    return st.integers(0, 3).flatmap(lambda i: valid if i else _odd)
+
+
+_length = st.integers(1, 30) | st.floats(0.5, 30.0)
+_GRID_FIELDS = st.fixed_dictionaries({
+    "d": _field(st.integers(1, 3)),
+    "n_rho": _field(st.integers(1, 16)),
+    "r_max": _field(_length),
+    "n_s": _field(st.sampled_from([2, 4, 6, 8, 16])),
+    "s_half": _field(_length),
+})
+_BASE = dict(d=1, n_rho=8, r_max=4.0, n_s=8, s_half=4.0)
+
+
+@settings(max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kw=_GRID_FIELDS)
+@example(kw=dict(_BASE, d=1.5))  # once read as d = 1
+@example(kw=dict(_BASE, n_s=8.0))  # and this as n_s = 8
+@example(kw=dict(_BASE, s_half=1e308))
+def test_reader_and_grid_refuse_alike(tmp_path, kw):
+    """A radial file whose header holds the drawn grid fields (on the drawn
+    grid when it builds, else over a valid 8 x 8 file) reads back exactly
+    when Grid(**kw) builds, and raises HHFLDError, never another exception,
+    exactly when Grid raises ValueError."""
+    try:
+        grid = Grid(**kw)
+    except ValueError:
+        grid = None
+    p = tmp_path / "f.hhfld"
+    base = Grid(**_BASE) if grid is None else grid
+    write_hhfld(p, RadialField(base, np.ones((base.n_rho, base.n_s))))
+    _rewrite_header(p, lambda h: h["grid"].update(kw))
+    try:
+        got = read_hhfld(p)
+    except HHFLDError:
+        assert grid is None
+        return
+    assert grid is not None and got.grid.compatible(grid)

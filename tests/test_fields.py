@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
+
+from hharm import fields
+from hharm.config import ConfigError, RunConfig
 
 from hharm.fields import (
     GaussianClosure,
@@ -16,7 +21,6 @@ from hharm.fields import (
     l2_inner,
     l2_norm,
     mixed_norm,
-    radial_weights_finite,
     random_packet,
     s_analysis,
     s_synthesis,
@@ -69,7 +73,12 @@ def test_grid_rejects_bad_geometry(kw, frag):
 
 
 @pytest.mark.parametrize("t_nodes", [[np.nan, 0.1], [0.0, np.inf], [-np.inf],
-                                     [[0.0, 0.1]], 0.5])
+                                     [[0.0, 0.1]], 0.5,
+                                     # checked before a cast, which gave OverflowError,
+                                     # TypeError, a ComplexWarning and t = [0, 1],
+                                     # ValueError, and t = [1, 0]
+                                     [10**400], [1 + 2j], np.array([0, 1 + 2j]),
+                                     ["0.1", "0.2"], [True, False]])
 def test_grid_refuses_a_time_axis_that_is_not_1d_and_finite(t_nodes):
     """Every evolution takes its times through `with_times`, so this is where
     a NaN or infinite time is refused (they gave non-finite fields)."""
@@ -79,15 +88,43 @@ def test_grid_refuses_a_time_axis_that_is_not_1d_and_finite(t_nodes):
             make()
 
 
+def _builds(**kw):
+    """Whether the geometry rule accepts kw (the other fields valid)."""
+    try:
+        fields._check_geometry(**dict(GEOMETRY, **kw))
+    except ValueError:
+        return False
+    return True
+
+
 @pytest.mark.parametrize("r_max", [0.5, 12.0, 40.0])
 def test_radial_weights_finite_matches_the_grid(r_max):
-    """Every accepted (d, r_max) builds finite radial weights, and the
-    accepted d form one range from d = 1."""
-    accepted = [d for d in range(1, 220) if radial_weights_finite(d, r_max)]
+    """Every (d, r_max) the geometry rule accepts builds finite radial
+    weights, and the accepted d form one range from d = 1."""
+    accepted = [d for d in range(1, 220) if _builds(d=d, r_max=r_max)]
     assert accepted == list(range(1, len(accepted) + 1))
     for d in accepted[-3:] + [1, 2]:
         assert np.isfinite(Grid(d=d, n_rho=8, r_max=r_max, n_s=8).w_radial).all()
-    assert radial_weights_finite(2, 12.0) and not radial_weights_finite(150, 12.0)
+    assert _builds(d=2, r_max=12.0) and not _builds(d=150, r_max=12.0)
+
+
+@pytest.mark.parametrize("kw", [{"s_half": 1e308}, {"s_half": 5e-324},
+                                {"n_s": 2**1100}, {"d": 100, "s_half": 1e-3}])
+def test_grid_and_config_refuse_an_s_axis_that_is_not_finite(kw):
+    """h_s = 2 s_half / n_s must be finite and > 0, and dlam |lam|^d finite at
+    the largest |lam| = pi (n_s/2) / s_half; decided before any array is
+    built.  Before this check s_half = 1e308 gave h_s = inf, 5e-324 gave
+    lam = -inf, and n_s = 2**1100 raised OverflowError."""
+    with pytest.raises(ValueError, match="s-axis step or spectral weights"):
+        Grid(**dict(GEOMETRY, **kw))
+    with pytest.raises(ConfigError, match="s-axis step or spectral weights"):
+        RunConfig(**dict(GEOMETRY, n_rho=8, **kw))
+
+
+def test_compatible_is_true_for_the_grid_itself():
+    for g in (G, G.with_times([0.0, 0.5]), Grid(**GEOMETRY, t_nodes=[1])):
+        assert g.compatible(g) and g.compatible(replace(g))
+    assert not G.compatible(G.with_times([0.0]))
 
 
 def test_grids_share_one_gauss_legendre_rule(tmp_path, monkeypatch):

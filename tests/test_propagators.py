@@ -96,6 +96,18 @@ def test_halfwave_split_refuses_null_ray_mass():
         assert f"ell=2 lambda={G.lam[G.izero + 1]:+.6g}" in str(exc.value)
 
 
+def test_wave_data_refuse_a_velocity_they_cannot_pair():
+    """A velocity on another grid used to run silently; one with another
+    band count ended in a numpy broadcast error."""
+    g0 = banded_spectrum(seed=6)
+    other = Grid(d=1, n_rho=128, r_max=12.0, n_s=256, s_half=20.0)
+    with pytest.raises(ValueError, match="different grid"):
+        CauchyDataW(g0, banded_spectrum(grid=other, seed=7))
+    with pytest.raises(ValueError, match="u1 has L_max=4, position u0 has L_max=6"):
+        CauchyDataW(g0, banded_spectrum(L_max=4, seed=7))
+    CauchyDataW(g0, banded_spectrum(grid=G.with_times(None), seed=7))  # a compatible copy
+
+
 def test_wave_t0_recovers_datum():
     g0 = banded_spectrum(seed=6)
     g1 = banded_spectrum(seed=7)

@@ -104,6 +104,8 @@ def test_spectral_field_zeroes_lam0_column():
     theta = np.ones((3, G.n_s), dtype=complex)
     sf = SpectralField(G, theta)
     assert np.all(sf.values[:, G.izero] == 0.0)
+    # in its own copy: the caller's complex128 array was once zeroed
+    assert np.all(theta == 1.0) and not np.shares_memory(sf.values, theta)
 
 
 def test_spectral_field_rejects_zero_bands():
