@@ -72,7 +72,9 @@ def write_hhfld(path, obj) -> None:
         header["L_max"] = obj.L_max
         header["lam_nodes"] = obj.grid.lam.tolist()
     blob = json.dumps(header, sort_keys=True, ensure_ascii=True).encode("utf-8")
-    payload = np.ascontiguousarray(obj.values, dtype="<c16").tobytes()
+    # written from its own buffer: a copy only when the layout or byte
+    # order differs from the payload's
+    payload = np.ascontiguousarray(obj.values, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(bytes([VERSION]))

@@ -34,7 +34,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from math import factorial, inf, isfinite, pi
+from math import factorial, inf, isfinite, pi, sin
 from numbers import Real
 
 import numpy as np
@@ -102,6 +102,11 @@ def sphere_area(d: int) -> float:
 # an HHFLD header or a config may ask for any size.
 N_RHO_MAX = 8192
 
+# The largest number of s nodes a Grid takes (the package's own grids use
+# up to 2048): a config has no other bound on n_s, and a field costs
+# n_rho * n_s * 16 bytes.
+N_S_MAX = 2**16
+
 # The fields of a Grid that `_check_geometry` rules on, in its order.
 _GEOMETRY = ("d", "n_rho", "r_max", "n_s", "s_half")
 
@@ -112,7 +117,13 @@ def _check_geometry(d, n_rho, r_max, n_s, s_half):
     ValueError, never an OverflowError.  Past each number's own check, the
     radial weights |S^{2d-1}| rho^(2d-1) w_rho (at most their value at rho =
     w_rho = r_max), h_s = 2 s_half / n_s > 0 and the spectral weight
-    dlam |lam|^d at the largest |lam| = pi (n_s/2) / s_half must be finite."""
+    dlam |lam|^d at the largest |lam| = pi (n_s/2) / s_half must be finite,
+    n_s at most N_S_MAX, and the smallest radial node r_max (1 + x_1) / 2 a
+    normal float > 0.  Bruns' bound (Szego, Orthogonal Polynomials, section
+    6.21) gives 1 + x_1 > 2 sin^2(pi / (4 n_rho + 2)), and 1 + x_1 is 2 to
+    2.35 times that (a test checks it), so r_max is refused when
+    r_max sin^2(pi / (4 n_rho + 2)) is not a normal float, and an accepted
+    grid's nodes are >= 2^-1021."""
     _check_int("d", d, 1)
     _check_int("n_rho", n_rho, 1, N_RHO_MAX)
     _check_int("n_s", n_s, 1)
@@ -135,6 +146,11 @@ def _check_geometry(d, n_rho, r_max, n_s, s_half):
     if not (0 < h_s < inf and isfinite(spectral)):
         raise ValueError(f"s-axis step or spectral weights not finite and > 0 at "
                          f"d={d}, n_s={n_s}, s_half={s_half}")
+    if nn > N_S_MAX:
+        raise ValueError(f"n_s must be <= {N_S_MAX}, got {n_s!r}")
+    if not r * sin(pi / (4 * int(n_rho) + 2)) ** 2 >= sys.float_info.min:
+        raise ValueError(f"radial nodes underflow at n_rho={n_rho}, r_max={r_max}: "
+                         f"the smallest is not a normal float > 0")
 
 
 @lru_cache(maxsize=16)
@@ -276,15 +292,28 @@ def s_synthesis(grid: Grid, theta):
 
     Returns one new C-ordered complex array of theta's shape, whatever
     theta's memory layout: theta times the phase is written straight into
-    the ifftshift positions of that buffer (two half-slices), the inverse
-    FFT runs in place, and the buffer is divided by h_s.  No other
-    batch-sized array is made.
+    the ifftshift positions of that buffer (two half-slices), and
+    `_synthesis_tail` finishes it in place.  No other batch-sized array is
+    made.  The inverse transform writes its own buffer the same way, one
+    kernel block at a time, and finishes it with the same tail.
     """
-    phase = np.exp(-1j * grid.s_half * grid.lam)
+    phase = _synthesis_phase(grid)
     n = grid.izero  # ifftshift on an even axis swaps its two halves
     buf = np.empty(theta.shape, dtype=complex)
     np.multiply(theta[..., n:], phase[n:], out=buf[..., :n])
     np.multiply(theta[..., :n], phase[:n], out=buf[..., n:])
+    return _synthesis_tail(grid, buf)
+
+
+def _synthesis_phase(grid: Grid):
+    """e^{-i S lam}, the factor of s_synthesis for the grid origin at s = -S;
+    column k of its input, times this, goes to column (k - n_s/2) mod n_s."""
+    return np.exp(-1j * grid.s_half * grid.lam)
+
+
+def _synthesis_tail(grid: Grid, buf):
+    """The inverse FFT of the last axis of buf, then / h_s, both in place;
+    buf holds the phased, ifftshifted input.  Returns buf."""
     np.fft.ifft(buf, axis=-1, out=buf)
     buf /= grid.h_s
     return buf
@@ -344,7 +373,10 @@ def _reduce(f, spec: MixedNormSpec, table):
             w = _axis_weights(f, name)
             shp = [1] * work.ndim
             shp[ax] = w.size
-            work = (work**p * w.reshape(shp)).sum(axis=ax) ** (1.0 / p)
+            # in place: |f.values| is the one field-sized array a norm makes
+            work **= p
+            work *= w.reshape(shp)
+            work = work.sum(axis=ax) ** (1.0 / p)
         for other in live:
             if live[other] > ax:
                 live[other] -= 1

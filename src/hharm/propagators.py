@@ -56,7 +56,9 @@ def schrodinger_evolve(data: CauchyDataS, times) -> SpaceTimeField:
     """Free flow u(t) = synthesis(exp(i t eig) theta0), all times in one pass."""
     sf = data.u0
     grid = sf.grid.with_times(times)
-    theta = np.exp(1j * grid.t_nodes[:, None, None] * sf.eig()) * sf.values
+    theta = 1j * grid.t_nodes[:, None, None] * sf.eig()
+    np.exp(theta, out=theta)
+    theta *= sf.values
     return SpaceTimeField(grid, _inverse_samples(sf.grid, theta))
 
 
@@ -89,14 +91,19 @@ def _halfwave_split(data: CauchyDataW, times):
     t = times[:, None, None]
     # exp(-i x) is conj(exp(i x)) bit for bit: cos is even and sin odd
     e = np.exp(1j * t * omega)
-    return e * gp, np.conj(e) * gm, omega
+    up = e * gp
+    np.conj(e, out=e)
+    e *= gm
+    return up, e, omega
 
 
 def wave_evolve(data: CauchyDataW, times) -> SpaceTimeField:
     """Wave flow from (u0, u1) via the half-wave multipliers exp(+-it sqrt(eig))."""
     grid = data.u0.grid.with_times(times)
     up, um, _ = _halfwave_split(data, grid.t_nodes)
-    return SpaceTimeField(grid, _inverse_samples(data.u0.grid, up + um))
+    up += um
+    del um
+    return SpaceTimeField(grid, _inverse_samples(data.u0.grid, up))
 
 
 def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:

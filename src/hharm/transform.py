@@ -35,7 +35,8 @@ Computation
 -----------
 After the s-FFT, both directions are, at each frequency lam, one real
 matrix product with the (L+1, n_rho) kernel table K(lam): one BLAS gemm
-per block of |lam| rows and sign of lam (`_lam_contract`).  The table is
+per block of |lam| rows and sign of lam, over the blocks of the one loop
+`_lam_blocks`.  The table is
 evaluated on the even half lam > 0 only, 32 |lam| rows at a time (about
 4 MB at 65 bands x 256 radii), filled in place and only on the radii where
 it is not 0.  The kernel is exactly 0 where e^{-|lam| rho^2} is below the
@@ -45,8 +46,12 @@ no gemm or FFT here runs on one unless the caller's data brings it.  A
 call builds its tables, unless a `specfun.kept_kernels()` scope keeps them
 for every call on the same frequencies, radii and band count.  Batch axes
 (times, alpha, stacked samples) and the real and imaginary parts are the
-gemm columns.  The inverse's s-synthesis then writes one C-ordered buffer,
-which the returned field keeps as its values.
+gemm columns.  Each direction gathers a block's input into a block-sized
+scratch and writes the block's result straight into its lam columns of the
+batch-major output.  The inverse writes through the s-synthesis phase into
+the ifftshift columns, then runs the inverse FFT and the division by h_s in
+place, so its output, which the returned field keeps as its values, is the
+only sample-sized array it makes.
 """
 
 from __future__ import annotations
@@ -62,9 +67,10 @@ from .fields import (
     RadialField,
     SpaceTimeField,
     _check_int,
+    _synthesis_phase,
+    _synthesis_tail,
     _uniform_step,
     s_analysis,
-    s_synthesis,
     sphere_area,
 )
 from .specfun import _kept, _mult_table, _recurrence, eigenvalue, wigner_radial_table
@@ -139,35 +145,30 @@ def _spectral_weights(grid: Grid, L_max: int):
 _LAM_BLOCK = 32
 
 
-def _lam_contract(grid: Grid, X, L_max, adjoint=False):
-    """Per-frequency kernel products of lam-major data X (n_s, n, B), complex.
+def _lam_blocks(grid: Grid, L_max):
+    """The kernel blocks of both directions: yields (K, sl), K the
+    (L+1, rows, p) table of K_ell at the lam of the ascending lam slice sl
+    and at the first p radii, past which every entry of the block is 0.
+    Every lam but lam = 0 (izero) is in one slice.
 
-    Returns Z with Z[k] = K(lam_k) @ X[k], K the (L+1, n_rho) table of K_ell,
-    or K(lam_k)^T @ X[k] when `adjoint`; Z[izero] (lam = 0) is 0.  K is even
-    in lam, so `wigner_radial_table` (one `kernel_rows` pass) builds it on
-    the half |lam| = dlam m, m = 1..n_s/2, _LAM_BLOCK rows at a time (kept
-    in a `kept_kernels()` scope).  A block is one np.matmul for the rows
-    izero + m (a contiguous lam slice; m = n_s/2 has no +lam row) and one
-    for the rows izero - m (the same block reversed, as a view).  Complex X
-    is read as interleaved float64, so the real kernel sees the real and
-    imaginary parts of every batch index as 2B gemm columns.
+    K is even in lam, so `wigner_radial_table` (one `kernel_rows` pass)
+    builds it on the half |lam| = dlam m, m = 1..n_s/2, _LAM_BLOCK rows at a
+    time (kept in a `kept_kernels()` scope).  A block is yielded for the rows
+    izero + m (a contiguous lam slice; m = n_s/2 has no +lam row) and for
+    the rows izero - m (the same block reversed, as a view).
 
     K is exactly 0 at the radii where e^{-|lam| rho^2} is below the floor
     `specfun._FLOOR`, and for the ascending rho these form a tail that is
     longest at the largest |lam|.  A block is therefore built and
     contracted on the radii before the first zero of its smallest |lam| row
-    only; the adjoint's rows beyond them are set to 0.  On the default
-    256 x 512 grid that skips 28 % of the kernel entries.  A NaN or inf
-    sample at such a radius (or, for the adjoint, in a lam row of such a
-    block) therefore reaches only the frequencies whose kernel is nonzero
-    there: the forward output at the other |lam| and the adjoint's cut rows
-    stay finite, where a product with the exact-zero kernel would have made
-    them NaN.
+    only; on the default 256 x 512 grid that skips 28 % of the kernel
+    entries.  A NaN or inf sample at such a radius (or, for the inverse, a
+    coefficient in a lam column of such a block) therefore reaches only the
+    frequencies whose kernel is nonzero there: the forward output at the
+    other |lam| and the inverse's cut radii stay finite, where a product
+    with the exact-zero kernel would have made them NaN.
     """
     n_s, izero = grid.n_s, grid.izero
-    Z = np.empty((n_s, grid.n_rho if adjoint else L_max + 1, X.shape[-1]), dtype=complex)
-    Z[izero] = 0.0
-    Xf, Zf = X.view(float), Z.view(float)
     for m0 in range(1, izero + 1, _LAM_BLOCK):
         m1 = min(m0 + _LAM_BLOCK, izero + 1)
         lam = np.abs(grid.lam[izero - np.arange(m0, m1)])
@@ -175,52 +176,80 @@ def _lam_contract(grid: Grid, X, L_max, adjoint=False):
         K = _kept(lambda: ("lam", grid.d, L_max, lam.tobytes(), grid.rho[:p].tobytes()),
                   lambda: wigner_radial_table(L_max, lam[:, None], grid.rho[None, :p], grid.d))
         pos = slice(izero + m0, min(izero + m1, n_s))
-        neg = slice(izero - m1 + 1, izero - m0 + 1)
-        if adjoint:
-            K = K.transpose(1, 2, 0)
-            Zf[pos, p:] = Zf[neg, p:] = 0.0
-            Xp, Zp = Xf, Zf[:, :p]
-        else:
-            K = K.transpose(1, 0, 2)
-            Xp, Zp = Xf[:, :p], Zf
-        np.matmul(K[:pos.stop - pos.start], Xp[pos], out=Zp[pos])
-        np.matmul(K[::-1], Xp[neg], out=Zp[neg])
-    return Z
+        yield K[:, :pos.stop - pos.start], pos
+        yield K[:, ::-1], slice(izero - m1 + 1, izero - m0 + 1)
 
 
 def _forward_samples(grid: Grid, values, L_max):
     """Sampled forward: samples (..., n_rho, n_s) -> coefficients (..., L+1, n_s).
 
-    The leading batch indices move innermost, into the gemm columns of one
-    _lam_contract pass.
+    Per kernel block, the s-spectrum times the radial weights on the
+    block's p radii is gathered into a scratch (p, rows, B), one np.matmul
+    with K (rows, L+1, p) writes the coefficients into a second one,
+    (L+1, rows, B), and these, divided by the multiplicities, are copied into
+    their lam columns of the batch-major output (B, L+1, n_s).  The batch
+    indices are the innermost gemm columns, and complex data is read as
+    interleaved float64, so the real kernel sees the real and imaginary
+    parts of every batch index as 2B columns.  A scratch keeps the lam rows
+    of each radius (or band) together, so every copy moves (rows, B) tiles.
     """
     fhat = s_analysis(grid, values)  # (..., n_rho, n_s)
     batch = fhat.shape[:-2]
     fhat = fhat.reshape((-1,) + fhat.shape[-2:])
-    C = np.multiply(fhat.T, grid.w_radial[:, None], order="C")  # (n_s, n_rho, B)
-    theta = _lam_contract(grid, C, L_max)  # (n_s, L+1, B)
-    mults = _mult_table(L_max, grid.d)
-    out = np.divide(theta.T, mults[:, None], order="C")
+    mults = _mult_table(L_max, grid.d)[:, None, None]
+    out = np.empty(fhat.shape[:1] + (L_max + 1, grid.n_s), dtype=complex)
+    out[..., grid.izero] = 0.0
+    rows = min(_LAM_BLOCK, grid.izero)
+    X = np.empty((grid.n_rho, rows, len(out)), dtype=complex)
+    Z = np.empty((L_max + 1, rows, len(out)), dtype=complex)
+    Xf, Zf = X.view(float), Z.view(float)
+    for K, sl in _lam_blocks(grid, L_max):
+        r, p = K.shape[1:]
+        np.multiply(fhat[:, :p, sl].transpose(1, 2, 0), grid.w_radial[:p, None, None],
+                    out=X[:p, :r])
+        np.matmul(K.transpose(1, 0, 2), Xf[:p, :r].transpose(1, 0, 2),
+                  out=Zf[:, :r].transpose(1, 0, 2))
+        Z[:, :r] /= mults
+        np.copyto(out[..., sl].transpose(1, 2, 0), Z[:, :r])
     return out.reshape(batch + out.shape[1:])
 
 
 def _inverse_samples(grid: Grid, theta):
     """Synthesis: coefficients (..., L+1, n_s) -> samples (..., n_rho, n_s).
 
-    The mirror of _forward_samples: one adjoint _lam_contract pass, whose
-    lam = 0 row is zero (the lam = 0 column of theta has no effect), then
-    the s-synthesis of every batch index at once.  Its C-ordered output is
-    returned as a view, so the contraction output G and that array are the
-    only sample-sized arrays a call holds.
+    The mirror of _forward_samples.  Per kernel block, the coefficients
+    times w(lam) = (2/pi)^d |lam|^d are gathered into a scratch
+    (L+1, rows, B), one np.matmul with K^T writes the samples on the first p
+    radii into a second one, (n_rho, rows, B), whose other radii are 0, and
+    these, times the s-synthesis phase, are copied straight into their
+    ifftshift columns of the one C-ordered output (B, n_rho, n_s), whose
+    lam = 0 column is 0 (so theta's has no effect).  The inverse FFT and
+    the division by h_s (`fields._synthesis_tail`) then run in place, and
+    the output is returned as a view: the only sample-sized array a call
+    makes.
     """
-    d = grid.d
+    d, n = grid.d, grid.izero
     batch = theta.shape[:-2]
     theta = theta.reshape((-1,) + theta.shape[-2:])
     w = (2.0**d / np.pi**d) * np.abs(grid.lam) ** d
-    T = np.multiply(theta.T, w[:, None, None], order="C")  # (n_s, L+1, B)
-    G = _lam_contract(grid, T, theta.shape[1] - 1, adjoint=True)  # (n_s, n_rho, B)
-    del T  # freed before the synthesis, which sets the peak memory
-    f = s_synthesis(grid, G.T)  # (B, n_rho, n_s)
+    phase = _synthesis_phase(grid)
+    f = np.empty(theta.shape[:1] + (grid.n_rho, grid.n_s), dtype=complex)
+    f[..., 0] = 0.0  # the ifftshift column of lam = 0
+    rows = min(_LAM_BLOCK, n)
+    X = np.empty((theta.shape[1], rows, len(f)), dtype=complex)
+    Z = np.empty((grid.n_rho, rows, len(f)), dtype=complex)
+    Xf, Zf = X.view(float), Z.view(float)
+    for K, sl in _lam_blocks(grid, theta.shape[1] - 1):
+        r, p = K.shape[1:]
+        np.multiply(theta[..., sl].transpose(1, 2, 0), w[sl, None], out=X[:, :r])
+        Z[p:, :r] = 0.0
+        np.matmul(K.transpose(1, 2, 0), Xf[:, :r].transpose(1, 0, 2),
+                  out=Zf[:p, :r].transpose(1, 0, 2))
+        Z[:, :r] *= phase[sl, None]
+        # the ifftshift: column k goes to column (k - n) mod n_s
+        to = slice(sl.start - n, sl.stop - n) if sl.start > n else slice(sl.start + n, sl.stop + n)
+        np.copyto(f[..., to].transpose(1, 2, 0), Z[:, :r])
+    _synthesis_tail(grid, f)
     return f.reshape(batch + f.shape[1:])
 
 

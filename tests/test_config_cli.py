@@ -264,12 +264,14 @@ def test_transform_tolerance_breach(tmp_path, band_file, capsys):
     ({"d": 171}, "radial weights overflow"),
     ({"d": 1, "r_max": 1e300}, "radial weights overflow"),
     ({"r_max": True}, "r_max must be finite and positive"),
+    ({"r_max": 5e-324}, "radial nodes underflow"),
 ])
 def test_config_refusals_are_usage_errors(tmp_path, cfg, frag, capsys):
     """A `tolerances` key, geometries whose radial weights overflow and a
     JSON true for r_max exit 2.  At d = 200 the run died on an
     OverflowError; at d = 171 and r_max = 1e300 it exited 0 with a nan
-    band-tail fraction, and r_max = true ran on r_max = 1."""
+    band-tail fraction, r_max = true ran on r_max = 1, and r_max = 5e-324
+    ran on a grid whose radial nodes and weights are all 0."""
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(cfg, n_rho=8, n_s=8, L_max=2)))
     code = main(["verify", "hardy", "--config", str(p), "--out", str(tmp_path / "r.json")])
@@ -303,6 +305,22 @@ def test_config_above_the_n_rho_cap_is_a_usage_error(tmp_path, monkeypatch, caps
     code = main(["verify", "hardy", "--config", str(p), "--out", str(tmp_path / "r.json")])
     assert code == EXIT_USAGE
     assert "n_rho" in capsys.readouterr().err
+
+
+def test_config_above_the_n_s_cap_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    """n_s = 2**40 was accepted, and the grid of every command would have
+    asked for 8 TB s and lam arrays; it exits 2 before any is built."""
+    from hharm import fields
+
+    def no_rule(n):
+        raise AssertionError("a Gauss-Legendre rule was looked up")
+
+    monkeypatch.setattr(fields, "_legendre_rule", no_rule)
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"n_rho": 8, "n_s": 2**40}))
+    code = main(["verify", "hardy", "--config", str(p), "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_USAGE
+    assert "n_s must be <= 65536" in capsys.readouterr().err
 
 
 def _edit_container(path, edit_header=None, edit_values=None):

@@ -74,6 +74,25 @@ def test_write_read_write_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("layout", ["fortran", "big-endian"])
+def test_payload_is_written_without_a_copy_and_with_the_old_bytes(tmp_path, layout):
+    """The payload is written from the buffer of the C-ordered little-endian
+    values, with no bytes copy; a Fortran-ordered or big-endian array still
+    gives the bytes of that copy."""
+    rng = np.random.default_rng(8)
+    vals = rng.standard_normal((G.n_rho, G.n_s)) + 1j * rng.standard_normal((G.n_rho, G.n_s))
+    f = RadialField(G, np.asfortranarray(vals))
+    if layout == "big-endian":
+        f.values = vals.astype(">c16")
+    assert not (f.values.flags.c_contiguous and f.values.dtype == "<c16")
+    write_hhfld(tmp_path / "f.hhfld", f)
+    raw = (tmp_path / "f.hhfld").read_bytes()
+    payload = np.ascontiguousarray(f.values, dtype="<c16").tobytes()
+    assert raw.endswith(payload) and len(raw) > len(payload)
+    write_hhfld(tmp_path / "c.hhfld", RadialField(G, vals))
+    assert raw == (tmp_path / "c.hhfld").read_bytes()
+
+
 def test_rejects_bad_magic(tmp_path):
     p = tmp_path / "junk.hhfld"
     p.write_bytes(b"NOPE!" + bytes(32))

@@ -66,6 +66,7 @@ GEOMETRY = dict(d=1, n_rho=16, r_max=12.0, n_s=32, s_half=40.0)
     ({"r_max": 1e300}, "radial weights overflow"),  # w_rho * rho at d = 1
     ({"r_max": 10**400}, "r_max must be finite and positive"),  # was a TypeError
     ({"s_half": True}, "s_half must be finite and positive"),  # was taken as 1
+    ({"r_max": 5e-324}, "radial nodes underflow"),  # built with rho = 0
 ])
 def test_grid_rejects_bad_geometry(kw, frag):
     with pytest.raises(ValueError, match=frag):
@@ -169,6 +170,58 @@ def test_grid_refuses_n_rho_above_the_cap(monkeypatch):
     assert fields.N_RHO_MAX == 8192
     with pytest.raises(ValueError, match="n_rho must be <= 8192"):
         Grid(n_rho=fields.N_RHO_MAX + 1)
+
+
+def test_grid_refuses_n_s_above_the_cap(monkeypatch):
+    """n_s = 2**40 was accepted, and its s and lam arrays are 8 TB each; the
+    cap is checked before the Gauss-Legendre rule or any array."""
+    def no_rule(n):
+        raise AssertionError("a Gauss-Legendre rule was looked up")
+
+    monkeypatch.setattr(fields, "_legendre_rule", no_rule)
+    assert fields.N_S_MAX == 2**16
+    for n_s in (fields.N_S_MAX + 2, 2**40):
+        with pytest.raises(ValueError, match="n_s must be <= 65536"):
+            Grid(n_rho=8, n_s=n_s)
+        with pytest.raises(ConfigError, match="n_s must be <= 65536"):
+            RunConfig(n_rho=8, n_s=n_s)
+
+
+@pytest.mark.parametrize("n_rho", [1, 2, 8, 64, 300])
+def test_grid_refuses_an_r_max_whose_radial_nodes_underflow(n_rho):
+    """r_max = 5e-324 built a grid with rho = 0 and w_radial = 0 at every
+    node.  The rule refuses, from the bound 1 + x_1 >= 2 sin^2(pi/(4n+2)),
+    every r_max whose smallest node r_max (1 + x_1)/2 is not a normal
+    float, and accepts every r_max from 2.5 times that edge on."""
+    tiny = np.finfo(float).tiny
+    x1 = fields._legendre_rule(n_rho)[0][0]
+    bound = 2.0 * np.sin(np.pi / (4 * n_rho + 2)) ** 2
+    assert 2.0 * bound <= x1 + 1.0 < 2.5 * bound
+    edge = tiny / (0.5 * (x1 + 1.0))  # the smallest r_max whose node is normal
+    for r_max in (5e-324, 1e-310, edge / 2, np.nextafter(edge, 0)):
+        assert not _builds(n_rho=n_rho, r_max=float(r_max))
+    for r_max in (2.5 * edge, 1e-290):
+        assert _builds(n_rho=n_rho, r_max=float(r_max))
+        grid = Grid(d=1, n_rho=n_rho, r_max=float(r_max), n_s=8, s_half=4.0)
+        assert grid.rho[0] >= 2.0 * tiny
+
+
+def test_l2_norm_of_spacetime_field_makes_one_float_array():
+    """A memory bound, not a timing: |u| is the one field-sized float array
+    the norm allocates (the powers and weights were three)."""
+    import tracemalloc
+
+    rng = np.random.default_rng(4)
+    shape = (9, 64, 128)
+    u = SpaceTimeField(Grid(d=1, n_rho=64, n_s=128, t_nodes=np.linspace(0.0, 1.0, 9)),
+                       rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    tracemalloc.start()
+    try:
+        l2_norm(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * u.values.real.nbytes
 
 
 def test_radial_field_shape_guard():

@@ -10,7 +10,7 @@ import pytest
 from scipy.special import roots_legendre
 
 from hharm import propagators, verify
-from hharm.fields import Grid, RadialField, l2_norm, s_synthesis
+from hharm.fields import Grid, RadialField, l2_norm
 from hharm.propagators import (
     CauchyDataS,
     CauchyDataW,
@@ -249,19 +249,22 @@ def test_duhamel_equals_per_time_inverse():
 
 
 def test_schrodinger_evolve_keeps_the_synthesis_buffer(monkeypatch):
-    """The evolved field stores the array s_synthesis wrote, not a copy."""
-    from hharm import transform
-
+    """The evolved field stores the one buffer the inverse FFT wrote in
+    place, not a copy."""
     made = []
+    ifft = np.fft.ifft
 
-    def recording(grid, theta):
-        made.append(s_synthesis(grid, theta))
-        return made[-1]
+    def recording(a, *args, **kw):
+        made.append((a, kw.get("out")))
+        return ifft(a, *args, **kw)
 
-    monkeypatch.setattr(transform, "s_synthesis", recording)
+    monkeypatch.setattr(np.fft, "ifft", recording)
     sf = banded_spectrum(SMALL_G, L_max=3, seed=11)
     u = schrodinger_evolve(CauchyDataS(sf), np.linspace(0.0, 2.0, 5))
-    assert len(made) == 1 and np.shares_memory(u.values, made[0])
+    assert len(made) == 1
+    buf, out = made[0]
+    assert out is buf and buf.nbytes == u.values.nbytes
+    assert np.shares_memory(u.values, buf)
 
 
 def test_schrodinger_evolve_peak_memory_is_about_two_outputs():

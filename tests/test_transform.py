@@ -326,23 +326,91 @@ def test_band_contraction_matches_per_frequency_loop(d, L_max, batch):
                     _reference_inverse(grid, theta)) < 1e-13
 
 
+def _lam_major_forward(grid, values, L_max):
+    """The forward with its samples and coefficients kept whole, lam-major:
+    C (n_s, n_rho, B) and theta (n_s, L+1, B)."""
+    from hharm import transform
+
+    fhat = s_analysis(grid, values.reshape((-1,) + values.shape[-2:]))
+    C = np.multiply(fhat.T, grid.w_radial[:, None], order="C")
+    theta = np.zeros((grid.n_s, L_max + 1, len(fhat)), dtype=complex)
+    for K, sl in transform._lam_blocks(grid, L_max):
+        np.matmul(K.transpose(1, 0, 2), C[sl, :K.shape[2]].view(float),
+                  out=theta[sl].view(float))
+    mults = np.array([multiplicity(l, grid.d) for l in range(L_max + 1)], dtype=float)
+    return np.divide(theta.T, mults[:, None], order="C")
+
+
+def _two_step_inverse(grid, theta):
+    """The inverse in two steps: the whole lam-major adjoint contraction G
+    (n_s, n_rho, B), then `s_synthesis` of its transpose."""
+    from hharm import transform
+
+    d = grid.d
+    theta = theta.reshape((-1,) + theta.shape[-2:])
+    w = (2.0**d / np.pi**d) * np.abs(grid.lam) ** d
+    T = np.multiply(theta.T, w[:, None, None], order="C")
+    G = np.zeros((grid.n_s, grid.n_rho, len(theta)), dtype=complex)
+    for K, sl in transform._lam_blocks(grid, theta.shape[1] - 1):
+        np.matmul(K.transpose(1, 2, 0), T[sl].view(float),
+                  out=G.view(float)[sl, :K.shape[2]])
+    return s_synthesis(grid, G.T)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_block_writes_have_the_bytes_of_the_lam_major_contraction(d):
+    """Each direction gathers a kernel block into a scratch and writes its
+    result straight into the batch-major output (the inverse through the
+    phase and the ifftshift); at r_max = 12 the outer radii of the large
+    |lam| are cut, and the bytes are those of the contraction kept whole,
+    lam-major, and then divided or synthesised."""
+    grid = Grid(d=d, n_rho=48, r_max=12.0, n_s=128, s_half=20.0)
+    rng = np.random.default_rng(30 + d)
+    values = rng.standard_normal((5, 48, grid.n_s)) + 1j * rng.standard_normal((5, 48, grid.n_s))
+    theta = rng.standard_normal((5, 21, grid.n_s)) + 1j * rng.standard_normal((5, 21, grid.n_s))
+    assert (_forward_samples(grid, values, 20).tobytes()
+            == _lam_major_forward(grid, values, 20).tobytes())
+    assert _inverse_samples(grid, theta).tobytes() == _two_step_inverse(grid, theta).tobytes()
+
+
+def test_inverse_peak_memory_is_its_output():
+    """A memory bound, not a timing: the output is the one sample-sized
+    array an inverse makes; its kernel-block scratch adds 1/16 of it here.
+    The two-step synthesis held the contraction output and the output at
+    once (2.0x here)."""
+    import tracemalloc
+
+    grid = Grid(d=1, n_rho=64, r_max=12.0, n_s=512, s_half=40.0)
+    rng = np.random.default_rng(40)
+    theta = rng.standard_normal((17, 9, grid.n_s)) + 1j * rng.standard_normal((17, 9, grid.n_s))
+    tracemalloc.start()
+    try:
+        f = _inverse_samples(grid, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * f.nbytes
+
+
 @pytest.mark.parametrize("adjoint", [False, True])
 @pytest.mark.parametrize("d", [1, 2])
 def test_lam_contract_bytes_do_not_depend_on_block_size(monkeypatch, d, adjoint):
-    """At r_max = 12 and |lam| up to 10 the kernels underflow at the outer
-    radii, so each block size cuts the gemms at other radii; the bytes must
-    not move."""
+    """The forward and its adjoint, the inverse, run one gemm per kernel
+    block.  At r_max = 12 and |lam| up to 10 the kernels underflow at the
+    outer radii, so each block size cuts the gemms at other radii; the bytes
+    must not move."""
     from hharm import transform
 
     grid = Grid(d=d, n_rho=48, r_max=12.0, n_s=128, s_half=20.0)
     L_max = 20
     rng = np.random.default_rng(d)
-    n = L_max + 1 if adjoint else grid.n_rho
-    X = rng.standard_normal((grid.n_s, n, 3)) + 1j * rng.standard_normal((grid.n_s, n, 3))
+    shape = (3, L_max + 1 if adjoint else grid.n_rho, grid.n_s)
+    X = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     out = []
     for block in (1, 16, 32, grid.n_s // 2):
         monkeypatch.setattr(transform, "_LAM_BLOCK", block)
-        out.append(transform._lam_contract(grid, X, L_max, adjoint).tobytes())
+        f = _inverse_samples(grid, X) if adjoint else _forward_samples(grid, X, L_max)
+        out.append(f.tobytes())
     assert len(set(out)) == 1
 
 
@@ -362,10 +430,14 @@ def test_nonfinite_sample_at_underflowed_radius_reaches_only_live_frequencies(mo
     theta = _forward_samples(grid, values, 4)
     assert np.isnan(theta[:, live & (grid.lam != 0)]).all()
     assert np.isfinite(theta[:, ~live]).all()
-    X = np.ones((grid.n_s, 5, 1), dtype=complex)
-    X[~live] = np.nan
-    G = transform._lam_contract(grid, X, 4, adjoint=True)
-    assert np.isnan(G[~live, 0]).all() and not G[~live, -1].any()
+    # the inverse: the NaN coefficients (and lam = 0's) reach no cut radius
+    theta = np.ones((5, grid.n_s), dtype=complex)
+    dead = ~live | (grid.lam == 0)
+    theta[:, dead] = np.nan
+    f = _inverse_samples(grid, theta)
+    theta[:, dead] = 0.0
+    assert np.isnan(f[0]).all()
+    assert np.array_equal(f[-1], _inverse_samples(grid, theta)[-1])
 
 
 _THREADS_SCRIPT = """
