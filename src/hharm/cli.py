@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig
 from .container import HHFLDError, read_hhfld, write_hhfld
-from .fields import RadialField, l2_norm
+from .fields import ELL_MAX, RadialField, _check_int, l2_norm
 from .propagators import (
     CauchyDataS,
     CauchyDataW,
@@ -31,8 +31,7 @@ from .transform import (
     plancherel_constant,
     spectral_inner,
 )
-from .verify import SUITES, run_suites
-from .windows import bump
+from .verify import SUITES, _single_band, run_suites
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -100,6 +99,17 @@ def cmd_transform(args) -> int:
 # propagate
 # ---------------------------------------------------------------------------
 
+def _spectrum(path, L_max, refusal):
+    """The spectrum of the field in an HHFLD file: forward() of a radial field,
+    a spectral one as read; another kind is refused (exit 2) with `refusal`."""
+    obj = read_hhfld(path)
+    if isinstance(obj, RadialField):
+        return forward(obj, L_max)
+    if isinstance(obj, SpectralField):
+        return obj
+    raise HHFLDError(refusal)
+
+
 def cmd_propagate(args) -> int:
     cfg = _load_config(args.config)
     if args.t is not None:  # RunConfig refuses a bad --t as it does t_final
@@ -113,13 +123,13 @@ def cmd_propagate(args) -> int:
             _err("--transport-ell applies to --eq schrodinger")
             return EXIT_USAGE
         ell, d = args.transport_ell, cfg.d
-        if ell < 0:
-            _err("--transport-ell must be >= 0")
+        try:  # the band rule of L_max, before any array
+            _check_int("--transport-ell", ell, 0, ELL_MAX)
+        except ValueError as exc:
+            _err(str(exc))
             return EXIT_USAGE
         grid = cfg.grid()
-        theta = np.zeros((ell + 1, grid.n_s), dtype=complex)
-        theta[ell] = bump(grid.lam, 0.5, 2.0)
-        sf0 = SpectralField(grid, theta)
+        sf0 = _single_band(grid, ell, ell)
         u0 = inverse(sf0)
         st = schrodinger_evolve(CauchyDataS(sf0), times)
         shift = 4.0 * t_final * (2 * ell + d)
@@ -139,14 +149,8 @@ def cmd_propagate(args) -> int:
     if not args.infile:
         _err("--in is required unless --transport-ell is given")
         return EXIT_USAGE
-    obj = read_hhfld(args.infile)
-    if isinstance(obj, RadialField):
-        sf0 = forward(obj, cfg.L_max)
-    elif isinstance(obj, SpectralField):
-        sf0 = obj
-    else:
-        _err("propagate expects a radial or spectral container as --in")
-        return EXIT_USAGE
+    sf0 = _spectrum(args.infile, cfg.L_max,
+                    "propagate expects a radial or spectral container as --in")
 
     if args.eq == "schrodinger":
         st = schrodinger_evolve(CauchyDataS(sf0), times)
@@ -159,14 +163,8 @@ def cmd_propagate(args) -> int:
             u1 = SpectralField(sf0.grid, np.zeros_like(sf0.values))
             print("half-wave split: gamma_pm = u0_hat / 2 (velocity datum is zero)")
         else:
-            o1 = read_hhfld(args.u1)
-            if isinstance(o1, RadialField):
-                u1 = forward(o1, cfg.L_max)
-            elif isinstance(o1, SpectralField):
-                u1 = o1
-            else:
-                _err("--u1 expects 'zero' or a radial/spectral container")
-                return EXIT_USAGE
+            u1 = _spectrum(args.u1, cfg.L_max,
+                           "--u1 expects 'zero' or a radial/spectral container")
         try:
             data = CauchyDataW(sf0, u1)
         except ValueError as exc:  # --u1 cannot be paired with --in

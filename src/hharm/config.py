@@ -6,7 +6,8 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
-from .fields import _GEOMETRY, Grid, _check_geometry, _check_int, _check_positive
+from .fields import (_GEOMETRY, ELL_MAX, N_T_MAX, Grid, _check_geometry, _check_int,
+                     _check_positive)
 
 __all__ = ["ConfigError", "RunConfig", "SCHEMA"]
 
@@ -34,8 +35,9 @@ class RunConfig:
         # Grid's geometry rule and the shared checks, then the config's own
         try:
             _check_geometry(*(getattr(self, k) for k in _GEOMETRY))
-            for name, low in (("L_max", 0), ("n_t", 2), ("seed", 0)):
-                _check_int(name, getattr(self, name), low)
+            for name, low, high in (("L_max", 0, ELL_MAX), ("n_t", 2, N_T_MAX),
+                                    ("seed", 0, None)):
+                _check_int(name, getattr(self, name), low, high)
             _check_positive("t_final", self.t_final)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None

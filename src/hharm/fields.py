@@ -107,6 +107,11 @@ N_RHO_MAX = 8192
 # n_rho * n_s * 16 bytes.
 N_S_MAX = 2**16
 
+# The largest L_max (the package asks for up to 4096; the multiplicity table is
+# a Python list) and n_t (the package uses up to 65) the library and a config take.
+ELL_MAX = 4096
+N_T_MAX = 4096
+
 # The fields of a Grid that `_check_geometry` rules on, in its order.
 _GEOMETRY = ("d", "n_rho", "r_max", "n_s", "s_half")
 
@@ -123,7 +128,12 @@ def _check_geometry(d, n_rho, r_max, n_s, s_half):
     6.21) gives 1 + x_1 > 2 sin^2(pi / (4 n_rho + 2)), and 1 + x_1 is 2 to
     2.35 times that (a test checks it), so r_max is refused when
     r_max sin^2(pi / (4 n_rho + 2)) is not a normal float, and an accepted
-    grid's nodes are >= 2^-1021."""
+    grid's nodes are >= 2^-1021.  The largest radial weight must be normal too:
+    it is at least the weights' mean, >= 2 |S^{2d-1}| (r_max/2)^{2d} / n_rho (the
+    rule sums the convex (1 + x)^{2d-1} to >= 2), and r_max is refused where that
+    bound is below 2^-1021, within a factor 2 of the exact edge (a test checks
+    it) and wherever the node rule, which names its cause first, refuses.  A
+    zero first weight alone (d = 100) is kept."""
     _check_int("d", d, 1)
     _check_int("n_rho", n_rho, 1, N_RHO_MAX)
     _check_int("n_s", n_s, 1)
@@ -151,6 +161,10 @@ def _check_geometry(d, n_rho, r_max, n_s, s_half):
     if not r * sin(pi / (4 * int(n_rho) + 2)) ** 2 >= sys.float_info.min:
         raise ValueError(f"radial nodes underflow at n_rho={n_rho}, r_max={r_max}: "
                          f"the smallest is not a normal float > 0")
+    # the factor 2 covers rounding, of a subnormal (r/2)^{2d} that passes too
+    if not sphere_area(dd) * (r / 2) ** (2 * dd) * 2.0 / int(n_rho) >= 2 * sys.float_info.min:
+        raise ValueError(f"radial weights underflow at d={d}, n_rho={n_rho}, r_max={r_max}: "
+                         f"the largest is not a normal float")
 
 
 @lru_cache(maxsize=16)
@@ -167,6 +181,14 @@ def _legendre_rule(n: int):
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def _gauss_rule(a0, a1, n):
+    """The n-node Gauss-Legendre rule on [a0, a1] from `_legendre_rule`: the one
+    interval rule of the grids, the surface pairings and the checks.  On [0, b]
+    it is 0.5 b (x + 1) and 0.5 b w, bit for bit (+ 0.0 keeps a positive node)."""
+    xq, wq = _legendre_rule(n)
+    return 0.5 * (a1 - a0) * (xq + 1.0) + a0, 0.5 * (a1 - a0) * wq
 
 
 @dataclass
@@ -199,9 +221,7 @@ class Grid:
             if t.ndim != 1 or t.dtype.kind not in "iuf" or not np.isfinite(t).all():
                 raise ValueError("t_nodes must be a 1-D array of finite times")
             self.t_nodes = t.astype(float)
-        x, w = _legendre_rule(int(self.n_rho))
-        self.rho = 0.5 * self.r_max * (x + 1.0)
-        self.w_rho = 0.5 * self.r_max * w
+        self.rho, self.w_rho = _gauss_rule(0.0, self.r_max, int(self.n_rho))
         self.w_radial = self.w_rho * sphere_area(self.d) * self.rho ** (2 * self.d - 1)
         self.h_s = 2.0 * self.s_half / self.n_s
         self.s = -self.s_half + self.h_s * np.arange(self.n_s)

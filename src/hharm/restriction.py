@@ -51,10 +51,10 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .fields import (N_RHO_MAX, Grid, RadialField, SpaceTimeField, _check_int,
-                     _check_positive, _legendre_rule)
+from .fields import (ELL_MAX, N_RHO_MAX, Grid, RadialField, SpaceTimeField, _check_int,
+                     _check_positive, _gauss_rule)
 from .specfun import _kept, _mult_table, kernel_rows
-from .windows import sigma_window
+from .windows import ball_profile
 
 __all__ = [
     "SphereMeasure",
@@ -84,7 +84,7 @@ class SphereMeasure:
 
 @dataclass
 class SigmaMeasure:
-    window: Callable = sigma_window
+    window: Callable = ball_profile  # 1 for |alpha| <= 1/2, 0 from |alpha| = 1 on
     support: tuple = (0.0, 1.0)
 
     def __post_init__(self):
@@ -117,15 +117,19 @@ def _alpha_density(measure, alpha, dalpha, d):
     return dalpha * alpha**d * measure.window(alpha)
 
 
-def _band_tail_integral(h, L, d, n_quad=64):
-    """int_{L+1/2}^infty h(x) dx via the compactifying map u = 1/(2x+d).
+def _band_series(h, L, d):
+    """The band series sum_ell h(ell) of a surface pairing, as its dict: the
+    partial sum over ell = 0..L, completed by int_{L+1/2}^infty h(x) dx via the
+    compactifying map u = 1/(2x+d) on a 64-node rule.
 
     `h` must accept a real array of band indices; the integrand it produces
     for surface pairings is smooth in u, so Gauss-Legendre converges fast.
     """
-    u, w = _gauss_rule(0.0, 1.0 / (2.0 * (L + 0.5) + d), n_quad)
+    partial = float(np.sum(h(np.arange(L + 1))))
+    u, w = _gauss_rule(0.0, 1.0 / (2.0 * (L + 0.5) + d), 64)
     x = (1.0 / u - d) / 2.0
-    return float(np.sum(w * h(x) / (2.0 * u**2)))
+    tail = float(np.sum(w * h(x) / (2.0 * u**2)))
+    return {"value": partial + tail, "partial": partial, "tail": tail}
 
 
 def sphere_pair(theta, measure: SphereMeasure, d: int = 1) -> dict:
@@ -139,22 +143,12 @@ def sphere_pair(theta, measure: SphereMeasure, d: int = 1) -> dict:
     error O(L^{-3})).
     """
     _check_int("d", d, 1)
-    L_max = 10000
 
     def h(x):
         lx, w = _sphere_rays(x, d, measure.radius)
         return w * (theta(x, lx) + theta(x, -lx))
 
-    ells = np.arange(L_max + 1)
-    partial = float(np.sum(h(ells)))
-    tail_val = _band_tail_integral(h, L_max, d)
-    return {"value": partial + tail_val, "partial": partial, "tail": tail_val}
-
-
-def _gauss_rule(a0, a1, n):
-    """The n-node Gauss-Legendre rule on [a0, a1]."""
-    xq, wq = _legendre_rule(n)
-    return 0.5 * (a1 - a0) * (xq + 1.0) + a0, 0.5 * (a1 - a0) * wq
+    return _band_series(h, 10000, d)
 
 
 def sigma_pair(theta, measure: SigmaMeasure, d: int = 1) -> dict:
@@ -169,7 +163,6 @@ def sigma_pair(theta, measure: SigmaMeasure, d: int = 1) -> dict:
     nodes in alpha.
     """
     _check_int("d", d, 1)
-    L_max = 4096
     al, wa = _gauss_rule(*measure.support, 48)
     wa = _alpha_density(measure, al, wa, d)
 
@@ -183,10 +176,7 @@ def sigma_pair(theta, measure: SigmaMeasure, d: int = 1) -> dict:
             out[i] = np.sum(wa * (tp + tm))
         return w * out
 
-    ells = np.arange(L_max + 1)
-    partial = float(np.sum(h(ells)))
-    tail_val = _band_tail_integral(h, L_max, d)
-    return {"value": partial + tail_val, "partial": partial, "tail": tail_val}
+    return _band_series(h, 4096, d)
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +197,9 @@ def _kernel_diag(ells, U, d):
     return out
 
 
-def _kernel_series(ells, U, d, n_terms=48):
-    """Explicit sum for e^{-u/2} L_ell^{(d-1)}(u) at u = U[i], fast for many
-    large bands.
+def _kernel_series(ells, U, d):
+    """Explicit 48-term sum for e^{-u/2} L_ell^{(d-1)}(u) at u = U[i], fast
+    for many large bands.
 
     term_0 = mult(ell) e^{-u/2}; term_{k+1} = term_k * (-u)(ell-k)/((k+1)(d+k)).
     The effective argument is x = ell*u; cancellation costs a factor
@@ -219,7 +209,7 @@ def _kernel_series(ells, U, d, n_terms=48):
     ells = np.asarray(ells, dtype=float)[:, None]
     term = _mult_real(ells, d) * np.exp(-U / 2.0)
     acc = term.copy()
-    for k in range(n_terms):
+    for k in range(48):
         term = term * (-U) * (ells - k) / ((k + 1.0) * (d + k))
         acc += term
     return acc, float(np.abs(term).max())
@@ -244,7 +234,7 @@ def g_function(rho, s, d: int = 1, radius: float = 1.0, L_max: int = 4096):
     Returns (value, tail_estimate) broadcast over the inputs.
     """
     _check_int("d", d, 1)
-    _check_int("L_max", L_max, 2)  # S_{L/2} needs a band
+    _check_int("L_max", L_max, 2, ELL_MAX)  # S_{L/2} needs a band
     _check_positive("radius", radius)
     rho_b, s_b = np.broadcast_arrays(np.asarray(rho, float), np.asarray(s, float))
     shape = rho_b.shape
@@ -363,7 +353,7 @@ class SigmaValues:
 
 
 def _bands(L_max: int) -> np.ndarray:
-    _check_int("L_max", L_max, 0)
+    _check_int("L_max", L_max, 0, ELL_MAX)
     return np.arange(L_max + 1)
 
 
@@ -418,10 +408,21 @@ def restrict_sphere(f: RadialField, measure: SphereMeasure, L_max: int = 64) -> 
     return SphereValues(measure, grid.d, tp[:, 0], tm[:, 0])
 
 
-def sphere_norm_sq(vals: SphereValues) -> float:
-    """Squared L^2(d sigma) norm of restricted values."""
+def sphere_norm_sq(vals) -> float:
+    """Squared L^2(d sigma) norm of SphereValues, or L^2(d Sigma) norm of
+    SigmaValues (`sigma_norm_sq` is this function)."""
     dens = np.abs(vals.theta_plus) ** 2 + np.abs(vals.theta_minus) ** 2
     return float(np.sum(vals.weights() * dens))
+
+
+def _measure_pairing(r, v):
+    """(2^{d-1}/pi^{d+1}) <r, v>_measure for values r, v on one surface, the side
+    <R f, v> of the duality that `extend_sphere` and `extend_sigma` satisfy."""
+    d = r.d
+    return 2.0 ** (d - 1) / np.pi ** (d + 1) * np.sum(
+        r.weights() * (r.theta_plus * np.conj(v.theta_plus)
+                       + r.theta_minus * np.conj(v.theta_minus))
+    )
 
 
 def extend_sphere(vals: SphereValues, grid: Grid) -> RadialField:
@@ -466,10 +467,7 @@ def restrict_sigma(u: SpaceTimeField, measure: SigmaMeasure, L_max: int = 32,
     return SigmaValues(measure, grid.d, al, wa, tp.T, tm.T)
 
 
-def sigma_norm_sq(vals: SigmaValues) -> float:
-    """Squared L^2(d Sigma) norm of restricted values."""
-    dens = np.abs(vals.theta_plus) ** 2 + np.abs(vals.theta_minus) ** 2
-    return float(np.sum(vals.weights() * dens))
+sigma_norm_sq = sphere_norm_sq  # one body for both measures
 
 
 def extend_sigma(vals: SigmaValues, grid: Grid) -> SpaceTimeField:

@@ -62,6 +62,7 @@ import numpy as np
 from scipy.special import roots_genlaguerre
 
 from .fields import (
+    ELL_MAX,
     GaussianClosure,
     Grid,
     RadialField,
@@ -264,9 +265,9 @@ def forward(f, L_max: int = 64, grid: Grid | None = None) -> SpectralField:
     u = 2|lam| rho^2 turns the radial integral into a weight e^{-pu} u^{d-1}
     integral with p = a/(2|lam|) + 1/2, which the rule integrates exactly
     for every band ell <= 2 n_quad - 1, with n_quad = max(48, L_max // 2 + 8).
-    `grid` supplies the frequency lattice.
+    `grid` supplies the frequency lattice.  L_max is an int in [0, ELL_MAX].
     """
-    _check_int("L_max", L_max, 0)
+    _check_int("L_max", L_max, 0, ELL_MAX)
     if isinstance(f, RadialField):
         return SpectralField(f.grid, _forward_samples(f.grid, f.values, L_max))
     closures = f if isinstance(f, (list, tuple)) else [f]
@@ -393,9 +394,10 @@ def transform_D(u: SpaceTimeField, L_max: int = 64) -> SpectralFieldD:
     """Euclidean t-DFT composed with the radial transform.
 
     Requires uniformly spaced t_nodes (the t axis is treated as periodic with
-    weight dt, so discrete Parseval is exact for t-compact packets).
+    weight dt, so discrete Parseval is exact for t-compact packets).  L_max
+    is an int in [0, ELL_MAX].
     """
-    _check_int("L_max", L_max, 0)
+    _check_int("L_max", L_max, 0, ELL_MAX)
     grid = u.grid
     t = grid.t_nodes
     n_t = t.size

@@ -13,6 +13,8 @@ row instead of dropping out of it.  A check function that a suite calls
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .config import RunConfig
@@ -22,6 +24,7 @@ from .fields import (
     MixedNormSpec,
     RadialField,
     SpaceTimeField,
+    _gauss_rule,
     _legendre_rule,
     dilate,
     l2_inner,
@@ -56,6 +59,8 @@ from .restriction import (
     sphere_pair,
     SigmaValues,
     SphereValues,
+    _measure_pairing,
+    _sigma_rays,
 )
 from .specfun import kept_kernels, normalized_kernel, wigner_radial
 from .transform import (
@@ -111,22 +116,28 @@ def _band_projected(cfg: RunConfig, rng, d: int):
     return f, forward(f, cfg.L_max)
 
 
-def _tail_fraction(sf: SpectralField, bands: int = 4) -> float:
-    """Spectral mass fraction in the top `bands` rows — the truncation monitor."""
+def _tail_fraction(sf: SpectralField) -> float:
+    """Spectral mass fraction in the top 4 band rows — the truncation monitor."""
     dens = sf.weights() * np.abs(sf.values) ** 2
     total = float(dens.sum())
     if total == 0.0:
         return 0.0
-    return float(dens[-bands:].sum() / total)
+    return float(dens[-4:].sum() / total)
 
 
 def _relative(a, b) -> float:
     return float(abs(a - b) / abs(b))
 
 
-def _single_band(grid: Grid, L_max: int, ell: int, lo=0.5, hi=2.0) -> SpectralField:
+def _cplx(rng, shape):
+    """Seeded complex normals: the real parts are drawn first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _single_band(grid: Grid, L_max: int, ell: int) -> SpectralField:
+    """The single-band datum: bump(lam, 0.5, 2.0) on band ell of L_max + 1."""
     theta = np.zeros((L_max + 1, grid.n_s), dtype=complex)
-    theta[ell] = bump(grid.lam, lo, hi)
+    theta[ell] = bump(grid.lam, 0.5, 2.0)
     return SpectralField(grid, theta)
 
 
@@ -138,8 +149,7 @@ def _ratio_stability(cfg: RunConfig, name, packets, n_rho, L, ratio) -> CheckRes
     when n_rho, n_s and L_max double together (d = 1)."""
     stats = []
     for refine in (1, 2):
-        g = Grid(d=1, n_rho=n_rho * refine, r_max=cfg.r_max,
-                 n_s=256 * refine, s_half=cfg.s_half)
+        g = replace(_grid_for(cfg, 1), n_rho=n_rho * refine, n_s=256 * refine)
         with kept_kernels():
             ratios = np.array([ratio(parts, g, L * refine) for parts in packets])
         stats.append((float(ratios.max()), float(np.median(ratios))))
@@ -249,8 +259,7 @@ def suite_transport(cfg: RunConfig):
     drifts = []
     for d in (1, 2):
         # the L^p sums cross the |.| kink at O(h_s^2); refine s for headroom
-        grid = Grid(d=d, n_rho=cfg.n_rho, r_max=cfg.r_max,
-                    n_s=max(cfg.n_s, 2048), s_half=cfg.s_half)
+        grid = replace(_grid_for(cfg, d), n_s=max(cfg.n_s, 2048))
         errs = []
         for ell in (0, 1, 2):
             sf = _single_band(grid, 8, ell)
@@ -320,9 +329,7 @@ def bernstein_check(f: RadialField, loc: LocalizerSpec, p: float, q: float,
     Q = 2.0 * g0.d + 2.0
     ratios = []
     for a in scales:
-        ga = Grid(d=g0.d, n_rho=g0.n_rho, r_max=g0.r_max / a,
-                  n_s=g0.n_s, s_half=g0.s_half / a**2)
-        fa = RadialField(ga, f0.values)
+        fa = RadialField(replace(g0, r_max=g0.r_max / a, s_half=g0.s_half / a**2), f0.values)
         num = mixed_norm(fa, MixedNormSpec((q, q), ("Y", "s")))
         den = mixed_norm(fa, MixedNormSpec((p, p), ("Y", "s")))
         ratios.append(num / den)
@@ -384,8 +391,7 @@ def suite_bernstein(cfg: RunConfig):
 
     # diagonal operators commute
     rng = np.random.default_rng(cfg.seed + 29)
-    th = rng.standard_normal((L + 1, grid.n_s)) + 1j * rng.standard_normal((L + 1, grid.n_s))
-    sfr = SpectralField(grid, th)
+    sfr = SpectralField(grid, _cplx(rng, (L + 1, grid.n_s)))
     loc = LocalizerSpec("ball", 2.0)
     ab = localize(sobolev_multiplier(sfr, 1.3), loc)
     ba = sobolev_multiplier(localize(sfr, loc), 1.3)
@@ -400,7 +406,6 @@ def suite_hausdorff_young(cfg: RunConfig):
     """Interpolated transform bound with the measure's own constant."""
     out = []
     rng = np.random.default_rng(cfg.seed + 31)
-    grid = _grid_for(cfg, 1)
     const = plancherel_constant(1)
     fields = [_band_projected(cfg, rng, 1) for _ in range(4)]
     for p in (1.0, 4.0 / 3.0, 2.0):
@@ -460,7 +465,8 @@ def suite_gfun(cfg: RunConfig):
     return out
 
 
-def _ones_theta(x, lx):
+def _ones(x, *_):
+    """theta = 1, for `sphere_pair` (x the bands) and `sigma_pair` (x the alpha)."""
     return np.ones_like(np.asarray(x, dtype=float))
 
 
@@ -468,7 +474,7 @@ def suite_sphere(cfg: RunConfig):
     """Sphere measure: total mass, exact R-scaling, restrict/extend duality,
     and refinement stability of the empirical restriction ratio."""
     out = []
-    pair = sphere_pair(_ones_theta, SphereMeasure(1.0), d=1)
+    pair = sphere_pair(_ones, SphereMeasure(1.0), d=1)
     target = np.pi**2 / 4.0
     err = _relative(pair["value"], target)
     out.append(_row("sphere-total", err <= 1e-6,
@@ -477,7 +483,7 @@ def suite_sphere(cfg: RunConfig):
                     value=(target, "2 sum mult (2l+1)^{-2} = pi^2/4 at d=1")))
 
     R = 2.0
-    pr = sphere_pair(_ones_theta, SphereMeasure(R), d=1)
+    pr = sphere_pair(_ones, SphereMeasure(R), d=1)
     rerr = _relative(pr["value"], R * pair["value"])
     out.append(_row("sphere-rscaling", rerr <= 1e-12,
                     {"rel_err": rerr}, factor=("R^d", "weights carry R^d exactly")))
@@ -487,17 +493,9 @@ def suite_sphere(cfg: RunConfig):
     f = sample_packets(random_packet(rng, d=1, omega_range=(0.0, 1.5)), grid)
     measure = SphereMeasure(1.0)
     vals = restrict_sphere(f, measure, L_max=cfg.L_max)
-    v = SphereValues(
-        measure, 1,
-        rng.standard_normal(cfg.L_max + 1) + 1j * rng.standard_normal(cfg.L_max + 1),
-        rng.standard_normal(cfg.L_max + 1) + 1j * rng.standard_normal(cfg.L_max + 1),
-    )
+    v = SphereValues(measure, 1, _cplx(rng, cfg.L_max + 1), _cplx(rng, cfg.L_max + 1))
     lhs = l2_inner(f, extend_sphere(v, grid))
-    const = 2.0 ** (1 - 1) / np.pi ** (1 + 1)
-    rhs = const * np.sum(
-        vals.weights() * (vals.theta_plus * np.conj(v.theta_plus)
-                          + vals.theta_minus * np.conj(v.theta_minus))
-    )
+    rhs = _measure_pairing(vals, v)
     derr = abs(lhs - rhs) / abs(rhs)
     out.append(_row("sphere-duality", derr <= 1e-10,
                     {"rel_err": float(derr)},
@@ -521,7 +519,7 @@ def suite_sigma(cfg: RunConfig):
     evolution on the window plateau, duality, refinement stability."""
     out = []
     measure = SigmaMeasure()
-    pair = sigma_pair(_ones_like_sigma, measure, d=1)
+    pair = sigma_pair(_ones, measure, d=1)
     gd = g_sigma(0.0, 0.0, 0.0, measure, d=1)
     ratio = gd["value"].real / pair["value"]
     target = 2.0 ** (3 * 1 + 2) / np.pi**1
@@ -537,28 +535,19 @@ def suite_sigma(cfg: RunConfig):
     # Riemann sum and the alpha rule converge past the gate), and the alpha
     # rule is dense enough to resolve e^{i s alpha c_ell} across the box.
     bigg = Grid(d=1, n_rho=96, r_max=cfg.r_max, n_s=320, s_half=20.0)
-    L_small = 2
     meas = SigmaMeasure(window=lambda a: ball_profile(np.asarray(a) / 220.0),
                         support=(0.0, 220.0))
-    amps = np.array([1.0, 0.6, 0.35])
+    amps = np.array([1.0, 0.6, 0.35])  # bands 0, 1, 2
 
-    def theta0(ell, lam):
-        lam = np.asarray(lam, dtype=float)
-        return amps[ell] * np.exp(-((lam - 2.2) ** 2) / (2.0 * 0.38**2))
+    def theta0(lam):  # the datum at lam, one column per band
+        return amps * np.exp(-((lam - 2.2) ** 2) / (2.0 * 0.38**2))
 
-    th = np.zeros((L_small + 1, bigg.n_s), dtype=complex)
-    for l in range(L_small + 1):
-        th[l] = theta0(l, bigg.lam)
     times = np.linspace(0.0, 0.12, 6)
-    u_ref = schrodinger_evolve(CauchyDataS(SpectralField(bigg, th)), times)
-    xq, wq = _legendre_rule(700)
-    al, wa = 110.0 * (xq + 1.0), 110.0 * wq  # Gauss-Legendre on (0, 220)
-    tp = np.empty((al.size, L_small + 1), dtype=complex)
-    tm = np.empty_like(tp)
-    for l in range(L_small + 1):
-        c = 1.0 / (4.0 * (2 * l + 1))
-        tp[:, l] = theta0(l, al * c)
-        tm[:, l] = theta0(l, -al * c)
+    datum = SpectralField(bigg, theta0(bigg.lam[:, None]).T)
+    u_ref = schrodinger_evolve(CauchyDataS(datum), times)
+    al, wa = _gauss_rule(0.0, 220.0, 700)
+    c, _ = _sigma_rays(np.arange(amps.size), 1)
+    tp, tm = (theta0(sign * al[:, None] * c) + 0j for sign in (1.0, -1.0))
     u_ext = extend_sigma(SigmaValues(meas, 1, al, wa, tp, tm), bigg.with_times(times))
     diff = l2_norm(SpaceTimeField(u_ref.grid, u_ext.values - u_ref.values))
     eerr = np.sqrt(np.sum(diff**2)) / np.sqrt(np.sum(l2_norm(u_ref) ** 2))
@@ -575,19 +564,11 @@ def suite_sigma(cfg: RunConfig):
     tms = np.linspace(0.0, 0.25, 5)
     u = schrodinger_evolve(CauchyDataS(sfd), tms)
     ru = restrict_sigma(u, measure, L_max=L_r, n_alpha=n_a)
-    rv = SigmaValues(
-        measure, 1, ru.alpha, ru.alpha_weights,
-        rng.standard_normal(ru.theta_plus.shape)
-        + 1j * rng.standard_normal(ru.theta_plus.shape),
-        rng.standard_normal(ru.theta_plus.shape)
-        + 1j * rng.standard_normal(ru.theta_plus.shape),
-    )
+    shape = ru.theta_plus.shape
+    rv = SigmaValues(measure, 1, ru.alpha, ru.alpha_weights, _cplx(rng, shape), _cplx(rng, shape))
     ev = extend_sigma(rv, g.with_times(tms))
     lhs = np.sum(u.grid.w_t * l2_inner(u, ev))
-    rhs = (2.0 ** (1 - 1) / np.pi ** (1 + 1)) * np.sum(
-        ru.weights() * (ru.theta_plus * np.conj(rv.theta_plus)
-                        + ru.theta_minus * np.conj(rv.theta_minus))
-    )
+    rhs = _measure_pairing(ru, rv)
     derr = abs(lhs - rhs) / abs(rhs)
     out.append(_row("sigma-duality", derr <= 1e-8,
                     {"rel_err": float(derr)},
@@ -607,10 +588,6 @@ def suite_sigma(cfg: RunConfig):
 
     out.append(_ratio_stability(cfg, "sigma-ratio-stability", packs, 96, 12, ratio))
     return out
-
-
-def _ones_like_sigma(alpha, ell, lam):
-    return np.ones_like(np.asarray(alpha, dtype=float))
 
 
 def est2_scan(ps=(2.0,), lams=(0.25, 0.5, 1.0, 2.0, 4.0), seed: int = 42) -> list:
@@ -790,16 +767,12 @@ def orth_check(ells=(1, 2, 4, 8, 16, 32, 64), n_quad: int = 4096) -> dict:
     """
     d = 1
     ells = np.asarray(ells, dtype=int)
-    surf = sphere_area(d)
     m_big = int(ells.max()) * 2
     R = 2.0 * (2.0 * m_big + d) + 40.0
-    xq, wq = _legendre_rule(n_quad)
-    rho = 0.5 * R * (xq + 1.0)
-    w = 0.5 * R * wq * surf * rho ** (2 * d - 1)
-    table = {int(l): np.abs(normalized_kernel(int(l), rho, d)) for l in ells}
-    table.update(
-        {2 * int(l): np.abs(normalized_kernel(2 * int(l), rho, d)) for l in ells}
-    )
+    rho, w = _gauss_rule(0.0, R, n_quad)
+    w = w * sphere_area(d) * rho ** (2 * d - 1)
+    bands = {int(l) for l in ells} | {2 * int(l) for l in ells}
+    table = {m: np.abs(normalized_kernel(m, rho, d)) for m in bands}
     diag = np.array([np.sum(w * table[int(l)] ** 2) for l in ells])
     diag_target = (np.pi / 2.0) ** d / (2.0 * ells + d)
     off = np.array([np.sum(w * table[int(l)] * table[2 * int(l)]) for l in ells])
@@ -896,13 +869,11 @@ def suite_strichartz(cfg: RunConfig):
         spec = MixedNormSpec((np.inf, q, p), ("s", "t", "Y"))
         ratios = []
         for lam in (1.0, 2.0, 4.0):
-            gl = Grid(d=1, n_rho=cfg.n_rho, r_max=cfg.r_max * lam,
-                      n_s=cfg.n_s, s_half=cfg.s_half * lam**2,
-                      t_nodes=times * lam**2)
+            gl = replace(grid, r_max=cfg.r_max * lam, s_half=cfg.s_half * lam**2,
+                         t_nodes=times * lam**2)
             lhs = mixed_norm(SpaceTimeField(gl, u.values), spec)
-            gsp = Grid(d=1, n_rho=cfg.n_rho, r_max=cfg.r_max * lam,
-                       n_s=cfg.n_s, s_half=cfg.s_half * lam**2)
-            rhs = sobolev_norm(forward(RadialField(gsp, u0.values), L), sigma)
+            rhs = sobolev_norm(forward(RadialField(gl.with_times(None), u0.values), L),
+                               sigma)
             # a numpy division: data the grid cannot hold give a nan, a failed row
             ratios.append(np.divide(lhs, rhs))
         ratios = np.asarray(ratios)
@@ -937,12 +908,12 @@ def suite_wave_energy(cfg: RunConfig):
     L = 8
     rng = np.random.default_rng(cfg.seed + 59)
     prof = bump(np.abs(grid.lam), 0.5, 2.0)
-    th0 = (rng.standard_normal((L + 1, 1)) + 1j * rng.standard_normal((L + 1, 1))) * prof
+    th0 = _cplx(rng, (L + 1, 1)) * prof
     sf0 = SpectralField(grid, th0)
     times = np.linspace(0.0, 3.0, 65)
     norms = l2_norm(schrodinger_evolve(CauchyDataS(sf0), times))
     drift = float(np.abs(norms / norms[0] - 1.0).max())
-    th1 = (rng.standard_normal((L + 1, 1)) + 1j * rng.standard_normal((L + 1, 1))) * prof
+    th1 = _cplx(rng, (L + 1, 1)) * prof
     en = wave_energy_series(CauchyDataW(sf0, SpectralField(grid, th1)), times)
     edrift = float(np.abs(en / en[0] - 1.0).max())
     return [
@@ -993,14 +964,11 @@ def wave_decay_probe(times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
     d, ell, freq_scale = 1, 0, 16.0
     m = 2 * ell + d
     lam_hi = 14.0 * freq_scale  # weight below e^{-14} past here
-    xq, wq = _legendre_rule(n_quad)
-    lam = lam_hi * (xq + 1) / 2
-    wl = lam_hi / 2 * wq
-    g = np.exp(-lam / freq_scale)
+    lam, wl = _gauss_rule(0.0, lam_hi, n_quad)
     const = 2.0 ** (d - 1) / np.pi ** (d + 1)
     rhos = np.array([0.0, 0.5, 1.0, 2.0])
     K = wigner_radial(ell, lam[:, None], rhos, d)  # (nq, n_rho)
-    weight = g * wl * lam**d
+    weight = np.exp(-lam / freq_scale) * wl * lam**d  # g(lam) times the measure
     sups = []
     table, step = None, None
     for t in times:
@@ -1081,12 +1049,12 @@ def translate_identity_check() -> dict:
     ells, lams, Y0, s0, n_y, n_s = (0, 1, 2, 3), (0.7, 1.3), (0.3, -0.2), 0.5, 80, 128
     closure = GaussianClosure(d=1, a=1.0, b=0.5, omega=2.0, s0=0.0, amp=1.0)
     Ly, Ls = 6.0, 12.0
+    # symmetric rules Ly x, Ly w, not `_gauss_rule(-Ly, Ly, n)`: its map
+    # 0.5 (2 Ly)(x + 1) - Ly rounds otherwise, and moves the report's figure
     xy, wy = _legendre_rule(n_y)
-    y = Ly * xy
-    wy = Ly * wy
+    y, wy = Ly * xy, Ly * wy
     xs, ws = _legendre_rule(n_s)
-    s = Ls * xs
-    ws = Ls * ws
+    s, ws = Ls * xs, Ls * ws
     yv = y[:, None, None]
     ev = y[None, :, None]
     sv = s[None, None, :]

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-__all__ = ["smooth_step", "ball_profile", "ring_profile", "bump", "sigma_window"]
+__all__ = ["smooth_step", "ball_profile", "ring_profile", "bump"]
 
 
 def _s(t):
@@ -42,11 +42,3 @@ def bump(x, a, b):
     half = (b - a) / 2.0
     out[inside] = np.exp(1.0 / half**2 - 1.0 / ((xi - a) * (b - xi)))
     return out
-
-
-def sigma_window(alpha):
-    """Default even frequency window for the spacetime surface measure.
-
-    Equals 1 for |alpha| <= 1/2 and vanishes for |alpha| >= 1.
-    """
-    return ball_profile(alpha)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from hharm.cli import EXIT_OK, EXIT_REFUSED, EXIT_TOLERANCE, EXIT_USAGE, main
 from hharm.config import SCHEMA, ConfigError, RunConfig
 from hharm.container import read_hhfld, write_hhfld
-from hharm.fields import N_RHO_MAX, Grid, RadialField
+from hharm import transform
+from hharm.fields import ELL_MAX, N_RHO_MAX, N_T_MAX, Grid, RadialField, SpaceTimeField
 from hharm.transform import SpectralField, forward, inverse
 from hharm.windows import bump
 
@@ -428,6 +429,65 @@ def test_propagate_transport_demo(small_cfg, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_OK
     assert "expected s-shift 4*t*(2*ell+d) = 3" in out
+
+
+def test_config_caps_L_max_and_n_t():
+    """L_max and n_t are capped at ELL_MAX and N_T_MAX (4096 each); the caps
+    themselves are accepted."""
+    assert ELL_MAX == N_T_MAX == 4096
+    RunConfig(L_max=ELL_MAX, n_t=N_T_MAX)
+    with pytest.raises(ConfigError, match="L_max must be <= 4096"):
+        RunConfig(L_max=ELL_MAX + 1)
+    with pytest.raises(ConfigError, match="n_t must be <= 4096"):
+        RunConfig(n_t=N_T_MAX + 1)
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("an array was built before the refusal")
+
+
+@pytest.mark.parametrize("argv, cfg, frag", [
+    (["transform", "--dir", "fwd"], {"L_max": 10**15}, "L_max must be <= 4096"),
+    (["propagate", "--eq", "schrodinger"], {"n_t": 10**15}, "n_t must be <= 4096"),
+    (["propagate", "--eq", "schrodinger", "--transport-ell", str(10**15)], {},
+     "--transport-ell must be <= 4096"),
+    (["propagate", "--eq", "schrodinger", "--transport-ell", "-1"], {},
+     "--transport-ell must be an int >= 0"),
+])
+def test_band_and_time_counts_past_the_caps_are_usage_errors(
+        tmp_path, band_file, monkeypatch, capsys, argv, cfg, frag):
+    """L_max = 10**15 hung `transform` in the Python multiplicity list, and
+    n_t = 10**15 and --transport-ell 10**15 died on a MemoryError traceback.
+    Each exits 2 before any band table or field array is built (the small
+    time ladder of `propagate` comes first)."""
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps(dict(SMALL, **cfg)))
+    monkeypatch.setattr(transform, "_mult_table", _fail)
+    for name in ("zeros", "empty"):
+        monkeypatch.setattr(np, name, _fail)
+    if "--transport-ell" not in argv:
+        monkeypatch.setattr(np, "linspace", _fail)
+        argv = argv + ["--in", band_file, "--out", str(tmp_path / "o.hhfld")]
+    code = main(argv + ["--config", str(p)])
+    assert code == EXIT_USAGE
+    assert frag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, frag", [
+    ("--in", "propagate expects a radial or spectral container as --in"),
+    ("--u1", "--u1 expects 'zero' or a radial/spectral container"),
+])
+def test_propagate_refuses_a_container_of_another_kind(tmp_path, small_cfg, small_grid,
+                                                       band_file, capsys, flag, frag):
+    """A spacetime container as --in or as --u1 exits 2, each with its message."""
+    st_file = str(tmp_path / "st.hhfld")
+    write_hhfld(st_file, SpaceTimeField(small_grid.with_times([0.0, 0.1]),
+                                        np.zeros((2, small_grid.n_rho, small_grid.n_s))))
+    files = {"--in": band_file, "--u1": band_file, flag: st_file}
+    code = main(["propagate", "--eq", "wave", "--in", files["--in"], "--u1", files["--u1"],
+                 "--config", small_cfg])
+    assert code == EXIT_USAGE
+    assert frag in capsys.readouterr().err
 
 
 def test_propagate_bad_time(small_cfg, capsys):

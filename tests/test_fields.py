@@ -191,19 +191,84 @@ def test_grid_refuses_n_s_above_the_cap(monkeypatch):
 def test_grid_refuses_an_r_max_whose_radial_nodes_underflow(n_rho):
     """r_max = 5e-324 built a grid with rho = 0 and w_radial = 0 at every
     node.  The rule refuses, from the bound 1 + x_1 >= 2 sin^2(pi/(4n+2)),
-    every r_max whose smallest node r_max (1 + x_1)/2 is not a normal
-    float, and accepts every r_max from 2.5 times that edge on."""
+    every r_max whose smallest node r_max (1 + x_1)/2 is not a normal float,
+    naming the nodes.  From 2.5 times that edge up to 1e-290 the nodes are
+    normal but every radial weight is 0 at d = 1: refused for the weights.
+    An accepted grid's nodes are normal."""
     tiny = np.finfo(float).tiny
     x1 = fields._legendre_rule(n_rho)[0][0]
     bound = 2.0 * np.sin(np.pi / (4 * n_rho + 2)) ** 2
     assert 2.0 * bound <= x1 + 1.0 < 2.5 * bound
     edge = tiny / (0.5 * (x1 + 1.0))  # the smallest r_max whose node is normal
     for r_max in (5e-324, 1e-310, edge / 2, np.nextafter(edge, 0)):
-        assert not _builds(n_rho=n_rho, r_max=float(r_max))
+        with pytest.raises(ValueError, match="radial nodes underflow"):
+            fields._check_geometry(**dict(GEOMETRY, n_rho=n_rho, r_max=float(r_max)))
     for r_max in (2.5 * edge, 1e-290):
-        assert _builds(n_rho=n_rho, r_max=float(r_max))
-        grid = Grid(d=1, n_rho=n_rho, r_max=float(r_max), n_s=8, s_half=4.0)
-        assert grid.rho[0] >= 2.0 * tiny
+        with pytest.raises(ValueError, match="radial weights underflow"):
+            fields._check_geometry(**dict(GEOMETRY, n_rho=n_rho, r_max=float(r_max)))
+    grid = Grid(d=1, n_rho=n_rho, r_max=1e-100, n_s=8, s_half=4.0)
+    assert grid.rho[0] >= 2.0 * tiny
+
+
+@pytest.mark.parametrize("kw", [dict(d=3, n_rho=8, r_max=1e-100),
+                                dict(d=1, n_rho=8, r_max=1e-300),
+                                dict(d=2, n_rho=256, r_max=1e-80)])
+def test_grid_refuses_a_geometry_whose_radial_weights_underflow(kw, monkeypatch):
+    """These built with normal nodes and w_radial = 0 at every node, so the
+    l2_norm of an all-ones field was 0.0.  Refused before any Gauss-Legendre
+    rule is looked up; RunConfig's refusal is a ConfigError (exit 2)."""
+    def no_rule(n):
+        raise AssertionError("a Gauss-Legendre rule was looked up")
+
+    monkeypatch.setattr(fields, "_legendre_rule", no_rule)
+    geometry = dict(kw, n_s=8, s_half=4.0)
+    with pytest.raises(ValueError, match="radial weights underflow"):
+        Grid(**geometry)
+    with pytest.raises(ConfigError, match="radial weights underflow"):
+        RunConfig(**geometry)
+
+
+def test_grid_keeps_a_geometry_with_a_zero_first_weight_only():
+    """At d = 100, r_max = 1 the first weights underflow to 0 but the largest
+    is normal: accepted, with a positive L^2 norm."""
+    grid = Grid(d=100, n_rho=256, r_max=1.0, n_s=8, s_half=4.0)
+    assert grid.w_radial[0] == 0.0 and grid.w_radial.max() >= np.finfo(float).tiny
+    assert l2_norm(RadialField(grid, np.ones((256, 8)))) > 0.0
+
+
+def _log_largest_weight(d, n_rho, r_max):
+    """The log of the largest radial weight, from the rule (no underflow)."""
+    x, w = fields._legendre_rule(n_rho)
+    return float(np.max(np.log(fields.sphere_area(d)) + 2 * d * np.log(r_max / 2.0)
+                        + (2 * d - 1) * np.log1p(x) + np.log(w)))
+
+
+@pytest.mark.parametrize("d, n_rho", [(1, 1), (1, 8), (1, 8192), (2, 3), (3, 64),
+                                      (10, 3), (100, 8), (100, 256), (171, 3), (171, 1024)])
+def test_radial_weight_rule_is_within_a_factor_2_of_the_edge(d, n_rho):
+    """The rule's bound never exceeds the largest weight, so every r_max whose
+    largest weight is below 2^-1021 is refused, and every r_max from 2 times
+    that edge on is accepted, with a largest weight of at least 2^-1021."""
+    floor = np.log(2.0 * np.finfo(float).tiny)
+    # the edge: the largest weight scales as r_max^{2d}
+    edge = np.exp((floor - _log_largest_weight(d, n_rho, 1.0)) / (2 * d))
+    assert not _builds(d=d, n_rho=n_rho, r_max=float(edge * (1 - 1e-9)))
+    assert _builds(d=d, n_rho=n_rho, r_max=float(2.0 * edge))
+    grid = Grid(d=d, n_rho=n_rho, r_max=float(2.0 * edge), n_s=8, s_half=4.0)
+    assert grid.w_radial.max() >= 2.0 * np.finfo(float).tiny
+
+
+@pytest.mark.parametrize("r_max, n_rho", [(12.0, 256), (12, 64), (7, 1), (1e-100, 8),
+                                          (3.5e10, 300), (10**20, 16)])
+def test_grid_nodes_and_weights_are_the_interval_rule(r_max, n_rho):
+    """`Grid` takes rho and w_rho from `_gauss_rule` on [0, r_max], bit for bit
+    the map 0.5 r_max (x + 1), 0.5 r_max w it wrote by hand (an int r_max too)."""
+    grid = Grid(d=1, n_rho=n_rho, r_max=r_max, n_s=8, s_half=4.0)
+    rho, w_rho = fields._gauss_rule(0.0, r_max, n_rho)
+    x, w = fields._legendre_rule(n_rho)
+    for got, want in ((grid.rho, rho), (grid.w_rho, w_rho),
+                      (rho, 0.5 * r_max * (x + 1.0)), (w_rho, 0.5 * r_max * w)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_l2_norm_of_spacetime_field_makes_one_float_array():

@@ -15,6 +15,7 @@ from hharm import restriction, specfun, transform
 from hharm.fields import (
     N_RHO_MAX,
     GaussianClosure,
+    _gauss_rule,
     Grid,
     RadialField,
     SpaceTimeField,
@@ -23,8 +24,8 @@ from hharm.fields import (
     sample_packets,
 )
 from hharm.restriction import (
-    _gauss_rule,
     _kernel_diag,
+    _measure_pairing,
     _ray_kernels,
     _restrict_rays,
     _sphere_rays,
@@ -541,3 +542,67 @@ def test_restrict_nan_sample_gives_nan_theta():
     values[40, 100] = np.nan
     vals = restrict_sphere(RadialField(GRID, values), SphereMeasure(), L_max=8)
     assert np.isnan(vals.theta_plus).all() and np.isnan(vals.theta_minus).all()
+
+
+def _seeded_values(kind, rng):
+    """SphereValues (L = 12) or SigmaValues (L = 6, 5 alpha nodes) at d = 1,
+    with seeded complex values."""
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    if kind == "sphere":
+        return SphereValues(SphereMeasure(1.5), 1, cplx(13), cplx(13))
+    al, wa = _gauss_rule(0.0, 1.0, 5)
+    return SigmaValues(SigmaMeasure(), 1, al, wa, cplx(5, 7), cplx(5, 7))
+
+
+@pytest.mark.parametrize("kind", ["sphere", "sigma"])
+def test_measure_pairing_is_the_duality_sides_the_suites_wrote(kind):
+    """`_measure_pairing` equals, bit for bit, the right-hand sides the
+    sphere-duality and sigma-duality rows built by hand."""
+    rng = np.random.default_rng(71)
+    r, v = _seeded_values(kind, rng), _seeded_values(kind, rng)
+    sum_ = np.sum(r.weights() * (r.theta_plus * np.conj(v.theta_plus)
+                                 + r.theta_minus * np.conj(v.theta_minus)))
+    const = 2.0 ** (1 - 1) / np.pi ** (1 + 1)
+    got = _measure_pairing(r, v)
+    for want in (const * sum_, (2.0 ** (1 - 1) / np.pi ** (1 + 1)) * sum_):
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_one_norm_body_serves_both_measures():
+    """`sigma_norm_sq` is `sphere_norm_sq`, and the body is the weighted sum of
+    |theta_+|^2 + |theta_-|^2 for either kind of values."""
+    assert sigma_norm_sq is sphere_norm_sq
+    rng = np.random.default_rng(72)
+    for kind in ("sphere", "sigma"):
+        vals = _seeded_values(kind, rng)
+        dens = np.abs(vals.theta_plus) ** 2 + np.abs(vals.theta_minus) ** 2
+        assert sphere_norm_sq(vals) == float(np.sum(vals.weights() * dens))
+
+
+def test_band_count_past_the_cap_is_refused_before_any_band_table(monkeypatch):
+    """forward, transform_D, the restrictions and g_function refuse L_max past
+    ELL_MAX = 4096 before the multiplicity list or any array: L_max = 10**15
+    hung in the list, or asked for a petabyte band index."""
+    from hharm.fields import ELL_MAX
+    from hharm.transform import forward, transform_D
+
+    grid = Grid(d=1, n_rho=8, r_max=6.0, n_s=16, s_half=8.0)
+    f = RadialField(grid, np.ones((8, 16)))
+    u = SpaceTimeField(grid.with_times([0.0, 0.1]), np.ones((2, 8, 16)))
+
+    def fail(*args, **kwargs):
+        raise AssertionError("a band table or array was built")
+
+    for module in (transform, restriction):
+        monkeypatch.setattr(module, "_mult_table", fail)
+    for name in ("arange", "zeros", "empty"):
+        monkeypatch.setattr(np, name, fail)
+    for L_max in (ELL_MAX + 1, 10**15):
+        for call in (lambda: forward(f, L_max), lambda: transform_D(u, L_max),
+                     lambda: restrict_sphere(f, SphereMeasure(), L_max),
+                     lambda: restrict_sigma(u, SigmaMeasure(), L_max),
+                     lambda: g_function(0.0, 0.0, L_max=L_max)):
+            with pytest.raises(ValueError, match="L_max must be <= 4096"):
+                call()

@@ -7,6 +7,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import hharm
 from hharm.config import RunConfig
@@ -175,3 +176,43 @@ def test_seed_changes_report_but_not_verdict():
 def test_translate_identity_direct():
     out = translate_identity_check()
     assert out["max_rel_err"] < 1e-9
+
+
+@pytest.mark.parametrize("kind, b, n", [
+    ("sigma", 220.0, 700),
+    ("orth", 2.0 * (2.0 * 128 + 1) + 40.0, 4096),  # orth_check's defaults
+    ("orth", 2.0 * (2.0 * 32 + 1) + 40.0, 2048),
+    ("orth", 2.0 * (2.0 * 4 + 1) + 40.0, 512),
+    ("decay", 14.0 * 16.0, 3200),  # wave_decay_probe's defaults
+    ("decay", 14.0 * 16.0, 1600),
+    ("decay", 14.0 * 16.0, 200),
+])
+def test_suite_interval_rules_are_the_hand_maps_they_replace(kind, b, n):
+    """On the suites' own inputs `_gauss_rule(0, b, n)` is, bit for bit, the
+    map each suite wrote by hand; orth_check's weights then take the surface
+    factor as before."""
+    x, w = fields._legendre_rule(n)
+    nodes, weights = fields._gauss_rule(0.0, b, n)
+    hand_x, hand_w = {"sigma": (110.0 * (x + 1.0), 110.0 * w),
+                      "orth": (0.5 * b * (x + 1.0), 0.5 * b * w),
+                      "decay": (b * (x + 1) / 2, b / 2 * w)}[kind]
+    assert nodes.tobytes() == hand_x.tobytes() and weights.tobytes() == hand_w.tobytes()
+    if kind == "orth":
+        surf = fields.sphere_area(1)
+        assert (weights * surf * nodes).tobytes() == (0.5 * b * w * surf * hand_x).tobytes()
+
+
+def test_checks_take_their_rules_from_the_interval_rule(monkeypatch):
+    """orth_check and wave_decay_probe ask `_gauss_rule` for (0, R, n_quad) and
+    (0, lam_hi, n_quad): no map of their own."""
+    calls = []
+    real = verify._gauss_rule
+
+    def recording(a0, a1, n):
+        calls.append((a0, a1, n))
+        return real(a0, a1, n)
+
+    monkeypatch.setattr(verify, "_gauss_rule", recording)
+    verify.orth_check(ells=(1, 2), n_quad=512)
+    verify.wave_decay_probe(times=(1.0, 2.0), n_quad=200)
+    assert calls == [(0.0, 2.0 * (2.0 * 4 + 1) + 40.0, 512), (0.0, 224.0, 200)]

@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from hharm.windows import ball_profile, bump, ring_profile, sigma_window, smooth_step
+from hharm.restriction import SigmaMeasure
+from hharm.windows import ball_profile, bump, ring_profile, smooth_step
 
 
 def test_smooth_step_endpoints_and_monotone():
@@ -44,6 +45,7 @@ def test_bump_support_and_peak():
     assert abs(v[k] - 1.0) < 1e-12
 
 
-def test_sigma_window_matches_ball_profile():
-    a = np.linspace(-2.0, 2.0, 101)
-    assert np.array_equal(sigma_window(a), ball_profile(a))
+def test_sigma_measure_default_window_is_ball_profile():
+    """The paraboloid measure's default window is `ball_profile` itself (its
+    one-line wrapper is gone)."""
+    assert SigmaMeasure().window is ball_profile
