@@ -60,8 +60,7 @@ def cmd_transform(args) -> int:
     obj = read_hhfld(args.infile)
     if args.direction == "fwd":
         if not isinstance(obj, RadialField):
-            _err("--dir fwd expects a radial-field container")
-            return EXIT_USAGE
+            raise HHFLDError("--dir fwd expects a radial-field container")
         sf = forward(obj, cfg.L_max)
         write_hhfld(args.out, sf)
         spectral = float(spectral_inner(sf, sf).real)
@@ -87,8 +86,7 @@ def cmd_transform(args) -> int:
             return EXIT_TOLERANCE
         return EXIT_OK
     if not isinstance(obj, SpectralField):
-        _err("--dir inv expects a spectral container")
-        return EXIT_USAGE
+        raise HHFLDError("--dir inv expects a spectral container")
     f = inverse(obj)
     write_hhfld(args.out, f)
     print(f"inverse written: L2 norm {l2_norm(f):.12g}")
@@ -120,14 +118,12 @@ def cmd_propagate(args) -> int:
 
     if args.transport_ell is not None:
         if args.eq != "schrodinger":
-            _err("--transport-ell applies to --eq schrodinger")
-            return EXIT_USAGE
+            raise ConfigError("--transport-ell applies to --eq schrodinger")
         ell, d = args.transport_ell, cfg.d
         try:  # the band rule of L_max, before any array
             _check_int("--transport-ell", ell, 0, ELL_MAX)
         except ValueError as exc:
-            _err(str(exc))
-            return EXIT_USAGE
+            raise ConfigError(str(exc)) from None
         grid = cfg.grid()
         sf0 = _single_band(grid, ell, ell)
         u0 = inverse(sf0)
@@ -147,8 +143,7 @@ def cmd_propagate(args) -> int:
         return EXIT_OK
 
     if not args.infile:
-        _err("--in is required unless --transport-ell is given")
-        return EXIT_USAGE
+        raise ConfigError("--in is required unless --transport-ell is given")
     sf0 = _spectrum(args.infile, cfg.L_max,
                     "propagate expects a radial or spectral container as --in")
 
@@ -168,8 +163,7 @@ def cmd_propagate(args) -> int:
         try:
             data = CauchyDataW(sf0, u1)
         except ValueError as exc:  # --u1 cannot be paired with --in
-            _err(f"--u1 does not match --in: {exc}")
-            return EXIT_USAGE
+            raise HHFLDError(f"--u1 does not match --in: {exc}") from None
         st, energy = _wave_evolve_with_energy(data, times)
         drift = float(np.abs(energy / energy[0] - 1.0).max()) if energy[0] else 0.0
         print(f"wave evolution over {times.size} times, t in [0, {t_final:g}]")
@@ -191,8 +185,7 @@ def cmd_propagate(args) -> int:
 def cmd_verify(args) -> int:
     known = set(SUITES) | {"all"}
     if args.suite not in known:
-        _err(f"unknown suite {args.suite!r}; known: {', '.join(sorted(known))}")
-        return EXIT_USAGE
+        raise ConfigError(f"unknown suite {args.suite!r}; known: {', '.join(sorted(known))}")
     cfg = _load_config(args.config)
     overrides = {"suites": (args.suite,)}
     if args.seed is not None:

@@ -34,7 +34,7 @@ import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from math import factorial, inf, isfinite, pi, sin
+from math import factorial, inf, isfinite, pi
 from numbers import Real
 
 import numpy as np
@@ -123,17 +123,14 @@ def _check_geometry(d, n_rho, r_max, n_s, s_half):
     radial weights |S^{2d-1}| rho^(2d-1) w_rho (at most their value at rho =
     w_rho = r_max), h_s = 2 s_half / n_s > 0 and the spectral weight
     dlam |lam|^d at the largest |lam| = pi (n_s/2) / s_half must be finite,
-    n_s at most N_S_MAX, and the smallest radial node r_max (1 + x_1) / 2 a
-    normal float > 0.  Bruns' bound (Szego, Orthogonal Polynomials, section
-    6.21) gives 1 + x_1 > 2 sin^2(pi / (4 n_rho + 2)), and 1 + x_1 is 2 to
-    2.35 times that (a test checks it), so r_max is refused when
-    r_max sin^2(pi / (4 n_rho + 2)) is not a normal float, and an accepted
-    grid's nodes are >= 2^-1021.  The largest radial weight must be normal too:
-    it is at least the weights' mean, >= 2 |S^{2d-1}| (r_max/2)^{2d} / n_rho (the
-    rule sums the convex (1 + x)^{2d-1} to >= 2), and r_max is refused where that
-    bound is below 2^-1021, within a factor 2 of the exact edge (a test checks
-    it) and wherever the node rule, which names its cause first, refuses.  A
-    zero first weight alone (d = 100) is kept."""
+    n_s at most N_S_MAX, and the largest radial weight a normal float.  That
+    weight is at least the weights' mean, >= 2 |S^{2d-1}| (r_max/2)^{2d} / n_rho
+    (the rule sums the convex (1 + x)^{2d-1} to >= 2), and r_max is refused where
+    that bound is below 2^-1021, within a factor 2 of the exact edge (a test
+    checks it).  The weights scale as r_max^{2d} and the nodes as r_max, so an
+    accepted grid has r_max >= 2^-512 and normal nodes (a test checks r_max up
+    to 2.5 times the smallest node's edge).  A zero first weight alone (d = 100)
+    is kept."""
     _check_int("d", d, 1)
     _check_int("n_rho", n_rho, 1, N_RHO_MAX)
     _check_int("n_s", n_s, 1)
@@ -158,9 +155,6 @@ def _check_geometry(d, n_rho, r_max, n_s, s_half):
                          f"d={d}, n_s={n_s}, s_half={s_half}")
     if nn > N_S_MAX:
         raise ValueError(f"n_s must be <= {N_S_MAX}, got {n_s!r}")
-    if not r * sin(pi / (4 * int(n_rho) + 2)) ** 2 >= sys.float_info.min:
-        raise ValueError(f"radial nodes underflow at n_rho={n_rho}, r_max={r_max}: "
-                         f"the smallest is not a normal float > 0")
     # the factor 2 covers rounding, of a subnormal (r/2)^{2d} that passes too
     if not sphere_area(dd) * (r / 2) ** (2 * dd) * 2.0 / int(n_rho) >= 2 * sys.float_info.min:
         raise ValueError(f"radial weights underflow at d={d}, n_rho={n_rho}, r_max={r_max}: "
@@ -199,6 +193,8 @@ class Grid:
     t_nodes must be a 1-D array of finite ints or floats (checked before any
     cast).  Anything else is refused with ValueError before the Gauss-Legendre
     rule is built; `RunConfig`, the HHFLD reader and every evolution rely on it.
+    rho and w_rho are `_gauss_rule` on [0, r_max], and w_radial is the one place
+    the package applies the surface factor |S^{2d-1}| rho^(2d-1).
     """
 
     d: int = 1
@@ -476,12 +472,12 @@ def _barycentric_resample(grid: Grid, values, targets):
     # Polynomial interpolation is stable on the Gauss-Legendre node family.
     # For Gauss nodes the barycentric weights are (-1)^j sqrt((1-x_j^2) w_j)
     # up to a common factor that cancels in the quotient, so no O(n^2)
-    # difference products are needed.  The contraction is an einsum rather
-    # than a gemm so the reduction order is fixed and the resample is
-    # bitwise reproducible run to run.
-    x = 2.0 * grid.rho / grid.r_max - 1.0
-    w_unit = 2.0 / grid.r_max * grid.w_rho
-    bw = np.sqrt((1.0 - x**2) * w_unit)
+    # difference products are needed; x_j and w_j are the `_legendre_rule`
+    # entries the grid's nodes were mapped from.  The contraction is an
+    # einsum rather than a gemm so the reduction order is fixed and the
+    # resample is bitwise reproducible run to run.
+    x, w = _legendre_rule(grid.n_rho)
+    bw = np.sqrt((1.0 - x**2) * w)
     bw[1::2] *= -1.0
     diff = targets[:, None] - grid.rho[None, :]
     exact = diff == 0.0

@@ -32,7 +32,6 @@ from .fields import (
     mixed_norm,
     random_packet,
     sample_packets,
-    sphere_area,
 )
 from .propagators import (
     CauchyDataS,
@@ -104,14 +103,10 @@ def _row(name, passed, measured, **targets) -> CheckResult:
     })
 
 
-def _grid_for(cfg: RunConfig, d: int) -> Grid:
-    return Grid(d=d, n_rho=cfg.n_rho, r_max=cfg.r_max, n_s=cfg.n_s, s_half=cfg.s_half)
-
-
 def _band_projected(cfg: RunConfig, rng, d: int):
     """A random packet pushed once through inverse(forward(.)): band-limited.
     Returns the field and its spectrum."""
-    sf = forward(sample_packets(random_packet(rng, d=d), _grid_for(cfg, d)), cfg.L_max)
+    sf = forward(sample_packets(random_packet(rng, d=d), replace(cfg.grid(), d=d)), cfg.L_max)
     f = inverse(sf)
     return f, forward(f, cfg.L_max)
 
@@ -149,7 +144,7 @@ def _ratio_stability(cfg: RunConfig, name, packets, n_rho, L, ratio) -> CheckRes
     when n_rho, n_s and L_max double together (d = 1)."""
     stats = []
     for refine in (1, 2):
-        g = replace(_grid_for(cfg, 1), n_rho=n_rho * refine, n_s=256 * refine)
+        g = replace(cfg.grid(), d=1, n_rho=n_rho * refine, n_s=256 * refine)
         with kept_kernels():
             ratios = np.array([ratio(parts, g, L * refine) for parts in packets])
         stats.append((float(ratios.max()), float(np.median(ratios))))
@@ -221,7 +216,7 @@ def suite_roundtrip(cfg: RunConfig):
                             rel_l2_err=(0.0, "projection idempotency")))
 
     # closed form: the transform of e^{-a|Y|^2} phi(s) by both quadrature rules
-    grid = _grid_for(cfg, 1)
+    grid = replace(cfg.grid(), d=1)
     closure = GaussianClosure(d=1, a=1.0, b=0.5, omega=3.0, s0=0.0, amp=1.0)
     exact = closure.coefficients(np.arange(16 + 1), grid.lam)
     exact[:, grid.izero] = 0.0
@@ -259,7 +254,7 @@ def suite_transport(cfg: RunConfig):
     drifts = []
     for d in (1, 2):
         # the L^p sums cross the |.| kink at O(h_s^2); refine s for headroom
-        grid = replace(_grid_for(cfg, d), n_s=max(cfg.n_s, 2048))
+        grid = replace(cfg.grid(), d=d, n_s=max(cfg.n_s, 2048))
         errs = []
         for ell in (0, 1, 2):
             sf = _single_band(grid, 8, ell)
@@ -288,7 +283,7 @@ def suite_transport(cfg: RunConfig):
     ]
 
     # manufactured inhomogeneous solution: u(t) = a(t) w
-    grid = Grid(d=1, n_rho=96, r_max=cfg.r_max, n_s=256, s_half=cfg.s_half)
+    grid = replace(cfg.grid(), d=1, n_rho=96, n_s=256)
     w = _single_band(grid, 8, 1)
     eig = w.eig()
 
@@ -341,7 +336,7 @@ def suite_bernstein(cfg: RunConfig):
     """Localizer-based derivative and norm comparisons, and the eigenvalue
     spot value of the sobolev multiplier."""
     out = []
-    grid = _grid_for(cfg, 1)
+    grid = replace(cfg.grid(), d=1)
     L = cfg.L_max
     # log-uniform spectral mass: every ring sees the same relative
     # distribution, so the ratio scales cleanly
@@ -377,7 +372,7 @@ def suite_bernstein(cfg: RunConfig):
 
     # eigenvalue spot value: on the (ell=0, lam=1) line the multiplier is
     # exactly eig = 4, so the H^2/L^2 ratio is 4 and H^1/L^2 is 2
-    sgrid = Grid(d=1, n_rho=cfg.n_rho, r_max=cfg.r_max, n_s=512, s_half=16 * np.pi)
+    sgrid = replace(cfg.grid(), d=1, n_s=512, s_half=16 * np.pi)
     th = np.zeros((1, sgrid.n_s), dtype=complex)
     th[0, sgrid.izero + 16] = 1.0  # lam_k = k/16 = 1 exactly
     mode = SpectralField(sgrid, th)
@@ -489,7 +484,7 @@ def suite_sphere(cfg: RunConfig):
                     {"rel_err": rerr}, factor=("R^d", "weights carry R^d exactly")))
 
     rng = np.random.default_rng(cfg.seed + 37)
-    grid = _grid_for(cfg, 1)
+    grid = replace(cfg.grid(), d=1)
     f = sample_packets(random_packet(rng, d=1, omega_range=(0.0, 1.5)), grid)
     measure = SphereMeasure(1.0)
     vals = restrict_sphere(f, measure, L_max=cfg.L_max)
@@ -534,7 +529,7 @@ def suite_sigma(cfg: RunConfig):
     # profile centered away from lambda = 0 (analytic, so both the lambda
     # Riemann sum and the alpha rule converge past the gate), and the alpha
     # rule is dense enough to resolve e^{i s alpha c_ell} across the box.
-    bigg = Grid(d=1, n_rho=96, r_max=cfg.r_max, n_s=320, s_half=20.0)
+    bigg = replace(cfg.grid(), d=1, n_rho=96, n_s=320, s_half=20.0)
     meas = SigmaMeasure(window=lambda a: ball_profile(np.asarray(a) / 220.0),
                         support=(0.0, 220.0))
     amps = np.array([1.0, 0.6, 0.35])  # bands 0, 1, 2
@@ -558,7 +553,7 @@ def suite_sigma(cfg: RunConfig):
 
     # adjoint duality on a generic spacetime field
     rng = np.random.default_rng(cfg.seed + 43)
-    g = Grid(d=1, n_rho=96, r_max=cfg.r_max, n_s=256, s_half=cfg.s_half)
+    g = replace(cfg.grid(), d=1, n_rho=96, n_s=256)
     L_r, n_a = 8, 12
     sfd = forward(sample_packets(random_packet(rng, d=1, omega_range=(0.0, 0.3)), g), L_r)
     tms = np.linspace(0.0, 0.25, 5)
@@ -762,15 +757,16 @@ def orth_check(ells=(1, 2, 4, 8, 16, 32, 64), n_quad: int = 4096) -> dict:
     lam_ell = 1/(2 ell + d).  The pair integrals use absolute values,
     I(ell, m) = int |k_ell| |k_m| over R^{2d}, so cancellation gets no
     credit; the diagonal I(ell, ell) = (pi/2)^d / (2 ell + d) exactly, and
-    I(ell, 2 ell) decays like 1/max = 1/(2 ell).  Radial Gauss-Legendre
-    quadrature over [0, R] with R past both kernels' turning points.
+    I(ell, 2 ell) decays like 1/max = 1/(2 ell).  The quadrature is the
+    radial rule of a Grid with n_quad nodes on [0, R] (its rho and w_radial),
+    with R past both kernels' turning points.
     """
     d = 1
     ells = np.asarray(ells, dtype=int)
     m_big = int(ells.max()) * 2
     R = 2.0 * (2.0 * m_big + d) + 40.0
-    rho, w = _gauss_rule(0.0, R, n_quad)
-    w = w * sphere_area(d) * rho ** (2 * d - 1)
+    grid = Grid(d=d, n_rho=n_quad, r_max=R)
+    rho, w = grid.rho, grid.w_radial
     bands = {int(l) for l in ells} | {2 * int(l) for l in ells}
     table = {m: np.abs(normalized_kernel(m, rho, d)) for m in bands}
     diag = np.array([np.sum(w * table[int(l)] ** 2) for l in ells])
@@ -851,7 +847,7 @@ def suite_strichartz(cfg: RunConfig):
     """Scaling flatness of the spacetime estimate's two sides, and the
     admissible-set gates on a tabulated pair list."""
     out = []
-    grid = _grid_for(cfg, 1)
+    grid = replace(cfg.grid(), d=1)
     L = 4
     rngth = np.random.default_rng(cfg.seed + 53)
     th = np.zeros((L + 1, grid.n_s), dtype=complex)
@@ -904,7 +900,7 @@ def suite_strichartz(cfg: RunConfig):
 
 def suite_wave_energy(cfg: RunConfig):
     """Unitarity of the free flow and conservation of the wave energy."""
-    grid = Grid(d=1, n_rho=128, r_max=cfg.r_max, n_s=256, s_half=cfg.s_half)
+    grid = replace(cfg.grid(), d=1, n_rho=128, n_s=256)
     L = 8
     rng = np.random.default_rng(cfg.seed + 59)
     prof = bump(np.abs(grid.lam), 0.5, 2.0)

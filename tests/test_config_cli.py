@@ -18,6 +18,7 @@ from hharm.container import read_hhfld, write_hhfld
 from hharm import transform
 from hharm.fields import ELL_MAX, N_RHO_MAX, N_T_MAX, Grid, RadialField, SpaceTimeField
 from hharm.transform import SpectralField, forward, inverse
+from hharm.verify import SUITES
 from hharm.windows import bump
 
 
@@ -265,7 +266,7 @@ def test_transform_tolerance_breach(tmp_path, band_file, capsys):
     ({"d": 171}, "radial weights overflow"),
     ({"d": 1, "r_max": 1e300}, "radial weights overflow"),
     ({"r_max": True}, "r_max must be finite and positive"),
-    ({"r_max": 5e-324}, "radial nodes underflow"),
+    ({"r_max": 5e-324}, "radial weights underflow"),
 ])
 def test_config_refusals_are_usage_errors(tmp_path, cfg, frag, capsys):
     """A `tolerances` key, geometries whose radial weights overflow and a
@@ -631,6 +632,42 @@ def test_verify_unknown_suite(capsys):
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "unknown suite" in err and "plancherel" in err
+
+
+_KNOWN = ", ".join(sorted(set(SUITES) | {"all"}))
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["transform", "--dir", "fwd", "--in", "{spec}", "--out", "{out}"],
+     "--dir fwd expects a radial-field container"),
+    (["transform", "--dir", "inv", "--in", "{band}", "--out", "{out}"],
+     "--dir inv expects a spectral container"),
+    (["propagate", "--eq", "wave", "--transport-ell", "0"],
+     "--transport-ell applies to --eq schrodinger"),
+    (["propagate", "--eq", "schrodinger", "--transport-ell", "-1"],
+     "--transport-ell must be an int >= 0, got -1"),
+    (["propagate", "--eq", "schrodinger"],
+     "--in is required unless --transport-ell is given"),
+    (["propagate", "--eq", "wave", "--in", "{spec}", "--u1", "{foreign}"],
+     "--u1 does not match --in: velocity u1 lives on a different grid than position u0"),
+    (["verify", "everything"], f"unknown suite 'everything'; known: {_KNOWN}"),
+])
+def test_cli_usage_errors_exit_2_with_one_stderr_line(tmp_path, small_cfg, small_grid,
+                                                      band_file, argv, line, capsys):
+    """Each usage error the commands raise themselves exits 2 with exactly
+    this line on stderr."""
+    band = bump(np.abs(small_grid.lam), 0.5, 2.0)
+    paths = {"band": band_file, "out": str(tmp_path / "o.hhfld")}
+    for name, grid in (("spec", small_grid),
+                       ("foreign", dataclasses.replace(small_grid, s_half=20.0))):
+        paths[name] = str(tmp_path / f"{name}.hhfld")
+        write_hhfld(paths[name], SpectralField(grid, np.tile(band, (5, 1))))
+    argv = [a.format(**paths) for a in argv]
+    if argv[0] != "verify":
+        argv += ["--config", small_cfg]
+    code = main(argv)
+    assert code == EXIT_USAGE == 2
+    assert capsys.readouterr().err == f"hharm: {line}\n"
 
 
 def test_verify_suite_report(tmp_path, capsys):

@@ -66,7 +66,7 @@ GEOMETRY = dict(d=1, n_rho=16, r_max=12.0, n_s=32, s_half=40.0)
     ({"r_max": 1e300}, "radial weights overflow"),  # w_rho * rho at d = 1
     ({"r_max": 10**400}, "r_max must be finite and positive"),  # was a TypeError
     ({"s_half": True}, "s_half must be finite and positive"),  # was taken as 1
-    ({"r_max": 5e-324}, "radial nodes underflow"),  # built with rho = 0
+    ({"r_max": 5e-324}, "radial weights underflow"),  # built with rho = 0
 ])
 def test_grid_rejects_bad_geometry(kw, frag):
     with pytest.raises(ValueError, match=frag):
@@ -190,10 +190,10 @@ def test_grid_refuses_n_s_above_the_cap(monkeypatch):
 @pytest.mark.parametrize("n_rho", [1, 2, 8, 64, 300])
 def test_grid_refuses_an_r_max_whose_radial_nodes_underflow(n_rho):
     """r_max = 5e-324 built a grid with rho = 0 and w_radial = 0 at every
-    node.  The rule refuses, from the bound 1 + x_1 >= 2 sin^2(pi/(4n+2)),
-    every r_max whose smallest node r_max (1 + x_1)/2 is not a normal float,
-    naming the nodes.  From 2.5 times that edge up to 1e-290 the nodes are
-    normal but every radial weight is 0 at d = 1: refused for the weights.
+    node.  Every r_max whose smallest node r_max (1 + x_1)/2 is not a normal
+    float (1 + x_1 >= 2 sin^2(pi/(4n+2)) by Bruns' bound) is refused by the
+    radial-weight rule, and so is every r_max from 2.5 times that edge up to
+    1e-290, where the nodes are normal but every radial weight is 0 at d = 1.
     An accepted grid's nodes are normal."""
     tiny = np.finfo(float).tiny
     x1 = fields._legendre_rule(n_rho)[0][0]
@@ -201,13 +201,29 @@ def test_grid_refuses_an_r_max_whose_radial_nodes_underflow(n_rho):
     assert 2.0 * bound <= x1 + 1.0 < 2.5 * bound
     edge = tiny / (0.5 * (x1 + 1.0))  # the smallest r_max whose node is normal
     for r_max in (5e-324, 1e-310, edge / 2, np.nextafter(edge, 0)):
-        with pytest.raises(ValueError, match="radial nodes underflow"):
+        with pytest.raises(ValueError, match="radial weights underflow"):
             fields._check_geometry(**dict(GEOMETRY, n_rho=n_rho, r_max=float(r_max)))
     for r_max in (2.5 * edge, 1e-290):
         with pytest.raises(ValueError, match="radial weights underflow"):
             fields._check_geometry(**dict(GEOMETRY, n_rho=n_rho, r_max=float(r_max)))
     grid = Grid(d=1, n_rho=n_rho, r_max=1e-100, n_s=8, s_half=4.0)
     assert grid.rho[0] >= 2.0 * tiny
+
+
+@pytest.mark.parametrize("n_rho", [1, 2, 8, 300, 8192])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_weight_rule_refuses_every_r_max_the_node_rule_refused(d, n_rho):
+    """The node rule refused r_max below tiny / sin^2(pi/(4 n_rho + 2)), which
+    is below 2.5 times the smallest node's edge, and the weight rule's bound
+    grows with r_max, so refusing 2.5 times the edge refuses every r_max the
+    node rule did; each gets the weight message."""
+    tiny = np.finfo(float).tiny
+    x1 = fields._legendre_rule(n_rho)[0][0]
+    edge = tiny / (0.5 * (x1 + 1.0))
+    assert tiny / np.sin(np.pi / (4 * n_rho + 2)) ** 2 < 2.5 * edge
+    for r_max in (5e-324, edge / 2, np.nextafter(edge, 0), edge, 2.5 * edge):
+        with pytest.raises(ValueError, match="radial weights underflow"):
+            Grid(d=d, n_rho=n_rho, r_max=float(r_max), n_s=8, s_half=4.0)
 
 
 @pytest.mark.parametrize("kw", [dict(d=3, n_rho=8, r_max=1e-100),
@@ -498,6 +514,44 @@ def test_dilate_bitwise_reproducible():
     a = dilate(f, 1.25).values
     b = dilate(RadialField(f.grid, f.values.copy()), 1.25).values
     assert np.array_equal(a, b)
+
+
+def test_barycentric_resample_reads_the_legendre_store(monkeypatch):
+    """The rho resample of `dilate` takes its nodes and weights from
+    `_legendre_rule(n_rho)`, not from inverting the grid's map (which gives
+    other bytes on the default grid), and resamples with them bit for bit."""
+    grid = Grid()
+    x, w = fields._legendre_rule(grid.n_rho)
+    assert not np.array_equal(2.0 * grid.rho / grid.r_max - 1.0, x)
+    looked_up = []
+    real = fields._legendre_rule
+    monkeypatch.setattr(fields, "_legendre_rule", lambda n: looked_up.append(n) or real(n))
+    rng = np.random.default_rng(11)
+    values = rng.standard_normal((grid.n_rho, 3)) + 1j * rng.standard_normal((grid.n_rho, 3))
+    targets = 1.25 * grid.rho[1.25 * grid.rho <= grid.r_max]
+    got = fields._barycentric_resample(grid, values, targets)
+    assert looked_up == [grid.n_rho]
+    bw = np.sqrt((1.0 - x**2) * w)
+    bw[1::2] *= -1.0
+    coef = bw / (targets[:, None] - grid.rho)
+    want = np.einsum("tj,js->ts", coef, values) / coef.sum(axis=1)[:, None]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n_rho", [4, 16, 64])
+def test_barycentric_resample_is_exact_on_polynomials_of_degree_n_rho_minus_1(n_rho):
+    """Polynomials in rho of degree n_rho - 1 are reproduced at targets off
+    the nodes (the midpoints and both ends of [0, r_max]) to 1e-12."""
+    grid = Grid(n_rho=n_rho, r_max=12.0, n_s=8, s_half=4.0)
+    coef = np.random.default_rng(n_rho).standard_normal((n_rho, 3))
+
+    def poly(r):  # three polynomials in rho, one column each
+        return np.polynomial.legendre.legval(2.0 * r / grid.r_max - 1.0, coef).T
+
+    targets = np.concatenate(([0.0], 0.5 * (grid.rho[1:] + grid.rho[:-1]), [grid.r_max]))
+    got = fields._barycentric_resample(grid, poly(grid.rho), targets)
+    want = poly(targets)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_gaussian_closure_spectrum_matches_fft():

@@ -11,7 +11,7 @@ import pytest
 
 import hharm
 from hharm.config import RunConfig
-from hharm.fields import random_packet, sample_packets
+from hharm.fields import Grid, random_packet, sample_packets
 from hharm.propagators import CauchyDataS, schrodinger_evolve
 from hharm.restriction import SigmaMeasure, restrict_sigma, sigma_norm_sq
 from hharm.report import CheckResult, VerificationReport, _jsonable
@@ -53,6 +53,9 @@ def test_operator_modules_export_operators_only():
     assert [m for m in src if "lru_cache" in src[m]] == ["fields"]
     assert [m for m in src if "roots_legendre" in src[m]] == ["fields"]
     assert [m for m in src if "def _kept(" in src[m] or "def kept_kernels(" in src[m]] == ["specfun"]
+    # one radial surface factor (Grid.w_radial), and suite grids from RunConfig.grid()
+    assert [m for m in src if "rho ** (2" in src[m]] == ["fields"]
+    assert not hasattr(verify, "_grid_for")
 
 
 def test_checks_build_each_gauss_legendre_rule_once(monkeypatch):
@@ -189,8 +192,8 @@ def test_translate_identity_direct():
 ])
 def test_suite_interval_rules_are_the_hand_maps_they_replace(kind, b, n):
     """On the suites' own inputs `_gauss_rule(0, b, n)` is, bit for bit, the
-    map each suite wrote by hand; orth_check's weights then take the surface
-    factor as before."""
+    map each suite wrote by hand; orth_check's weights, now its Grid's
+    w_radial, take the surface factor as before."""
     x, w = fields._legendre_rule(n)
     nodes, weights = fields._gauss_rule(0.0, b, n)
     hand_x, hand_w = {"sigma": (110.0 * (x + 1.0), 110.0 * w),
@@ -200,11 +203,14 @@ def test_suite_interval_rules_are_the_hand_maps_they_replace(kind, b, n):
     if kind == "orth":
         surf = fields.sphere_area(1)
         assert (weights * surf * nodes).tobytes() == (0.5 * b * w * surf * hand_x).tobytes()
+        grid = Grid(d=1, n_rho=n, r_max=b)
+        assert grid.rho.tobytes() == nodes.tobytes()
+        assert grid.w_radial.tobytes() == (weights * surf * nodes).tobytes()
 
 
 def test_checks_take_their_rules_from_the_interval_rule(monkeypatch):
-    """orth_check and wave_decay_probe ask `_gauss_rule` for (0, R, n_quad) and
-    (0, lam_hi, n_quad): no map of their own."""
+    """orth_check (through its Grid) and wave_decay_probe ask `_gauss_rule` for
+    (0, R, n_quad) and (0, lam_hi, n_quad): no map of their own."""
     calls = []
     real = verify._gauss_rule
 
@@ -213,6 +219,7 @@ def test_checks_take_their_rules_from_the_interval_rule(monkeypatch):
         return real(a0, a1, n)
 
     monkeypatch.setattr(verify, "_gauss_rule", recording)
+    monkeypatch.setattr(fields, "_gauss_rule", recording)
     verify.orth_check(ells=(1, 2), n_quad=512)
     verify.wave_decay_probe(times=(1.0, 2.0), n_quad=200)
     assert calls == [(0.0, 2.0 * (2.0 * 4 + 1) + 40.0, 512), (0.0, 224.0, 200)]
