@@ -74,6 +74,12 @@ def _check_int(name, v, low, high=None):
         raise ValueError(f"{name} must be <= {high}, got {v!r}")
 
 
+def _check_finite(name, v):
+    """Refuse v unless it is a real number (a bool is not one) and finite."""
+    if not (isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite real number, got {v!r}")
+
+
 def _check_positive(name, v):
     """Refuse v unless it is a real number (a bool is not one), finite and > 0:
     bounded by the largest float, so an int past the float range is refused."""

@@ -49,11 +49,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .fields import (ELL_MAX, N_RHO_MAX, Grid, RadialField, SpaceTimeField, _check_int,
                      _check_positive, _gauss_rule)
-from .specfun import _kept, _mult_table, kernel_rows
+from .specfun import _kept, _kernel_diag, _kernel_series, _mult_real, _mult_table
 from .windows import ball_profile
 
 __all__ = [
@@ -91,12 +90,6 @@ class SigmaMeasure:
         a0, a1 = self.support
         if not (0.0 <= a0 < a1 < np.inf):
             raise ValueError(f"support must satisfy 0 <= a0 < a1 < inf, got {self.support}")
-
-
-def _mult_real(x, d):
-    """Multiplicity binom(x+d-1, x) continued to real band index x."""
-    x = np.asarray(x, dtype=float)
-    return np.exp(gammaln(x + d) - gammaln(x + 1) - gammaln(d))
 
 
 def _sphere_rays(x, d, R):
@@ -182,38 +175,6 @@ def sigma_pair(theta, measure: SigmaMeasure, d: int = 1) -> dict:
 # ---------------------------------------------------------------------------
 # Physical-side kernels of the surface measures
 # ---------------------------------------------------------------------------
-
-def _kernel_diag(ells, U, d):
-    """K_{ells[i]}(U[i]) for consecutive bands, with per-band arguments U[i].
-
-    One kernel_rows pass over the stacked arguments; row i is taken at the
-    step that reaches band ells[i].
-    """
-    lo = int(ells[0])
-    out = np.empty_like(U)
-    for ell, K in enumerate(kernel_rows(int(ells[-1]), U, d)):
-        if ell >= lo:
-            out[ell - lo] = K[ell - lo]
-    return out
-
-
-def _kernel_series(ells, U, d):
-    """Explicit 48-term sum for e^{-u/2} L_ell^{(d-1)}(u) at u = U[i], fast
-    for many large bands.
-
-    term_0 = mult(ell) e^{-u/2}; term_{k+1} = term_k * (-u)(ell-k)/((k+1)(d+k)).
-    The effective argument is x = ell*u; cancellation costs a factor
-    ~e^{2 sqrt(x)} in precision, so callers must keep x moderate (<= ~64).
-    Returns (values, magnitude of the last increment).
-    """
-    ells = np.asarray(ells, dtype=float)[:, None]
-    term = _mult_real(ells, d) * np.exp(-U / 2.0)
-    acc = term.copy()
-    for k in range(48):
-        term = term * (-U) * (ells - k) / ((k + 1.0) * (d + k))
-        acc += term
-    return acc, float(np.abs(term).max())
-
 
 # bands below this use the recurrence in g_function, the rest the series
 _SERIES_SWITCH = 256

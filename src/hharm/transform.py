@@ -67,14 +67,17 @@ from .fields import (
     Grid,
     RadialField,
     SpaceTimeField,
+    _check_finite,
     _check_int,
+    _check_positive,
     _synthesis_phase,
     _synthesis_tail,
     _uniform_step,
     s_analysis,
     sphere_area,
 )
-from .specfun import _kept, _mult_table, _recurrence, eigenvalue, wigner_radial_table
+from .specfun import (_check_cut, _kept, _mult_table, _recurrence, eigenvalue,
+                      wigner_radial_table)
 from .windows import ball_profile, ring_profile
 
 __all__ = [
@@ -152,9 +155,9 @@ def _lam_blocks(grid: Grid, L_max):
     and at the first p radii, past which every entry of the block is 0.
     Every lam but lam = 0 (izero) is in one slice.
 
-    K is even in lam, so `wigner_radial_table` (one `kernel_rows` pass)
-    builds it on the half |lam| = dlam m, m = 1..n_s/2, _LAM_BLOCK rows at a
-    time (kept in a `kept_kernels()` scope).  A block is yielded for the rows
+    K is even in lam, so `wigner_radial_table` builds it on the half
+    |lam| = dlam m, m = 1..n_s/2, _LAM_BLOCK rows at a time (kept in a
+    `kept_kernels()` scope).  A block is yielded for the rows
     izero + m (a contiguous lam slice; m = n_s/2 has no +lam row) and for
     the rows izero - m (the same block reversed, as a view).
 
@@ -167,9 +170,12 @@ def _lam_blocks(grid: Grid, L_max):
     coefficient in a lam column of such a block) therefore reaches only the
     frequencies whose kernel is nonzero there: the forward output at the
     other |lam| and the inverse's cut radii stay finite, where a product
-    with the exact-zero kernel would have made them NaN.
+    with the exact-zero kernel would have made them NaN.  The cut radii are
+    never built, so the grid's largest argument 2 |lam|max r_max^2 goes
+    through `specfun._check_cut` before the first block.
     """
     n_s, izero = grid.n_s, grid.izero
+    _check_cut(L_max, grid.d, 2.0 * np.abs(grid.lam).max() * grid.rho[-1] ** 2)
     for m0 in range(1, izero + 1, _LAM_BLOCK):
         m1 = min(m0 + _LAM_BLOCK, izero + 1)
         lam = np.abs(grid.lam[izero - np.arange(m0, m1)])
@@ -321,8 +327,9 @@ def sobolev_norm(sf: SpectralField, sigma: float) -> float:
     so sigma = 0 recovers the physical L^2 norm.  For sigma < 0 the call is
     refused when more than 1e-12 of the spectral mass sits in the two
     frequency bins adjacent to lam = 0 (the negative power is then dominated
-    by unresolved low frequencies).
+    by unresolved low frequencies).  A sigma that is not finite is refused.
     """
+    _check_finite("sigma", sigma)
     grid = sf.grid
     dens = sf.weights() * np.abs(sf.values) ** 2
     total = dens.sum()
@@ -342,18 +349,20 @@ class LocalizerSpec:
 
     kind="ball": profile 1 on eigenvalue <= Lambda^2/2, 0 above Lambda^2.
     kind="ring": supported on eigenvalue in [Lambda^2/4, Lambda^2].
+    Another kind, or a scale that is not finite and > 0, is refused.
     """
 
     kind: str = "ball"
     scale: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in ("ball", "ring"):
+            raise ValueError(f"unknown localizer kind {self.kind!r}")
+        _check_positive("scale", self.scale)
+
     def profile(self, eig):
         x = np.asarray(eig, dtype=float) / self.scale**2
-        if self.kind == "ball":
-            return ball_profile(x)
-        if self.kind == "ring":
-            return ring_profile(x)
-        raise ValueError(f"unknown localizer kind {self.kind!r}")
+        return ball_profile(x) if self.kind == "ball" else ring_profile(x)
 
 
 def localize(sf: SpectralField, loc: LocalizerSpec) -> SpectralField:
@@ -365,7 +374,9 @@ def sobolev_multiplier(sf: SpectralField, sigma: float) -> SpectralField:
 
     Commutes exactly with localize (both are diagonal in (ell, lam));
     sobolev_norm(sf, sigma) equals sobolev_norm(sobolev_multiplier(sf, sigma), 0).
+    A sigma that is not finite is refused.
     """
+    _check_finite("sigma", sigma)
     return SpectralField(sf.grid, sf.values * sf.eig() ** (sigma / 2.0))
 
 

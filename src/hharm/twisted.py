@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import _check_int
-from .specfun import kernel_rows
+from .specfun import _kernel_diag
 
 __all__ = [
     "PlanarGrid",
@@ -85,12 +85,13 @@ class PlanarField:
 
 
 def planar_norm(f: PlanarField, p: float) -> float:
-    """L^p norm on the plane with the lattice cell weight h^2."""
+    """L^p norm on the plane with the lattice cell weight h^2; p = inf gives
+    the largest modulus, and a p that is not > 0 (NaN too) is refused."""
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p!r}")
     a = np.abs(f.values)
     if np.isinf(p):
         return float(a.max())
-    if p <= 0:
-        raise ValueError("p must be positive")
     return float((f.grid.h**2 * np.sum(a**p)) ** (1.0 / p))
 
 
@@ -192,9 +193,7 @@ def kernel_field(grid: PlanarGrid, ell: int, lam: float) -> PlanarField:
     """Samples of the band kernel K_ell(lam, Y) = e^{-|lam||Y|^2} L_ell(2|lam||Y|^2)."""
     y, eta = grid.mesh()
     u = 2.0 * abs(lam) * (y**2 + eta**2)
-    for K in kernel_rows(ell, u, 1):
-        pass
-    return PlanarField(grid, K)
+    return PlanarField(grid, _kernel_diag([ell], u[None], 1)[0])
 
 
 def tn_apply(f: PlanarField, ell: int, lam: float) -> PlanarField:

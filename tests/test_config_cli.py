@@ -224,6 +224,21 @@ def test_transform_wrong_kind(tmp_path, small_cfg, band_file, capsys):
     assert "radial-field" in capsys.readouterr().err
 
 
+def test_transform_refuses_bands_the_kernel_floor_cuts(tmp_path, capsys):
+    """At L_max = 2000 a 64 x 128 field reaches u = 2 |lam|max r_max^2 =
+    1446.6, past the kernel floor's cut: refused (exit 4) with L_max and u
+    named, where the cut bands used to show as a Plancherel breach (exit 3)."""
+    grid = Grid(d=1, n_rho=64, r_max=12.0, n_s=128, s_half=40.0)
+    field = tmp_path / "normal.hhfld"
+    write_hhfld(field, RadialField(grid, np.random.default_rng(1).standard_normal((64, 128))))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_rho": 64, "n_s": 128, "L_max": 2000}))
+    code = main(["transform", "--dir", "fwd", "--in", str(field),
+                 "--out", str(tmp_path / "o.hhfld"), "--config", str(cfg)])
+    assert code == EXIT_REFUSED
+    assert "L_max=2000 at d=1 reaches u = 2|lam| rho^2 = 1446.6" in capsys.readouterr().err
+
+
 def test_transform_corrupt_container(tmp_path, capsys):
     p = tmp_path / "junk.hhfld"
     p.write_bytes(b"NOTHH" + b"\x00" * 64)

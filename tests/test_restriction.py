@@ -24,7 +24,6 @@ from hharm.fields import (
     sample_packets,
 )
 from hharm.restriction import (
-    _kernel_diag,
     _measure_pairing,
     _ray_kernels,
     _restrict_rays,
@@ -45,7 +44,7 @@ from hharm.restriction import (
     sphere_pair,
 )
 from hharm.propagators import CauchyDataS, schrodinger_evolve
-from hharm.specfun import _mult_table, kept_kernels, multiplicity
+from hharm.specfun import _kernel_diag, _mult_table, kept_kernels, multiplicity
 from hharm.transform import forward, inverse
 from hharm.windows import ball_profile
 
@@ -493,6 +492,7 @@ def test_kept_tables_are_keyed_on_everything_they_are_built_from(monkeypatch):
         return real(lmax, *args)
 
     monkeypatch.setattr(transform, "wigner_radial_table", wigner)
+    assert restriction._kernel_diag is _kernel_diag  # the provider's, as imported
     monkeypatch.setattr(restriction, "_kernel_diag",
                         lambda *a: builds.append("rays") or _kernel_diag(*a))
     base = dict(d=1, n_rho=32, r_max=12.0, n_s=64, s_half=20.0)
@@ -526,6 +526,7 @@ def test_sphere_ratio_loop_builds_its_table_once(monkeypatch):
     """The sphere suite's ratio loop at one refinement, in a scope: 200
     samples on one geometry, one table build."""
     calls = []
+    assert restriction._kernel_diag is _kernel_diag  # the provider's, as imported
     monkeypatch.setattr(restriction, "_kernel_diag",
                         lambda *a: calls.append(1) or _kernel_diag(*a))
     rng = np.random.default_rng(41)

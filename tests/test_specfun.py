@@ -13,10 +13,10 @@ from scipy.special import eval_genlaguerre
 from hharm import specfun
 from hharm.specfun import (
     _kept,
+    _kernel_diag,
     _recurrence,
     eigenvalue,
     kept_kernels,
-    kernel_rows,
     multiplicity,
     normalized_kernel,
     wigner_radial,
@@ -172,16 +172,38 @@ def test_wigner_radial_table_consistency():
         assert np.array_equal(tab[ell], wigner_radial(ell, 1.3, rho, d=2))
 
 
+def _stacked(lmax, u):
+    """u repeated once per band 0..lmax: `_kernel_diag`'s arguments for the
+    whole table at u."""
+    return np.ascontiguousarray(np.broadcast_to(u, (lmax + 1,) + np.shape(u)))
+
+
 @pytest.mark.parametrize("lmax", [0, 1, 2, 64])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("lam", [10.0, np.array([[6.0], [8.0], [10.0]])])
 def test_table_fill_equals_stacked_kernel_rows(lam, d, lmax):
-    """The in-place fill runs the kernel_rows recurrence bit for bit, on u
-    from 0 to ~2900, past e^{-u/2}'s underflow at ~1490."""
+    """The in-place fill and the per-band writer on its three rolling rows
+    run one recurrence bit for bit, on u from 0 to ~2900, past e^{-u/2}'s
+    underflow at ~1490."""
     rho = np.linspace(0.0, 12.0, 97)
     tab = wigner_radial_table(lmax, lam, rho, d)
     u = 2.0 * lam * rho**2
-    assert np.array_equal(tab, np.stack(list(kernel_rows(lmax, u, d))))
+    assert np.array_equal(tab, _kernel_diag(np.arange(lmax + 1), _stacked(lmax, u), d))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(lo=st.integers(0, 40), n=st.integers(1, 24), d=st.integers(1, 3),
+       lam0=st.floats(1e-3, 50.0))
+def test_kernel_diag_is_the_table_diagonal(lo, n, d, lam0):
+    """Row i of `_kernel_diag` is band lo + i of `wigner_radial_table` at the
+    same arguments u[i], bit for bit, for band ranges that start anywhere
+    and u up to 16200, past the floor."""
+    lam = lam0 * np.linspace(1.0, 2.0, n)[:, None]  # one |lam| per band
+    rho = np.linspace(0.0, 9.0, 33)
+    ells = np.arange(lo, lo + n)
+    tab = wigner_radial_table(int(ells[-1]), lam, rho, d)  # (L+1, n, n_rho)
+    u = 2.0 * np.abs(lam) * rho**2
+    assert np.array_equal(_kernel_diag(ells, u, d), tab[ells, np.arange(n)])
 
 
 @pytest.mark.parametrize("ell", [0, 1, 2, 3])
@@ -232,14 +254,21 @@ ARGS = st.lists(
 )
 
 
+def _both_writers(lmax, u, d):
+    """The kernels K_ell(u), ell = 0..lmax, from each writer of the one
+    recurrence: the table at lam = 1/2, rho = sqrt(u), and the per-band rows."""
+    return (wigner_radial_table(lmax, 0.5, np.sqrt(u), d),
+            _kernel_diag(np.arange(lmax + 1), _stacked(lmax, u), d))
+
+
 @settings(max_examples=200, deadline=None)
 @given(u=ARGS, lmax=st.integers(0, 256), d=st.integers(1, 3))
 def test_kernel_rows_finite_and_bounded_by_multiplicity(u, lmax, d):
-    rows = list(kernel_rows(lmax, np.array(u), d))
-    assert len(rows) == lmax + 1
-    for ell, K in enumerate(rows):
-        assert np.all(np.isfinite(K))
-        assert np.all(np.abs(K) <= multiplicity(ell, d) * (1.0 + 1e-12))
+    mult = np.array([multiplicity(ell, d) for ell in range(lmax + 1)])[:, None]
+    for rows in _both_writers(lmax, np.array(u), d):
+        assert rows.shape == (lmax + 1, len(u))
+        assert np.all(np.isfinite(rows))
+        assert np.all(np.abs(rows) <= mult * (1.0 + 1e-12))
 
 
 @settings(max_examples=100, deadline=None)
@@ -247,11 +276,12 @@ def test_kernel_rows_finite_and_bounded_by_multiplicity(u, lmax, d):
        lmax=st.integers(0, 256), d=st.integers(1, 3))
 def test_kernel_rows_match_scipy(u, lmax, d):
     u = np.array(u)
-    for ell, K in enumerate(kernel_rows(lmax, u, d)):
-        with np.errstate(all="ignore"):
-            ref = eval_genlaguerre(ell, d - 1, u) * np.exp(-u / 2)
-        ok = np.isfinite(ref)
-        assert np.all(np.abs(K[ok] - ref[ok]) <= 1e-10 * multiplicity(ell, d))
+    for rows in _both_writers(lmax, u, d):
+        for ell, K in enumerate(rows):
+            with np.errstate(all="ignore"):
+                ref = eval_genlaguerre(ell, d - 1, u) * np.exp(-u / 2)
+            ok = np.isfinite(ref)
+            assert np.all(np.abs(K[ok] - ref[ok]) <= 1e-10 * multiplicity(ell, d))
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,35 @@ def test_localizer_unknown_kind():
         LocalizerSpec("disc", 1.0).profile(np.ones(3))
 
 
+def _small_spectrum():
+    """A seeded 9-band spectrum on a 32 x 64 grid."""
+    grid = Grid(d=1, n_rho=32, r_max=12.0, n_s=64, s_half=40.0)
+    rng = np.random.default_rng(8)
+    return SpectralField(grid, rng.standard_normal((9, 64)) + 1j * rng.standard_normal((9, 64)))
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_sobolev_norm_refuses_a_non_finite_order(sigma):
+    with pytest.raises(ValueError, match="sigma must be a finite real number"):
+        sobolev_norm(_small_spectrum(), sigma)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+def test_sobolev_multiplier_refuses_a_non_finite_order(sigma):
+    with pytest.raises(ValueError, match="sigma must be a finite real number"):
+        sobolev_multiplier(_small_spectrum(), sigma)
+
+
+@pytest.mark.parametrize("kind, scale", [("ball", np.nan), ("ball", 0.0), ("ring", -1.0),
+                                         ("ring", np.inf), ("disc", 1.0)])
+def test_localizer_spec_refuses_a_bad_scale_or_kind(kind, scale):
+    """Refused when built, before any localize: NaN gave NaN output, and 0
+    a divide warning and zeros."""
+    frag = "unknown localizer kind" if kind == "disc" else "scale must be finite and positive"
+    with pytest.raises(ValueError, match=frag):
+        LocalizerSpec(kind, scale)
+
+
 def test_bernstein_exponent_exact_covariance():
     rng = np.random.default_rng(6)
     f = sample_packets(random_packet(rng, n_terms=2), G)

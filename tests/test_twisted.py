@@ -73,6 +73,13 @@ def test_planar_norm_gaussian():
         planar_norm(f, 0.0)
 
 
+@pytest.mark.parametrize("p", [np.nan, 0.0, -1.0, -np.inf])
+def test_planar_norm_refuses_an_order_that_is_not_positive(p):
+    f = PlanarField(GRID, np.ones((GRID.n, GRID.n)))
+    with pytest.raises(ValueError, match="p must be positive"):
+        planar_norm(f, p)
+
+
 def test_kernel_self_reproducing():
     # K_ell *_lam K_ell = (pi / (2 lam))^d K_ell, exactly
     lam = 1.0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,15 @@ def test_operator_modules_export_operators_only():
     assert [m for m in src if "lru_cache" in src[m]] == ["fields"]
     assert [m for m in src if "roots_legendre" in src[m]] == ["fields"]
     assert [m for m in src if "def _kept(" in src[m] or "def kept_kernels(" in src[m]] == ["specfun"]
+    # one kernel provider: the recurrence, its writers, the series and the real
+    # multiplicity are defined in specfun alone, and restriction and twisted
+    # read K_ell through its writers, not through the recurrence
+    kernel_defs = ("def _start(", "def _recurrence(", "def _kernel_diag(",
+                   "def wigner_radial_table(", "def _kernel_series(", "def _mult_real(")
+    assert [m for m in src if any(k in src[m] for k in kernel_defs)] == ["specfun"]
+    for m in ("restriction", "twisted"):
+        assert not re.search(r"\b_(recurrence|start)\b", src[m]), m
+    assert not any("kernel_rows" in text for text in src.values())
     # one radial surface factor (Grid.w_radial), and suite grids from RunConfig.grid()
     assert [m for m in src if "rho ** (2" in src[m]] == ["fields"]
     assert not hasattr(verify, "_grid_for")
