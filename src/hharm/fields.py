@@ -302,11 +302,29 @@ class SpaceTimeField:
 # ---------------------------------------------------------------------------
 
 def s_analysis(grid: Grid, values):
-    """h_s-weighted DFT of the last axis onto the ascending frequencies grid.lam."""
-    fw = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
-    # phase accounts for the grid origin at s = -S
-    phase = np.exp(1j * grid.s_half * grid.lam)
-    return grid.h_s * phase * fw
+    """h_s-weighted DFT of the last axis onto the ascending frequencies grid.lam.
+
+    The mirror of s_synthesis: the FFT of the last axis, then the factor
+    times each column, written into its fftshift column of the one output
+    (two half-slices).  The FFT output and the returned array are the two
+    sample-sized arrays a call makes.  The forward transform and
+    `s_translate` skip this function: they read the FFT in its own column
+    order and apply the same factor there.
+    """
+    fw = np.fft.fft(values, axis=-1)
+    c, n = _analysis_phase(grid), grid.izero  # fftshift on an even axis swaps its two halves
+    out = np.empty(fw.shape, dtype=complex)
+    np.multiply(c[:n], fw[..., n:], out=out[..., :n])
+    np.multiply(c[n:], fw[..., :n], out=out[..., n:])
+    return out
+
+
+def _analysis_phase(grid: Grid):
+    """h_s e^{i S lam}, the factor of s_analysis (e^{i S lam} for the grid
+    origin at s = -S); the ascending column k takes FFT column
+    (k + n_s/2) mod n_s.  It is the left operand of every product with the
+    FFT, which keeps the bytes of the analysis one and the same."""
+    return grid.h_s * np.exp(1j * grid.s_half * grid.lam)
 
 
 def s_synthesis(grid: Grid, theta):
@@ -383,26 +401,43 @@ def _axis_weights(f, name):
 
 def _reduce(f, spec: MixedNormSpec, table):
     """|f.values| reduced over the axes of `spec`, numbered by `table`,
-    innermost (last listed) first; axes not in `spec` stay."""
-    work = np.abs(f.values)
+    innermost (last listed) first; axes not in `spec` stay.
+
+    For a SpaceTimeField whose first reduction is not over t, that reduction
+    runs one time slice at a time, so the call holds one slice of |f.values|,
+    not a field-sized float array; each slice is reduced as the whole array
+    was, so the result keeps its bytes.  A first reduction over t (no caller
+    in the package asks for one) takes the whole |f.values|."""
+    work = None
     # numeric axis ids shrink as we reduce
     live = dict(table)
     for p, name in zip(reversed(spec.exponents), reversed(spec.axes)):
         ax = live.pop(name)
-        if p == np.inf:
-            work = work.max(axis=ax)
+        w = None if p == np.inf else _axis_weights(f, name)
+        if work is not None:
+            work = _reduce_axis(work, ax, p, w)
+        elif isinstance(f, SpaceTimeField) and ax > 0:
+            work = np.empty(f.values.shape[:ax] + f.values.shape[ax + 1:])
+            for i, v in enumerate(f.values):
+                work[i] = _reduce_axis(np.abs(v), ax - 1, p, w)
         else:
-            w = _axis_weights(f, name)
-            shp = [1] * work.ndim
-            shp[ax] = w.size
-            # in place: |f.values| is the one field-sized array a norm makes
-            work **= p
-            work *= w.reshape(shp)
-            work = work.sum(axis=ax) ** (1.0 / p)
+            work = _reduce_axis(np.abs(f.values), ax, p, w)
         for other in live:
             if live[other] > ax:
                 live[other] -= 1
     return work
+
+
+def _reduce_axis(work, ax, p, w):
+    """The L^p reduction of the float array work over axis ax with that
+    axis's weights w (for p = inf, the maximum); work is overwritten."""
+    if p == np.inf:
+        return work.max(axis=ax)
+    shp = [1] * work.ndim
+    shp[ax] = w.size
+    work **= p
+    work *= w.reshape(shp)
+    return work.sum(axis=ax) ** (1.0 / p)
 
 
 def mixed_norm(f, spec: MixedNormSpec) -> float:
@@ -460,8 +495,10 @@ def s_translate(f: RadialField, s0: float) -> RadialField:
 
     Shifts by integer multiples of h_s are exact circular rolls; other shifts
     go through the trigonometric interpolant (spectrum times e^{-i s0 lam}),
-    which is exact on the trigonometric model space and L^2-isometric.
-    A shift that is not finite in steps of h_s is refused with ValueError.
+    which is exact on the trigonometric model space and L^2-isometric; the
+    FFT's one buffer, which becomes the output, is the only sample-sized
+    array such a shift makes.  A shift that is not finite in steps of h_s is
+    refused with ValueError.
     """
     g = f.grid
     steps = s0 / g.h_s
@@ -469,9 +506,15 @@ def s_translate(f: RadialField, s0: float) -> RadialField:
         raise ValueError(f"shift s0 must be finite in steps of h_s, got s0={s0!r}")
     if abs(steps - round(steps)) < 1e-12:
         return RadialField(g, np.roll(f.values, round(steps), axis=1))
-    theta = s_analysis(g, f.values)
-    theta *= np.exp(-1j * s0 * g.lam)[None, :]
-    return RadialField(g, s_synthesis(g, theta))
+    # analysis, shift phase and synthesis in FFT column order, in place in
+    # the FFT's one buffer (the factors are the s_analysis and s_synthesis
+    # ones, each applied in the operand order of those functions)
+    fft_order = np.fft.ifftshift
+    buf = np.fft.fft(f.values, axis=-1)
+    np.multiply(fft_order(_analysis_phase(g)), buf, out=buf)
+    buf *= fft_order(np.exp(-1j * s0 * g.lam))
+    buf *= fft_order(_synthesis_phase(g))
+    return RadialField(g, _synthesis_tail(g, buf))
 
 
 def _barycentric_resample(grid: Grid, values, targets):

@@ -118,16 +118,31 @@ def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:
 
 
 def _wave_energy(data: CauchyDataW, up, um, omega, uh):
-    vh = 1j * omega * (up - um)  # d/dt of the spectrum uh = up + um
-    dens = omega**2 * np.abs(uh) ** 2 + np.abs(vh) ** 2
-    return (data.u0.weights() * dens).sum(axis=(-2, -1))
+    """The energy series of the half-wave spectra up and um, whose sum is uh.
+
+    vh = i omega (up - um), the d/dt of uh, is formed in up, and the density
+    omega^2 |uh|^2 + |vh|^2 in one spectrum-sized float array, with the
+    square of |vh| in the real parts of um: up and um are overwritten.
+    Every product keeps the operand order of the plain expression
+    (i omega) (up - um), omega^2 |uh|^2 + |vh|^2 and weights * density, so
+    the series keeps its bytes."""
+    vh = np.subtract(up, um, out=up)
+    np.multiply(1j * omega, vh, out=vh)
+    dens = np.abs(uh)
+    dens **= 2
+    np.multiply(omega**2, dens, out=dens)
+    v2 = np.abs(vh, out=um.real)
+    v2 **= 2
+    dens += v2
+    np.multiply(data.u0.weights(), dens, out=dens)
+    return dens.sum(axis=(-2, -1))
 
 
 def _wave_evolve_with_energy(data: CauchyDataW, times):
     """(wave_evolve, wave_energy_series) of one datum, bit for bit, from one
-    half-wave split.  The energy is summed first, and the half-wave spectra
-    are freed before the synthesis, so the peak memory is that of the
-    synthesis of up + um alone."""
+    half-wave split.  The energy is summed first, in the half-wave spectra's
+    own buffers, and these are freed before the synthesis, so the peak
+    memory is that of the synthesis of up + um alone."""
     grid = data.u0.grid.with_times(times)
     up, um, omega = _halfwave_split(data, grid.t_nodes)
     uh = up + um

@@ -23,11 +23,12 @@ Both surfaces are lists of rays (ell, lam) off the lambda lattice, so
 restriction and extension are one ray contraction, `_restrict_rays`, and
 its adjoint, `_extend_rays`, both against the table K_ell(lam[ell, q], rho)
 of `_ray_kernels`, which a `specfun.kept_kernels()` scope keeps for a loop
-over samples on one geometry.  The complex phase rows are rebuilt on every
-call: keeping them as well raised the peak resident memory of `hharm verify
-all` by far more than their size, as the allocator keeps the freed blocks
-around them.  The sphere is one ray per band (Q = 1); the paraboloid first
-contracts t against w_t e^{-i t alpha} and has a ray per Gauss node alpha_q.
+over samples on one geometry.  The scope keeps `_restrict_rays`' radially
+weighted kernels and its phase rows h_s e^{-i s lam} as well (at the fine
+level of `sigma-ratio-stability`, 0.5 and 2.5 MB, built once instead of for
+each of 200 samples; fresh `hharm verify all` peak RSS did not move).  The
+sphere is one ray per band (Q = 1); the paraboloid first contracts t against
+w_t e^{-i t alpha} and has a ray per Gauss node alpha_q.
 
 The kernels are exactly 0 where e^{-lam rho^2} is below the floor 2^-969
 (`specfun._FLOOR`), and `GaussianClosure` samples are exactly 0 where their
@@ -338,9 +339,12 @@ def _restrict_rays(grid: Grid, values, lam):
     (L+1, Q).
     """
     V = np.ascontiguousarray(values, dtype=complex)
-    wK = np.multiply(_ray_kernels(grid, lam), grid.w_radial, order="C")
+    wK = _kept(lambda: ("weighted rays", grid.d, grid.rho.tobytes(), grid.w_radial.tobytes(),
+                        lam.tobytes(), lam.shape),
+               lambda: np.multiply(_ray_kernels(grid, lam), grid.w_radial, order="C"))
     W = np.matmul(wK, V.view(float)).view(complex)  # (Q, L+1, n_s)
-    E = grid.h_s * np.exp(-1j * (lam.T[:, :, None] * grid.s))  # (Q, L+1, n_s)
+    E = _kept(lambda: ("ray phases", grid.h_s, grid.s.tobytes(), lam.tobytes(), lam.shape),
+              lambda: grid.h_s * np.exp(-1j * (lam.T[:, :, None] * grid.s)))  # (Q, L+1, n_s)
     mult = _mult_table(lam.shape[0] - 1, grid.d)
     tp = np.einsum("qls,qls->ql", W, E) / mult
     tm = np.einsum("qls,qls->ql", W, np.conj(E)) / mult

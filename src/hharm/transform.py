@@ -48,15 +48,25 @@ for every call on the same frequencies, radii and band count.  Batch axes
 (times, alpha, stacked samples) and the real and imaginary parts are the
 gemm columns.  Each direction gathers a block's input into a block-sized
 scratch and writes the block's result straight into its lam columns of the
-batch-major output.  The inverse writes through the s-synthesis phase into
-the ifftshift columns, then runs the inverse FFT and the division by h_s in
-place, so its output, which the returned field keeps as its values, is the
-only sample-sized array it makes.
+batch-major output.  The forward takes the s-FFT into one new buffer and
+leaves it in FFT column order: each block reads its columns there (the
+fftshift) through the s-analysis factor h_s e^{i S lam}, so that buffer and
+the output are the only sample-sized arrays it makes.  `transform_D` runs
+its t-FFT, the t factor and the s-FFT in one buffer, and the forward
+gathers the alpha rows in ascending order.  The inverse writes through the
+s-synthesis phase into the ifftshift columns, then runs the inverse FFT and
+the division by h_s in place, so its output, which the returned field keeps
+as its values, is the only sample-sized array it makes.  Every product
+keeps the operand order of the plain expressions (numpy's SIMD complex
+multiply is not bitwise commutative), so the bytes are those of the
+shifted-FFT path.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 from scipy.special import roots_genlaguerre
@@ -67,13 +77,13 @@ from .fields import (
     Grid,
     RadialField,
     SpaceTimeField,
+    _analysis_phase,
     _check_finite,
     _check_int,
     _check_positive,
     _synthesis_phase,
     _synthesis_tail,
     _uniform_step,
-    s_analysis,
     sphere_area,
 )
 from .specfun import (_check_cut, _kept, _mult_table, _recurrence, eigenvalue,
@@ -190,30 +200,58 @@ def _lam_blocks(grid: Grid, L_max):
 def _forward_samples(grid: Grid, values, L_max):
     """Sampled forward: samples (..., n_rho, n_s) -> coefficients (..., L+1, n_s).
 
-    Per kernel block, the s-spectrum times the radial weights on the
-    block's p radii is gathered into a scratch (p, rows, B), one np.matmul
-    with K (rows, L+1, p) writes the coefficients into a second one,
-    (L+1, rows, B), and these, divided by the multiplicities, are copied into
-    their lam columns of the batch-major output (B, L+1, n_s).  The batch
-    indices are the innermost gemm columns, and complex data is read as
-    interleaved float64, so the real kernel sees the real and imaginary
+    The s-FFT goes into one new buffer, in its own column order, and
+    `_forward_fft` contracts it: that buffer and the output are the only
+    sample-sized arrays a call makes.
+    """
+    return _forward_fft(grid, np.fft.fft(values, axis=-1), L_max)
+
+
+def _fft_columns(sl, n):
+    """The FFT columns of the ascending lam slice sl, which lies on one side
+    of lam = 0 (column n): the fftshift swaps the two halves of the axis."""
+    return slice(sl.start - n, sl.stop - n) if sl.start > n else slice(sl.start + n, sl.stop + n)
+
+
+def _forward_fft(grid: Grid, F, L_max, roll=0):
+    """The forward from F (..., n_rho, n_s), the s-FFT of the samples in FFT
+    column order, which it only reads; with a roll, F is (B, n_rho, n_s) and
+    the output is that of np.roll(F, roll, axis=0), gathered in that order.
+
+    Per kernel block, the s-analysis factor (`fields._analysis_phase`, the
+    left operand as in s_analysis) times the block's FFT columns on its p
+    radii, times the radial weights, is gathered into a scratch (p, rows, B):
+    the fftshift and the factor cost no sample-sized array.  One np.matmul
+    with K (rows, L+1, p) writes the coefficients into a second scratch,
+    (L+1, rows, B), and these, divided by the multiplicities, are copied
+    into their lam columns of the batch-major output (B, L+1, n_s).  The
+    batch indices are the innermost gemm columns, and complex data is read
+    as interleaved float64, so the real kernel sees the real and imaginary
     parts of every batch index as 2B columns.  A scratch keeps the lam rows
     of each radius (or band) together, so every copy moves (rows, B) tiles.
+    A gemm column's bytes can depend on its place among the columns, so a
+    roll is gathered, not applied to the output.
     """
-    fhat = s_analysis(grid, values)  # (..., n_rho, n_s)
-    batch = fhat.shape[:-2]
-    fhat = fhat.reshape((-1,) + fhat.shape[-2:])
+    batch = F.shape[:-2]
+    F = F.reshape((-1,) + F.shape[-2:])
+    B, c, n = len(F), _analysis_phase(grid), grid.izero
+    # (gemm columns, rows of F) of np.roll(F, roll, axis=0)
+    parts = [(slice(roll, B), slice(0, B - roll))]
+    if roll:
+        parts.append((slice(0, roll), slice(B - roll, B)))
     mults = _mult_table(L_max, grid.d)[:, None, None]
-    out = np.empty(fhat.shape[:1] + (L_max + 1, grid.n_s), dtype=complex)
-    out[..., grid.izero] = 0.0
-    rows = min(_LAM_BLOCK, grid.izero)
+    out = np.empty(F.shape[:1] + (L_max + 1, grid.n_s), dtype=complex)
+    out[..., n] = 0.0
+    rows = min(_LAM_BLOCK, n)
     X = np.empty((grid.n_rho, rows, len(out)), dtype=complex)
     Z = np.empty((L_max + 1, rows, len(out)), dtype=complex)
     Xf, Zf = X.view(float), Z.view(float)
     for K, sl in _lam_blocks(grid, L_max):
         r, p = K.shape[1:]
-        np.multiply(fhat[:, :p, sl].transpose(1, 2, 0), grid.w_radial[:p, None, None],
-                    out=X[:p, :r])
+        for to, rows_of_F in parts:
+            np.multiply(c[sl, None], F[rows_of_F, :p, _fft_columns(sl, n)].transpose(1, 2, 0),
+                        out=X[:p, :r, to])
+        X[:p, :r] *= grid.w_radial[:p, None, None]
         np.matmul(K.transpose(1, 0, 2), Xf[:p, :r].transpose(1, 0, 2),
                   out=Zf[:, :r].transpose(1, 0, 2))
         Z[:, :r] /= mults
@@ -253,9 +291,7 @@ def _inverse_samples(grid: Grid, theta):
         np.matmul(K.transpose(1, 2, 0), Xf[:, :r].transpose(1, 0, 2),
                   out=Zf[:p, :r].transpose(1, 0, 2))
         Z[:, :r] *= phase[sl, None]
-        # the ifftshift: column k goes to column (k - n) mod n_s
-        to = slice(sl.start - n, sl.stop - n) if sl.start > n else slice(sl.start + n, sl.stop + n)
-        np.copyto(f[..., to].transpose(1, 2, 0), Z[:, :r])
+        np.copyto(f[..., _fft_columns(sl, n)].transpose(1, 2, 0), Z[:, :r])
     _synthesis_tail(grid, f)
     return f.reshape(batch + f.shape[1:])
 
@@ -327,9 +363,11 @@ def sobolev_norm(sf: SpectralField, sigma: float) -> float:
     so sigma = 0 recovers the physical L^2 norm.  For sigma < 0 the call is
     refused when more than 1e-12 of the spectral mass sits in the two
     frequency bins adjacent to lam = 0 (the negative power is then dominated
-    by unresolved low frequencies).  A sigma that is not finite is refused.
+    by unresolved low frequencies).  A sigma that is not finite, or whose
+    power leaves the float range (`_eig_power`), is refused.
     """
     _check_finite("sigma", sigma)
+    power = _eig_power(sf, sigma, sigma)
     grid = sf.grid
     dens = sf.weights() * np.abs(sf.values) ** 2
     total = dens.sum()
@@ -339,8 +377,32 @@ def sobolev_norm(sf: SpectralField, sigma: float) -> float:
             raise ValueError(
                 "negative-order norm refused: spectral mass within one bin of lam=0"
             )
-    val = (dens * sf.eig() ** sigma).sum() / plancherel_constant(grid.d)
+    val = (dens * power).sum() / plancherel_constant(grid.d)
     return float(np.sqrt(val))
+
+
+# ln of the largest float and of the smallest normal one, each moved inward
+# by 1e-12 of itself, so a power that passes the test of its logs is a normal
+# float whatever the rounding of the log
+_LOG_MAX = np.log(np.finfo(float).max) * (1.0 - 1e-12)
+_LOG_TINY = np.log(np.finfo(float).tiny) * (1.0 - 1e-12)
+
+
+def _eig_power(sf: SpectralField, power: float, sigma: float):
+    """sf.eig() ** power, the multiplier of the Sobolev order sigma.
+
+    Refused with ValueError when the power at the table's smallest or
+    largest eigenvalue is not a normal float (inf, or below the normal
+    range), decided from the logs of the two before any power is taken;
+    the table's other entries lie between them (the lam = 0 column's 1
+    too)."""
+    eig = sf.eig()
+    lo, hi = eig.min(), eig.max()
+    logs = power * np.log([lo, hi])
+    if not (logs.min() >= _LOG_TINY and logs.max() <= _LOG_MAX):
+        raise ValueError(f"sigma={sigma!r}: the eigenvalues {lo:.6g} to {hi:.6g} to the "
+                         f"power {power!r} leave the normal float range")
+    return eig ** power
 
 
 @dataclass(frozen=True)
@@ -349,7 +411,8 @@ class LocalizerSpec:
 
     kind="ball": profile 1 on eigenvalue <= Lambda^2/2, 0 above Lambda^2.
     kind="ring": supported on eigenvalue in [Lambda^2/4, Lambda^2].
-    Another kind, or a scale that is not finite and > 0, is refused.
+    Another kind, or a scale that is not finite and > 0 or whose square
+    (the profile divides by it) is not a normal float, is refused.
     """
 
     kind: str = "ball"
@@ -359,10 +422,18 @@ class LocalizerSpec:
         if self.kind not in ("ball", "ring"):
             raise ValueError(f"unknown localizer kind {self.kind!r}")
         _check_positive("scale", self.scale)
+        try:  # in Python floats, which raise past the float range
+            square = float(self.scale) ** 2
+        except OverflowError:
+            square = inf
+        if not sys.float_info.min <= square <= sys.float_info.max:
+            raise ValueError(f"scale**2 must be a normal float, got scale={self.scale!r}")
 
     def profile(self, eig):
-        x = np.asarray(eig, dtype=float) / self.scale**2
-        return ball_profile(x) if self.kind == "ball" else ring_profile(x)
+        # a ratio past the float range goes on as inf, where both profiles are 0
+        with np.errstate(over="ignore"):
+            x = np.asarray(eig, dtype=float) / self.scale**2
+            return ball_profile(x) if self.kind == "ball" else ring_profile(x)
 
 
 def localize(sf: SpectralField, loc: LocalizerSpec) -> SpectralField:
@@ -374,10 +445,11 @@ def sobolev_multiplier(sf: SpectralField, sigma: float) -> SpectralField:
 
     Commutes exactly with localize (both are diagonal in (ell, lam));
     sobolev_norm(sf, sigma) equals sobolev_norm(sobolev_multiplier(sf, sigma), 0).
-    A sigma that is not finite is refused.
+    A sigma that is not finite, or for which eig^(sigma/2) leaves the float
+    range (`_eig_power`), is refused.
     """
     _check_finite("sigma", sigma)
-    return SpectralField(sf.grid, sf.values * sf.eig() ** (sigma / 2.0))
+    return SpectralField(sf.grid, sf.values * _eig_power(sf, sigma / 2.0, sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +478,9 @@ def transform_D(u: SpaceTimeField, L_max: int = 64) -> SpectralFieldD:
 
     Requires uniformly spaced t_nodes (the t axis is treated as periodic with
     weight dt, so discrete Parseval is exact for t-compact packets).  L_max
-    is an int in [0, ELL_MAX].
+    is an int in [0, ELL_MAX].  The t-FFT, its factor dt e^{-i t_0 alpha} and
+    the s-FFT run in FFT order in one buffer, the only sample-sized array
+    besides the output; the forward gathers the alpha rows ascending.
     """
     _check_int("L_max", L_max, 0, ELL_MAX)
     grid = u.grid
@@ -415,10 +489,12 @@ def transform_D(u: SpaceTimeField, L_max: int = 64) -> SpectralFieldD:
     dt = _uniform_step(t, "transform_D")
     m = np.arange(n_t) - n_t // 2
     alpha = 2.0 * np.pi * m / (n_t * dt)
-    fw = np.fft.fftshift(np.fft.fft(u.values, axis=0), axes=0)
-    fw *= dt * np.exp(-1j * t[0] * alpha)[:, None, None]
-    theta = _forward_samples(grid, fw, L_max)  # batched over alpha
-    return SpectralFieldD(grid, alpha, theta)
+    # the t-FFT, its factor and the s-FFT in FFT order, in one buffer; the
+    # forward gathers the alpha rows in ascending order (the fftshift)
+    buf = np.fft.fft(u.values, axis=0)
+    buf *= np.fft.ifftshift(dt * np.exp(-1j * t[0] * alpha))[:, None, None]
+    np.fft.fft(buf, axis=-1, out=buf)
+    return SpectralFieldD(grid, alpha, _forward_fft(grid, buf, L_max, roll=n_t // 2))
 
 
 def spectral_inner_D(a: SpectralFieldD, b: SpectralFieldD) -> complex:

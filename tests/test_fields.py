@@ -287,22 +287,66 @@ def test_grid_nodes_and_weights_are_the_interval_rule(r_max, n_rho):
         assert got.tobytes() == want.tobytes()
 
 
-def test_l2_norm_of_spacetime_field_makes_one_float_array():
-    """A memory bound, not a timing: |u| is the one field-sized float array
-    the norm allocates (the powers and weights were three)."""
-    import tracemalloc
-
+def test_l2_norm_of_spacetime_field_makes_one_float_array(traced_peak):
+    """A memory bound, not a timing: one time slice of |u| is the largest
+    float array the norm allocates (a whole |u| was nine slices here).  The
+    weights' product adds numpy's ufunc buffer, np.getbufsize() floats,
+    whatever the size."""
     rng = np.random.default_rng(4)
     shape = (9, 64, 128)
     u = SpaceTimeField(Grid(d=1, n_rho=64, n_s=128, t_nodes=np.linspace(0.0, 1.0, 9)),
                        rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    tracemalloc.start()
-    try:
-        l2_norm(u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * u.values.real.nbytes
+    _, peak = traced_peak(lambda: l2_norm(u))
+    assert peak <= 1.25 * u.values[0].real.nbytes + 8 * np.getbufsize()
+
+
+def _whole_array_reduce(f, spec, table):
+    """The mixed norm's reduction as it was, over the whole |f.values| at
+    once: the reference for the slice-at-a-time one."""
+    work = np.abs(f.values)
+    live = dict(table)
+    for p, name in zip(reversed(spec.exponents), reversed(spec.axes)):
+        ax = live.pop(name)
+        if p == np.inf:
+            work = work.max(axis=ax)
+        else:
+            w = fields._axis_weights(f, name)
+            shp = [1] * work.ndim
+            shp[ax] = w.size
+            work **= p
+            work *= w.reshape(shp)
+            work = work.sum(axis=ax) ** (1.0 / p)
+        for other in live:
+            if live[other] > ax:
+                live[other] -= 1
+    return work
+
+
+SPACETIME_SPECS = [((2, 2, 2), ("t", "Y", "s")), ((np.inf, 4, 2), ("s", "t", "Y")),
+                   ((3, np.inf, 1), ("Y", "s", "t")), ((np.inf, np.inf, np.inf), ("Y", "s", "t")),
+                   ((1.5, 2, np.inf), ("t", "s", "Y")), ((2, 1, 3), ("s", "Y", "t"))]
+
+
+@pytest.mark.parametrize("exponents, axes", SPACETIME_SPECS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_sliced_norms_have_the_bytes_of_the_whole_array_reduction(d, exponents, axes):
+    """The first reduction of a SpaceTimeField's norm runs one time slice at a
+    time (accumulated in order when it is over t itself), and every norm and
+    the per-time l2_norm keep the bytes of the reduction over the whole
+    |u|; a RadialField's norms are reduced whole, as before."""
+    rng = np.random.default_rng(50 + d)
+    grid = Grid(d=d, n_rho=24, r_max=6.0, n_s=32, s_half=8.0,
+                t_nodes=np.linspace(0.0, 1.0, 7))
+    u = SpaceTimeField(grid, rng.standard_normal((7, 24, 32)) + 1j * rng.standard_normal((7, 24, 32)))
+    spec = MixedNormSpec(exponents, axes)
+    want = float(_whole_array_reduce(u, spec, fields._AXIS_ORDER_SPACETIME))
+    assert mixed_norm(u, spec).hex() == want.hex()
+    l2 = MixedNormSpec((2, 2), ("Y", "s"))
+    assert l2_norm(u).tobytes() == _whole_array_reduce(u, l2, {"Y": 1, "s": 2}).tobytes()
+    f = RadialField(grid, u.values[3])
+    radial = MixedNormSpec(exponents[1:], tuple(a for a in axes if a != "t"))
+    assert (mixed_norm(f, radial)
+            == float(_whole_array_reduce(f, radial, fields._AXIS_ORDER_RADIAL)))
 
 
 def test_radial_field_shape_guard():
@@ -452,6 +496,17 @@ def test_s_synthesis_writes_one_c_ordered_buffer():
     ref = np.fft.ifft(np.fft.ifftshift(theta * phase, axes=-1), axis=-1) / G.h_s
     out = s_synthesis(G, theta)
     assert out.flags.c_contiguous and np.array_equal(out, ref)
+
+
+def test_s_translate_makes_one_sample_sized_array(traced_peak):
+    """A memory bound, not a timing: the FFT buffer, which becomes the
+    output, is the one sample-sized array a fractional shift makes (the
+    analysis and synthesis made about two at once)."""
+    grid = Grid(d=1, n_rho=256, r_max=12.0, n_s=1024, s_half=40.0)
+    rng = np.random.default_rng(71)
+    f = RadialField(grid, rng.standard_normal((256, 1024)) + 1j * rng.standard_normal((256, 1024)))
+    out, peak = traced_peak(lambda: s_translate(f, 0.37))
+    assert peak <= 1.1 * out.values.nbytes
 
 
 def test_s_translate_integer_steps_exact():

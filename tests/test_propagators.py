@@ -267,22 +267,53 @@ def test_schrodinger_evolve_keeps_the_synthesis_buffer(monkeypatch):
     assert np.shares_memory(u.values, buf)
 
 
-def test_schrodinger_evolve_peak_memory_is_about_two_outputs():
+def test_schrodinger_evolve_peak_memory_is_about_two_outputs(traced_peak):
     """A memory bound, not a timing: the band contraction's output and the
     synthesis buffer are the only output-sized arrays alive at once (a copy
     or a temporary in the s-synthesis would add another)."""
-    import tracemalloc
-
     grid = Grid(d=1, n_rho=64, r_max=12.0, n_s=128, s_half=40.0)
     sf = banded_spectrum(grid, L_max=8, seed=16)
     times = np.linspace(0.0, 1.0, 33)
-    tracemalloc.start()
-    try:
-        u = schrodinger_evolve(CauchyDataS(sf), times)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    u, peak = traced_peak(lambda: schrodinger_evolve(CauchyDataS(sf), times))
     assert peak <= 2.6 * u.values.nbytes
+
+
+def _plain_wave_energy(data, times):
+    """The energy series as the plain expression over fresh arrays: the
+    reference for the in-place one."""
+    up, um, omega = propagators._halfwave_split(data, np.asarray(times, dtype=float))
+    uh = up + um
+    vh = 1j * omega * (up - um)
+    dens = omega**2 * np.abs(uh) ** 2 + np.abs(vh) ** 2
+    return (data.u0.weights() * dens).sum(axis=(-2, -1))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_wave_energy_has_the_bytes_of_the_plain_expression(d):
+    """The density is formed in place, in the half-wave spectra's buffers,
+    with the plain expression's operand order, so both energy paths keep its
+    bytes."""
+    grid = Grid(d=d, n_rho=32, r_max=12.0, n_s=64, s_half=40.0)
+    data = CauchyDataW(banded_spectrum(grid, L_max=5, seed=20 + d),
+                       banded_spectrum(grid, L_max=5, seed=30 + d))
+    times = np.linspace(0.0, 2.0, 7)
+    want = _plain_wave_energy(data, times).tobytes()
+    assert wave_energy_series(data, times).tobytes() == want
+    assert propagators._wave_evolve_with_energy(data, times)[1].tobytes() == want
+
+
+def test_wave_energy_series_holds_the_split_and_one_density(traced_peak):
+    """A memory bound, not a timing: the two half-wave spectra, their sum
+    and one float density are the spectrum-sized arrays of an energy series
+    (the plain expression held up - um, vh and the density's temporaries
+    besides)."""
+    grid = Grid(d=1, n_rho=32, r_max=12.0, n_s=512, s_half=40.0)
+    data = CauchyDataW(banded_spectrum(grid, L_max=8, seed=17),
+                       banded_spectrum(grid, L_max=8, seed=18))
+    times = np.linspace(0.0, 3.0, 65)
+    _, peak = traced_peak(lambda: wave_energy_series(data, times))
+    spectra = times.size * data.u0.values.nbytes
+    assert peak <= 3.75 * spectra
 
 
 SCHRODINGER_TABLE = [

@@ -459,7 +459,9 @@ def test_kept_tables_refuse_writes():
     with kept_kernels():
         restrict_sphere(f, SphereMeasure(), L_max=8)
         forward(f, 8)
-        assert len(specfun._scope) == 1 + 4  # one ray table, 128 |lam| rows in 4 blocks
+        # the ray table, its weighted copy and the ray phases; 128 |lam| rows
+        # in 4 blocks
+        assert len(specfun._scope) == 3 + 4
         for table in specfun._scope.values():
             with pytest.raises(ValueError):
                 table[0, 0, 0] = 1.0
@@ -515,11 +517,50 @@ def test_restriction_and_extension_share_one_ray_table():
     gt = GRID.with_times(np.linspace(0.0, 0.25, 4))
     u = SpaceTimeField(gt, np.ones((4, GRID.n_rho, GRID.n_s)))
     f = RadialField(GRID, np.ones((GRID.n_rho, GRID.n_s)))
+    def ray_tables():
+        return [k for k in specfun._scope if k[0] == "rays"]
+
     with kept_kernels():
         extend_sigma(restrict_sigma(u, SigmaMeasure(), L_max=8, n_alpha=10), gt)
-        assert len(specfun._scope) == 1
+        assert len(ray_tables()) == 1
         extend_sphere(restrict_sphere(f, SphereMeasure(), L_max=8), GRID)
-        assert len(specfun._scope) == 2
+        assert len(ray_tables()) == 2
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kept_ray_phases_and_weighted_kernels_give_bit_equal_restrictions(d):
+    """`_restrict_rays` reads its phase rows and weighted kernels from the
+    scope once they are kept: the sphere's one ray per band and the
+    paraboloid's rays per alpha node give the bytes of a call outside."""
+    grid = Grid(d=d, n_rho=40, r_max=12.0, n_s=96, s_half=20.0)
+    rng = np.random.default_rng(44 + d)
+    values = _cplx(rng, 3, grid.n_rho, grid.n_s)
+    rays = [_sphere_lam(10, d),
+            (1.0 / (4.0 * (2.0 * np.arange(11) + d)))[:, None] * np.linspace(0.1, 0.9, 3)]
+    for lam in rays:
+        V = values[:lam.shape[1]]
+        outside = [a.tobytes() for a in _restrict_rays(grid, V, lam)]
+        with kept_kernels():
+            for _ in range(2):
+                assert [a.tobytes() for a in _restrict_rays(grid, V, lam)] == outside
+
+
+def test_restrict_rays_builds_its_phases_and_weighted_kernels_once_per_scope(monkeypatch):
+    """A loop of paraboloid restrictions on one geometry builds the ray
+    table, its weighted copy and the phase rows once per scope; a new scope
+    builds them again."""
+    builds = []
+    kept = restriction._kept
+    monkeypatch.setattr(restriction, "_kept",
+                        lambda key, build: kept(key, lambda: builds.append(key()[0]) or build()))
+    gt = GRID.with_times(np.linspace(0.0, 0.25, 4))
+    u = SpaceTimeField(gt, np.ones((4, GRID.n_rho, GRID.n_s)))
+    for _ in range(2):
+        builds.clear()
+        with kept_kernels():
+            for _ in range(3):
+                restrict_sigma(u, SigmaMeasure(), L_max=8, n_alpha=6)
+        assert sorted(builds) == ["ray phases", "rays", "weighted rays"]
 
 
 def test_sphere_ratio_loop_builds_its_table_once(monkeypatch):

@@ -4,6 +4,8 @@ check of `hharm.verify`."""
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,11 +13,13 @@ from hharm.fields import (
     GaussianClosure,
     Grid,
     RadialField,
+    SpaceTimeField,
     dilate,
     l2_norm,
     random_packet,
     s_analysis,
     s_synthesis,
+    s_translate,
     sample_packets,
 )
 from hharm.propagators import CauchyDataS, schrodinger_evolve
@@ -200,6 +204,63 @@ def test_sobolev_multiplier_refuses_a_non_finite_order(sigma):
         sobolev_multiplier(_small_spectrum(), sigma)
 
 
+def _ones_spectrum():
+    """An all-ones 9-band spectrum on a 32 x 64 grid: eigenvalues from
+    4 dlam = 0.314 to 171."""
+    grid = Grid(d=1, n_rho=32, r_max=12.0, n_s=64, s_half=40.0)
+    return SpectralField(grid, np.ones((9, 64)))
+
+
+@pytest.mark.parametrize("sigma", [400.0, 800.0, -400.0, 140.0, -140.0, 1e300])
+def test_sobolev_orders_whose_power_leaves_the_float_range_are_refused(sigma):
+    """171^400 is inf, and was returned (sigma = 800 left 79 of 576
+    coefficients finite in the multiplier); 171^-140 is below the normal
+    range.  Both calls refuse before the power, with no numpy warning."""
+    sf = _ones_spectrum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="leave the normal float range"):
+            sobolev_norm(sf, sigma)
+        with pytest.raises(ValueError, match="leave the normal float range"):
+            sobolev_multiplier(sf, 2.0 * sigma)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.5, -1.5, 130.0, -130.0])
+def test_sobolev_orders_inside_the_float_range_give_finite_results(sigma):
+    """Up to the edge decided from the logs (|sigma| ln 171 < 708.4), the
+    norm and the multiplier are finite and agree."""
+    sf = _ones_spectrum()
+    sf.values[:, 31:34] = 0.0  # no mass next to lam = 0, for sigma < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = sobolev_norm(sf, sigma)
+        m = sobolev_multiplier(sf, sigma)
+    assert np.isfinite(n) and n > 0 and np.isfinite(m.values).all()
+    assert abs(sobolev_norm(m, 0.0) / n - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("scale", [1e200, 1.4e154, 1e-170, 1e-155, 1e-154])
+def test_localizer_spec_refuses_a_scale_whose_square_is_not_a_normal_float(scale):
+    """1e200 made localize raise OverflowError, and 1e-170 warned "divide
+    by zero" (its square is 0); a subnormal square is refused too."""
+    with pytest.raises(ValueError, match="scale\\*\\*2 must be a normal float"):
+        LocalizerSpec("ball", scale)
+
+
+@pytest.mark.parametrize("kind", ["ball", "ring"])
+@pytest.mark.parametrize("scale", [1.2e154, 1.5e-154, 1e-3])
+def test_localize_at_the_edge_scales_is_finite_and_quiet(kind, scale):
+    """A normal square at either edge: eig / scale^2 may pass the float
+    range, where both profiles are 0, with no numpy warning."""
+    sf = _ones_spectrum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = localize(sf, LocalizerSpec(kind, scale)).values
+    # at 1.2e154 every eigenvalue sits on the ball's plateau, below the ring
+    want = 1.0 if (kind, scale) == ("ball", 1.2e154) else 0.0
+    assert np.array_equal(out, want * sf.values)
+
+
 @pytest.mark.parametrize("kind, scale", [("ball", np.nan), ("ball", 0.0), ("ring", -1.0),
                                          ("ring", np.inf), ("disc", 1.0)])
 def test_localizer_spec_refuses_a_bad_scale_or_kind(kind, scale):
@@ -355,12 +416,43 @@ def test_band_contraction_matches_per_frequency_loop(d, L_max, batch):
                     _reference_inverse(grid, theta)) < 1e-13
 
 
+def _shifted_analysis(grid, values):
+    """s_analysis as the fftshift copy of the FFT, times h_s e^{i S lam}: the
+    reference for the folded paths."""
+    fw = np.fft.fftshift(np.fft.fft(values, axis=-1), axes=-1)
+    return grid.h_s * np.exp(1j * grid.s_half * grid.lam) * fw
+
+
+@pytest.mark.parametrize("batch", [(), (3,), (2, 2)])
+@pytest.mark.parametrize("d", [1, 2])
+def test_s_analysis_has_the_bytes_of_the_shifted_fft(d, batch):
+    grid = Grid(d=d, n_rho=16, r_max=6.0, n_s=64, s_half=10.0)
+    rng = np.random.default_rng(60 + d + len(batch))
+    shape = batch + (16, 64)
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert s_analysis(grid, values).tobytes() == _shifted_analysis(grid, values).tobytes()
+
+
+@pytest.mark.parametrize("s0", [0.37, -2.9])
+@pytest.mark.parametrize("d", [1, 2])
+def test_s_translate_has_the_bytes_of_analysis_phase_synthesis(d, s0):
+    """The fractional shift runs in FFT order in one buffer; its bytes are
+    those of s_analysis, times e^{-i s0 lam}, then s_synthesis."""
+    grid = Grid(d=d, n_rho=16, r_max=6.0, n_s=64, s_half=10.0)
+    rng = np.random.default_rng(70 + d)
+    values = rng.standard_normal((16, 64)) + 1j * rng.standard_normal((16, 64))
+    theta = _shifted_analysis(grid, values)
+    theta *= np.exp(-1j * s0 * grid.lam)[None, :]
+    want = s_synthesis(grid, theta)
+    assert s_translate(RadialField(grid, values), s0).values.tobytes() == want.tobytes()
+
+
 def _lam_major_forward(grid, values, L_max):
     """The forward with its samples and coefficients kept whole, lam-major:
     C (n_s, n_rho, B) and theta (n_s, L+1, B)."""
     from hharm import transform
 
-    fhat = s_analysis(grid, values.reshape((-1,) + values.shape[-2:]))
+    fhat = _shifted_analysis(grid, values.reshape((-1,) + values.shape[-2:]))
     C = np.multiply(fhat.T, grid.w_radial[:, None], order="C")
     theta = np.zeros((grid.n_s, L_max + 1, len(fhat)), dtype=complex)
     for K, sl in transform._lam_blocks(grid, L_max):
@@ -389,35 +481,82 @@ def _two_step_inverse(grid, theta):
 @pytest.mark.parametrize("d", [1, 2])
 def test_block_writes_have_the_bytes_of_the_lam_major_contraction(d):
     """Each direction gathers a kernel block into a scratch and writes its
-    result straight into the batch-major output (the inverse through the
+    result straight into the batch-major output (the forward reading its
+    FFT columns through the analysis factor, the inverse writing through the
     phase and the ifftshift); at r_max = 12 the outer radii of the large
     |lam| are cut, and the bytes are those of the contraction kept whole,
-    lam-major, and then divided or synthesised."""
+    lam-major, after the shifted-FFT analysis, and then divided or
+    synthesised; batched and unbatched."""
     grid = Grid(d=d, n_rho=48, r_max=12.0, n_s=128, s_half=20.0)
     rng = np.random.default_rng(30 + d)
     values = rng.standard_normal((5, 48, grid.n_s)) + 1j * rng.standard_normal((5, 48, grid.n_s))
     theta = rng.standard_normal((5, 21, grid.n_s)) + 1j * rng.standard_normal((5, 21, grid.n_s))
-    assert (_forward_samples(grid, values, 20).tobytes()
-            == _lam_major_forward(grid, values, 20).tobytes())
+    for v in (values, values[2]):
+        assert (_forward_samples(grid, v, 20).tobytes()
+                == _lam_major_forward(grid, v, 20).tobytes())
     assert _inverse_samples(grid, theta).tobytes() == _two_step_inverse(grid, theta).tobytes()
 
 
-def test_inverse_peak_memory_is_its_output():
+def _shifted_transform_D(u, L_max):
+    """transform_D's coefficients through the fftshift copy of the t-FFT,
+    times dt e^{-i t_0 alpha}, then the lam-major forward."""
+    t = u.grid.t_nodes
+    n_t, dt = t.size, t[1] - t[0]
+    alpha = 2.0 * np.pi * (np.arange(n_t) - n_t // 2) / (n_t * dt)
+    fw = np.fft.fftshift(np.fft.fft(u.values, axis=0), axes=0)
+    fw *= dt * np.exp(-1j * t[0] * alpha)[:, None, None]
+    return _lam_major_forward(u.grid, fw, L_max)
+
+
+@pytest.mark.parametrize("n_t", [6, 7])
+@pytest.mark.parametrize("d", [1, 2])
+def test_transform_D_has_the_bytes_of_the_shifted_t_fft(d, n_t):
+    """The t-FFT, its factor and the s-FFT run in one buffer in FFT order,
+    and only the coefficients are put in alpha order: the bytes are those of
+    the shifted path, for an even and an odd number of times."""
+    grid = Grid(d=d, n_rho=32, r_max=12.0, n_s=64, s_half=20.0,
+                t_nodes=np.linspace(0.1, 0.7, n_t))
+    rng = np.random.default_rng(80 + d + n_t)
+    shape = (n_t, 32, 64)
+    u = SpaceTimeField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert transform_D(u, 12).values.tobytes() == _shifted_transform_D(u, 12).tobytes()
+
+
+def test_forward_makes_one_sample_sized_array(traced_peak):
+    """A memory bound, not a timing: beyond its input and its output, the
+    forward holds the s-FFT buffer (1.0x its input), the kernel-block
+    scratch (32/n_s of it), one kernel block and numpy's fixed ufunc
+    buffers.  The shifted analysis held two sample-sized arrays at once."""
+    grid = Grid(d=1, n_rho=128, r_max=12.0, n_s=1024, s_half=40.0)
+    rng = np.random.default_rng(81)
+    values = rng.standard_normal((9, 128, 1024)) + 1j * rng.standard_normal((9, 128, 1024))
+    out, peak = traced_peak(lambda: _forward_samples(grid, values, 8))
+    assert peak - out.nbytes <= 1.1 * values.nbytes
+
+
+def test_transform_D_makes_one_sample_sized_array(traced_peak):
+    """A memory bound, not a timing: the t-FFT and the s-FFT share one
+    buffer, the only sample-sized array beyond the input and the output
+    (the shifted path held the t-FFT, its shifted copy and the forward's
+    own two)."""
+    grid = Grid(d=1, n_rho=128, r_max=12.0, n_s=1024, s_half=40.0,
+                t_nodes=np.linspace(0.0, 0.4, 9))
+    rng = np.random.default_rng(82)
+    shape = (9, 128, 1024)
+    u = SpaceTimeField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    D, peak = traced_peak(lambda: transform_D(u, 8))
+    assert peak - D.values.nbytes <= 1.1 * u.values.nbytes
+
+
+def test_inverse_peak_memory_is_its_output(traced_peak):
     """A memory bound, not a timing: the output is the one sample-sized
     array an inverse makes; its kernel-block scratch adds 1/16 of it here.
     The two-step synthesis held the contraction output and the output at
     once (2.0x here)."""
-    import tracemalloc
-
     grid = Grid(d=1, n_rho=64, r_max=12.0, n_s=512, s_half=40.0)
     rng = np.random.default_rng(40)
     theta = rng.standard_normal((17, 9, grid.n_s)) + 1j * rng.standard_normal((17, 9, grid.n_s))
-    tracemalloc.start()
-    try:
-        f = _inverse_samples(grid, theta)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    f, peak = traced_peak(lambda: _inverse_samples(grid, theta))
     assert peak <= 1.25 * f.nbytes
 
 

@@ -186,6 +186,29 @@ def test_seed_changes_report_but_not_verdict():
     assert a.to_json() != b.to_json()  # measured worst ratios move with the seed
 
 
+# MiB: the traced peaks at the parent design were 52.7 (transport) and 53.2
+_SUITE_PEAK_BOUND = 40 * 2**20
+
+
+def test_transport_suite_lets_go_of_its_fields(traced_peak):
+    """A memory bound, not a timing: on the 256 x 2048 grid each band's
+    datum, flow and reference are dropped at their last use, and the
+    difference is formed in the reference's buffer, so no two bands' fields
+    are alive at once."""
+    out, peak = traced_peak(lambda: SUITES["transport"](RunConfig(seed=42)))
+    assert all(r.passed for r in out)
+    assert peak <= _SUITE_PEAK_BOUND
+
+
+def test_translate_identity_holds_no_mesh_sized_float_array(traced_peak):
+    """A memory bound, not a timing: the 80 x 80 x 128 mesh is filled one
+    y-slice at a time, and W3 F phase K is formed in one buffer, so the
+    weighted field and that buffer are the mesh-sized arrays."""
+    out, peak = traced_peak(translate_identity_check)
+    assert out["max_rel_err"] <= 1e-5
+    assert peak <= _SUITE_PEAK_BOUND
+
+
 def test_translate_identity_direct():
     out = translate_identity_check()
     assert out["max_rel_err"] < 1e-9
