@@ -471,19 +471,24 @@ def l2_inner(f, g):
     as a complex.
 
     For two SpaceTimeFields, the (n_t,) array of the inner products at each
-    time, each summed in the same order as that time's RadialField pair, so
-    the two agree bit for bit.  Fields of different kinds or shapes, or on
-    grids that are not compatible, are refused with ValueError.
+    time, each formed and summed one time slice at a time as that time's
+    RadialField pair is, so the two agree bit for bit and the call holds no
+    field-sized array.  Fields of different kinds or shapes, or on grids
+    that are not compatible, are refused with ValueError.
     """
     if type(f) is not type(g) or f.values.shape != g.values.shape:
         raise ValueError("l2_inner pairs two fields of one kind and shape")
     if not f.grid.compatible(g.grid):
         raise ValueError("fields live on different grids")
     gr = f.grid
-    prod = gr.w_radial[:, None] * f.values * np.conj(g.values)
+
+    def pair(u, v):
+        return np.sum(gr.w_radial[:, None] * u * np.conj(v))
+
     if isinstance(f, SpaceTimeField):
-        return prod.sum(axis=(1, 2)) * gr.h_s
-    return complex(np.sum(prod) * gr.h_s)
+        return np.array([pair(u, v) for u, v in zip(f.values, g.values)],
+                        dtype=complex) * gr.h_s
+    return complex(pair(f.values, g.values) * gr.h_s)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +549,8 @@ def dilate(f: RadialField, a: float) -> RadialField:
 
     Arguments that land outside the computational box are treated as 0 (the
     box is not periodized under dilation); if more than 1% of the squared
-    mass of f lives in the truncated region a warning is issued.
+    mass of f lives outside the kept box |s| <= s_half / a^2,
+    rho <= r_max / a, a warning is issued.
 
     Resampling: trigonometric interpolation in s, barycentric polynomial
     interpolation on the Gauss-Legendre nodes in rho.  A factor a that is
@@ -554,8 +560,9 @@ def dilate(f: RadialField, a: float) -> RadialField:
     g = f.grid
     if a > 1:
         mass = np.abs(f.values) ** 2 * g.w_radial[:, None] * g.h_s
-        lost = mass[:, np.abs(g.s) > g.s_half / a**2].sum()
-        lost += mass[g.rho > g.r_max / a, :].sum()
+        # each truncated cell once, corners included
+        cut = (g.rho > g.r_max / a)[:, None] | (np.abs(g.s) > g.s_half / a**2)
+        lost = np.sum(mass, where=cut)
         total = np.sum(mass)
         if total > 0 and lost / total > 0.01:
             warnings.warn(

@@ -247,9 +247,15 @@ def suite_roundtrip(cfg: RunConfig):
 
 
 def suite_transport(cfg: RunConfig):
-    """Single-band data move by s-shifts; the trapezoid Duhamel is 2nd order."""
+    """Single-band data move by s-shifts; the trapezoid Duhamel is 2nd order.
+
+    Each band is evolved one time at a time, and that slice's shift error
+    and L^p drifts are taken before the next time is evolved, so one slice
+    of the flow is alive at once.  A single-time flow is, bit for bit, that
+    time's slice of the two-time flow."""
     shift_tol = 1e-8
     lp_tol = 1e-4
+    specs = [MixedNormSpec((p, p), ("Y", "s")) for p in (1.0, 2.0, np.inf)]
     worst_shift = {}
     drifts = []
     for d in (1, 2):
@@ -259,23 +265,20 @@ def suite_transport(cfg: RunConfig):
         for ell in (0, 1, 2):
             sf = _single_band(grid, 8, ell)
             u0 = inverse(sf)
+            n0 = [mixed_norm(u0, spec) for spec in specs]
             t1 = 16.0 * grid.h_s / (4.0 * (2 * ell + d))  # exact 16-cell shift
             t2 = 0.2374  # generic, spectrally interpolated
-            st = schrodinger_evolve(CauchyDataS(sf), [t1, t2])
-            for k, t in enumerate((t1, t2)):
-                # the difference is formed in the reference's buffer, and
-                # the two are dropped before the next time's reference
+            for t in (t1, t2):
+                v = RadialField(grid, schrodinger_evolve(CauchyDataS(sf), [t]).values[0])
+                drifts += [abs(mixed_norm(v, spec) / n - 1.0) for spec, n in zip(specs, n0)]
+                # the difference is formed in the reference's buffer
                 ref = transport_reference(u0, ell, t).values
-                np.subtract(st.values[k], ref, out=ref)
+                np.subtract(v.values, ref, out=ref)
+                del v
                 errs.append(l2_norm(RadialField(grid, ref)) / l2_norm(u0))
                 del ref
-            for p in (1.0, 2.0, np.inf):
-                spec = MixedNormSpec((p, p), ("Y", "s"))
-                n0 = mixed_norm(u0, spec)
-                drifts += [abs(mixed_norm(RadialField(grid, v), spec) / n0 - 1.0)
-                           for v in st.values]
             # the next band's fields are made with none of this band's alive
-            del st, u0
+            del u0
         worst_shift[f"d{d}"] = float(np.max(errs))
     worst_lp = float(np.max(drifts))
     out = [
@@ -904,7 +907,10 @@ def suite_strichartz(cfg: RunConfig):
 
 
 def suite_wave_energy(cfg: RunConfig):
-    """Unitarity of the free flow and conservation of the wave energy."""
+    """Unitarity of the free flow and conservation of the wave energy.
+
+    The 65 unitarity norms are taken over chunks of 8 times, so the 65-time
+    flow (32.5 MiB) never exists at once."""
     grid = replace(cfg.grid(), d=1, n_rho=128, n_s=256)
     L = 8
     rng = np.random.default_rng(cfg.seed + 59)
@@ -912,7 +918,11 @@ def suite_wave_energy(cfg: RunConfig):
     th0 = _cplx(rng, (L + 1, 1)) * prof
     sf0 = SpectralField(grid, th0)
     times = np.linspace(0.0, 3.0, 65)
-    norms = l2_norm(schrodinger_evolve(CauchyDataS(sf0), times))
+    # the inverse's gemm sums over the L + 1 = 9 bands, and here each
+    # chunk's slices keep the bytes the whole flow had (a test holds them)
+    norms = np.concatenate([
+        l2_norm(schrodinger_evolve(CauchyDataS(sf0), times[i:i + 8]))
+        for i in range(0, times.size, 8)])
     drift = float(np.abs(norms / norms[0] - 1.0).max())
     th1 = _cplx(rng, (L + 1, 1)) * prof
     en = wave_energy_series(CauchyDataW(sf0, SpectralField(grid, th1)), times)
@@ -928,8 +938,8 @@ def suite_wave_energy(cfg: RunConfig):
 
 
 # s-rows per block of the decay probe: its offset table and each block's field
-# are (512, n_quad) and (512, 4), whatever the length of the s-window
-_S_BLOCK = 512
+# are (128, n_quad) and (128, 4), whatever the length of the s-window
+_S_BLOCK = 128
 
 
 def wave_decay_probe(times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
@@ -946,11 +956,11 @@ def wave_decay_probe(times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
     quadrature on an s-window that follows the slowest/fastest rays
     s ~ -t sqrt(m / lam), so no grid truncation can fake decay.
 
-    The window is cut into blocks of 512 s-rows, so memory stays bounded
-    however long it grows with t.  `np.arange` fills s[k] = s[0] + k ds with
-    ds = s[1] - s[0], exactly, so row lo + j has the phase
-    e^{i s[lo] lam} e^{i j ds lam}: one offset table e^{i j ds lam}
-    (512 x n_quad) serves every block, and a block is one matrix product of
+    The window is cut into blocks of `_S_BLOCK` = 128 s-rows, so memory
+    stays bounded however long it grows with t.  `np.arange` fills
+    s[k] = s[0] + k ds with ds = s[1] - s[0], exactly, so row lo + j has the
+    phase e^{i s[lo] lam} e^{i j ds lam}: one offset table e^{i j ds lam}
+    (128 x n_quad) serves every block, and a block is one matrix product of
     that table with the (n_quad, n_rho) factor that carries the block's start
     phase, the half-wave phase e^{2 i t sqrt(lam m)} and the quadrature
     weight.  The sup over s-blocks is an np.max, so a NaN block propagates.
@@ -977,7 +987,7 @@ def wave_decay_probe(times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
         ds = s[1] - s[0]
         rows = min(_S_BLOCK, s.size)
         if (ds, rows) != step:
-            # (block, nq), exponentiated in place: one 26 MB complex table at
+            # (block, nq), exponentiated in place: one 6.5 MB complex table at
             # the default sizes, the old one released before it is built
             table, step = None, (ds, rows)
             table = 1j * np.outer(ds * np.arange(rows), lam)

@@ -400,6 +400,22 @@ def test_l2_inner_of_spacetime_fields_is_per_time(n_rho, n_s, n_t):
                      for a, b in zip(u, v)])
     assert got.shape == (n_t,)
     assert np.array_equal(got, want)
+    # the whole-array expression the call had, kept as the bytes' reference
+    whole = (space.w_radial[:, None] * u * np.conj(v)).sum(axis=(1, 2)) * space.h_s
+    assert got.tobytes() == whole.tobytes()
+
+
+def test_l2_inner_of_spacetime_fields_holds_no_field_sized_array(traced_peak):
+    """A memory bound, not a timing: the product is formed and summed one
+    time slice at a time, so the call stays under one field's bytes (the
+    whole-array product peaked at 2.0x one field on this (5, 96, 256) pair)."""
+    rng = np.random.default_rng(4)
+    shape = (5, 96, 256)
+    grid = Grid(d=1, n_rho=96, n_s=256, t_nodes=np.linspace(0.0, 1.0, 5))
+    u, v = (SpaceTimeField(grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in range(2))
+    _, peak = traced_peak(lambda: l2_inner(u, v))
+    assert peak <= u.values.nbytes
 
 
 def test_l2_inner_refuses_fields_on_different_grids():
@@ -547,6 +563,33 @@ def test_dilate_truncation_warning_and_guards():
         dilate(wide, 1.25)
     with pytest.raises(ValueError):
         dilate(gaussian_field(), 0.0)
+
+
+def test_dilate_counts_each_truncated_cell_once():
+    """The warning's fraction is the squared mass outside the kept box
+    |s| <= s_half / a^2, rho <= r_max / a, so it stays in [0, 1]: with the
+    corner block counted twice this field read 106.6 %.  The values keep
+    the bytes of the resample, which the count does not touch."""
+    grid = Grid(d=2, n_rho=48, r_max=10.0, n_s=128, s_half=20.0)
+    rng = np.random.default_rng(7)
+    f = RadialField(grid, rng.standard_normal((48, 128)) + 1j * rng.standard_normal((48, 128)))
+    a = 1.3
+    mass = np.abs(f.values) ** 2 * grid.w_radial[:, None] * grid.h_s
+    kept = mass[grid.rho <= grid.r_max / a][:, np.abs(grid.s) <= grid.s_half / a**2]
+    frac = 1.0 - kept.sum() / mass.sum()
+    assert 0.0 <= frac <= 1.0
+    with pytest.warns(UserWarning) as rec:
+        got = dilate(f, a)
+    assert [str(r.message) for r in rec] == [f"dilate: {100 * frac:.1f}% of squared mass truncated"]
+    s_targets = a**2 * grid.s
+    inside = np.abs(s_targets) < grid.s_half
+    kernel = np.exp(1j * np.outer(s_targets[inside], grid.lam)) / (2 * grid.s_half)
+    vals_s = np.zeros_like(f.values)
+    vals_s[:, inside] = np.einsum("rk,tk->rt", fields.s_analysis(grid, f.values), kernel)
+    r_inside = a * grid.rho <= grid.r_max
+    want = np.zeros_like(f.values)
+    want[r_inside] = fields._barycentric_resample(grid, vals_s, a * grid.rho[r_inside])
+    assert got.values.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("a", [np.nan, np.inf, -1.0, True])

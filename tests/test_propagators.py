@@ -370,7 +370,7 @@ def test_wave_decay_probe_matches_the_direct_phase_sum():
     np.exp phase sum; every window here is longer than one block and ends in
     a partial block.  t = 1 and 2 share a step, so t = 2 reuses the table
     built for t = 1, and t = 8 and 64 each build their own."""
-    times, n_quad, d = (1.0, 2.0, 8.0, 64.0), 400, 1
+    times, n_quad, d, rows = (1.0, 2.0, 8.0, 64.0), 400, 1, verify._S_BLOCK
     out = wave_decay_probe(times=times, n_quad=n_quad)
     m, freq_scale = d, 16.0
     lam_hi = 14.0 * freq_scale
@@ -382,10 +382,10 @@ def test_wave_decay_probe_matches_the_direct_phase_sum():
     want = []
     for t in times:
         s = np.arange(-0.8 * np.sqrt(m) * t - 30.0, 30.0, 0.02)
-        assert s.size > 512 and s.size % 512
+        assert s.size > rows and s.size % rows
         block_sups = []
-        for lo in range(0, s.size, 512):
-            phase = np.exp(1j * (np.outer(s[lo:lo + 512], lam) + 2.0 * t * np.sqrt(lam * m)))
+        for lo in range(0, s.size, rows):
+            phase = np.exp(1j * (np.outer(s[lo:lo + rows], lam) + 2.0 * t * np.sqrt(lam * m)))
             block_sups.append(np.abs(const * (phase * weight) @ K).max())
         want.append(np.max(block_sups))
     np.testing.assert_allclose(out["sup_norms"], want, rtol=1e-12, atol=0)
