@@ -14,8 +14,7 @@ Fields live on a square lattice containing the origin and are treated as
 zero outside the box, which makes the lattice of differences Y - w a subset
 of the (padded) sample lattice and the discrete convolution exact for
 box-supported data.  `twisted_convolve` evaluates that lattice sum in
-O(n^3 log n) as batched FFT row convolutions (numpy.fft), `_K_BLOCK` shifts
-at a time.
+O(n^4) as one Toeplitz gemm per row of f, with O(n^2) temporaries.
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import _check_int
 from .specfun import _kernel_diag
@@ -105,21 +105,6 @@ def _outer_band_fraction(values: np.ndarray) -> float:
     return (total - inner) / total
 
 
-_K_BLOCK = 16  # shifts k per batched FFT: each temporary stays under 4 MB at n = 97
-
-
-def _fft_length(m: int) -> int:
-    """Smallest 5-smooth integer >= m: the FFT length of the row convolutions."""
-    while True:
-        r = m
-        for q in (2, 3, 5):
-            while r % q == 0:
-                r //= q
-        if r == 1:
-            return m
-        m += 1
-
-
 def twisted_convolve(f: PlanarField, g: PlanarField, lam: float) -> PlanarField:
     """Twisted convolution of two box-supported planar fields.
 
@@ -128,21 +113,18 @@ def twisted_convolve(f: PlanarField, g: PlanarField, lam: float) -> PlanarField:
 
         e^{2 i lam sigma(Y, w)} = e^{2 i lam eta_j y_k} e^{-2 i lam eta_l y_i}
 
-    for Y = (y_i, eta_j), w = (y_k, eta_l).  With
-    gB_k[i, l] = g[k, l] e^{-2 i lam eta_l y_i}, the output is
+    for Y = (y_i, eta_j), w = (y_k, eta_l).  With lo = (n - 1) / 2 the
+    output is
 
-        h^2 sum_k e^{2 i lam eta_j y_k} D_k[i, j],
-        D_k[i, j] = sum_l gB_k[i, l] f[i - k + lo, j - l + lo],
+        h^2 sum_{k, l} e^{2 i lam eta_j y_k} g[k, l] e^{-2 i lam eta_l y_i}
+            f[i - k + lo, j - l + lo].
 
-    lo = (n - 1) / 2, and each row of D_k is a 1-D linear convolution in l
-    of the row gB_k[i, .] with the row i - k + lo of f (zero outside the
-    box).  Those convolutions run as circular ones of length M, the
-    smallest 5-smooth integer >= lo + n, with the f row at circular offsets
-    -lo..lo: a shift j - l in [-(n - 1), n - 1] then never wraps onto the
-    row's support.  f's rows are transformed once; the rows gB_k of
-    `_K_BLOCK` shifts k go through one batched FFT, multiply, inverse FFT
-    and contraction with e^{2 i lam eta_j y_k}, so the temporaries stay
-    O(_K_BLOCK n M).  Cost O(n^3 log n).
+    Each f row p = i - k + lo gives one n x n Toeplitz matrix
+    T_p[l, j] = f[p, j - l + lo] (zero outside the box); the rows
+    g[k, .] e^{-2 i lam eta_. y_i} of every pair (i, k) that meets row p go
+    through one gemm against it, and the product rows, times
+    e^{2 i lam eta_j y_k}, are added into output row i.  Cost O(n^4) as n
+    gemms of at most n x n by n x n, with O(n^2) temporaries.
 
     Fields should carry negligible mass near the box edge (a warning is
     raised when the outer 10% frame holds > 1e-5 of either).  Non-finite
@@ -165,28 +147,19 @@ def twisted_convolve(f: PlanarField, g: PlanarField, lam: float) -> PlanarField:
             )
     n = grid.n
     a = grid.axis
-    A = np.exp(2j * lam * np.outer(a, a))  # A[j, k] = e^{2 i lam a_j a_k}
+    A = np.exp(2j * lam * np.outer(a, a))  # A[j, k] = e^{2 i lam a_j a_k}, symmetric
     B = np.conj(A)
     lo = (n - 1) // 2
-    M = _fft_length(lo + n)
-    # row p of f at circular offsets -lo..lo; its spectrum sits at
-    # Fhat[lo + p] between lo zero spectra on each side, so the f row that
-    # output row i meets at shift k (p = i - k + lo) is Fhat[i - k + n - 1]
-    rows = np.zeros((n, M), dtype=complex)
-    rows[:, : lo + 1] = f.values[:, lo:]
-    rows[:, M - lo :] = f.values[:, :lo]
-    Fhat = np.zeros((2 * n - 1, M), dtype=complex)
-    Fhat[lo : lo + n] = np.fft.fft(rows, axis=1)
-    acc = np.zeros((n, n), dtype=complex)
-    i = np.arange(n)
-    for k0 in range(0, n, _K_BLOCK):
-        ks = np.arange(k0, min(k0 + _K_BLOCK, n))
-        gB = g.values[ks, None, :] * B[None, :, :]  # gB[k, i, l]
-        prod = np.fft.fft(gB, n=M, axis=2)
-        prod *= Fhat[i[None, :] - ks[:, None] + n - 1]
-        D = np.fft.ifft(prod, axis=2)[:, :, :n]  # D[k, i, j]
-        acc += np.einsum("kij,kj->ij", D, A[:, ks].T)
-    return PlanarField(grid, grid.h**2 * acc)
+    padded = np.zeros((n, 2 * n - 1), dtype=complex)
+    padded[:, lo : lo + n] = f.values
+    windows = sliding_window_view(padded, n, axis=1)  # windows[p, m, j] = padded[p, m + j]
+    out = np.zeros((n, n), dtype=complex)
+    for p in range(n):
+        i0, i1 = max(0, p - lo), min(n, p + lo + 1)  # rows i with k = i - p + lo in the box
+        k0, k1 = i0 - p + lo, i1 - p + lo
+        T = np.ascontiguousarray(windows[p, ::-1])  # T[l, j] = f[p, j - l + lo]
+        out[i0:i1] += ((g.values[k0:k1] * B[i0:i1]) @ T) * A[k0:k1]
+    return PlanarField(grid, grid.h**2 * out)
 
 
 def kernel_field(grid: PlanarGrid, ell: int, lam: float) -> PlanarField:

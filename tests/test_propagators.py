@@ -404,3 +404,30 @@ def test_schrodinger_nondecay_probe():
     out = schrodinger_decay_probe()
     assert abs(out["fitted_exponent"]) < 0.05
     assert out["max_rel_drift"] < 1e-10
+
+
+def test_schrodinger_decay_probe_holds_one_slice_of_the_flow(traced_peak):
+    """A memory bound, not a timing: each sup comes from a single-time flow
+    (2 MiB on the default 256 x 512 grid), not from the 7-time flow and its
+    modulus (21 MiB)."""
+    _, peak = traced_peak(schrodinger_decay_probe)
+    assert peak <= 8 * 2**20
+
+
+def test_schrodinger_decay_probe_figures_are_the_whole_flow_figures():
+    """Each single-time flow is, bit for bit, its slice of the 7-time flow,
+    and the probe's figures are those of the expressions it had over the
+    whole flow, kept here."""
+    grid = Grid()
+    sf = verify._single_band(grid, 8, 1)
+    t_unit = grid.h_s / (4.0 * (2 * 1 + grid.d))
+    times = np.array([0.0] + [t_unit * 2**k for k in range(6)])
+    st = schrodinger_evolve(CauchyDataS(sf), times)
+    for k, t in enumerate(times):
+        one = schrodinger_evolve(CauchyDataS(sf), [t]).values[0]
+        assert one.tobytes() == st.values[k].tobytes()
+    sups = np.abs(st.values).max(axis=(1, 2))
+    ref = np.abs(inverse(sf).values).max()
+    out = schrodinger_decay_probe()
+    assert out["fitted_exponent"] == float(np.polyfit(np.log(times[1:]), np.log(sups[1:]), 1)[0])
+    assert out["max_rel_drift"] == float(np.abs(sups / ref - 1.0).max())

@@ -182,8 +182,8 @@ def test_convolve_matches_lattice_sum(n, lam):
 
 @pytest.mark.parametrize("n", [3, 5, 49])
 def test_convolve_matches_lattice_sum_with_corner_mass(n):
-    """Mass in the box corners meets the largest shifts |j - l| = n - 1: an
-    FFT length below lo + n would wrap them onto the f row."""
+    """Mass in the box corners meets the largest shifts |j - l| = n - 1,
+    the first and last diagonals of the Toeplitz matrix of an f row."""
     grid = PlanarGrid(n=n)
     rng = np.random.default_rng(n)
     f, g = _random_field(grid, rng, corners=True), _random_field(grid, rng, corners=True)
@@ -191,6 +191,15 @@ def test_convolve_matches_lattice_sum_with_corner_mass(n):
         out = twisted_convolve(f, g, 0.7).values
     ref = _lattice_reference(f, g, 0.7)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_convolve_temporaries_are_n_squared(traced_peak):
+    """A memory bound, not a timing: at n = 97 every temporary is at most
+    n x (2n - 1) complex (300 KB), so their sum stays under 4 MiB."""
+    rng = np.random.default_rng(5)
+    f, g = _random_field(GRID, rng), _random_field(GRID, rng)
+    _, peak = traced_peak(lambda: twisted_convolve(f, g, 1.0))
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("where", ["f", "g", "lam"])
