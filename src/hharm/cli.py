@@ -31,7 +31,7 @@ from .transform import (
     plancherel_constant,
     spectral_inner,
 )
-from .verify import SUITES, _single_band, run_suites
+from .verify import _single_band, run_suites
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -183,9 +183,6 @@ def cmd_propagate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_verify(args) -> int:
-    known = set(SUITES) | {"all"}
-    if args.suite not in known:
-        raise ConfigError(f"unknown suite {args.suite!r}; known: {', '.join(sorted(known))}")
     cfg = _load_config(args.config)
     overrides = {"suites": (args.suite,)}
     if args.seed is not None:

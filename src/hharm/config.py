@@ -45,7 +45,10 @@ class RunConfig:
             raise ConfigError(f"n_rho must be >= 8, got {self.n_rho!r}")
         if self.n_s < 8 or self.n_s & (self.n_s - 1):
             raise ConfigError("n_s must be a power of two and >= 8")
-        object.__setattr__(self, "suites", tuple(self.suites))
+        names = self.suites
+        if not (isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)):
+            raise ConfigError(f"suites must be a list or tuple of suite names, got {names!r}")
+        object.__setattr__(self, "suites", tuple(names))
 
     def grid(self) -> Grid:
         return Grid(**{k: getattr(self, k) for k in _GEOMETRY})

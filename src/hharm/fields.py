@@ -230,14 +230,12 @@ class Grid:
         k = np.arange(self.n_s) - self.n_s // 2
         self.lam = np.pi * k / self.s_half
         self.dlam = np.pi / self.s_half
-        self.izero = self.n_s // 2
+        self.izero = self.n_s // 2  # the lam = 0 column; in src only transform reads it
 
     @property
     def w_lam(self):
-        """Spectral measure weights dlam * |lam|^d with the lam=0 bin zeroed."""
-        w = self.dlam * np.abs(self.lam) ** self.d
-        w[self.izero] = 0.0
-        return w
+        """Spectral measure weights dlam * |lam|^d (0 at lam = 0, as d >= 1)."""
+        return self.dlam * np.abs(self.lam) ** self.d
 
     @property
     def w_t(self):
@@ -312,7 +310,7 @@ def s_analysis(grid: Grid, values):
     order and apply the same factor there.
     """
     fw = np.fft.fft(values, axis=-1)
-    c, n = _analysis_phase(grid), grid.izero  # fftshift on an even axis swaps its two halves
+    c, n = _analysis_phase(grid), grid.n_s // 2  # fftshift on an even axis swaps its two halves
     out = np.empty(fw.shape, dtype=complex)
     np.multiply(c[:n], fw[..., n:], out=out[..., :n])
     np.multiply(c[n:], fw[..., :n], out=out[..., n:])
@@ -338,7 +336,7 @@ def s_synthesis(grid: Grid, theta):
     kernel block at a time, and finishes it with the same tail.
     """
     phase = _synthesis_phase(grid)
-    n = grid.izero  # ifftshift on an even axis swaps its two halves
+    n = grid.n_s // 2  # ifftshift on an even axis swaps its two halves
     buf = np.empty(theta.shape, dtype=complex)
     np.multiply(theta[..., n:], phase[n:], out=buf[..., :n])
     np.multiply(theta[..., :n], phase[:n], out=buf[..., n:])
@@ -670,15 +668,15 @@ class GaussianClosure:
         return self.phat(lam[0])[None, :] * rad
 
 
-def random_packet(rng, d=1, n_terms=2, omega_range=(4.0, 6.5)):
-    """Seeded sum of modulated Gaussian closures, each centred at s0 = 0.
+def random_packet(rng, d=1, omega_range=(4.0, 6.5)):
+    """Seeded sum of two modulated Gaussian closures, each centred at s0 = 0.
 
     The default carrier range [4, 6.5] keeps essentially no spectral mass on
     the lam = 0 line; pass a low omega_range for data meant to overlap
     small frequencies (for example the sphere's rays lam <= 1/d).
     """
     parts = []
-    for _ in range(n_terms):
+    for _ in range(2):
         parts.append(
             GaussianClosure(
                 d=d,

@@ -3,10 +3,12 @@
 On each spectral ray (ell, lam) the generator acts by the scalar
 eigenvalue(ell, lam, d) = 4 |lam| (2 ell + d), so the free Schrodinger flow
 is the multiplier exp(i t eig) and the wave flow splits into half-waves
-exp(+- i t sqrt(eig)).  A datum carried by a single band ell at positive lam
-is transported: u(t)(Y, s) = u0(Y, s + 4 t (2 ell + d)); negative lam
-transports the other way.  Every flow takes its times through
-`Grid.with_times`, which refuses any that are not finite before the flow runs.
+exp(+- i t sqrt(eig)); their division of the velocity by sqrt(eig) refuses
+it next to lam = 0 (`transform._refuse_near_lam0`).  A datum carried by a
+single band ell at positive lam is transported: u(t)(Y, s) = u0(Y, s + 4 t
+(2 ell + d)); negative lam transports the other way.  Every flow takes its
+times through `Grid.with_times`, which refuses any that are not finite
+before the flow runs.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import RadialField, SpaceTimeField, _uniform_step, s_translate
-from .transform import SpectralField, _inverse_samples
+from .transform import SpectralField, _inverse_samples, _refuse_near_lam0
 
 __all__ = [
     "CauchyDataS",
@@ -67,27 +69,14 @@ def _halfwave_split(data: CauchyDataW, times):
     `times` (a grid's t_nodes), with omega = sqrt(eig) and
     gamma_+- = (theta0 -+ i theta1 / omega) / 2.
 
-    The split divides by omega, which is smallest next to the excluded
-    lam = 0 column, so velocity mass above 1e-12 (relative) in the bins
-    adjacent to lam = 0 is refused rather than regularized.  Returns
+    The division by omega refuses, rather than regularizes, a velocity with
+    values next to lam = 0 (`transform._refuse_near_lam0`).  Returns
     (u_+, u_-, omega) with u_+- of shape (n_t, L+1, n_s).
     """
-    grid = data.u0.grid
-    th1 = data.u1.values
-    near = np.abs(th1[:, grid.izero - 1:grid.izero + 2])
-    ells, ks = np.nonzero(near > 1e-12 * np.abs(th1).max())
-    if ells.size:
-        bins = ", ".join(f"ell={l} lambda={grid.lam[grid.izero - 1 + k]:+.6g}"
-                         for l, k in zip(ells[:8], ks[:8]))
-        more = f" and {ells.size - 8} more" if ells.size > 8 else ""
-        raise ValueError(
-            "half-wave split: velocity datum carries spectral mass next to the "
-            f"lambda = 0 line ({bins}{more}); dividing by sqrt(eigenvalue) is "
-            "ill-conditioned there, so it is refused (localize away from lambda = 0)"
-        )
+    _refuse_near_lam0(data.u1, "half-wave split of the velocity datum")
     omega = np.sqrt(data.u0.eig())
-    gp = 0.5 * (data.u0.values - 1j * th1 / omega)
-    gm = 0.5 * (data.u0.values + 1j * th1 / omega)
+    gp = 0.5 * (data.u0.values - 1j * data.u1.values / omega)
+    gm = 0.5 * (data.u0.values + 1j * data.u1.values / omega)
     t = times[:, None, None]
     # exp(-i x) is conj(exp(i x)) bit for bit: cos is even and sin odd
     e = np.exp(1j * t * omega)

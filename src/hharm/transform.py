@@ -29,7 +29,8 @@ The spectral measure mult_ell dlam |lam|^d has one home,
 `SpectralField.weights()` (0 on the lam = 0 column); every pairing, norm
 and energy reads it.  `SpectralField.eig()` is the one table of
 eigenvalue(ell, lam), with the massless lam = 0 column set to 1 so that
-negative powers and divisions stay finite there.
+negative powers and divisions stay finite there; one rule,
+`_refuse_near_lam0`, refuses a negative power on data next to it.
 
 Computation
 -----------
@@ -360,24 +361,14 @@ def sobolev_norm(sf: SpectralField, sigma: float) -> float:
 
     ||f||_sigma^2 = (2^{d-1}/pi^{d+1}) sum_ell mult int
                     (4 |lam| (2 ell + d))^sigma |theta|^2 |lam|^d dlam,
-    so sigma = 0 recovers the physical L^2 norm.  For sigma < 0 the call is
-    refused when more than 1e-12 of the spectral mass sits in the two
-    frequency bins adjacent to lam = 0 (the negative power is then dominated
-    by unresolved low frequencies).  A sigma that is not finite, or whose
-    power leaves the float range (`_eig_power`), is refused.
+    so sigma = 0 recovers the physical L^2 norm.  A sigma that is not
+    finite, or whose power leaves the float range, is refused, and so is a
+    sigma < 0 on a spectrum with values next to lam = 0 (`_eig_power`).
     """
     _check_finite("sigma", sigma)
-    power = _eig_power(sf, sigma, sigma)
-    grid = sf.grid
+    power = _eig_power(sf, sigma, f"sobolev_norm(sigma={sigma!r})")
     dens = sf.weights() * np.abs(sf.values) ** 2
-    total = dens.sum()
-    if sigma < 0:
-        edge = dens[:, grid.izero - 1].sum() + dens[:, grid.izero + 1].sum()
-        if total > 0 and edge > 1e-12 * total:
-            raise ValueError(
-                "negative-order norm refused: spectral mass within one bin of lam=0"
-            )
-    val = (dens * power).sum() / plancherel_constant(grid.d)
+    val = (dens * power).sum() / plancherel_constant(sf.grid.d)
     return float(np.sqrt(val))
 
 
@@ -388,21 +379,42 @@ _LOG_MAX = np.log(np.finfo(float).max) * (1.0 - 1e-12)
 _LOG_TINY = np.log(np.finfo(float).tiny) * (1.0 - 1e-12)
 
 
-def _eig_power(sf: SpectralField, power: float, sigma: float):
-    """sf.eig() ** power, the multiplier of the Sobolev order sigma.
+def _eig_power(sf: SpectralField, power: float, what: str):
+    """sf.eig() ** power, for the operation `what`, which a refusal names.
 
     Refused with ValueError when the power at the table's smallest or
     largest eigenvalue is not a normal float (inf, or below the normal
     range), decided from the logs of the two before any power is taken;
     the table's other entries lie between them (the lam = 0 column's 1
-    too)."""
+    too).  Then a negative power is refused by `_refuse_near_lam0`."""
     eig = sf.eig()
     lo, hi = eig.min(), eig.max()
     logs = power * np.log([lo, hi])
     if not (logs.min() >= _LOG_TINY and logs.max() <= _LOG_MAX):
-        raise ValueError(f"sigma={sigma!r}: the eigenvalues {lo:.6g} to {hi:.6g} to the "
+        raise ValueError(f"{what}: the eigenvalues {lo:.6g} to {hi:.6g} to the "
                          f"power {power!r} leave the normal float range")
+    if power < 0:
+        _refuse_near_lam0(sf, what)
     return eig ** power
+
+
+def _refuse_near_lam0(sf: SpectralField, what: str):
+    """The one refusal of negative powers of the eigenvalue (`_eig_power`,
+    the half-wave split): ValueError naming `what` and up to 8 (ell, lam)
+    bins when a value of sf in the two bins next to lam = 0, where eig is
+    smallest, is above 1e-12 of sf's largest in modulus.  For d <= 3 it
+    refuses all that a 1e-12 share of the weighted mass there did, at any
+    L_max <= ELL_MAX: a spectrum refused by that rule and passed by this one
+    needs binom(L_max + d, d) > 2^{d-1} 1e12, at d = 4 from L_max = 3720."""
+    n = sf.grid.izero
+    ells, ks = np.nonzero(np.abs(sf.values[:, n - 1:n + 2]) > 1e-12 * np.abs(sf.values).max())
+    if ells.size:
+        bins = ", ".join(f"ell={l} lambda={sf.grid.lam[n - 1 + k]:+.6g}"
+                         for l, k in zip(ells[:8], ks[:8]))
+        more = f" and {ells.size - 8} more" if ells.size > 8 else ""
+        raise ValueError(f"{what}: spectral mass next to the lambda = 0 line ({bins}{more}); "
+                         "a negative power of the eigenvalue is ill-conditioned there, so "
+                         "it is refused (localize away from lambda = 0)")
 
 
 @dataclass(frozen=True)
@@ -444,12 +456,13 @@ def sobolev_multiplier(sf: SpectralField, sigma: float) -> SpectralField:
     """Diagonal derivative multiplier: theta -> eig^{sigma/2} theta.
 
     Commutes exactly with localize (both are diagonal in (ell, lam));
-    sobolev_norm(sf, sigma) equals sobolev_norm(sobolev_multiplier(sf, sigma), 0).
-    A sigma that is not finite, or for which eig^(sigma/2) leaves the float
-    range (`_eig_power`), is refused.
+    sobolev_norm(sf, sigma) equals sobolev_norm(sobolev_multiplier(sf, sigma), 0),
+    or both refuse sigma: when it is not finite, when eig^(sigma/2) leaves the
+    float range, or when it is < 0 on values next to lam = 0 (`_eig_power`).
     """
     _check_finite("sigma", sigma)
-    return SpectralField(sf.grid, sf.values * _eig_power(sf, sigma / 2.0, sigma))
+    return SpectralField(sf.grid, sf.values * _eig_power(
+        sf, sigma / 2.0, f"sobolev_multiplier(sigma={sigma!r})"))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .fields import (
     GaussianClosure,
     Grid,
@@ -218,8 +218,7 @@ def suite_roundtrip(cfg: RunConfig):
     # closed form: the transform of e^{-a|Y|^2} phi(s) by both quadrature rules
     grid = replace(cfg.grid(), d=1)
     closure = GaussianClosure(d=1, a=1.0, b=0.5, omega=3.0, s0=0.0, amp=1.0)
-    exact = closure.coefficients(np.arange(16 + 1), grid.lam)
-    exact[:, grid.izero] = 0.0
+    exact = SpectralField(grid, closure.coefficients(np.arange(16 + 1), grid.lam)).values
     scale = np.abs(exact).max()
     sf_cl = forward(closure, L_max=16, grid=grid)
     err_cl = float(np.abs(sf_cl.values - exact).max() / scale)
@@ -382,7 +381,7 @@ def suite_bernstein(cfg: RunConfig):
     # exactly eig = 4, so the H^2/L^2 ratio is 4 and H^1/L^2 is 2
     sgrid = replace(cfg.grid(), d=1, n_s=512, s_half=16 * np.pi)
     th = np.zeros((1, sgrid.n_s), dtype=complex)
-    th[0, sgrid.izero + 16] = 1.0  # lam_k = k/16 = 1 exactly
+    th[0, sgrid.lam == 1.0] = 1.0  # lam_k = pi k / (16 pi) is 1 exactly at k = 16
     mode = SpectralField(sgrid, th)
     r2 = sobolev_norm(mode, 2.0) / sobolev_norm(mode, 0.0)
     r1 = sobolev_norm(mode, 1.0) / sobolev_norm(mode, 0.0)
@@ -1010,9 +1009,9 @@ def schrodinger_decay_probe() -> dict:
     The datum sits on band ell = 1 of the default grid.  The flow transports
     the profile, so the sup norm is exactly flat; the six times t_unit 2^k
     are chosen so the central shift 4 t (2 ell + d) is a whole number of
-    grid steps and the invariance is exact rather than sampled.  Each sup
-    is taken from that time's single-time flow, which is, bit for bit, its
-    slice of the whole flow, so one slice is alive at once.
+    grid steps and the invariance is exact rather than sampled.  The times
+    are evolved in pairs (four evolves), and each pair's flow is, bit for
+    bit, its slices of the whole flow, so two slices are alive at once.
     """
     grid = Grid()
     d, ell, L_max, n_steps = grid.d, 1, 8, 6
@@ -1021,8 +1020,8 @@ def schrodinger_decay_probe() -> dict:
     speed = 4.0 * (2 * ell + d)
     t_unit = grid.h_s / speed  # shift of exactly one s-cell
     times = np.array([0.0] + [t_unit * 2**k for k in range(n_steps)])
-    sups = np.array([np.abs(schrodinger_evolve(CauchyDataS(sf), [t]).values).max()
-                     for t in times])
+    sups = np.concatenate([np.abs(schrodinger_evolve(CauchyDataS(sf), times[k:k + 2]).values)
+                           .max(axis=(1, 2)) for k in range(0, times.size, 2)])
     slope = np.polyfit(np.log(times[1:]), np.log(sups[1:]), 1)[0]
     return {
         "fitted_exponent": float(slope),
@@ -1126,13 +1125,13 @@ SUITES = {
 
 
 def run_suites(cfg: RunConfig) -> VerificationReport:
-    """Run the config's suites and assemble the report."""
-    names = list(cfg.suites)
-    if "all" in names:
-        names = list(SUITES)
-    unknown = [n for n in names if n not in SUITES]
-    if unknown:
-        raise KeyError(f"unknown suite(s): {unknown}")
+    """Run the config's suites and assemble the report; a name that is
+    neither a suite nor "all" is refused (ConfigError) before any runs."""
+    known = set(SUITES) | {"all"}
+    for name in cfg.suites:
+        if name not in known:
+            raise ConfigError(f"unknown suite {name!r}; known: {', '.join(sorted(known))}")
+    names = list(SUITES) if "all" in cfg.suites else list(cfg.suites)
     results = []
     for name in names:
         results.extend(SUITES[name](cfg))

@@ -662,9 +662,9 @@ def test_gaussian_closure_spectrum_matches_fft():
 
 
 def test_random_packet_deterministic_and_sampled():
-    parts = random_packet(np.random.default_rng(5), n_terms=3)
-    again = random_packet(np.random.default_rng(5), n_terms=3)
-    assert len(parts) == 3
+    parts = random_packet(np.random.default_rng(5))
+    again = random_packet(np.random.default_rng(5))
+    assert len(parts) == 2
     for p, q in zip(parts, again):
         assert p == q
     f = sample_packets(parts, G)
@@ -680,7 +680,8 @@ def test_sampled_packets_have_the_bytes_of_values(d, grid_kw):
     buffer; the bytes equal those of values() on the 2-D grid, summed."""
     grid = Grid(d=d, **grid_kw)
     rho, s = grid.rho[:, None], grid.s[None, :]
-    parts = random_packet(np.random.default_rng(50 + d), d=d, n_terms=3)
+    rng = np.random.default_rng(50 + d)
+    parts = random_packet(rng, d=d) + random_packet(rng, d=d)[:1]  # three closures
     parts.append(GaussianClosure(d=d, a=0.9, b=0.5, omega=-1.5, s0=0.3, amp=0.7 + 0.2j))
     total = np.zeros((grid.n_rho, grid.n_s), dtype=complex)
     for p in parts:

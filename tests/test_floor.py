@@ -75,7 +75,8 @@ def test_closure_samples_hold_no_value_below_the_floor(d, grid_kw):
     """Every nonzero sample is at least the floor in modulus, and no real or
     imaginary part is subnormal, for one closure and for a sum of them."""
     grid = Grid(d=d, **grid_kw)
-    parts = random_packet(np.random.default_rng(60 + d), d=d, n_terms=3)
+    rng = np.random.default_rng(60 + d)
+    parts = random_packet(rng, d=d) + random_packet(rng, d=d)[:1]  # three closures
     assert _subnormal_parts(_raw_samples(parts, grid)) > 0  # what the floor removes
     for v in [p.sample(grid).values for p in parts] + [sample_packets(parts, grid).values]:
         a = np.abs(v)

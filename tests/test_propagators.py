@@ -22,7 +22,7 @@ from hharm.propagators import (
     wave_evolve,
 )
 from hharm.specfun import wigner_radial
-from hharm.transform import SpectralField, forward, inverse
+from hharm.transform import SpectralField, forward, inverse, sobolev_multiplier, sobolev_norm
 from hharm.verify import schrodinger_decay_probe, wave_decay_probe
 from hharm.windows import bump
 
@@ -94,6 +94,22 @@ def test_halfwave_split_refuses_null_ray_mass():
         with pytest.raises(ValueError, match="refused") as exc:
             flow(CauchyDataW(g0, g1), [0.1])
         assert f"ell=2 lambda={G.lam[G.izero + 1]:+.6g}" in str(exc.value)
+
+
+def test_every_negative_power_refuses_through_the_one_rule():
+    """The three wave flows, which divide the velocity by sqrt(eig), and the
+    Sobolev norm and multiplier of an order < 0 raise their lambda = 0
+    refusal from `transform._refuse_near_lam0`."""
+    th1 = banded_spectrum(seed=5).values
+    th1[0, G.izero - 1] = 1.0
+    data = CauchyDataW(banded_spectrum(seed=4), SpectralField(G, th1))
+    flows = (wave_evolve, wave_energy_series, propagators._wave_evolve_with_energy)
+    calls = [(flow, (data, [0.1])) for flow in flows]
+    calls += [(op, (data.u1, -0.5)) for op in (sobolev_norm, sobolev_multiplier)]
+    for fn, args in calls:
+        with pytest.raises(ValueError, match="lambda = 0") as exc:
+            fn(*args)
+        assert exc.traceback[-1].name == "_refuse_near_lam0"
 
 
 def test_wave_data_refuse_a_velocity_they_cannot_pair():
@@ -407,9 +423,9 @@ def test_schrodinger_nondecay_probe():
 
 
 def test_schrodinger_decay_probe_holds_one_slice_of_the_flow(traced_peak):
-    """A memory bound, not a timing: each sup comes from a single-time flow
-    (2 MiB on the default 256 x 512 grid), not from the 7-time flow and its
-    modulus (21 MiB)."""
+    """A memory bound, not a timing: the sups come from two-time flows
+    (4 MiB on the default 256 x 512 grid, and their modulus 2 MiB), not
+    from the 7-time flow and its modulus (21 MiB)."""
     _, peak = traced_peak(schrodinger_decay_probe)
     assert peak <= 8 * 2**20
 

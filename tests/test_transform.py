@@ -4,10 +4,16 @@ check of `hharm.verify`."""
 
 from __future__ import annotations
 
+import ast
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import hharm
 
 from hharm.fields import (
     GaussianClosure,
@@ -97,7 +103,7 @@ def test_plancherel_ratio_gaussian():
 def test_roundtrip_band_projected():
     g = Grid(d=1, n_rho=256, r_max=12.0, n_s=512, s_half=40.0)
     rng = np.random.default_rng(2)
-    f = sample_packets(random_packet(rng, n_terms=2), g)
+    f = sample_packets(random_packet(rng), g)
     proj = inverse(forward(f, L_max=48))
     back = inverse(forward(proj, L_max=48))
     err = l2_norm(RadialField(g, back.values - proj.values)) / l2_norm(proj)
@@ -239,6 +245,95 @@ def test_sobolev_orders_inside_the_float_range_give_finite_results(sigma):
     assert abs(sobolev_norm(m, 0.0) / n - 1.0) < 1e-12
 
 
+def test_sobolev_multiplier_refuses_a_negative_order_next_to_lam0():
+    """On the all-ones spectrum sobolev_norm(sf, -1) was refused while
+    sobolev_multiplier(sf, -1) returned a spectrum whose norm read 0.672.
+    Both refuse, naming the operation and 8 of the 10 bins."""
+    sf = SpectralField(Grid(n_rho=64, n_s=128), np.ones((5, 128)))
+    for op in (sobolev_norm, sobolev_multiplier):
+        with pytest.raises(ValueError, match="refused") as exc:
+            op(sf, -1.0)
+        msg = str(exc.value)
+        assert msg.startswith(f"{op.__name__}(sigma=-1.0): ")
+        assert "lambda = 0" in msg and msg.count("ell=") == 8 and "and 2 more" in msg
+
+
+@settings(max_examples=60)
+@given(
+    d=st.integers(1, 3),
+    half_n_s=st.integers(2, 32),
+    L_max=st.integers(0, 8),
+    sigma=st.floats(-3.0, 3.0),
+    edge=st.sampled_from([0.0, 1e-14, 1e-6, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sobolev_norm_of_the_multiplier_is_the_norm_or_both_refuse(
+        d, half_n_s, L_max, sigma, edge, seed):
+    """sobolev_norm(sf, sigma) and sobolev_norm(sobolev_multiplier(sf, sigma), 0)
+    either both refuse or agree to 1e-12, on spectra whose two bins next to
+    lam = 0 are scaled by `edge` (1e-14 stays under the rule's 1e-12)."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(d=d, n_rho=4, n_s=2 * half_n_s, s_half=20.0)
+    theta = rng.standard_normal((L_max + 1, grid.n_s)) + 1j * rng.standard_normal(
+        (L_max + 1, grid.n_s))
+    theta[:, half_n_s - 1:half_n_s + 2] *= edge
+    sf = SpectralField(grid, theta)
+
+    def run(norm):
+        try:
+            return norm()
+        except ValueError as exc:
+            assert "refused" in str(exc) and "lambda = 0" in str(exc)
+            return None
+
+    a = run(lambda: sobolev_norm(sf, sigma))
+    b = run(lambda: sobolev_norm(sobolev_multiplier(sf, sigma), 0.0))
+    assert (a is None) == (b is None) == (sigma < 0 and edge >= 1e-6)
+    if a is not None:
+        assert abs(b - a) <= 1e-12 * a
+
+
+_LAM0 = re.compile(r"(lam|lambda|λ)\s*=\s*0\b")
+
+
+def _source_trees():
+    for path in sorted(Path(hharm.__file__).parent.glob("*.py")):
+        yield path.stem, ast.parse(path.read_text())
+
+
+def _owners(tree, module, pick):
+    """The qualified name (module.Class.function) of the innermost function
+    or class around each node of tree that pick accepts; the module's own
+    name for a node at its top level."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if pick(child):
+                found.add(owner)
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            visit(child, f"{owner}.{child.name}" if inner else owner)
+
+    visit(tree, module)
+    return found
+
+
+def test_one_function_refuses_next_to_lam0_and_only_transform_reads_izero():
+    """A source guard: the lambda = 0 refusal is raised in one function, and
+    the lam = 0 column's index is read only where `Grid` sets it and in
+    `transform`, so a later lattice change touches those two modules alone."""
+    raisers, readers = set(), set()
+    for module, tree in _source_trees():
+        raisers |= _owners(tree, module, lambda n: isinstance(n, ast.Raise) and any(
+            isinstance(c, ast.Constant) and isinstance(c.value, str) and _LAM0.search(c.value)
+            for c in ast.walk(n)))
+        readers |= {o for o in _owners(tree, module, lambda n: isinstance(n, ast.Attribute)
+                                       and n.attr == "izero")
+                    if o.split(".")[0] != "transform"}
+    assert raisers == {"transform._refuse_near_lam0"}
+    assert readers == {"fields.Grid.__post_init__"}
+
+
 @pytest.mark.parametrize("scale", [1e200, 1.4e154, 1e-170, 1e-155, 1e-154])
 def test_localizer_spec_refuses_a_scale_whose_square_is_not_a_normal_float(scale):
     """1e200 made localize raise OverflowError, and 1e-170 warned "divide
@@ -273,7 +368,7 @@ def test_localizer_spec_refuses_a_bad_scale_or_kind(kind, scale):
 
 def test_bernstein_exponent_exact_covariance():
     rng = np.random.default_rng(6)
-    f = sample_packets(random_packet(rng, n_terms=2), G)
+    f = sample_packets(random_packet(rng), G)
     out = bernstein_check(f, LocalizerSpec("ball", 3.0), p=2.0, q=np.inf,
                           scales=(1.0, 2.0, 4.0), L_max=24)
     assert out["target_exponent"] == 2.0  # Q/2 at d=1

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import hharm
-from hharm.config import RunConfig
+from hharm.config import ConfigError, RunConfig
 from hharm.fields import (
     Grid,
     MixedNormSpec,
@@ -172,6 +172,20 @@ def test_run_suites_two_cheap_ones():
     names = [r.name for r in rep.results]
     assert any("hardy" in n for n in names)
     assert any("translate" in n for n in names)
+
+
+def test_suite_names_are_refused_by_the_config_and_run_suites():
+    """A string of suites was split into letters, and an unknown name ended
+    in a KeyError; both are a ConfigError (CLI exit 2) now."""
+    with pytest.raises(ConfigError, match="suites must be a list or tuple of suite names"):
+        RunConfig(suites="hardy")
+    with pytest.raises(ConfigError, match="suites must be a list or tuple"):
+        RunConfig(suites=("hardy", 3))
+    assert RunConfig(suites=["hardy"]).suites == ("hardy",)
+    known = ", ".join(sorted(set(SUITES) | {"all"}))
+    with pytest.raises(ConfigError) as exc:
+        run_suites(RunConfig(suites=("hardy", "everything")))
+    assert str(exc.value) == f"unknown suite 'everything'; known: {known}"
 
 
 def test_report_json_shape_and_determinism():
