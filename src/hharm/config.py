@@ -48,6 +48,8 @@ class RunConfig:
         names = self.suites
         if not (isinstance(names, (list, tuple)) and all(isinstance(n, str) for n in names)):
             raise ConfigError(f"suites must be a list or tuple of suite names, got {names!r}")
+        if not names or len(set(names)) != len(names):
+            raise ConfigError(f"suites must name at least one suite, each once, got {names!r}")
         object.__setattr__(self, "suites", tuple(names))
 
     def grid(self) -> Grid:

@@ -11,8 +11,10 @@ rest         payload: complex128 little-endian, interleaved (re, im),
 
 The header records the kind ("radial" | "spectral" | "spacetime"), the half
 dimension d, the grid parameters, the payload dtype tag "c128le", and the
-array shape.  Floats survive JSON exactly (repr round-trip), and the payload
-is raw bytes, so write -> read -> write is byte-identical.
+array shape; a spectrum also records its L_max and lam nodes, and the reader
+refuses one whose nodes are not the lam lattice of the declared grid.
+Floats survive JSON exactly (repr round-trip), and the payload is raw bytes,
+so write -> read -> write is byte-identical.
 """
 
 from __future__ import annotations
@@ -116,6 +118,23 @@ def _rebuild_grid(h: dict) -> Grid:
     return grid
 
 
+def _check_spectrum(h: dict, sf: SpectralField) -> None:
+    """The header's L_max and lam nodes must be those of the spectrum read, so
+    a file on another lam lattice is refused, not read onto the grid's."""
+    L_max = h.get("L_max")
+    if not (isinstance(L_max, int) and not isinstance(L_max, bool) and L_max == sf.L_max):
+        raise HHFLDError(f"bad header: L_max {L_max!r} != {sf.L_max}, the shape's last band")
+    try:
+        lam = np.asarray(h.get("lam_nodes"), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise HHFLDError(f"bad header: malformed lam nodes ({exc})") from exc
+    grid = sf.grid
+    if lam.shape != (grid.n_s,) or not np.isfinite(lam).all():
+        raise HHFLDError("bad header: stored lam nodes are missing, not finite or not n_s long")
+    if not np.allclose(lam, grid.lam, rtol=0, atol=1e-12 * grid.dlam):
+        raise HHFLDError("stored lam nodes disagree with the lam lattice of the declared grid")
+
+
 def read_hhfld(path):
     """Load an HHFLD file back into its field object.
 
@@ -171,8 +190,10 @@ def read_hhfld(path):
     try:
         if kind == "radial":
             return RadialField(grid, values)
-        if kind == "spectral":
-            return SpectralField(grid, values)
-        return SpaceTimeField(grid, values)  # _declared_shape refused other kinds
+        if kind == "spacetime":
+            return SpaceTimeField(grid, values)
+        sf = SpectralField(grid, values)  # _declared_shape refused other kinds
     except ValueError as exc:  # e.g. a shape the field kind does not accept
         raise HHFLDError(f"bad field: {exc}") from exc
+    _check_spectrum(header, sf)
+    return sf

@@ -955,23 +955,16 @@ def wave_decay_probe(times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
     quadrature on an s-window that follows the slowest/fastest rays
     s ~ -t sqrt(m / lam), so no grid truncation can fake decay.
 
-    The window is cut into blocks of `_S_BLOCK` = 128 s-rows, so memory
-    stays bounded however long it grows with t.  `np.arange` fills
-    s[k] = s[0] + k ds with ds = s[1] - s[0], exactly, so row lo + j has the
-    phase e^{i s[lo] lam} e^{i j ds lam}: one offset table e^{i j ds lam}
-    (128 x n_quad) serves every block, and a block is one matrix product of
+    The window s_k = s_lo + k ds, on the fixed step ds = 0.02, is cut into
+    blocks of `_S_BLOCK` = 128 s-rows, so memory stays bounded however long
+    it grows with t.  Row lo + j has the phase e^{i s_{lo} lam} e^{i j ds lam},
+    so one offset table e^{i j ds lam} (128 x n_quad), built once per call,
+    serves every block of every time, and a block is one matrix product of
     that table with the (n_quad, n_rho) factor that carries the block's start
     phase, the half-wave phase e^{2 i t sqrt(lam m)} and the quadrature
     weight.  The sup over s-blocks is an np.max, so a NaN block propagates.
-
-    The table is rebuilt only when the step ds or its row count changes.
-    `np.arange` takes its step as (s[0] + 0.02) - s[0], which is 0.02
-    rounded to the spacing of the floats near the window's start, so starts
-    in one binade share a step to the last bit: the seven default times give
-    three steps (t = 1 and 2; t = 4 to 32; t = 64), and the probe builds
-    three tables rather than seven, one at a time.
     """
-    d, ell, freq_scale = 1, 0, 16.0
+    d, ell, freq_scale, ds = 1, 0, 16.0, 0.02
     m = 2 * ell + d
     lam_hi = 14.0 * freq_scale  # weight below e^{-14} past here
     lam, wl = _gauss_rule(0.0, lam_hi, n_quad)
@@ -979,23 +972,18 @@ def wave_decay_probe(times=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
     rhos = np.array([0.0, 0.5, 1.0, 2.0])
     K = wigner_radial(ell, lam[:, None], rhos, d)  # (nq, n_rho)
     weight = np.exp(-lam / freq_scale) * wl * lam**d  # g(lam) times the measure
+    # (block, nq), exponentiated in place: 6.5 MB complex at the default sizes
+    table = 1j * np.outer(ds * np.arange(_S_BLOCK), lam)
+    np.exp(table, out=table)
     sups = []
-    table, step = None, None
     for t in times:
-        s = np.arange(-0.8 * np.sqrt(m) * t - 30.0, 30.0, 0.02)
-        ds = s[1] - s[0]
-        rows = min(_S_BLOCK, s.size)
-        if (ds, rows) != step:
-            # (block, nq), exponentiated in place: one 6.5 MB complex table at
-            # the default sizes, the old one released before it is built
-            table, step = None, (ds, rows)
-            table = 1j * np.outer(ds * np.arange(rows), lam)
-            np.exp(table, out=table)
+        s_lo = -0.8 * np.sqrt(m) * t - 30.0
+        n = int(np.ceil((30.0 - s_lo) / ds))  # the length of np.arange(s_lo, 30, ds)
         halfwave = 2.0 * t * np.sqrt(lam * m)
         block_sups = []
-        for lo in range(0, s.size, _S_BLOCK):
-            v = np.exp(1j * (s[lo] * lam + halfwave)) * weight
-            field = const * (table[:s.size - lo] @ (v[:, None] * K))  # (block, n_rho)
+        for lo in range(0, n, _S_BLOCK):
+            v = np.exp(1j * ((s_lo + lo * ds) * lam + halfwave)) * weight
+            field = const * (table[:n - lo] @ (v[:, None] * K))  # (block, n_rho)
             block_sups.append(np.abs(field).max())
         sups.append(np.max(block_sups))
     sups = np.asarray(sups)
@@ -1055,7 +1043,9 @@ def translate_identity_check() -> dict:
 
     v = (Y0, s0) = ((0.3, -0.2), 0.5).  Checked at ell = 0..3 and
     lam in {0.7, 1.3} by direct 3-D Gauss quadrature (80 x 80 x 128 nodes)
-    against the closed-form coefficients of a modulated Gaussian.
+    against the closed-form coefficients of a modulated Gaussian.  The s
+    integral is taken once per lam, and each band sums its kernel against
+    that 80 x 80 array.
     """
     ells, lams, Y0, s0, n_y, n_s = (0, 1, 2, 3), (0.7, 1.3), (0.3, -0.2), 0.5, 80, 128
     closure = GaussianClosure(d=1, a=1.0, b=0.5, omega=2.0, s0=0.0, amp=1.0)
@@ -1083,15 +1073,11 @@ def translate_identity_check() -> dict:
     rho = np.sqrt(yv**2 + ev**2)
     rho0 = float(np.hypot(y0, eta0))
     errs = []
-    buf = np.empty_like(WF)
     for lam in lams:
-        phase_s = np.exp(-1j * lam * s)[None, None, :]
+        # einsum, not @, so the order of the sums does not depend on BLAS threads
+        G = np.einsum("ijk,k->ij", WF, np.exp(-1j * lam * s))
         for ell in ells:
-            K = wigner_radial(ell, lam, rho, 1)
-            # (W3 F) phase K, in one buffer, in the order of the plain product
-            np.multiply(WF, phase_s, out=buf)
-            buf *= K[:, :, None]
-            lhs = np.sum(buf)
+            lhs = np.sum(wigner_radial(ell, lam, rho, 1) * G)
             theta = complex(closure.coefficients(np.array([ell]), np.array([lam]))[0, 0])
             rhs = theta * np.exp(-1j * s0 * lam) * wigner_radial(ell, lam, rho0, 1)
             errs.append(abs(lhs - rhs) / abs(rhs))

@@ -283,13 +283,15 @@ def test_transform_tolerance_breach(tmp_path, band_file, capsys):
     ({"d": 1, "r_max": 1e300}, "radial weights overflow"),
     ({"r_max": True}, "r_max must be finite and positive"),
     ({"r_max": 5e-324}, "radial weights underflow"),
+    ({"suites": []}, "suites must name at least one suite"),
 ])
 def test_config_refusals_are_usage_errors(tmp_path, cfg, frag, capsys):
-    """A `tolerances` key, geometries whose radial weights overflow and a
-    JSON true for r_max exit 2.  At d = 200 the run died on an
-    OverflowError; at d = 171 and r_max = 1e300 it exited 0 with a nan
-    band-tail fraction, r_max = true ran on r_max = 1, and r_max = 5e-324
-    ran on a grid whose radial nodes and weights are all 0."""
+    """A `tolerances` key, geometries whose radial weights overflow, a
+    JSON true for r_max and an empty suite list exit 2.  At d = 200 the run
+    died on an OverflowError; at d = 171 and r_max = 1e300 it exited 0 with
+    a nan band-tail fraction, r_max = true ran on r_max = 1, r_max = 5e-324
+    ran on a grid whose radial nodes and weights are all 0, and the empty
+    suite list ran, because the CLI replaces the config's suites."""
     p = tmp_path / "cfg.json"
     p.write_text(json.dumps(dict(cfg, n_rho=8, n_s=8, L_max=2)))
     code = main(["verify", "hardy", "--config", str(p), "--out", str(tmp_path / "r.json")])

@@ -49,6 +49,35 @@ def test_spectral_roundtrip(tmp_path):
     assert np.array_equal(back.values, sf.values)
     # the lam = 0 column is zeroed on construction and stays zeroed on load
     assert np.all(back.values[:, G.izero] == 0.0)
+    # its checked header writes back byte for byte
+    write_hhfld(tmp_path / "again.hhfld", back)
+    assert (tmp_path / "again.hhfld").read_bytes() == p.read_bytes()
+
+
+@pytest.mark.parametrize("edit, frag", [
+    ("midpoint", "disagree with the lam lattice"),
+    ("no-lam-nodes", "lam nodes are missing"),
+    ("L_max", "L_max 5 != 4"),
+])
+def test_rejects_a_spectrum_off_its_lattice_or_its_shape(tmp_path, edit, frag):
+    """A spectrum whose lam nodes sit on the midpoint lattice (the integer
+    lattice shifted by dlam / 2), one without lam nodes, and one whose L_max
+    is not its shape's last band each read back as a SpectralField on the
+    integer lattice; each is refused now."""
+    p = tmp_path / "sf.hhfld"
+    write_hhfld(p, SpectralField(G, np.ones((5, G.n_s))))
+
+    def corrupt(h):
+        if edit == "midpoint":
+            h["lam_nodes"] = [lam + G.dlam / 2 for lam in h["lam_nodes"]]
+        elif edit == "no-lam-nodes":
+            del h["lam_nodes"]
+        else:
+            h["L_max"] = 5
+
+    _rewrite_header(p, corrupt)
+    with pytest.raises(HHFLDError, match=frag):
+        read_hhfld(p)
 
 
 def test_spacetime_roundtrip(tmp_path):

@@ -383,9 +383,9 @@ def test_wave_decay_probe_propagates_a_nan_kernel(monkeypatch):
 
 def test_wave_decay_probe_matches_the_direct_phase_sum():
     """The offset-table products reproduce the sup norms of the per-block
-    np.exp phase sum; every window here is longer than one block and ends in
-    a partial block.  t = 1 and 2 share a step, so t = 2 reuses the table
-    built for t = 1, and t = 8 and 64 each build their own."""
+    np.exp phase sum on the np.arange window; every window here is longer
+    than one block and ends in a partial block.  The probe builds its one
+    table before the time loop, and all four times read it."""
     times, n_quad, d, rows = (1.0, 2.0, 8.0, 64.0), 400, 1, verify._S_BLOCK
     out = wave_decay_probe(times=times, n_quad=n_quad)
     m, freq_scale = d, 16.0
@@ -410,10 +410,14 @@ def test_wave_decay_probe_matches_the_direct_phase_sum():
 @pytest.mark.parametrize(
     "t", inspect.signature(wave_decay_probe).parameters["times"].default)
 def test_decay_probe_window_is_start_plus_k_steps(t):
-    """The identity the offset table rests on: np.arange fills the window as
-    s[0] + k (s[1] - s[0]), bit for bit."""
-    s = np.arange(-0.8 * t - 30.0, 30.0, 0.02)
-    assert np.array_equal(s, s[0] + np.arange(s.size) * (s[1] - s[0]))
+    """The probe's window s_lo + k ds, on its fixed step ds = 0.02, has the
+    length of np.arange(s_lo, 30, ds) and its points to rounding (np.arange
+    steps by ds rounded near s_lo, which drifts by up to 2.2e-11 here)."""
+    s_lo, ds = -0.8 * t - 30.0, 0.02
+    want = np.arange(s_lo, 30.0, ds)
+    s = s_lo + ds * np.arange(int(np.ceil((30.0 - s_lo) / ds)))
+    assert s.size == want.size
+    np.testing.assert_allclose(s, want, rtol=0, atol=1e-10)
 
 
 def test_schrodinger_nondecay_probe():

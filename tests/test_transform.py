@@ -709,6 +709,7 @@ import numpy as np
 from hharm.fields import Grid, RadialField, SpaceTimeField
 from hharm.restriction import SigmaMeasure, SphereMeasure, restrict_sigma, restrict_sphere
 from hharm.transform import _forward_samples, _inverse_samples
+from hharm.verify import translate_identity_check, wave_decay_probe
 digest = hashlib.sha256()
 rng = np.random.default_rng(7)
 # at r_max = 12 the outer radii underflow and the gemms stop short of them
@@ -723,14 +724,17 @@ for r_max in (8.0, 12.0):
     gv = restrict_sigma(u, SigmaMeasure(), L_max=12, n_alpha=12)
     for a in (sv.theta_plus, sv.theta_minus, gv.theta_plus, gv.theta_minus):
         digest.update(a.tobytes())
+digest.update(np.float64(translate_identity_check()["max_rel_err"]).tobytes())
+digest.update(wave_decay_probe()["sup_norms"].tobytes())
 sys.stdout.write(digest.hexdigest())
 """
 
 
 def test_band_contraction_bytes_do_not_depend_on_thread_count():
-    """forward/inverse and the sphere and paraboloid restrictions reach BLAS
-    gemm; their results must not depend on how many threads HH_THREADS gives
-    the BLAS pool."""
+    """forward/inverse, the sphere and paraboloid restrictions and the wave
+    decay probe reach BLAS gemm, and the translate-identity check sums a 3-D
+    quadrature; their results must not depend on how many threads HH_THREADS
+    gives the BLAS pool."""
     import os
     import subprocess
     import sys

@@ -188,6 +188,14 @@ def test_suite_names_are_refused_by_the_config_and_run_suites():
     assert str(exc.value) == f"unknown suite 'everything'; known: {known}"
 
 
+@pytest.mark.parametrize("names", [(), [], ("hardy", "hardy"), ["all", "hardy", "all"]])
+def test_an_empty_or_repeated_suite_list_is_refused(names):
+    """An empty list gave a report that passed with no checks, and a repeated
+    name gave two rows of one name; both are a ConfigError (CLI exit 2)."""
+    with pytest.raises(ConfigError, match="at least one suite, each once"):
+        RunConfig(suites=names)
+
+
 def test_report_json_shape_and_determinism():
     cfg = RunConfig(suites=("hardy",))
     a = run_suites(cfg).to_json()
@@ -291,11 +299,13 @@ def test_transport_figures_are_the_whole_flow_figures():
 
 def test_translate_identity_holds_no_mesh_sized_float_array(traced_peak):
     """A memory bound, not a timing: the 80 x 80 x 128 mesh is filled one
-    y-slice at a time, and W3 F phase K is formed in one buffer, so the
-    weighted field and that buffer are the mesh-sized arrays."""
+    y-slice at a time, and s is contracted once per lam into an 80 x 80
+    array, so the weighted field (12.5 MiB) is the one mesh-sized array.
+    Once scipy has loaded its Legendre code, the traced peak is 13.3 MiB; a
+    mesh-sized product per (lam, ell) made it 25.6 MiB."""
     out, peak = traced_peak(translate_identity_check)
     assert out["max_rel_err"] <= 1e-5
-    assert peak <= _SUITE_PEAK_BOUND
+    assert peak <= 16 * 2**20
 
 
 def test_translate_identity_direct():
