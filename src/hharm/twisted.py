@@ -15,10 +15,19 @@ zero outside the box, which makes the lattice of differences Y - w a subset
 of the (padded) sample lattice and the discrete convolution exact for
 box-supported data.  `twisted_convolve` evaluates that lattice sum in
 O(n^4) as one Toeplitz gemm per row of f, with O(n^2) temporaries.
+
+Gaussian tails of f and g can each sit above the normal-range floor
+`specfun._FLOOR` = 2^-969 and still meet in a product below it, which an
+x86 gemm forms about 8x slower.  So `twisted_convolve` cuts every real and
+imaginary part of f and of g too small to reach the floor against the other
+field's largest part, skips the gemm of every f row that is then all 0, and
+returns exact 0 when even the two largest parts multiply to less than the
+floor.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -26,7 +35,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .fields import _check_int
-from .specfun import _kernel_diag
+from .specfun import _FLOOR, _kernel_diag
 
 __all__ = [
     "PlanarGrid",
@@ -126,6 +135,19 @@ def twisted_convolve(f: PlanarField, g: PlanarField, lam: float) -> PlanarField:
     e^{2 i lam eta_j y_k}, are added into output row i.  Cost O(n^4) as n
     gemms of at most n x n by n x n, with O(n^2) temporaries.
 
+    No gemm forms a subnormal product, by the floor `specfun._FLOOR` = 2^-969.
+    With M_f and M_g the largest real or imaginary part of f and of g, and
+    r = sqrt(2^-969 / (M_f M_g)), every part of f below r M_f and every part
+    of g below r M_g is set to 0 (after the refusal and the edge warning,
+    which read the fields as given), so a product of a part of f with a part
+    of g is 0 or at least 2^-969.  The gemm's left rows are g's turned by
+    unit phases, which scale a part by |cos| or |sin| of the angle and keep
+    such a product normal while those exceed 2^-53.  For unit-scale fields
+    r is about 2^-484, and what is dropped is about 1e-146 of the output's
+    scale.  An f row that is then all 0 costs no gemm.  When M_f M_g is
+    itself below the floor (r > 1), every part is cut and the result is
+    exact 0.
+
     Fields should carry negligible mass near the box edge (a warning is
     raised when the outer 10% frame holds > 1e-5 of either).  Non-finite
     samples or a non-finite lam are refused with ValueError.
@@ -152,13 +174,23 @@ def twisted_convolve(f: PlanarField, g: PlanarField, lam: float) -> PlanarField:
     lo = (n - 1) // 2
     padded = np.zeros((n, 2 * n - 1), dtype=complex)
     padded[:, lo : lo + n] = f.values
-    windows = sliding_window_view(padded, n, axis=1)  # windows[p, m, j] = padded[p, m + j]
+    gv = g.values.copy()
     out = np.zeros((n, n), dtype=complex)
-    for p in range(n):
+    fp, gp = padded.view(float), gv.view(float)
+    mf, mg = np.abs(fp).max(), np.abs(gp).max()
+    if mf == 0.0 or mg == 0.0:
+        return PlanarField(grid, out)
+    # the cuts r M_f = sqrt(2^-969 M_f / M_g) and r M_g, taken through log2
+    # so that no product M_f M_g is formed to overflow or underflow
+    lf, lg, l0 = math.log2(mf), math.log2(mg), math.log2(_FLOOR)
+    np.copyto(fp, 0.0, where=np.abs(fp) < 2.0 ** ((l0 + lf - lg) / 2.0))
+    np.copyto(gp, 0.0, where=np.abs(gp) < 2.0 ** ((l0 + lg - lf) / 2.0))
+    windows = sliding_window_view(padded, n, axis=1)  # windows[p, m, j] = padded[p, m + j]
+    for p in np.flatnonzero(padded.any(axis=1)):
         i0, i1 = max(0, p - lo), min(n, p + lo + 1)  # rows i with k = i - p + lo in the box
         k0, k1 = i0 - p + lo, i1 - p + lo
         T = np.ascontiguousarray(windows[p, ::-1])  # T[l, j] = f[p, j - l + lo]
-        out[i0:i1] += ((g.values[k0:k1] * B[i0:i1]) @ T) * A[k0:k1]
+        out[i0:i1] += np.matmul(gv[k0:k1] * B[i0:i1], T) * A[k0:k1]
     return PlanarField(grid, grid.h**2 * out)
 
 

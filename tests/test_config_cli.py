@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -711,6 +713,21 @@ def test_verify_stdout_and_determinism(tmp_path, capsys):
     rep = json.loads(first)
     assert rep["config"]["seed"] == 42
     assert rep["passed"] is True
+
+
+def test_python_dash_m_hharm_exits_with_the_cli_code():
+    """`python -m hharm` runs `cli.main` in a fresh interpreter, which a
+    checkout without the installed `hharm` script relies on, and exits with
+    its code."""
+    run = [sys.executable, "-m", "hharm", "verify"]
+    proc = subprocess.run(run + ["hardy", "--seed", "42"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr[-2000:]
+    rep = json.loads(proc.stdout)
+    assert rep["schema"] == "hharm-report/1" and rep["passed"] is True
+    proc = subprocess.run(run + ["everything"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_USAGE
+    assert proc.stdout == "" and "unknown suite 'everything'" in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 """The normal-range floor of the Gaussian tails, `specfun._FLOOR` = 2^-969.
 
 The kernels and the closure samples hold no value below it but exact 0, so
-no gemm, FFT or recurrence downstream runs on a subnormal float; the cut
-changes no bit of a restriction or a transform, and NaN still propagates.
-A band the cut would drop more than about 2e-14 of is refused.
+no FFT or recurrence downstream, and no gemm of a transform or restriction,
+runs on a subnormal float; the cut changes no bit of a restriction or a
+transform, and NaN still propagates.  A band the cut would drop more than
+about 2e-14 of is refused.  Inputs above the floor do not keep a gemm's
+products above it: in `twisted_convolve` two tails meet, and that gemm
+cuts its own operands (tested in `test_twisted.py`).
 """
 
 from __future__ import annotations

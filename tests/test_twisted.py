@@ -202,6 +202,76 @@ def test_convolve_temporaries_are_n_squared(traced_peak):
     assert peak <= 4 * 2**20
 
 
+def _est2_field(lam, seed=42):
+    """The field `est2_scan` convolves with K_0 at lam, on the default grid."""
+    rng = np.random.default_rng(seed)
+    kappas = rng.uniform(6.0, 10.0, 3)
+    coefs = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    y, eta = GRID.mesh()
+    rsq = y**2 + eta**2
+    return PlanarField(GRID, sum(c * np.exp(-k * lam * rsq) for c, k in zip(coefs, kappas)))
+
+
+def _min_nonzero(a):
+    """The smallest nonzero entry of the array a >= 0; inf when a is all 0."""
+    return a[a > 0].min(initial=np.inf)
+
+
+def test_convolve_forms_no_product_below_the_floor(monkeypatch):
+    """est2's lam = 4 field meets K_0's tail: f holds 240 subnormal parts,
+    and parts of f and g above the floor still multiply to less.  Every gemm
+    multiplies the parts of f it keeps by g's kept entries, turned by unit
+    phases: a kept part of f times the modulus of such an entry reaches the
+    floor 2^-969, and a part times a part stays normal.  The f rows cut to
+    0 cost no gemm."""
+    f, g = _est2_field(4.0), kernel_field(GRID, 0, 4.0)
+    real, products = np.matmul, []
+
+    def spy(left, right):
+        right_part = _min_nonzero(np.abs(right.view(float)))
+        products.append((right_part * _min_nonzero(np.abs(left)),
+                         right_part * _min_nonzero(np.abs(left.view(float)))))
+        return real(left, right)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    twisted_convolve(f, g, 4.0)
+    monkeypatch.undo()
+    for by_modulus, by_part in products:
+        assert by_modulus >= 2.0**-969
+        assert by_part >= np.finfo(float).tiny
+    assert 0 < len(products) < GRID.n // 2
+
+
+@pytest.mark.parametrize("pair, lam", [
+    ("est2", 1.0), ("est2", 2.0), ("est2", 4.0),
+    ("K0K0", 2.0), ("K2K2", 2.0), ("K0K0", 4.0), ("K2K2", 4.0),
+])
+def test_floored_convolve_matches_lattice_sum(pair, lam):
+    """What the floor drops is far below rounding: the result agrees with the
+    plain lattice sum of the fields as given to 1e-14 of its largest entry."""
+    if pair == "est2":
+        f, g = _est2_field(lam), kernel_field(GRID, 0, lam)
+    else:
+        f = g = kernel_field(GRID, int(pair[1]), lam)
+    out = twisted_convolve(f, g, lam).values
+    ref = _lattice_reference(f, g, lam)
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_convolve_floor_is_scale_free():
+    """The cuts follow the scale of each field: 2^300 f against 2^-300 g
+    gives the bits of f against g, and a pair whose largest parts multiply
+    to less than the floor (2^-600 each) convolves to exact 0."""
+    f, g = _est2_field(4.0), kernel_field(GRID, 0, 4.0)
+    want = twisted_convolve(f, g, 4.0).values
+    scaled = twisted_convolve(PlanarField(GRID, 2.0**300 * f.values),
+                              PlanarField(GRID, 2.0**-300 * g.values), 4.0).values
+    assert np.array_equal(scaled, want)
+    tiny = twisted_convolve(PlanarField(GRID, 2.0**-600 * f.values),
+                            PlanarField(GRID, 2.0**-600 * g.values), 4.0).values
+    assert not tiny.any()
+
+
 @pytest.mark.parametrize("where", ["f", "g", "lam"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_convolve_refuses_non_finite_input(where, bad):
@@ -271,7 +341,9 @@ def test_est2_scan_measures_one_convolution_in_every_exponent():
 def test_suite_est2_convolves_each_pair_once(monkeypatch):
     """`suite_est2` makes 79 twisted convolutions: the two slope rows share
     their 5, then 2 kernel identities, 64 norm-proxy inputs, 4 Young pairs
-    and 4 algebra-slope points."""
+    and 4 algebra-slope points.  Each slope field is convolved once for both
+    exponents; K_0 *_1 K_0 is formed twice, by `twisted-reproducing` and by
+    the algebra slope's lam = 1 point."""
     from hharm import twisted
 
     calls = []
