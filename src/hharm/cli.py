@@ -20,7 +20,10 @@ from .fields import ELL_MAX, RadialField, _check_int, l2_norm
 from .propagators import (
     CauchyDataS,
     CauchyDataW,
+    _check_velocity,
+    _schrodinger_of_samples,
     _wave_evolve_with_energy,
+    _wave_of_samples,
     schrodinger_evolve,
     transport_reference,
 )
@@ -115,10 +118,14 @@ def cmd_propagate(args) -> int:
     t_final = cfg.t_final
     times = np.linspace(0.0, t_final, cfg.n_t)
     cons_tol = 1e-10
+    if args.eq == "schrodinger" and args.u1 is not None:
+        raise ConfigError("--u1 applies to --eq wave")
 
     if args.transport_ell is not None:
         if args.eq != "schrodinger":
             raise ConfigError("--transport-ell applies to --eq schrodinger")
+        if args.infile is not None:
+            raise ConfigError("--transport-ell builds its own datum; it takes no --in")
         ell, d = args.transport_ell, cfg.d
         try:  # the band rule of L_max, before any array
             _check_int("--transport-ell", ell, 0, ELL_MAX)
@@ -144,27 +151,38 @@ def cmd_propagate(args) -> int:
 
     if not args.infile:
         raise ConfigError("--in is required unless --transport-ell is given")
-    sf0 = _spectrum(args.infile, cfg.L_max,
-                    "propagate expects a radial or spectral container as --in")
+    # a radial datum is analysed, evolved and synthesised in one pass over
+    # the kernel blocks; a spectral one is evolved as read
+    u0 = read_hhfld(args.infile)
+    if not isinstance(u0, (RadialField, SpectralField)):
+        raise HHFLDError("propagate expects a radial or spectral container as --in")
+    radial = isinstance(u0, RadialField)
+    L_max = cfg.L_max if radial else u0.L_max
 
     if args.eq == "schrodinger":
-        st = schrodinger_evolve(CauchyDataS(sf0), times)
+        if radial:
+            st = _schrodinger_of_samples(u0, L_max, times)
+        else:
+            st = schrodinger_evolve(CauchyDataS(u0), times)
         norms = l2_norm(st)
         drift = float(np.abs(norms / norms[0] - 1.0).max()) if norms[0] else 0.0
         print(f"free evolution over {times.size} times, t in [0, {t_final:g}]")
         print(f"L2 conservation drift: {drift:.3e}")
     else:
-        if args.u1 == "zero":
-            u1 = SpectralField(sf0.grid, np.zeros_like(sf0.values))
+        if args.u1 in (None, "zero"):
+            u1 = SpectralField(u0.grid, np.zeros((L_max + 1, u0.grid.n_s), dtype=complex))
             print("half-wave split: gamma_pm = u0_hat / 2 (velocity datum is zero)")
         else:
             u1 = _spectrum(args.u1, cfg.L_max,
                            "--u1 expects 'zero' or a radial/spectral container")
         try:
-            data = CauchyDataW(sf0, u1)
+            _check_velocity(u1, u0.grid, L_max)
         except ValueError as exc:  # --u1 cannot be paired with --in
             raise HHFLDError(f"--u1 does not match --in: {exc}") from None
-        st, energy = _wave_evolve_with_energy(data, times)
+        if radial:
+            st, energy = _wave_of_samples(u0, u1, times)
+        else:
+            st, energy = _wave_evolve_with_energy(CauchyDataW(u0, u1), times)
         drift = float(np.abs(energy / energy[0] - 1.0).max()) if energy[0] else 0.0
         print(f"wave evolution over {times.size} times, t in [0, {t_final:g}]")
         print(f"energy conservation drift: {drift:.3e}")
@@ -227,11 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
     pr = sub.add_parser("propagate", help="evolve Cauchy data and check conservation")
     pr.add_argument("--eq", choices=("schrodinger", "wave"), required=True)
     pr.add_argument("--in", dest="infile", metavar="PATH")
-    pr.add_argument("--u1", default="zero", metavar="PATH|zero",
-                    help="wave velocity datum (default: zero)")
+    pr.add_argument("--u1", metavar="PATH|zero",
+                    help="wave velocity datum (default: zero); --eq wave only")
     pr.add_argument("--t", type=float, default=None, help="final time")
     pr.add_argument("--transport-ell", type=int, default=None,
-                    help="run the single-band transport demonstration at this band")
+                    help="run the single-band transport demonstration at this band "
+                         "(no --in)")
     pr.add_argument("--out", metavar="PATH")
     pr.add_argument("--config", metavar="PATH")
     pr.set_defaults(func=cmd_propagate)

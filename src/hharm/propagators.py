@@ -9,6 +9,15 @@ single band ell at positive lam is transported: u(t)(Y, s) = u0(Y, s + 4 t
 (2 ell + d)); negative lam transports the other way.  Every flow takes its
 times through `Grid.with_times`, which refuses any that are not finite
 before the flow runs.
+
+A flow of a spectrum synthesises all its times in one inverse transform.
+The flows of a radial field (`propagate` of a radial file, the `sigma`
+suite's samples) run as one pass over the kernel blocks instead
+(`transform._multiplier_pass`): per block, analysis, the multiplier and
+synthesis, so each kernel table is built once; the pass returns the
+forward's spectrum, which these flows drop, and the samples, with the bytes
+of forward followed by the spectral flow.  The multipliers
+(`_phases`, `_halfwaves`, and `_energy_density` for the wave energy) act on any columns of a spectrum, so both paths call the same code.
 """
 
 from __future__ import annotations
@@ -18,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import RadialField, SpaceTimeField, _uniform_step, s_translate
-from .transform import SpectralField, _inverse_samples, _refuse_near_lam0
+from .transform import (SpectralField, _eig_table, _even_in_lam, _inverse_samples,
+                        _multiplier_pass, _refuse_near_lam0)
 
 __all__ = [
     "CauchyDataS",
@@ -47,27 +57,65 @@ class CauchyDataW:
     u1: SpectralField
 
     def __post_init__(self):
-        if not self.u1.grid.compatible(self.u0.grid):
-            raise ValueError("velocity u1 lives on a different grid than position u0")
-        if self.u1.L_max != self.u0.L_max:
-            raise ValueError(f"velocity u1 has L_max={self.u1.L_max}, "
-                             f"position u0 has L_max={self.u0.L_max}")
+        _check_velocity(self.u1, self.u0.grid, self.u0.L_max)
+
+
+def _check_velocity(u1: SpectralField, grid, L_max: int):
+    """Refuse (ValueError) a velocity u1 that cannot be paired with a
+    position on grid with L_max + 1 bands."""
+    if not u1.grid.compatible(grid):
+        raise ValueError("velocity u1 lives on a different grid than position u0")
+    if u1.L_max != L_max:
+        raise ValueError(f"velocity u1 has L_max={u1.L_max}, position u0 has L_max={L_max}")
+
+
+def _phases(x, times):
+    """exp(i t x) at every time of the array `times`, shape (n_t,) + x.shape,
+    built in place: the Schrodinger multiplier at x = eig and the half-wave
+    one at x = sqrt(eig), on any columns of the spectrum."""
+    e = 1j * times[:, None, None] * x
+    np.exp(e, out=e)
+    return e
 
 
 def schrodinger_evolve(data: CauchyDataS, times) -> SpaceTimeField:
     """Free flow u(t) = synthesis(exp(i t eig) theta0), all times in one pass."""
     sf = data.u0
     grid = sf.grid.with_times(times)
-    theta = 1j * grid.t_nodes[:, None, None] * sf.eig()
-    np.exp(theta, out=theta)
+    theta = _phases(sf.eig(), grid.t_nodes)
     theta *= sf.values
     return SpaceTimeField(grid, _inverse_samples(sf.grid, theta))
 
 
+def _schrodinger_of_samples(f: RadialField, L_max: int, times) -> SpaceTimeField:
+    """schrodinger_evolve(CauchyDataS(forward(f, L_max)), times), bit for
+    bit, in one `transform._multiplier_pass`: each kernel table is built
+    once, each |lam| block's phases once (`transform._even_in_lam`), and no
+    spectrum of all the times is made."""
+    grid = f.grid.with_times(times)
+    eig, t = _eig_table(f.grid, L_max), grid.t_nodes
+    phases = _even_in_lam(f.grid, lambda sl: _phases(eig[:, sl], t))
+    _, u = _multiplier_pass(f, L_max, lambda theta, sl: phases(sl) * theta, t.shape)
+    return SpaceTimeField(grid, u)
+
+
+def _halfwaves(theta0, theta1, omega, e):
+    """The half-wave multipliers: exp(+-i t omega) gamma_+- at every time,
+    with gamma_+- = (theta0 -+ i theta1 / omega) / 2, from the phases
+    e = exp(i t omega) (`_phases`, which this leaves as they are), on any
+    columns of the spectra.  Returns (u_+, u_-), each (n_t, L+1, cols)."""
+    gp = 0.5 * (theta0 - 1j * theta1 / omega)
+    gm = 0.5 * (theta0 + 1j * theta1 / omega)
+    up = e * gp
+    # exp(-i x) is conj(exp(i x)) bit for bit: cos is even and sin odd
+    um = np.conj(e)
+    um *= gm
+    return up, um
+
+
 def _halfwave_split(data: CauchyDataW, times):
-    """Half-wave spectra exp(+-i t omega) gamma_+- at every time of the array
-    `times` (a grid's t_nodes), with omega = sqrt(eig) and
-    gamma_+- = (theta0 -+ i theta1 / omega) / 2.
+    """Half-wave spectra exp(+-i t omega) gamma_+- (`_halfwaves`) at every
+    time of the array `times` (a grid's t_nodes), with omega = sqrt(eig).
 
     The division by omega refuses, rather than regularizes, a velocity with
     values next to lam = 0 (`transform._refuse_near_lam0`).  Returns
@@ -75,15 +123,7 @@ def _halfwave_split(data: CauchyDataW, times):
     """
     _refuse_near_lam0(data.u1, "half-wave split of the velocity datum")
     omega = np.sqrt(data.u0.eig())
-    gp = 0.5 * (data.u0.values - 1j * data.u1.values / omega)
-    gm = 0.5 * (data.u0.values + 1j * data.u1.values / omega)
-    t = times[:, None, None]
-    # exp(-i x) is conj(exp(i x)) bit for bit: cos is even and sin odd
-    e = np.exp(1j * t * omega)
-    up = e * gp
-    np.conj(e, out=e)
-    e *= gm
-    return up, e, omega
+    return _halfwaves(data.u0.values, data.u1.values, omega, _phases(omega, times)) + (omega,)
 
 
 def wave_evolve(data: CauchyDataW, times) -> SpaceTimeField:
@@ -106,13 +146,14 @@ def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:
     return _wave_energy(data, up, um, omega, up + um)
 
 
-def _wave_energy(data: CauchyDataW, up, um, omega, uh):
-    """The energy series of the half-wave spectra up and um, whose sum is uh.
+def _energy_density(up, um, omega, uh, weights):
+    """The energy density weights (omega^2 |uh|^2 + |vh|^2) of the half-wave
+    spectra up and um, whose sum is uh, on any columns of the spectra, in
+    one new float array.
 
-    vh = i omega (up - um), the d/dt of uh, is formed in up, and the density
-    omega^2 |uh|^2 + |vh|^2 in one spectrum-sized float array, with the
-    square of |vh| in the real parts of um: up and um are overwritten.
-    Every product keeps the operand order of the plain expression
+    vh = i omega (up - um), the d/dt of uh, is formed in up, and the square
+    of |vh| in the real parts of um: up and um are overwritten.  Every
+    product keeps the operand order of the plain expression
     (i omega) (up - um), omega^2 |uh|^2 + |vh|^2 and weights * density, so
     the series keeps its bytes."""
     vh = np.subtract(up, um, out=up)
@@ -123,8 +164,13 @@ def _wave_energy(data: CauchyDataW, up, um, omega, uh):
     v2 = np.abs(vh, out=um.real)
     v2 **= 2
     dens += v2
-    np.multiply(data.u0.weights(), dens, out=dens)
-    return dens.sum(axis=(-2, -1))
+    return np.multiply(weights, dens, out=dens)
+
+
+def _wave_energy(data: CauchyDataW, up, um, omega, uh):
+    """The energy series of the half-wave spectra up and um, whose sum is
+    uh, from one spectrum-sized float density (`_energy_density`)."""
+    return _energy_density(up, um, omega, uh, data.u0.weights()).sum(axis=(-2, -1))
 
 
 def _wave_evolve_with_energy(data: CauchyDataW, times):
@@ -138,6 +184,30 @@ def _wave_evolve_with_energy(data: CauchyDataW, times):
     energy = _wave_energy(data, up, um, omega, uh)
     del up, um
     return SpaceTimeField(grid, _inverse_samples(data.u0.grid, uh)), energy
+
+
+def _wave_of_samples(f: RadialField, u1: SpectralField, times):
+    """_wave_evolve_with_energy(CauchyDataW(forward(f, u1.L_max), u1),
+    times), bit for bit, in one `transform._multiplier_pass`, for a velocity
+    u1 that `_check_velocity` pairs with f.  Per kernel block the half-wave
+    sum is synthesised and its energy density copied into one
+    (n_t, L+1, n_s) float array, which is summed once at the end, as
+    `_wave_energy` sums its density; each kernel table is built once, each
+    |lam| block's phases once, and no spectrum of all the times is made."""
+    grid = f.grid.with_times(times)
+    _refuse_near_lam0(u1, "half-wave split of the velocity datum")
+    t, omega, weights = grid.t_nodes, np.sqrt(u1.eig()), u1.weights()
+    dens = np.zeros(t.shape + u1.values.shape)  # lam = 0 is in no block
+    phases = _even_in_lam(f.grid, lambda sl: _phases(omega[:, sl], t))
+
+    def halfwave_sum(theta, sl):
+        up, um = _halfwaves(theta, u1.values[:, sl], omega[:, sl], phases(sl))
+        uh = up + um
+        dens[..., sl] = _energy_density(up, um, omega[:, sl], uh, weights[:, sl])
+        return uh
+
+    _, u = _multiplier_pass(f, u1.L_max, halfwave_sum, t.shape)
+    return SpaceTimeField(grid, u), dens.sum(axis=(-2, -1))
 
 
 def transport_reference(u0: RadialField, ell: int, t: float) -> RadialField:

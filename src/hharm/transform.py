@@ -61,6 +61,22 @@ as its values, is the only sample-sized array it makes.  Every product
 keeps the operand order of the plain expressions (numpy's SIMD complex
 multiply is not bitwise commutative), so the bytes are those of the
 shifted-FFT path.
+
+A chain forward -> diagonal multiplier -> inverse of one radial field (the
+Schrodinger and wave flows of a radial file, a localizer, the identity) is
+one pass over the blocks, `_multiplier_pass`: the two directions share
+their block bodies (`_analysis`, `_synthesis`), and each block is analysed
+(one gemm column pair, as `forward`), multiplied and synthesised (as
+`inverse` of the whole multiplied spectrum, B = the batch) before the next
+block's table is built, so each table is built once and read while it is
+hot.  The pass returns the forward's spectrum, (L+1, n_s), and the
+samples; it makes no spectrum of the batch, and it takes the s-FFT into its
+output, whose columns a block overwrites only after reading them.  Each
+multiplier has one home that the spectral path calls on the whole
+spectrum and the pass on a block's columns, so both give the same bytes.
+A factor even in lam, such as the phases exp(i t eig), is evaluated once
+per |lam| block (`_even_in_lam`): the block at +lam reads the table of its
+mirror at -lam, which `_lam_blocks` yields just before it.
 """
 
 from __future__ import annotations
@@ -144,14 +160,19 @@ class SpectralField:
     def eig(self):
         """eigenvalue(ell, lam), shape (L_max+1, n_s), with the lam = 0 column
         (which carries no mass) set to 1."""
-        ells = np.arange(self.L_max + 1)
-        eig = eigenvalue(ells[:, None], self.grid.lam[None, :], self.grid.d)
-        eig[:, self.grid.izero] = 1.0
-        return eig
+        return _eig_table(self.grid, self.L_max)
 
 
 def _spectral_weights(grid: Grid, L_max: int):
     return _mult_table(L_max, grid.d)[:, None] * grid.w_lam[None, :]
+
+
+def _eig_table(grid: Grid, L_max: int):
+    """`SpectralField.eig()` of the spectra with L_max + 1 bands on grid."""
+    ells = np.arange(L_max + 1)
+    eig = eigenvalue(ells[:, None], grid.lam[None, :], grid.d)
+    eig[:, grid.izero] = 1.0
+    return eig
 
 
 # |lam| rows per kernel block: one block is (rows, L+1, n_rho) float64,
@@ -168,9 +189,10 @@ def _lam_blocks(grid: Grid, L_max):
 
     K is even in lam, so `wigner_radial_table` builds it on the half
     |lam| = dlam m, m = 1..n_s/2, _LAM_BLOCK rows at a time (kept in a
-    `kept_kernels()` scope).  A block is yielded for the rows
-    izero + m (a contiguous lam slice; m = n_s/2 has no +lam row) and for
-    the rows izero - m (the same block reversed, as a view).
+    `kept_kernels()` scope).  A block is yielded for the rows izero - m
+    (the table reversed, as a view) and then for the rows izero + m (a
+    contiguous lam slice; m = n_s/2 has no +lam row), the order
+    `_even_in_lam` relies on.
 
     K is exactly 0 at the radii where e^{-|lam| rho^2} is below the floor
     `specfun._FLOOR`, and for the ascending rho these form a tail that is
@@ -193,9 +215,9 @@ def _lam_blocks(grid: Grid, L_max):
         p = np.count_nonzero(wigner_radial_table(0, lam[0], grid.rho, grid.d))
         K = _kept(lambda: ("lam", grid.d, L_max, lam.tobytes(), grid.rho[:p].tobytes()),
                   lambda: wigner_radial_table(L_max, lam[:, None], grid.rho[None, :p], grid.d))
+        yield K[:, ::-1], slice(izero - m1 + 1, izero - m0 + 1)
         pos = slice(izero + m0, min(izero + m1, n_s))
         yield K[:, :pos.stop - pos.start], pos
-        yield K[:, ::-1], slice(izero - m1 + 1, izero - m0 + 1)
 
 
 def _forward_samples(grid: Grid, values, L_max):
@@ -214,40 +236,38 @@ def _fft_columns(sl, n):
     return slice(sl.start - n, sl.stop - n) if sl.start > n else slice(sl.start + n, sl.stop + n)
 
 
-def _forward_fft(grid: Grid, F, L_max, roll=0):
-    """The forward from F (..., n_rho, n_s), the s-FFT of the samples in FFT
-    column order, which it only reads; with a roll, F is (B, n_rho, n_s) and
-    the output is that of np.roll(F, roll, axis=0), gathered in that order.
+def _analysis(grid: Grid, F, L_max, roll=0):
+    """The forward's block body over F (B, n_rho, n_s), the s-FFT of the
+    samples in FFT column order, which it only reads: returns
+    analyse(K, sl), the coefficients (L+1, rows, B) of the kernel block
+    (K, sl) of `_lam_blocks`, those of np.roll(F, roll, axis=0), as a view of
+    its scratch that the next block overwrites.
 
-    Per kernel block, the s-analysis factor (`fields._analysis_phase`, the
-    left operand as in s_analysis) times the block's FFT columns on its p
-    radii, times the radial weights, is gathered into a scratch (p, rows, B):
-    the fftshift and the factor cost no sample-sized array.  One np.matmul
-    with K (rows, L+1, p) writes the coefficients into a second scratch,
-    (L+1, rows, B), and these, divided by the multiplicities, are copied
-    into their lam columns of the batch-major output (B, L+1, n_s).  The
-    batch indices are the innermost gemm columns, and complex data is read
-    as interleaved float64, so the real kernel sees the real and imaginary
+    The s-analysis factor (`fields._analysis_phase`, the left operand as in
+    s_analysis) times the block's FFT columns on its p radii, times the
+    radial weights, is gathered into a scratch (p, rows, B): the fftshift
+    and the factor cost no sample-sized array.  One np.matmul with K
+    (rows, L+1, p) writes the coefficients into a second scratch,
+    (L+1, rows, B), where they are divided by the multiplicities.  The batch
+    indices are the innermost gemm columns, and complex data is read as
+    interleaved float64, so the real kernel sees the real and imaginary
     parts of every batch index as 2B columns.  A scratch keeps the lam rows
     of each radius (or band) together, so every copy moves (rows, B) tiles.
     A gemm column's bytes can depend on its place among the columns, so a
     roll is gathered, not applied to the output.
     """
-    batch = F.shape[:-2]
-    F = F.reshape((-1,) + F.shape[-2:])
     B, c, n = len(F), _analysis_phase(grid), grid.izero
     # (gemm columns, rows of F) of np.roll(F, roll, axis=0)
     parts = [(slice(roll, B), slice(0, B - roll))]
     if roll:
         parts.append((slice(0, roll), slice(B - roll, B)))
     mults = _mult_table(L_max, grid.d)[:, None, None]
-    out = np.empty(F.shape[:1] + (L_max + 1, grid.n_s), dtype=complex)
-    out[..., n] = 0.0
     rows = min(_LAM_BLOCK, n)
-    X = np.empty((grid.n_rho, rows, len(out)), dtype=complex)
-    Z = np.empty((L_max + 1, rows, len(out)), dtype=complex)
+    X = np.empty((grid.n_rho, rows, B), dtype=complex)
+    Z = np.empty((L_max + 1, rows, B), dtype=complex)
     Xf, Zf = X.view(float), Z.view(float)
-    for K, sl in _lam_blocks(grid, L_max):
+
+    def analyse(K, sl):
         r, p = K.shape[1:]
         for to, rows_of_F in parts:
             np.multiply(c[sl, None], F[rows_of_F, :p, _fft_columns(sl, n)].transpose(1, 2, 0),
@@ -256,45 +276,138 @@ def _forward_fft(grid: Grid, F, L_max, roll=0):
         np.matmul(K.transpose(1, 0, 2), Xf[:p, :r].transpose(1, 0, 2),
                   out=Zf[:, :r].transpose(1, 0, 2))
         Z[:, :r] /= mults
-        np.copyto(out[..., sl].transpose(1, 2, 0), Z[:, :r])
+        return Z[:, :r]
+
+    return analyse
+
+
+def _synthesis(grid: Grid, n_bands, B):
+    """The inverse's block body: returns (f, synthesise), f the one C-ordered
+    output (B, n_rho, n_s), whose lam = 0 column is 0, and
+    synthesise(K, sl, theta) the step that writes the samples of the
+    coefficients theta (B, L+1, rows) of the kernel block (K, sl) into f.
+    After the last block, `fields._synthesis_tail` finishes f in place.
+
+    The coefficients times w(lam) = (2/pi)^d |lam|^d are gathered into a
+    scratch (L+1, rows, B), one np.matmul with K^T writes the samples on the
+    first p radii into a second one, (n_rho, rows, B), whose other radii
+    are 0, and these, times the s-synthesis phase, are copied straight into
+    their ifftshift columns of f.
+    """
+    d, n = grid.d, grid.izero
+    w = (2.0**d / np.pi**d) * np.abs(grid.lam) ** d
+    phase = _synthesis_phase(grid)
+    f = np.empty((B, grid.n_rho, grid.n_s), dtype=complex)
+    f[..., 0] = 0.0  # the ifftshift column of lam = 0
+    rows = min(_LAM_BLOCK, n)
+    X = np.empty((n_bands, rows, B), dtype=complex)
+    Z = np.empty((grid.n_rho, rows, B), dtype=complex)
+    Xf, Zf = X.view(float), Z.view(float)
+
+    def synthesise(K, sl, theta):
+        r, p = K.shape[1:]
+        np.multiply(theta.transpose(1, 2, 0), w[sl, None], out=X[:, :r])
+        Z[p:, :r] = 0.0
+        np.matmul(K.transpose(1, 2, 0), Xf[:, :r].transpose(1, 0, 2),
+                  out=Zf[:p, :r].transpose(1, 0, 2))
+        Z[:, :r] *= phase[sl, None]
+        np.copyto(f[..., _fft_columns(sl, n)].transpose(1, 2, 0), Z[:, :r])
+
+    return f, synthesise
+
+
+def _forward_fft(grid: Grid, F, L_max, roll=0):
+    """The forward from F (..., n_rho, n_s), the s-FFT of the samples in FFT
+    column order, which it only reads; with a roll, F is (B, n_rho, n_s) and
+    the output is that of np.roll(F, roll, axis=0), gathered in that order.
+    Each kernel block's coefficients (`_analysis`) are copied into their lam
+    columns of the batch-major output (B, L+1, n_s).
+    """
+    batch = F.shape[:-2]
+    F = F.reshape((-1,) + F.shape[-2:])
+    out = np.empty(F.shape[:1] + (L_max + 1, grid.n_s), dtype=complex)
+    out[..., grid.izero] = 0.0
+    analyse = _analysis(grid, F, L_max, roll)
+    for K, sl in _lam_blocks(grid, L_max):
+        np.copyto(out[..., sl].transpose(1, 2, 0), analyse(K, sl))
     return out.reshape(batch + out.shape[1:])
 
 
 def _inverse_samples(grid: Grid, theta):
     """Synthesis: coefficients (..., L+1, n_s) -> samples (..., n_rho, n_s).
 
-    The mirror of _forward_samples.  Per kernel block, the coefficients
-    times w(lam) = (2/pi)^d |lam|^d are gathered into a scratch
-    (L+1, rows, B), one np.matmul with K^T writes the samples on the first p
-    radii into a second one, (n_rho, rows, B), whose other radii are 0, and
-    these, times the s-synthesis phase, are copied straight into their
-    ifftshift columns of the one C-ordered output (B, n_rho, n_s), whose
-    lam = 0 column is 0 (so theta's has no effect).  The inverse FFT and
-    the division by h_s (`fields._synthesis_tail`) then run in place, and
-    the output is returned as a view: the only sample-sized array a call
-    makes.
+    The mirror of _forward_samples: each kernel block synthesises its lam
+    columns of theta (`_synthesis`) into the one output, theta's lam = 0
+    column has no effect, and the inverse FFT and the division by h_s
+    (`fields._synthesis_tail`) then run in place.  The output is returned
+    as a view: the only sample-sized array a call makes.
     """
-    d, n = grid.d, grid.izero
     batch = theta.shape[:-2]
     theta = theta.reshape((-1,) + theta.shape[-2:])
-    w = (2.0**d / np.pi**d) * np.abs(grid.lam) ** d
-    phase = _synthesis_phase(grid)
-    f = np.empty(theta.shape[:1] + (grid.n_rho, grid.n_s), dtype=complex)
-    f[..., 0] = 0.0  # the ifftshift column of lam = 0
-    rows = min(_LAM_BLOCK, n)
-    X = np.empty((theta.shape[1], rows, len(f)), dtype=complex)
-    Z = np.empty((grid.n_rho, rows, len(f)), dtype=complex)
-    Xf, Zf = X.view(float), Z.view(float)
+    f, synthesise = _synthesis(grid, theta.shape[1], len(theta))
     for K, sl in _lam_blocks(grid, theta.shape[1] - 1):
-        r, p = K.shape[1:]
-        np.multiply(theta[..., sl].transpose(1, 2, 0), w[sl, None], out=X[:, :r])
-        Z[p:, :r] = 0.0
-        np.matmul(K.transpose(1, 2, 0), Xf[:, :r].transpose(1, 0, 2),
-                  out=Zf[:p, :r].transpose(1, 0, 2))
-        Z[:, :r] *= phase[sl, None]
-        np.copyto(f[..., _fft_columns(sl, n)].transpose(1, 2, 0), Z[:, :r])
+        synthesise(K, sl, theta[..., sl])
     _synthesis_tail(grid, f)
     return f.reshape(batch + f.shape[1:])
+
+
+def _even_in_lam(grid: Grid, table):
+    """table(sl), a table of the ascending lam slice sl (last axis) that is
+    even in lam, evaluated once per |lam| block of a `_multiplier_pass`:
+    `_lam_blocks` yields each block at -lam just before its mirror at +lam,
+    which reads the first's table reversed (a view, one column shorter
+    where lam = -pi/h_s has no twin)."""
+    n, last = grid.izero, [slice(0, 0), None]
+
+    def at(sl):
+        if sl.start - n == n - (last[0].stop - 1):  # the mirror of the last block
+            return last[1][..., ::-1][..., :sl.stop - sl.start]
+        last[:] = sl, table(sl)
+        return last[1]
+
+    return at
+
+
+def _identity(theta, sl):
+    """The identity multiplier: a `_multiplier_pass` with it is forward,
+    then inverse."""
+    return theta
+
+
+def _multiplier_pass(f: RadialField, L_max, multiplier, batch=()):
+    """forward(f, L_max), a diagonal multiplier and the inverse, in one pass
+    over the kernel blocks: returns (forward(f, L_max), samples), the
+    samples (*batch, n_rho, n_s) being, bit for bit, those of the inverse of
+    the multiplier applied to the whole spectrum.
+
+    multiplier(theta, sl) maps the coefficients theta (L+1, rows) of the
+    ascending lam slice sl to (*batch, L+1, rows) without reading other
+    columns, as every multiplier of the package does on its own table
+    sliced to sl.  Per block of `_lam_blocks`, the field's s-FFT columns are
+    analysed by the forward's block body (`_analysis`, B = 1, as `forward`),
+    the multiplier is applied, and the result is synthesised by the
+    inverse's (`_synthesis`, B = prod(batch), as `inverse` of the whole
+    result) before the next block's table is built: each table is built
+    once, and no spectrum of the batch is made.  The s-FFT is taken into
+    the output, so the output is the only sample-sized array a pass makes.
+    L_max is an int in [0, ELL_MAX].
+    """
+    _check_int("L_max", L_max, 0, ELL_MAX)
+    grid = f.grid
+    out, synthesise = _synthesis(grid, L_max + 1, int(np.prod(batch)))
+    # the s-FFT is taken into the output's first slice: a block's synthesis
+    # overwrites there only the FFT columns its analysis has read
+    F = np.fft.fft(f.values, axis=-1, out=out[0] if len(out) else None)
+    F[:, 0] = 0.0  # lam = 0, which no block reads: the output's 0 there
+    analyse = _analysis(grid, F[None], L_max)
+    theta = np.empty((1, L_max + 1, grid.n_s), dtype=complex)
+    theta[..., grid.izero] = 0.0
+    for K, sl in _lam_blocks(grid, L_max):
+        np.copyto(theta[..., sl].transpose(1, 2, 0), analyse(K, sl))
+        block = multiplier(theta[0, :, sl], sl)
+        synthesise(K, sl, block.reshape((len(out),) + block.shape[-2:]))
+    _synthesis_tail(grid, out)
+    return SpectralField(grid, theta[0]), out.reshape(batch + out.shape[1:])
 
 
 def forward(f, L_max: int = 64, grid: Grid | None = None) -> SpectralField:
@@ -449,7 +562,14 @@ class LocalizerSpec:
 
 
 def localize(sf: SpectralField, loc: LocalizerSpec) -> SpectralField:
-    return SpectralField(sf.grid, sf.values * loc.profile(sf.eig()))
+    return SpectralField(sf.grid, _localized(sf.values, sf.eig(), loc))
+
+
+def _localized(theta, eig, loc: LocalizerSpec):
+    """The localizer's multiplier: theta times loc's profile of the
+    eigenvalues eig, on any columns of the spectrum (`localize`, and per
+    block in a `_multiplier_pass`)."""
+    return theta * loc.profile(eig)
 
 
 def sobolev_multiplier(sf: SpectralField, sigma: float) -> SpectralField:

@@ -36,6 +36,7 @@ from .fields import (
 from .propagators import (
     CauchyDataS,
     CauchyDataW,
+    _schrodinger_of_samples,
     admissible,
     duhamel,
     schrodinger_evolve,
@@ -65,6 +66,10 @@ from .specfun import kept_kernels, normalized_kernel, wigner_radial
 from .transform import (
     LocalizerSpec,
     SpectralField,
+    _eig_table,
+    _identity,
+    _localized,
+    _multiplier_pass,
     forward,
     inverse,
     localize,
@@ -103,12 +108,24 @@ def _row(name, passed, measured, **targets) -> CheckResult:
     })
 
 
+def _band_limited(cfg: RunConfig, rng, d: int) -> RadialField:
+    """A random packet pushed once through inverse(forward(.)), in one pass
+    over the kernel blocks: band-limited."""
+    f = sample_packets(random_packet(rng, d=d), replace(cfg.grid(), d=d))
+    return _forward_inverse(f, cfg.L_max)[1]
+
+
 def _band_projected(cfg: RunConfig, rng, d: int):
-    """A random packet pushed once through inverse(forward(.)): band-limited.
-    Returns the field and its spectrum."""
-    sf = forward(sample_packets(random_packet(rng, d=d), replace(cfg.grid(), d=d)), cfg.L_max)
-    f = inverse(sf)
+    """A `_band_limited` field and its spectrum."""
+    f = _band_limited(cfg, rng, d)
     return f, forward(f, cfg.L_max)
+
+
+def _forward_inverse(f: RadialField, L_max: int, multiplier=_identity):
+    """(forward(f, L_max), inverse of the multiplier applied to it), in one
+    pass over the kernel blocks (`transform._multiplier_pass`)."""
+    sf, g = _multiplier_pass(f, L_max, multiplier)
+    return sf, RadialField(f.grid, g)
 
 
 def _tail_fraction(sf: SpectralField) -> float:
@@ -202,14 +219,14 @@ def suite_roundtrip(cfg: RunConfig):
     tol = 1e-6
     for d in (1, 2):
         rng = np.random.default_rng(cfg.seed + 17 * d)
-        f, sf = _band_projected(cfg, rng, d)
-        g = inverse(sf)
+        f = _band_limited(cfg, rng, d)
+        sf, g = _forward_inverse(f, cfg.L_max)
         err = l2_norm(RadialField(f.grid, g.values - f.values)) / l2_norm(f)
         out.append(_row(f"roundtrip-d{d}", err <= tol,
                         {"rel_l2_err": float(err), "tail_fraction": _tail_fraction(sf)},
                         rel_l2_err=(0.0, "inversion identity"), tolerance=tol))
         if d == 1:
-            h = inverse(forward(g, cfg.L_max))
+            h = _forward_inverse(g, cfg.L_max)[1]
             ierr = l2_norm(RadialField(f.grid, h.values - g.values)) / l2_norm(g)
             out.append(_row("roundtrip-idempotent", ierr <= 1e-7,
                             {"rel_l2_err": float(ierr)},
@@ -326,7 +343,8 @@ def bernstein_check(f: RadialField, loc: LocalizerSpec, p: float, q: float,
     """
     if q < p:
         raise ValueError("needs p <= q")
-    f0 = inverse(localize(forward(f, L_max=L_max), loc))
+    eig = _eig_table(f.grid, L_max)
+    f0 = _forward_inverse(f, L_max, lambda theta, sl: _localized(theta, eig[:, sl], loc))[1]
     g0 = f0.grid
     Q = 2.0 * g0.d + 2.0
     ratios = []
@@ -562,9 +580,9 @@ def suite_sigma(cfg: RunConfig):
     rng = np.random.default_rng(cfg.seed + 43)
     g = replace(cfg.grid(), d=1, n_rho=96, n_s=256)
     L_r, n_a = 8, 12
-    sfd = forward(sample_packets(random_packet(rng, d=1, omega_range=(0.0, 0.3)), g), L_r)
     tms = np.linspace(0.0, 0.25, 5)
-    u = schrodinger_evolve(CauchyDataS(sfd), tms)
+    u = _schrodinger_of_samples(
+        sample_packets(random_packet(rng, d=1, omega_range=(0.0, 0.3)), g), L_r, tms)
     ru = restrict_sigma(u, measure, L_max=L_r, n_alpha=n_a)
     shape = ru.theta_plus.shape
     rv = SigmaValues(measure, 1, ru.alpha, ru.alpha_weights, _cplx(rng, shape), _cplx(rng, shape))
@@ -584,7 +602,7 @@ def suite_sigma(cfg: RunConfig):
     l2spec = MixedNormSpec((2.0, 2.0, 2.0), ("t", "Y", "s"))
 
     def ratio(parts, g, L):
-        u = schrodinger_evolve(CauchyDataS(forward(sample_packets(parts, g), L)), tms)
+        u = _schrodinger_of_samples(sample_packets(parts, g), L, tms)
         rs = restrict_sigma(u, measure, L_max=L, n_alpha=12)
         return np.sqrt(sigma_norm_sq(rs)) / mixed_norm(u, l2spec)
 

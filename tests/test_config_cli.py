@@ -581,9 +581,10 @@ def test_propagate_wave_zero_velocity(small_cfg, band_file, capsys):
 @pytest.mark.parametrize("velocity", [False, True])
 def test_propagate_wave_splits_once_and_matches_the_public_pair(
         tmp_path, small_cfg, small_grid, band_file, velocity, monkeypatch, capsys):
-    """`propagate --eq wave` runs the half-wave split once; its output file
-    holds the bytes of wave_evolve and its printed drift is that of
-    wave_energy_series."""
+    """`propagate --eq wave` of a radial file runs the half-wave split once
+    per kernel block, on that block's columns, and never on the whole
+    spectrum; its output file holds the bytes of wave_evolve and its printed
+    drift is that of wave_energy_series."""
     from hharm import propagators
     from hharm.propagators import CauchyDataW, wave_energy_series, wave_evolve
 
@@ -603,14 +604,17 @@ def test_propagate_wave_splits_once_and_matches_the_public_pair(
     drift = float(np.abs(energy / energy[0] - 1.0).max())
 
     calls = []
-    split = propagators._halfwave_split
-    monkeypatch.setattr(propagators, "_halfwave_split",
-                        lambda *a: calls.append(1) or split(*a))
+    split = propagators._halfwaves
+    monkeypatch.setattr(propagators, "_halfwaves",
+                        lambda th0, *a: calls.append(th0.shape) or split(th0, *a))
+    monkeypatch.setattr(propagators, "_halfwave_split", None)
     out = tmp_path / "wave.hhfld"
     code = main(["propagate", "--eq", "wave", "--in", band_file, "--u1", u1_arg,
                  "--config", small_cfg, "--out", str(out)])
     assert code == EXIT_OK
-    assert len(calls) == 1
+    blocks = [(SMALL["L_max"] + 1, sl.stop - sl.start)
+              for _, sl in transform._lam_blocks(small_grid, SMALL["L_max"])]
+    assert calls == blocks
     assert read_hhfld(out).values.tobytes() == st_ref.values.tobytes()
     assert f"energy conservation drift: {drift:.3e}" in capsys.readouterr().out
 
@@ -627,6 +631,116 @@ def test_propagate_wave_refuses_central_velocity(tmp_path, small_cfg, small_grid
     err = capsys.readouterr().err
     assert code == EXIT_REFUSED
     assert "refused" in err and "lambda = 0" in err
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["--eq", "schrodinger", "--in", "{band}", "--u1", "{missing}"],
+     "--u1 applies to --eq wave"),
+    (["--eq", "schrodinger", "--in", "{band}", "--u1", "zero"], "--u1 applies to --eq wave"),
+    (["--eq", "schrodinger", "--transport-ell", "0", "--in", "{missing}"],
+     "--transport-ell builds its own datum; it takes no --in"),
+    (["--eq", "schrodinger", "--transport-ell", "0", "--in", "{band}"],
+     "--transport-ell builds its own datum; it takes no --in"),
+])
+def test_propagate_refuses_a_flag_it_would_ignore(tmp_path, small_cfg, band_file, argv, line,
+                                                  capsys):
+    """`--u1` with the Schrodinger flow and `--in` with the transport
+    demonstration ran as if the flag were absent (exit 0, a missing path
+    never opened).  Each is refused with exit 2 and one stderr line, and
+    no output is written."""
+    out = tmp_path / "o.hhfld"
+    paths = {"band": band_file, "missing": str(tmp_path / "missing.hhfld")}
+    code = main(["propagate"] + [a.format(**paths) for a in argv]
+                + ["--out", str(out), "--config", small_cfg])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == f"hharm: {line}\n"
+    assert not out.exists()
+
+
+def _propagate_case(tmp_path, d, n_t, flow):
+    """A band-limited radial file, its config, the --u1 argument of `flow`
+    and the velocity spectrum that argument stands for."""
+    cfg = dict(SMALL, d=d, n_t=n_t)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    grid = Grid(d=d, n_rho=SMALL["n_rho"], r_max=SMALL["r_max"], n_s=SMALL["n_s"],
+                s_half=SMALL["s_half"])
+    band = bump(np.abs(grid.lam), 0.5, 2.0)
+    theta = np.array([(0.8**ell) * band for ell in range(5)])
+    write_hhfld(tmp_path / "in.hhfld", inverse(SpectralField(grid, theta)))
+    L = SMALL["L_max"]
+    u1 = SpectralField(grid, np.zeros((L + 1, grid.n_s), dtype=complex))
+    u1_arg = "zero"
+    if flow in ("wave-spectral", "wave-radial"):
+        rng = np.random.default_rng(40 + d)
+        u1 = SpectralField(grid, bump(np.abs(grid.lam), 0.6, 1.8)
+                           * (rng.standard_normal((L + 1, grid.n_s)) + 0.5j))
+        u1_arg = str(tmp_path / "u1.hhfld")
+        if flow == "wave-radial":  # the CLI forwards it first
+            write_hhfld(u1_arg, inverse(u1))
+            u1 = forward(read_hhfld(u1_arg), L)
+        else:
+            write_hhfld(u1_arg, u1)
+    return cfg, str(tmp_path / "cfg.json"), str(tmp_path / "in.hhfld"), u1_arg, u1
+
+
+@pytest.mark.parametrize("flow", ["schrodinger", "wave-zero", "wave-spectral", "wave-radial"])
+@pytest.mark.parametrize("n_t", [2, 9])
+@pytest.mark.parametrize("d", [1, 2])
+def test_propagate_of_a_radial_file_has_the_bytes_of_forward_then_evolve(tmp_path, d, n_t,
+                                                                         flow, capsys):
+    """The one-pass `propagate` of a radial file writes the file and prints
+    the lines of forward -> schrodinger_evolve or forward ->
+    _wave_evolve_with_energy, byte for byte, for every kind of --u1."""
+    from hharm.propagators import CauchyDataS, CauchyDataW, _wave_evolve_with_energy
+    from hharm.propagators import schrodinger_evolve
+    from hharm.fields import l2_norm
+
+    cfg, cfg_path, in_path, u1_arg, u1 = _propagate_case(tmp_path, d, n_t, flow)
+    sf0 = forward(read_hhfld(in_path), cfg["L_max"])
+    times = np.linspace(0.0, cfg["t_final"], n_t)
+    out = tmp_path / "out.hhfld"
+    head = f"over {n_t} times, t in [0, {cfg['t_final']:g}]"
+    if flow == "schrodinger":
+        st = schrodinger_evolve(CauchyDataS(sf0), times)
+        norms = l2_norm(st)
+        drift = float(np.abs(norms / norms[0] - 1.0).max())
+        lines = [f"free evolution {head}", f"L2 conservation drift: {drift:.3e}"]
+        extra = []
+    else:
+        st, energy = _wave_evolve_with_energy(CauchyDataW(sf0, u1), times)
+        drift = float(np.abs(energy / energy[0] - 1.0).max())
+        lines = [f"wave evolution {head}", f"energy conservation drift: {drift:.3e}"]
+        if flow == "wave-zero":
+            lines.insert(0, "half-wave split: gamma_pm = u0_hat / 2 (velocity datum is zero)")
+        extra = ["--u1", u1_arg]
+    write_hhfld(tmp_path / "ref.hhfld", st)
+    eq = flow.split("-")[0]
+    code = main(["propagate", "--eq", eq, "--in", in_path, "--out", str(out),
+                 "--config", cfg_path] + extra)
+    assert code == (EXIT_OK if drift <= 1e-10 else EXIT_TOLERANCE)
+    assert out.read_bytes() == (tmp_path / "ref.hhfld").read_bytes()
+    lines.append(f"spacetime field written to {out}")
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("eq", ["schrodinger", "wave"])
+def test_propagate_of_a_radial_file_builds_each_kernel_table_once(tmp_path, small_cfg,
+                                                                  band_file, eq, monkeypatch):
+    """Analysis, multiplier and synthesis run block by block, so a
+    `propagate` of a radial file builds the kernel tables of one forward
+    transform, not those of a forward and an inverse."""
+    real = transform.wigner_radial_table
+    builds = []
+    monkeypatch.setattr(transform, "wigner_radial_table",
+                        lambda *a: builds.append(a[0]) or real(*a))
+    forward(read_hhfld(band_file), SMALL["L_max"])
+    one_forward = list(builds)
+    assert one_forward.count(SMALL["L_max"]) == 2  # 64 |lam| rows, 2 blocks
+    builds.clear()
+    code = main(["propagate", "--eq", eq, "--in", band_file, "--config", small_cfg,
+                 "--out", str(tmp_path / "o.hhfld")])
+    assert code == EXIT_OK
+    assert builds == one_forward
 
 
 @pytest.mark.parametrize("u1_grid, bands, frag", [

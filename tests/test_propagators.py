@@ -332,6 +332,53 @@ def test_wave_energy_series_holds_the_split_and_one_density(traced_peak):
     assert peak <= 3.75 * spectra
 
 
+def _radial_datum(d, seed):
+    grid = Grid(d=d, n_rho=48, r_max=12.0, n_s=128, s_half=40.0)
+    f = inverse(banded_spectrum(grid, L_max=6, seed=seed))
+    return f, SpectralField(grid, banded_spectrum(grid, L_max=10, seed=seed + 1, lo=0.6).values)
+
+
+@pytest.mark.parametrize("n_t", [1, 9])
+@pytest.mark.parametrize("d", [1, 2])
+def test_one_pass_flows_of_samples_are_forward_then_evolve_bit_for_bit(d, n_t):
+    """The flows of a radial field in one pass over the kernel blocks give
+    the bytes of forward followed by the spectral flow: the field, its
+    grid's times and, for the wave, the energy series, with a zero and a
+    nonzero velocity."""
+    f, u1 = _radial_datum(d, 70 + d)
+    times = np.linspace(0.0, 0.8, n_t)
+    sf0 = forward(f, 10)
+    ref = schrodinger_evolve(CauchyDataS(sf0), times)
+    st = propagators._schrodinger_of_samples(f, 10, times)
+    assert st.values.tobytes() == ref.values.tobytes()
+    assert np.array_equal(st.grid.t_nodes, ref.grid.t_nodes)
+    for vel in (SpectralField(f.grid, np.zeros_like(u1.values)), u1):
+        ref, energy_ref = propagators._wave_evolve_with_energy(CauchyDataW(sf0, vel), times)
+        st, energy = propagators._wave_of_samples(f, vel, times)
+        assert st.values.tobytes() == ref.values.tobytes()
+        assert energy.tobytes() == energy_ref.tobytes()
+
+
+def test_one_pass_flows_hold_no_more_than_forward_then_evolve(traced_peak):
+    """A memory bound, not a timing: one pass holds the s-FFT, the output
+    and one block's multiplier and scratch, under the traced peak of
+    forward followed by the flow of the whole spectrum."""
+    grid = Grid(d=1, n_rho=64, r_max=12.0, n_s=256, s_half=40.0)
+    f = inverse(banded_spectrum(grid, L_max=8, seed=19))
+    u1 = SpectralField(grid, banded_spectrum(grid, L_max=16, seed=20, lo=0.6).values)
+    times = np.linspace(0.0, 1.0, 9)
+    pairs = [
+        (lambda: schrodinger_evolve(CauchyDataS(forward(f, 16)), times),
+         lambda: propagators._schrodinger_of_samples(f, 16, times)),
+        (lambda: propagators._wave_evolve_with_energy(CauchyDataW(forward(f, 16), u1), times),
+         lambda: propagators._wave_of_samples(f, u1, times)),
+    ]
+    for two_passes, one_pass in pairs:
+        _, peak_two = traced_peak(two_passes)
+        _, peak_one = traced_peak(one_pass)
+        assert peak_one <= peak_two
+
+
 SCHRODINGER_TABLE = [
     (2.0, 2.0, True), (2.0, 4.0, True), (2.0, np.inf, True), (4.0, 4.0, True),
     (3.0, 8.0, True), (np.inf, np.inf, True), (2.0, 3.0, True), (5.0, np.inf, True),

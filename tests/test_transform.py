@@ -43,7 +43,8 @@ from hharm.transform import (
     spectral_inner_D,
     transform_D,
 )
-from hharm.transform import _forward_samples, _inverse_samples
+from hharm.transform import (_eig_table, _forward_samples, _identity, _inverse_samples,
+                             _localized, _multiplier_pass)
 from hharm.verify import bernstein_check
 from hharm.windows import bump
 
@@ -677,6 +678,24 @@ def test_lam_contract_bytes_do_not_depend_on_block_size(monkeypatch, d, adjoint)
     assert len(set(out)) == 1
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_multiplier_pass_is_forward_multiplier_inverse_bit_for_bit(d):
+    """One pass over the kernel blocks returns forward(f) and the synthesis
+    of the unchanged or localized spectrum with the bytes of the separate
+    calls, on a lattice whose last blocks are partial (50 |lam| rows)."""
+    grid = Grid(d=d, n_rho=48, r_max=12.0, n_s=100, s_half=30.0)
+    f = sample_packets(random_packet(np.random.default_rng(60 + d), d=d), grid)
+    sf = forward(f, 12)
+    loc = LocalizerSpec("ring", 3.0)
+    eig = _eig_table(grid, 12)
+    cases = [(_identity, inverse(sf)),
+             (lambda theta, sl: _localized(theta, eig[:, sl], loc), inverse(localize(sf, loc)))]
+    for multiplier, ref in cases:
+        spectrum, g = _multiplier_pass(f, 12, multiplier)
+        assert spectrum.values.tobytes() == sf.values.tobytes()
+        assert g.tobytes() == ref.values.tobytes()
+
+
 def test_nonfinite_sample_at_underflowed_radius_reaches_only_live_frequencies(monkeypatch):
     """The contraction leaves out the radii where the kernel is exactly 0,
     so a NaN there spreads to the small |lam| only, in both directions.
@@ -707,8 +726,9 @@ _THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
 from hharm.fields import Grid, RadialField, SpaceTimeField
+from hharm.propagators import _schrodinger_of_samples, _wave_of_samples
 from hharm.restriction import SigmaMeasure, SphereMeasure, restrict_sigma, restrict_sphere
-from hharm.transform import _forward_samples, _inverse_samples
+from hharm.transform import SpectralField, _forward_samples, _inverse_samples
 from hharm.verify import translate_identity_check, wave_decay_probe
 digest = hashlib.sha256()
 rng = np.random.default_rng(7)
@@ -724,6 +744,12 @@ for r_max in (8.0, 12.0):
     gv = restrict_sigma(u, SigmaMeasure(), L_max=12, n_alpha=12)
     for a in (sv.theta_plus, sv.theta_minus, gv.theta_plus, gv.theta_minus):
         digest.update(a.tobytes())
+    # the one-pass flows of a radial field: analysis, multiplier, synthesis
+    times = np.linspace(0.0, 0.5, 9)
+    u1 = SpectralField(grid, theta[1] * (np.abs(grid.lam) > 1.0))
+    st, energy = _wave_of_samples(RadialField(grid, v[0]), u1, times)
+    digest.update(_schrodinger_of_samples(RadialField(grid, v[0]), 40, times).values.tobytes()
+                  + st.values.tobytes() + energy.tobytes())
 digest.update(np.float64(translate_identity_check()["max_rel_err"]).tobytes())
 digest.update(wave_decay_probe()["sup_norms"].tobytes())
 sys.stdout.write(digest.hexdigest())
@@ -731,10 +757,11 @@ sys.stdout.write(digest.hexdigest())
 
 
 def test_band_contraction_bytes_do_not_depend_on_thread_count():
-    """forward/inverse, the sphere and paraboloid restrictions and the wave
-    decay probe reach BLAS gemm, and the translate-identity check sums a 3-D
-    quadrature; their results must not depend on how many threads HH_THREADS
-    gives the BLAS pool."""
+    """forward/inverse, the one-pass Schrodinger and wave flows of a radial
+    field, the sphere and paraboloid restrictions and the wave decay probe
+    reach BLAS gemm, and the translate-identity check sums a 3-D quadrature;
+    their results must not depend on how many threads HH_THREADS gives the
+    BLAS pool."""
     import os
     import subprocess
     import sys

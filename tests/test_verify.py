@@ -121,6 +121,23 @@ def test_ratio_stability_builds_each_transform_block_once_per_level(monkeypatch)
     assert [l for l in builds if l > 0] == [12] * 4 + [24] * 8
 
 
+def test_band_projected_builds_the_tables_of_two_passes(monkeypatch):
+    """The band-limited field is analysed and synthesised in one pass over
+    the kernel blocks, and its spectrum is a second: the tables of two
+    forward transforms, where forward, inverse and forward built three."""
+    real = transform.wigner_radial_table
+    builds = []
+    monkeypatch.setattr(transform, "wigner_radial_table",
+                        lambda *a: builds.append(a[0]) or real(*a))
+    cfg = RunConfig(n_rho=64, n_s=128, L_max=8)
+    transform.forward(RadialField(cfg.grid(), np.zeros((64, 128))), 8)
+    one_forward = list(builds)
+    builds.clear()
+    f, sf = verify._band_projected(cfg, np.random.default_rng(3), 1)
+    assert builds == 2 * one_forward
+    assert sf.values.tobytes() == transform.forward(f, 8).values.tobytes()
+
+
 def test_check_result_line():
     ok = CheckResult("plancherel-d1", True, 1.0, {"target": 1.0})
     bad = CheckResult("plancherel-d1", False, 2.0, {"target": 1.0})
