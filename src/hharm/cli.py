@@ -19,11 +19,9 @@ from .container import HHFLDError, read_hhfld, write_hhfld
 from .fields import ELL_MAX, RadialField, _check_int, l2_norm
 from .propagators import (
     CauchyDataS,
-    CauchyDataW,
-    _check_velocity,
-    _schrodinger_of_samples,
-    _wave_evolve_with_energy,
-    _wave_of_samples,
+    _check_paired,
+    _schrodinger,
+    _wave,
     schrodinger_evolve,
     transport_reference,
 )
@@ -151,19 +149,15 @@ def cmd_propagate(args) -> int:
 
     if not args.infile:
         raise ConfigError("--in is required unless --transport-ell is given")
-    # a radial datum is analysed, evolved and synthesised in one pass over
-    # the kernel blocks; a spectral one is evolved as read
+    # either kind of datum is evolved and synthesised in one pass over the
+    # kernel blocks, which analyses a radial one at the config's L_max
     u0 = read_hhfld(args.infile)
     if not isinstance(u0, (RadialField, SpectralField)):
         raise HHFLDError("propagate expects a radial or spectral container as --in")
-    radial = isinstance(u0, RadialField)
-    L_max = cfg.L_max if radial else u0.L_max
+    L_max = cfg.L_max if isinstance(u0, RadialField) else u0.L_max
 
     if args.eq == "schrodinger":
-        if radial:
-            st = _schrodinger_of_samples(u0, L_max, times)
-        else:
-            st = schrodinger_evolve(CauchyDataS(u0), times)
+        st = _schrodinger(u0, L_max, times)
         norms = l2_norm(st)
         drift = float(np.abs(norms / norms[0] - 1.0).max()) if norms[0] else 0.0
         print(f"free evolution over {times.size} times, t in [0, {t_final:g}]")
@@ -172,17 +166,14 @@ def cmd_propagate(args) -> int:
         if args.u1 in (None, "zero"):
             u1 = SpectralField(u0.grid, np.zeros((L_max + 1, u0.grid.n_s), dtype=complex))
             print("half-wave split: gamma_pm = u0_hat / 2 (velocity datum is zero)")
-        else:
-            u1 = _spectrum(args.u1, cfg.L_max,
+        else:  # a radial --u1 is forwarded at the band count of --in
+            u1 = _spectrum(args.u1, L_max,
                            "--u1 expects 'zero' or a radial/spectral container")
         try:
-            _check_velocity(u1, u0.grid, L_max)
+            _check_paired(u1, u0.grid, L_max)
         except ValueError as exc:  # --u1 cannot be paired with --in
             raise HHFLDError(f"--u1 does not match --in: {exc}") from None
-        if radial:
-            st, energy = _wave_of_samples(u0, u1, times)
-        else:
-            st, energy = _wave_evolve_with_energy(CauchyDataW(u0, u1), times)
+        st, energy = _wave(u0, u1, times)
         drift = float(np.abs(energy / energy[0] - 1.0).max()) if energy[0] else 0.0
         print(f"wave evolution over {times.size} times, t in [0, {t_final:g}]")
         print(f"energy conservation drift: {drift:.3e}")

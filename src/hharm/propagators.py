@@ -10,14 +10,16 @@ single band ell at positive lam is transported: u(t)(Y, s) = u0(Y, s + 4 t
 times through `Grid.with_times`, which refuses any that are not finite
 before the flow runs.
 
-A flow of a spectrum synthesises all its times in one inverse transform.
-The flows of a radial field (`propagate` of a radial file, the `sigma`
-suite's samples) run as one pass over the kernel blocks instead
-(`transform._multiplier_pass`): per block, analysis, the multiplier and
-synthesis, so each kernel table is built once; the pass returns the
-forward's spectrum, which these flows drop, and the samples, with the bytes
-of forward followed by the spectral flow.  The multipliers
-(`_phases`, `_halfwaves`, and `_energy_density` for the wave energy) act on any columns of a spectrum, so both paths call the same code.
+Every flow synthesises all its times in one pass over the kernel blocks
+(`transform._multiplier_pass`): per block, the multiplier and the
+synthesis, so each kernel table is built once and no spectrum of all the
+times is made.  `_schrodinger` and `_wave` take a spectrum or a radial
+field (`propagate` of a radial file, the `sigma` suite's samples), which
+the pass analyses per block with the bytes of `forward`.  The phases are
+evaluated once per |lam| block (`transform._even_in_lam`).  The
+multipliers (`_phases`, `_halfwaves`, and `_energy_density` for the wave
+energy) act on any columns of a spectrum, so `wave_energy_series`, which
+synthesises nothing, calls the same code on the whole spectrum.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import RadialField, SpaceTimeField, _uniform_step, s_translate
-from .transform import (SpectralField, _eig_table, _even_in_lam, _inverse_samples,
-                        _multiplier_pass, _refuse_near_lam0)
+from .transform import (SpectralField, _eig_table, _even_in_lam, _multiplier_pass,
+                        _refuse_near_lam0)
 
 __all__ = [
     "CauchyDataS",
@@ -57,16 +59,21 @@ class CauchyDataW:
     u1: SpectralField
 
     def __post_init__(self):
-        _check_velocity(self.u1, self.u0.grid, self.u0.L_max)
+        _check_paired(self.u1, self.u0.grid, self.u0.L_max)
 
 
-def _check_velocity(u1: SpectralField, grid, L_max: int):
-    """Refuse (ValueError) a velocity u1 that cannot be paired with a
-    position on grid with L_max + 1 bands."""
-    if not u1.grid.compatible(grid):
-        raise ValueError("velocity u1 lives on a different grid than position u0")
-    if u1.L_max != L_max:
-        raise ValueError(f"velocity u1 has L_max={u1.L_max}, position u0 has L_max={L_max}")
+def _check_paired(u, grid, L_max: int, name="velocity u1", partner="position u0"):
+    """Refuse a spectrum u, called `name` in the message, that cannot be
+    paired with `partner`, a field on grid with L_max + 1 bands: TypeError
+    if u is not a SpectralField, ValueError if it lives on another grid or
+    has another band count.  The one pairing rule of a wave velocity and of
+    each source spectrum of `duhamel`."""
+    if not isinstance(u, SpectralField):
+        raise TypeError(f"{name} must be a SpectralField, got {type(u).__name__}")
+    if not u.grid.compatible(grid):
+        raise ValueError(f"{name} lives on a different grid than {partner}")
+    if u.L_max != L_max:
+        raise ValueError(f"{name} has L_max={u.L_max}, {partner} has L_max={L_max}")
 
 
 def _phases(x, times):
@@ -80,23 +87,27 @@ def _phases(x, times):
 
 def schrodinger_evolve(data: CauchyDataS, times) -> SpaceTimeField:
     """Free flow u(t) = synthesis(exp(i t eig) theta0), all times in one pass."""
-    sf = data.u0
-    grid = sf.grid.with_times(times)
-    theta = _phases(sf.eig(), grid.t_nodes)
-    theta *= sf.values
-    return SpaceTimeField(grid, _inverse_samples(sf.grid, theta))
+    return _schrodinger(data.u0, data.u0.L_max, times)
 
 
-def _schrodinger_of_samples(f: RadialField, L_max: int, times) -> SpaceTimeField:
-    """schrodinger_evolve(CauchyDataS(forward(f, L_max)), times), bit for
-    bit, in one `transform._multiplier_pass`: each kernel table is built
-    once, each |lam| block's phases once (`transform._even_in_lam`), and no
-    spectrum of all the times is made."""
-    grid = f.grid.with_times(times)
-    eig, t = _eig_table(f.grid, L_max), grid.t_nodes
-    phases = _even_in_lam(f.grid, lambda sl: _phases(eig[:, sl], t))
-    _, u = _multiplier_pass(f, L_max, lambda theta, sl: phases(sl) * theta, t.shape)
+def _schrodinger(u0, L_max: int, times) -> SpaceTimeField:
+    """The free flow of u0, a spectrum with L_max + 1 bands or a radial
+    field (then, bit for bit, the flow of forward(u0, L_max)), in one
+    `transform._multiplier_pass`; each |lam| block's phases are evaluated
+    once (`transform._even_in_lam`)."""
+    grid = u0.grid.with_times(times)
+    eig, t = _eig_table(u0.grid, L_max), grid.t_nodes
+    phases = _even_in_lam(u0.grid, lambda sl: _phases(eig[:, sl], t))
+    _, u = _multiplier_pass(u0, L_max, lambda theta, sl: phases(sl) * theta, t.shape)
     return SpaceTimeField(grid, u)
+
+
+def _omega(u1: SpectralField):
+    """sqrt(eig) on the bands of the velocity u1, the half-waves'
+    frequency; the division by it refuses, rather than regularizes, a
+    velocity with values next to lam = 0 (`transform._refuse_near_lam0`)."""
+    _refuse_near_lam0(u1, "half-wave split of the velocity datum")
+    return np.sqrt(u1.eig())
 
 
 def _halfwaves(theta0, theta1, omega, e):
@@ -113,26 +124,9 @@ def _halfwaves(theta0, theta1, omega, e):
     return up, um
 
 
-def _halfwave_split(data: CauchyDataW, times):
-    """Half-wave spectra exp(+-i t omega) gamma_+- (`_halfwaves`) at every
-    time of the array `times` (a grid's t_nodes), with omega = sqrt(eig).
-
-    The division by omega refuses, rather than regularizes, a velocity with
-    values next to lam = 0 (`transform._refuse_near_lam0`).  Returns
-    (u_+, u_-, omega) with u_+- of shape (n_t, L+1, n_s).
-    """
-    _refuse_near_lam0(data.u1, "half-wave split of the velocity datum")
-    omega = np.sqrt(data.u0.eig())
-    return _halfwaves(data.u0.values, data.u1.values, omega, _phases(omega, times)) + (omega,)
-
-
 def wave_evolve(data: CauchyDataW, times) -> SpaceTimeField:
     """Wave flow from (u0, u1) via the half-wave multipliers exp(+-it sqrt(eig))."""
-    grid = data.u0.grid.with_times(times)
-    up, um, _ = _halfwave_split(data, grid.t_nodes)
-    up += um
-    del um
-    return SpaceTimeField(grid, _inverse_samples(data.u0.grid, up))
+    return _wave(data.u0, data.u1, times)[0]
 
 
 def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:
@@ -140,10 +134,14 @@ def wave_energy_series(data: CauchyDataW, times) -> np.ndarray:
 
     Conserved exactly by the flow; computed per time from the evolved
     spectrum (not from the invariant form), so drift measures the
-    implementation honestly.
+    implementation honestly.  The half-wave spectra of all the times and one
+    float density of them (`_energy_density`) are the spectrum-sized arrays
+    it makes.
     """
-    up, um, omega = _halfwave_split(data, data.u0.grid.with_times(times).t_nodes)
-    return _wave_energy(data, up, um, omega, up + um)
+    t = data.u0.grid.with_times(times).t_nodes
+    omega = _omega(data.u1)
+    up, um = _halfwaves(data.u0.values, data.u1.values, omega, _phases(omega, t))
+    return _energy_density(up, um, omega, up + um, data.u0.weights()).sum(axis=(-2, -1))
 
 
 def _energy_density(up, um, omega, uh, weights):
@@ -167,38 +165,18 @@ def _energy_density(up, um, omega, uh, weights):
     return np.multiply(weights, dens, out=dens)
 
 
-def _wave_energy(data: CauchyDataW, up, um, omega, uh):
-    """The energy series of the half-wave spectra up and um, whose sum is
-    uh, from one spectrum-sized float density (`_energy_density`)."""
-    return _energy_density(up, um, omega, uh, data.u0.weights()).sum(axis=(-2, -1))
-
-
-def _wave_evolve_with_energy(data: CauchyDataW, times):
-    """(wave_evolve, wave_energy_series) of one datum, bit for bit, from one
-    half-wave split.  The energy is summed first, in the half-wave spectra's
-    own buffers, and these are freed before the synthesis, so the peak
-    memory is that of the synthesis of up + um alone."""
-    grid = data.u0.grid.with_times(times)
-    up, um, omega = _halfwave_split(data, grid.t_nodes)
-    uh = up + um
-    energy = _wave_energy(data, up, um, omega, uh)
-    del up, um
-    return SpaceTimeField(grid, _inverse_samples(data.u0.grid, uh)), energy
-
-
-def _wave_of_samples(f: RadialField, u1: SpectralField, times):
-    """_wave_evolve_with_energy(CauchyDataW(forward(f, u1.L_max), u1),
-    times), bit for bit, in one `transform._multiplier_pass`, for a velocity
-    u1 that `_check_velocity` pairs with f.  Per kernel block the half-wave
-    sum is synthesised and its energy density copied into one
-    (n_t, L+1, n_s) float array, which is summed once at the end, as
-    `_wave_energy` sums its density; each kernel table is built once, each
-    |lam| block's phases once, and no spectrum of all the times is made."""
-    grid = f.grid.with_times(times)
-    _refuse_near_lam0(u1, "half-wave split of the velocity datum")
-    t, omega, weights = grid.t_nodes, np.sqrt(u1.eig()), u1.weights()
+def _wave(u0, u1: SpectralField, times):
+    """(wave_evolve, wave_energy_series) of the position u0, a spectrum or a
+    radial field (forwarded at u1's band count), and a velocity spectrum u1
+    that `_check_paired` pairs with it, bit for bit, in one
+    `transform._multiplier_pass`.  Per kernel block the half-wave sum is
+    synthesised and its energy density copied into one (n_t, L+1, n_s)
+    float array, which is summed once at the end, as `wave_energy_series`
+    sums its density; each |lam| block's phases are evaluated once."""
+    grid = u0.grid.with_times(times)
+    t, omega, weights = grid.t_nodes, _omega(u1), u1.weights()
     dens = np.zeros(t.shape + u1.values.shape)  # lam = 0 is in no block
-    phases = _even_in_lam(f.grid, lambda sl: _phases(omega[:, sl], t))
+    phases = _even_in_lam(u0.grid, lambda sl: _phases(omega[:, sl], t))
 
     def halfwave_sum(theta, sl):
         up, um = _halfwaves(theta, u1.values[:, sl], omega[:, sl], phases(sl))
@@ -206,7 +184,7 @@ def _wave_of_samples(f: RadialField, u1: SpectralField, times):
         dens[..., sl] = _energy_density(up, um, omega[:, sl], uh, weights[:, sl])
         return uh
 
-    _, u = _multiplier_pass(f, u1.L_max, halfwave_sum, t.shape)
+    _, u = _multiplier_pass(u0, u1.L_max, halfwave_sum, t.shape)
     return SpaceTimeField(grid, u), dens.sum(axis=(-2, -1))
 
 
@@ -221,25 +199,37 @@ def transport_reference(u0: RadialField, ell: int, t: float) -> RadialField:
 def duhamel(data: CauchyDataS, source, times) -> SpaceTimeField:
     """Inhomogeneous Schrodinger flow u(t) = U(t)u0 - i int_0^t U(t-tau) f(tau) dtau.
 
-    `source` maps a time to a SpectralField.  Uses second-order trapezoid
-    stepping with exact inter-step propagators on the uniform `times` ladder:
+    `source` maps a time to a SpectralField, which must pair with the datum
+    (`_check_paired`: same grid, same band count) before anything is
+    synthesised.  Uses second-order trapezoid stepping with exact
+    inter-step propagators on the uniform `times` ladder:
 
         theta_{n+1} = e^{i dt eig} theta_n
-                      - i (dt/2) (e^{i dt eig} fhat_n + fhat_{n+1}).
+                      - i (dt/2) (e^{i dt eig} fhat_n + fhat_{n+1}),
+
+    and synthesises the stack of theta_n in one `transform._multiplier_pass`
+    whose multiplier reads a block's columns of it.
     """
     sf = data.u0
     grid = sf.grid.with_times(times)
     times = grid.t_nodes
     dt = _uniform_step(times, "duhamel")
+
+    def fhat(t):
+        f = source(t)
+        _check_paired(f, sf.grid, sf.L_max, f"source at t={float(t)!r}", "datum u0")
+        return f.values
+
     prop = np.exp(1j * dt * sf.eig())
     theta = np.empty((times.size,) + sf.values.shape, dtype=complex)
     theta[0] = sf.values
-    fh_prev = source(times[0]).values
+    fh_prev = fhat(times[0])
     for n in range(1, times.size):
-        fh_next = source(times[n]).values
+        fh_next = fhat(times[n])
         theta[n] = prop * theta[n - 1] - 1j * (dt / 2.0) * (prop * fh_prev + fh_next)
         fh_prev = fh_next
-    return SpaceTimeField(grid, _inverse_samples(sf.grid, theta))
+    _, u = _multiplier_pass(sf, sf.L_max, lambda _, sl: theta[..., sl], times.shape)
+    return SpaceTimeField(grid, u)
 
 
 # ---------------------------------------------------------------------------

@@ -54,29 +54,33 @@ leaves it in FFT column order: each block reads its columns there (the
 fftshift) through the s-analysis factor h_s e^{i S lam}, so that buffer and
 the output are the only sample-sized arrays it makes.  `transform_D` runs
 its t-FFT, the t factor and the s-FFT in one buffer, and the forward
-gathers the alpha rows in ascending order.  The inverse writes through the
-s-synthesis phase into the ifftshift columns, then runs the inverse FFT and
-the division by h_s in place, so its output, which the returned field keeps
-as its values, is the only sample-sized array it makes.  Every product
+gathers the alpha rows in ascending order.  The synthesis writes through
+the s-synthesis phase into the ifftshift columns, then runs the inverse FFT
+and the division by h_s in place, so its output, which the returned field
+keeps as its values, is the only sample-sized array it makes.  Every product
 keeps the operand order of the plain expressions (numpy's SIMD complex
 multiply is not bitwise commutative), so the bytes are those of the
 shifted-FFT path.
 
-A chain forward -> diagonal multiplier -> inverse of one radial field (the
-Schrodinger and wave flows of a radial file, a localizer, the identity) is
-one pass over the blocks, `_multiplier_pass`: the two directions share
-their block bodies (`_analysis`, `_synthesis`), and each block is analysed
-(one gemm column pair, as `forward`), multiplied and synthesised (as
-`inverse` of the whole multiplied spectrum, B = the batch) before the next
-block's table is built, so each table is built once and read while it is
-hot.  The pass returns the forward's spectrum, (L+1, n_s), and the
-samples; it makes no spectrum of the batch, and it takes the s-FFT into its
-output, whose columns a block overwrites only after reading them.  Each
-multiplier has one home that the spectral path calls on the whole
-spectrum and the pass on a block's columns, so both give the same bytes.
-A factor even in lam, such as the phases exp(i t eig), is evaluated once
-per |lam| block (`_even_in_lam`): the block at +lam reads the table of its
-mirror at -lam, which `_lam_blocks` yields just before it.
+Synthesis has one home, `_multiplier_pass`: a diagonal multiplier of a
+spectrum, or of the forward of a radial field, then the inverse, in one
+pass over the blocks.  `inverse` is the pass with the identity; the
+Schrodinger and wave flows, Duhamel and `verify`'s forward -> multiplier ->
+inverse chains are passes with their own multipliers.  The two directions
+share their block bodies (`_analysis`, `_synthesis`): each block's
+coefficients (read from the spectrum, or analysed as `forward` does, one
+gemm column pair) are multiplied and synthesised (B = the batch) before the
+next block's table is built, so each table is built once and read while it
+is hot.  The pass makes no spectrum of the batch; for a radial field it
+returns the forward's spectrum and takes the s-FFT into its output, whose
+columns a block overwrites only after reading them.  `_lam_blocks` thus has
+two callers, this pass and `_forward_fft`, the analysis of `forward` and
+`transform_D`.  Each multiplier has one home that acts on a block's columns
+as on the whole spectrum (`_localized` for `localize` too, the half-waves
+for `wave_energy_series` too).  A factor even in lam, such as the phases
+exp(i t eig), is evaluated once per |lam| block (`_even_in_lam`): the block
+at +lam reads the table of its mirror at -lam, which `_lam_blocks` yields
+just before it.
 """
 
 from __future__ import annotations
@@ -333,24 +337,6 @@ def _forward_fft(grid: Grid, F, L_max, roll=0):
     return out.reshape(batch + out.shape[1:])
 
 
-def _inverse_samples(grid: Grid, theta):
-    """Synthesis: coefficients (..., L+1, n_s) -> samples (..., n_rho, n_s).
-
-    The mirror of _forward_samples: each kernel block synthesises its lam
-    columns of theta (`_synthesis`) into the one output, theta's lam = 0
-    column has no effect, and the inverse FFT and the division by h_s
-    (`fields._synthesis_tail`) then run in place.  The output is returned
-    as a view: the only sample-sized array a call makes.
-    """
-    batch = theta.shape[:-2]
-    theta = theta.reshape((-1,) + theta.shape[-2:])
-    f, synthesise = _synthesis(grid, theta.shape[1], len(theta))
-    for K, sl in _lam_blocks(grid, theta.shape[1] - 1):
-        synthesise(K, sl, theta[..., sl])
-    _synthesis_tail(grid, f)
-    return f.reshape(batch + f.shape[1:])
-
-
 def _even_in_lam(grid: Grid, table):
     """table(sl), a table of the ascending lam slice sl (last axis) that is
     even in lam, evaluated once per |lam| block of a `_multiplier_pass`:
@@ -369,45 +355,57 @@ def _even_in_lam(grid: Grid, table):
 
 
 def _identity(theta, sl):
-    """The identity multiplier: a `_multiplier_pass` with it is forward,
-    then inverse."""
+    """The identity multiplier: a `_multiplier_pass` with it is the inverse
+    of a spectrum, or forward then inverse of a radial field."""
     return theta
 
 
-def _multiplier_pass(f: RadialField, L_max, multiplier, batch=()):
-    """forward(f, L_max), a diagonal multiplier and the inverse, in one pass
-    over the kernel blocks: returns (forward(f, L_max), samples), the
-    samples (*batch, n_rho, n_s) being, bit for bit, those of the inverse of
-    the multiplier applied to the whole spectrum.
+def _multiplier_pass(u, L_max, multiplier, batch=()):
+    """The one synthesis of the package: a diagonal multiplier of the
+    spectrum of u and the inverse, in one pass over the kernel blocks.
+    Returns (the spectrum, samples), the samples (*batch, n_rho, n_s) being,
+    bit for bit, those of the inverse of the multiplier applied to the whole
+    spectrum.
+
+    u is a SpectralField, whose columns are read as they are and which is
+    returned as the spectrum (its band count is its shape; L_max is not
+    read), or a RadialField, analysed at L_max, an int in [0, ELL_MAX]: per
+    block, its s-FFT columns go through the forward's block body
+    (`_analysis`, B = 1), so the spectrum returned is forward(u, L_max).
 
     multiplier(theta, sl) maps the coefficients theta (L+1, rows) of the
     ascending lam slice sl to (*batch, L+1, rows) without reading other
     columns, as every multiplier of the package does on its own table
-    sliced to sl.  Per block of `_lam_blocks`, the field's s-FFT columns are
-    analysed by the forward's block body (`_analysis`, B = 1, as `forward`),
-    the multiplier is applied, and the result is synthesised by the
-    inverse's (`_synthesis`, B = prod(batch), as `inverse` of the whole
-    result) before the next block's table is built: each table is built
-    once, and no spectrum of the batch is made.  The s-FFT is taken into
-    the output, so the output is the only sample-sized array a pass makes.
-    L_max is an int in [0, ELL_MAX].
+    sliced to sl.  Per block of `_lam_blocks`, the multiplied block is
+    synthesised by the inverse's block body (`_synthesis`, B =
+    prod(batch)) before the next block's table is built: each table is
+    built once, and no spectrum of the batch is made.  A radial field's
+    s-FFT is taken into the output, so for either kind of u the output is
+    the only sample-sized array a pass makes.
     """
-    _check_int("L_max", L_max, 0, ELL_MAX)
-    grid = f.grid
+    grid = u.grid
+    radial = not isinstance(u, SpectralField)
+    if radial:
+        _check_int("L_max", L_max, 0, ELL_MAX)
+        theta = np.empty((L_max + 1, grid.n_s), dtype=complex)
+        theta[:, grid.izero] = 0.0
+    else:
+        theta, L_max = u.values, u.L_max
     out, synthesise = _synthesis(grid, L_max + 1, int(np.prod(batch)))
-    # the s-FFT is taken into the output's first slice: a block's synthesis
-    # overwrites there only the FFT columns its analysis has read
-    F = np.fft.fft(f.values, axis=-1, out=out[0] if len(out) else None)
-    F[:, 0] = 0.0  # lam = 0, which no block reads: the output's 0 there
-    analyse = _analysis(grid, F[None], L_max)
-    theta = np.empty((1, L_max + 1, grid.n_s), dtype=complex)
-    theta[..., grid.izero] = 0.0
+    if radial:
+        # the s-FFT is taken into the output's first slice: a block's
+        # synthesis overwrites there only the FFT columns its analysis has read
+        F = np.fft.fft(u.values, axis=-1, out=out[0] if len(out) else None)
+        F[:, 0] = 0.0  # lam = 0, which no block reads: the output's 0 there
+        analyse = _analysis(grid, F[None], L_max)
     for K, sl in _lam_blocks(grid, L_max):
-        np.copyto(theta[..., sl].transpose(1, 2, 0), analyse(K, sl))
-        block = multiplier(theta[0, :, sl], sl)
+        if radial:
+            np.copyto(theta[:, sl, None], analyse(K, sl))
+        block = multiplier(theta[:, sl], sl)
         synthesise(K, sl, block.reshape((len(out),) + block.shape[-2:]))
     _synthesis_tail(grid, out)
-    return SpectralField(grid, theta[0]), out.reshape(batch + out.shape[1:])
+    spectrum = SpectralField(grid, theta) if radial else u
+    return spectrum, out.reshape(batch + out.shape[1:])
 
 
 def forward(f, L_max: int = 64, grid: Grid | None = None) -> SpectralField:
@@ -456,8 +454,9 @@ def _forward_closure(closures, grid: Grid, L_max: int, n_quad: int) -> SpectralF
 
 
 def inverse(sf: SpectralField) -> RadialField:
-    """Synthesis back to the radial grid (exact inverse on the model space)."""
-    return RadialField(sf.grid, _inverse_samples(sf.grid, sf.values))
+    """Synthesis back to the radial grid (exact inverse on the model space):
+    the `_multiplier_pass` of sf with the identity."""
+    return RadialField(sf.grid, _multiplier_pass(sf, None, _identity)[1])
 
 
 def spectral_inner(sf: SpectralField, sg: SpectralField) -> complex:
@@ -513,12 +512,13 @@ def _eig_power(sf: SpectralField, power: float, what: str):
 
 def _refuse_near_lam0(sf: SpectralField, what: str):
     """The one refusal of negative powers of the eigenvalue (`_eig_power`,
-    the half-wave split): ValueError naming `what` and up to 8 (ell, lam)
-    bins when a value of sf in the two bins next to lam = 0, where eig is
-    smallest, is above 1e-12 of sf's largest in modulus.  For d <= 3 it
-    refuses all that a 1e-12 share of the weighted mass there did, at any
-    L_max <= ELL_MAX: a spectrum refused by that rule and passed by this one
-    needs binom(L_max + d, d) > 2^{d-1} 1e12, at d = 4 from L_max = 3720."""
+    the half-waves' `propagators._omega`): ValueError naming `what` and up
+    to 8 (ell, lam) bins when a value of sf in the two bins next to lam = 0,
+    where eig is smallest, is above 1e-12 of sf's largest in modulus.  For
+    d <= 3 it refuses all that a 1e-12 share of the weighted mass there did,
+    at any L_max <= ELL_MAX: a spectrum refused by that rule and passed by
+    this one needs binom(L_max + d, d) > 2^{d-1} 1e12, at d = 4 from L_max =
+    3720."""
     n = sf.grid.izero
     ells, ks = np.nonzero(np.abs(sf.values[:, n - 1:n + 2]) > 1e-12 * np.abs(sf.values).max())
     if ells.size:

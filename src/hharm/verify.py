@@ -36,7 +36,7 @@ from .fields import (
 from .propagators import (
     CauchyDataS,
     CauchyDataW,
-    _schrodinger_of_samples,
+    _schrodinger,
     admissible,
     duhamel,
     schrodinger_evolve,
@@ -581,7 +581,7 @@ def suite_sigma(cfg: RunConfig):
     g = replace(cfg.grid(), d=1, n_rho=96, n_s=256)
     L_r, n_a = 8, 12
     tms = np.linspace(0.0, 0.25, 5)
-    u = _schrodinger_of_samples(
+    u = _schrodinger(
         sample_packets(random_packet(rng, d=1, omega_range=(0.0, 0.3)), g), L_r, tms)
     ru = restrict_sigma(u, measure, L_max=L_r, n_alpha=n_a)
     shape = ru.theta_plus.shape
@@ -602,7 +602,7 @@ def suite_sigma(cfg: RunConfig):
     l2spec = MixedNormSpec((2.0, 2.0, 2.0), ("t", "Y", "s"))
 
     def ratio(parts, g, L):
-        u = _schrodinger_of_samples(sample_packets(parts, g), L, tms)
+        u = _schrodinger(sample_packets(parts, g), L, tms)
         rs = restrict_sigma(u, measure, L_max=L, n_alpha=12)
         return np.sqrt(sigma_norm_sq(rs)) / mixed_norm(u, l2spec)
 

@@ -607,7 +607,6 @@ def test_propagate_wave_splits_once_and_matches_the_public_pair(
     split = propagators._halfwaves
     monkeypatch.setattr(propagators, "_halfwaves",
                         lambda th0, *a: calls.append(th0.shape) or split(th0, *a))
-    monkeypatch.setattr(propagators, "_halfwave_split", None)
     out = tmp_path / "wave.hhfld"
     code = main(["propagate", "--eq", "wave", "--in", band_file, "--u1", u1_arg,
                  "--config", small_cfg, "--out", str(out)])
@@ -690,8 +689,8 @@ def test_propagate_of_a_radial_file_has_the_bytes_of_forward_then_evolve(tmp_pat
                                                                          flow, capsys):
     """The one-pass `propagate` of a radial file writes the file and prints
     the lines of forward -> schrodinger_evolve or forward ->
-    _wave_evolve_with_energy, byte for byte, for every kind of --u1."""
-    from hharm.propagators import CauchyDataS, CauchyDataW, _wave_evolve_with_energy
+    wave_evolve and wave_energy_series, byte for byte, for every kind of --u1."""
+    from hharm.propagators import CauchyDataS, CauchyDataW, wave_energy_series, wave_evolve
     from hharm.propagators import schrodinger_evolve
     from hharm.fields import l2_norm
 
@@ -707,7 +706,8 @@ def test_propagate_of_a_radial_file_has_the_bytes_of_forward_then_evolve(tmp_pat
         lines = [f"free evolution {head}", f"L2 conservation drift: {drift:.3e}"]
         extra = []
     else:
-        st, energy = _wave_evolve_with_energy(CauchyDataW(sf0, u1), times)
+        data = CauchyDataW(sf0, u1)
+        st, energy = wave_evolve(data, times), wave_energy_series(data, times)
         drift = float(np.abs(energy / energy[0] - 1.0).max())
         lines = [f"wave evolution {head}", f"energy conservation drift: {drift:.3e}"]
         if flow == "wave-zero":
@@ -759,6 +759,31 @@ def test_propagate_wave_refuses_a_velocity_it_cannot_pair(tmp_path, small_cfg, s
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert "--u1 does not match --in" in err and frag in err
+
+
+def test_propagate_wave_forwards_a_radial_u1_at_the_band_count_of_in(tmp_path, small_grid):
+    """A radial --u1 has no band count of its own: it is forwarded at that of
+    --in.  With a spectral --in of L_max 16 and a config L_max of 32 it was
+    forwarded at 32 and refused (exit 2, "velocity u1 has L_max=32, position
+    u0 has L_max=16")."""
+    from hharm.propagators import CauchyDataW, wave_evolve
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(dict(SMALL, L_max=32)))
+    rng = np.random.default_rng(45)
+    band = bump(np.abs(small_grid.lam), 0.6, 1.8)
+    u0 = SpectralField(small_grid, band * rng.standard_normal((17, small_grid.n_s)))
+    v = inverse(SpectralField(small_grid, band * (rng.standard_normal((17, small_grid.n_s))
+                                                  + 0.5j)))
+    paths = {k: str(tmp_path / f"{k}.hhfld") for k in ("u0", "u1", "out")}
+    write_hhfld(paths["u0"], u0)
+    write_hhfld(paths["u1"], v)
+    code = main(["propagate", "--eq", "wave", "--in", paths["u0"], "--u1", paths["u1"],
+                 "--config", str(cfg), "--out", paths["out"]])
+    assert code == EXIT_OK
+    times = np.linspace(0.0, SMALL["t_final"], SMALL["n_t"])
+    st = wave_evolve(CauchyDataW(u0, forward(v, 16)), times)
+    assert read_hhfld(paths["out"]).values.tobytes() == st.values.tobytes()
 
 
 def test_verify_unknown_suite(capsys):

@@ -23,7 +23,7 @@ from hharm import specfun, transform
 from hharm.fields import GaussianClosure, Grid, RadialField, random_packet, sample_packets
 from hharm.restriction import SphereMeasure, g_function, restrict_sphere
 from hharm.specfun import _kernel_diag, wigner_radial, wigner_radial_table
-from hharm.transform import SpectralField, _forward_samples, _inverse_samples, forward, inverse
+from hharm.transform import SpectralField, _forward_samples, forward, inverse
 from hharm.twisted import PlanarGrid, kernel_field
 from hharm.windows import bump
 
@@ -103,7 +103,8 @@ def test_floor_changes_no_restriction_or_transform_bit(d, monkeypatch):
     def run(values):
         sv = restrict_sphere(RadialField(grid, values), SphereMeasure(1.0), L_max=32)
         theta = _forward_samples(grid, values, 32)
-        return sv.theta_plus, sv.theta_minus, theta, _inverse_samples(grid, theta)
+        return (sv.theta_plus, sv.theta_minus, theta,
+                inverse(SpectralField(grid, theta)).values)
 
     with_floor = run(cut)
     monkeypatch.setattr(specfun, "_FLOOR", 0.0)

@@ -43,8 +43,8 @@ from hharm.transform import (
     spectral_inner_D,
     transform_D,
 )
-from hharm.transform import (_eig_table, _forward_samples, _identity, _inverse_samples,
-                             _localized, _multiplier_pass)
+from hharm.transform import (_eig_table, _forward_samples, _identity, _localized,
+                             _multiplier_pass)
 from hharm.verify import bernstein_check
 from hharm.windows import bump
 
@@ -490,6 +490,15 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
 
+def _synthesis_of(grid, theta):
+    """The samples (..., n_rho, n_s) of the stack of spectra theta
+    (..., L+1, n_s), whose lam = 0 column has no effect, from one
+    `_multiplier_pass` whose multiplier reads a block's columns of the
+    stack, as `duhamel` does."""
+    sf = SpectralField(grid, np.zeros(theta.shape[-2:], dtype=complex))
+    return _multiplier_pass(sf, None, lambda _, sl: theta[..., sl], theta.shape[:-2])[1]
+
+
 @pytest.mark.parametrize("batch", [(), (2,), (2, 3)])
 @pytest.mark.parametrize("L_max", [0, 1, 64])
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -503,7 +512,7 @@ def test_band_contraction_matches_per_frequency_loop(d, L_max, batch):
     theta = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     assert _rel(_forward_samples(grid, values, L_max),
                 _reference_forward(grid, values, L_max)) < 1e-13
-    assert _rel(_inverse_samples(grid, theta), _reference_inverse(grid, theta)) < 1e-13
+    assert _rel(_synthesis_of(grid, theta), _reference_inverse(grid, theta)) < 1e-13
     if not batch:
         assert _rel(forward(RadialField(grid, values), L_max).values,
                     _reference_forward(grid, values, L_max)) < 1e-13
@@ -590,7 +599,7 @@ def test_block_writes_have_the_bytes_of_the_lam_major_contraction(d):
     for v in (values, values[2]):
         assert (_forward_samples(grid, v, 20).tobytes()
                 == _lam_major_forward(grid, v, 20).tobytes())
-    assert _inverse_samples(grid, theta).tobytes() == _two_step_inverse(grid, theta).tobytes()
+    assert _synthesis_of(grid, theta).tobytes() == _two_step_inverse(grid, theta).tobytes()
 
 
 def _shifted_transform_D(u, L_max):
@@ -652,7 +661,7 @@ def test_inverse_peak_memory_is_its_output(traced_peak):
     grid = Grid(d=1, n_rho=64, r_max=12.0, n_s=512, s_half=40.0)
     rng = np.random.default_rng(40)
     theta = rng.standard_normal((17, 9, grid.n_s)) + 1j * rng.standard_normal((17, 9, grid.n_s))
-    f, peak = traced_peak(lambda: _inverse_samples(grid, theta))
+    f, peak = traced_peak(lambda: _synthesis_of(grid, theta))
     assert peak <= 1.25 * f.nbytes
 
 
@@ -673,7 +682,7 @@ def test_lam_contract_bytes_do_not_depend_on_block_size(monkeypatch, d, adjoint)
     out = []
     for block in (1, 16, 32, grid.n_s // 2):
         monkeypatch.setattr(transform, "_LAM_BLOCK", block)
-        f = _inverse_samples(grid, X) if adjoint else _forward_samples(grid, X, L_max)
+        f = _synthesis_of(grid, X) if adjoint else _forward_samples(grid, X, L_max)
         out.append(f.tobytes())
     assert len(set(out)) == 1
 
@@ -694,6 +703,28 @@ def test_multiplier_pass_is_forward_multiplier_inverse_bit_for_bit(d):
         spectrum, g = _multiplier_pass(f, 12, multiplier)
         assert spectrum.values.tobytes() == sf.values.tobytes()
         assert g.tobytes() == ref.values.tobytes()
+        # a spectrum is read as it is, and returned as the spectrum
+        spectrum, g = _multiplier_pass(sf, None, multiplier)
+        assert spectrum is sf
+        assert g.tobytes() == ref.values.tobytes()
+
+
+def test_one_synthesis_pass_and_one_analysis_loop_the_kernel_blocks():
+    """A source guard: `_lam_blocks` is looped over by the analysis of
+    `forward` and `transform_D` (`_forward_fft`) and by the synthesis pass
+    alone; the second synthesis path, the twin flow functions of a radial
+    field and the CLI's choice between them are gone."""
+    callers, defined = set(), set()
+    for module, tree in _source_trees():
+        callers |= _owners(tree, module, lambda n: isinstance(n, ast.Call)
+                           and getattr(n.func, "id", None) == "_lam_blocks")
+        defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert callers == {"transform._forward_fft", "transform._multiplier_pass"}
+    gone = {"_inverse_samples", "_schrodinger_of_samples", "_wave_of_samples",
+            "_wave_evolve_with_energy", "_halfwave_split", "_wave_energy"}
+    assert not gone & defined
+    cli = (Path(hharm.__file__).parent / "cli.py").read_text()
+    assert "if radial" not in cli
 
 
 def test_nonfinite_sample_at_underflowed_radius_reaches_only_live_frequencies(monkeypatch):
@@ -716,19 +747,20 @@ def test_nonfinite_sample_at_underflowed_radius_reaches_only_live_frequencies(mo
     theta = np.ones((5, grid.n_s), dtype=complex)
     dead = ~live | (grid.lam == 0)
     theta[:, dead] = np.nan
-    f = _inverse_samples(grid, theta)
+    f = inverse(SpectralField(grid, theta)).values
     theta[:, dead] = 0.0
     assert np.isnan(f[0]).all()
-    assert np.array_equal(f[-1], _inverse_samples(grid, theta)[-1])
+    assert np.array_equal(f[-1], inverse(SpectralField(grid, theta)).values[-1])
 
 
 _THREADS_SCRIPT = """
 import hashlib, sys
 import numpy as np
 from hharm.fields import Grid, RadialField, SpaceTimeField
-from hharm.propagators import _schrodinger_of_samples, _wave_of_samples
+from hharm.propagators import (CauchyDataS, CauchyDataW, _schrodinger, _wave, duhamel,
+                               schrodinger_evolve, wave_evolve)
 from hharm.restriction import SigmaMeasure, SphereMeasure, restrict_sigma, restrict_sphere
-from hharm.transform import SpectralField, _forward_samples, _inverse_samples
+from hharm.transform import SpectralField, _forward_samples, _multiplier_pass, inverse
 from hharm.verify import translate_identity_check, wave_decay_probe
 digest = hashlib.sha256()
 rng = np.random.default_rng(7)
@@ -737,19 +769,27 @@ for r_max in (8.0, 12.0):
     grid = Grid(d=2, n_rho=96, r_max=r_max, n_s=128, s_half=20.0)
     v = rng.standard_normal((16, 96, 128)) + 1j * rng.standard_normal((16, 96, 128))
     theta = _forward_samples(grid, v, 40)
-    f = _inverse_samples(grid, theta)
-    digest.update(theta.tobytes() + f.tobytes())
+    # the synthesis of the whole stack in one pass, and one inverse
+    f = _multiplier_pass(SpectralField(grid, theta[0]), None,
+                         lambda _, sl: theta[..., sl], theta.shape[:1])[1]
+    digest.update(theta.tobytes() + f.tobytes()
+                  + inverse(SpectralField(grid, theta[2])).values.tobytes())
     sv = restrict_sphere(RadialField(grid, v[0]), SphereMeasure(), L_max=40)
     u = SpaceTimeField(grid.with_times(np.linspace(0.0, 0.25, 16)), v)
     gv = restrict_sigma(u, SigmaMeasure(), L_max=12, n_alpha=12)
     for a in (sv.theta_plus, sv.theta_minus, gv.theta_plus, gv.theta_minus):
         digest.update(a.tobytes())
-    # the one-pass flows of a radial field: analysis, multiplier, synthesis
+    # the flows of a radial field and of a spectrum, and Duhamel
     times = np.linspace(0.0, 0.5, 9)
     u1 = SpectralField(grid, theta[1] * (np.abs(grid.lam) > 1.0))
-    st, energy = _wave_of_samples(RadialField(grid, v[0]), u1, times)
-    digest.update(_schrodinger_of_samples(RadialField(grid, v[0]), 40, times).values.tobytes()
+    sf = SpectralField(grid, theta[3])
+    st, energy = _wave(RadialField(grid, v[0]), u1, times)
+    digest.update(_schrodinger(RadialField(grid, v[0]), 40, times).values.tobytes()
                   + st.values.tobytes() + energy.tobytes())
+    digest.update(schrodinger_evolve(CauchyDataS(sf), times).values.tobytes()
+                  + wave_evolve(CauchyDataW(sf, u1), times).values.tobytes())
+    source = lambda t: SpectralField(grid, np.cos(t) * theta[4])
+    digest.update(duhamel(CauchyDataS(sf), source, times).values.tobytes())
 digest.update(np.float64(translate_identity_check()["max_rel_err"]).tobytes())
 digest.update(wave_decay_probe()["sup_norms"].tobytes())
 sys.stdout.write(digest.hexdigest())
@@ -757,9 +797,10 @@ sys.stdout.write(digest.hexdigest())
 
 
 def test_band_contraction_bytes_do_not_depend_on_thread_count():
-    """forward/inverse, the one-pass Schrodinger and wave flows of a radial
-    field, the sphere and paraboloid restrictions and the wave decay probe
-    reach BLAS gemm, and the translate-identity check sums a 3-D quadrature;
+    """forward, the synthesis pass (of a stack, `inverse`, the Schrodinger
+    and wave flows of a radial field and of a spectrum, and `duhamel`), the
+    sphere and paraboloid restrictions and the wave decay probe reach BLAS
+    gemm, and the translate-identity check sums a 3-D quadrature;
     their results must not depend on how many threads HH_THREADS gives the
     BLAS pool."""
     import os
