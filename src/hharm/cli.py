@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.set_defaults(func=cmd_propagate)
 
     ve = sub.add_parser("verify", help="run verification suites, emit a JSON report")
-    ve.add_argument("suite", help="suite name or 'all'")
+    ve.add_argument("suite", help="suite name, SUITE/ROW (one row of a suite) or 'all'")
     ve.add_argument("--config", metavar="PATH")
     ve.add_argument("--seed", type=int, default=None)
     ve.add_argument("--out", metavar="PATH", help="report path (default: stdout)")

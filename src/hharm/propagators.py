@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import RadialField, SpaceTimeField, _uniform_step, s_translate
-from .transform import (SpectralField, _eig_table, _even_in_lam, _multiplier_pass,
-                        _refuse_near_lam0)
+from .fields import ELL_MAX, RadialField, SpaceTimeField, _check_int, _uniform_step, s_translate
+from .transform import (SpectralField, _check_spectrum, _eig_table, _even_in_lam,
+                        _multiplier_pass, _refuse_near_lam0)
 
 __all__ = [
     "CauchyDataS",
@@ -46,9 +46,12 @@ __all__ = [
 
 @dataclass
 class CauchyDataS:
-    """Schrodinger initial datum."""
+    """Schrodinger initial datum, a spectrum (TypeError otherwise)."""
 
     u0: SpectralField
+
+    def __post_init__(self):
+        _check_spectrum(self.u0, "datum u0")
 
 
 @dataclass
@@ -59,6 +62,7 @@ class CauchyDataW:
     u1: SpectralField
 
     def __post_init__(self):
+        _check_spectrum(self.u0, "position u0")
         _check_paired(self.u1, self.u0.grid, self.u0.L_max)
 
 
@@ -68,8 +72,7 @@ def _check_paired(u, grid, L_max: int, name="velocity u1", partner="position u0"
     if u is not a SpectralField, ValueError if it lives on another grid or
     has another band count.  The one pairing rule of a wave velocity and of
     each source spectrum of `duhamel`."""
-    if not isinstance(u, SpectralField):
-        raise TypeError(f"{name} must be a SpectralField, got {type(u).__name__}")
+    _check_spectrum(u, name)
     if not u.grid.compatible(grid):
         raise ValueError(f"{name} lives on a different grid than {partner}")
     if u.L_max != L_max:
@@ -190,7 +193,9 @@ def _wave(u0, u1: SpectralField, times):
 
 def transport_reference(u0: RadialField, ell: int, t: float) -> RadialField:
     """Exact flow of a datum on band ell at positive lam: central shift by
-    -4 t (2 ell + d)."""
+    -4 t (2 ell + d).  An ell that is not an int in [0, ELL_MAX] is refused
+    (ValueError), as `--transport-ell` refuses it."""
+    _check_int("ell", ell, 0, ELL_MAX)
     d = u0.grid.d
     shift = 4.0 * t * (2 * ell + d)
     return s_translate(u0, -shift)

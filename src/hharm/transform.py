@@ -167,6 +167,13 @@ class SpectralField:
         return _eig_table(self.grid, self.L_max)
 
 
+def _check_spectrum(u, name):
+    """Refuse (TypeError) a u, called `name` in the message, that is not a
+    SpectralField."""
+    if not isinstance(u, SpectralField):
+        raise TypeError(f"{name} must be a SpectralField, got {type(u).__name__}")
+
+
 def _spectral_weights(grid: Grid, L_max: int):
     return _mult_table(L_max, grid.d)[:, None] * grid.w_lam[None, :]
 
@@ -456,6 +463,7 @@ def _forward_closure(closures, grid: Grid, L_max: int, n_quad: int) -> SpectralF
 def inverse(sf: SpectralField) -> RadialField:
     """Synthesis back to the radial grid (exact inverse on the model space):
     the `_multiplier_pass` of sf with the identity."""
+    _check_spectrum(sf, "the input of inverse")
     return RadialField(sf.grid, _multiplier_pass(sf, None, _identity)[1])
 
 

@@ -1,18 +1,20 @@
 """Verification suites: every identity and estimate the library can check.
 
-Each suite function maps a RunConfig to a list of CheckResult rows, all
-built by `_row`; the registry SUITES exposes them by name, and run_suites()
-assembles the deterministic VerificationReport.  Every numeric target
-carries a `basis` string saying how the number is known (exact algebra,
-closed form, classical constant, measured slope against a scaling law,
-...), and every random input derives from the config seed.  A figure that
-is the worst of several is reduced with np.max, so one NaN sample fails the
-row instead of dropping out of it.  A check function that a suite calls
-(the decay probes, the twisted-convolution scans, ...) sits right above it.
+Each suite is a generator of CheckResult rows, all built by `_row`, in a
+fixed order; `_suite` registers it in SUITES by name, to run every row or
+only as far as one named row, and run_suites() assembles the deterministic
+VerificationReport.  Every numeric target carries a `basis` string saying
+how the number is known (exact algebra, closed form, classical constant,
+measured slope against a scaling law, ...), and every random input derives
+from the config seed.  A figure that is the worst of several is reduced
+with np.max, so one NaN sample fails the row instead of dropping out of it.
+A check function that a suite calls (the decay probes, the
+twisted-convolution scans, ...) sits right above it.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import replace
 
 import numpy as np
@@ -108,6 +110,33 @@ def _row(name, passed, measured, **targets) -> CheckResult:
     })
 
 
+SUITES = {}  # suite name -> suite(cfg, row=None), in the order the suites are defined
+
+
+def _suite(name):
+    """Register a generator of a suite's rows as SUITES[name]: suite(cfg)
+    runs every row and returns their list, suite(cfg, row) runs them only
+    as far as the one named `row` and returns [it], and a `row` the suite
+    does not yield is refused (ConfigError, naming its rows)."""
+    def register(rows):
+        @functools.wraps(rows)
+        def suite(cfg: RunConfig, row: str | None = None) -> list:
+            out = []
+            for r in rows(cfg):
+                if r.name == row:
+                    return [r]
+                out.append(r)
+            if row is not None:
+                names = ", ".join(r.name for r in out)
+                raise ConfigError(f"unknown row {row!r} of suite {name!r}; its rows: {names}")
+            return out
+
+        SUITES[name] = suite
+        return suite
+
+    return register
+
+
 def _band_limited(cfg: RunConfig, rng, d: int) -> RadialField:
     """A random packet pushed once through inverse(forward(.)), in one pass
     over the kernel blocks: band-limited."""
@@ -179,10 +208,10 @@ def _ratio_stability(cfg: RunConfig, name, packets, n_rho, L, ratio) -> CheckRes
 # suites
 # ---------------------------------------------------------------------------
 
+@_suite("plancherel")
 def suite_plancherel(cfg: RunConfig):
     """Energy-ratio constant over the Gaussian suite, both dimensions,
     plus the spacetime transform's constant."""
-    out = []
     tol = 1e-6
     for d in (1, 2):
         rng = np.random.default_rng(cfg.seed + 11 * d)
@@ -194,8 +223,8 @@ def suite_plancherel(cfg: RunConfig):
             _relative(np.divide(spectral_inner(sf, sg).real, l2_inner(f, g).real), target)
             for i, (f, sf) in enumerate(pairs) for g, sg in (pairs[i], pairs[(i + 1) % 3])
         ]))
-        out.append(_row(f"plancherel-ratio-d{d}", worst <= tol, {"max_rel_err": worst},
-                        ratio=(target, "exact constant pi^(d+1)/2^(d-1)"), tolerance=tol))
+        yield _row(f"plancherel-ratio-d{d}", worst <= tol, {"max_rel_err": worst},
+                   ratio=(target, "exact constant pi^(d+1)/2^(d-1)"), tolerance=tol)
     # product-group transform: t-DFT Parseval contributes an exact 2*pi
     rng = np.random.default_rng(cfg.seed + 5)
     _, sf = _band_projected(cfg, rng, 1)
@@ -206,31 +235,30 @@ def suite_plancherel(cfg: RunConfig):
     ratio = spectral_inner_D(D, D).real / phys
     target = np.pi ** (1 + 2) / 2.0 ** (1 - 2)
     err = _relative(ratio, target)
-    out.append(_row("plancherel-spacetime-ratio", err <= 1e-5,
-                    {"ratio": ratio, "rel_err": err},
-                    ratio=(target, "exact constant pi^(d+2)/2^(d-2)")))
-    return out
+    yield _row("plancherel-spacetime-ratio", err <= 1e-5,
+               {"ratio": ratio, "rel_err": err},
+               ratio=(target, "exact constant pi^(d+2)/2^(d-2)"))
 
 
+@_suite("roundtrip")
 def suite_roundtrip(cfg: RunConfig):
     """Inversion, idempotency, the closed-form Gaussian oracle, and dilation
     covariance."""
-    out = []
     tol = 1e-6
     for d in (1, 2):
         rng = np.random.default_rng(cfg.seed + 17 * d)
         f = _band_limited(cfg, rng, d)
         sf, g = _forward_inverse(f, cfg.L_max)
         err = l2_norm(RadialField(f.grid, g.values - f.values)) / l2_norm(f)
-        out.append(_row(f"roundtrip-d{d}", err <= tol,
-                        {"rel_l2_err": float(err), "tail_fraction": _tail_fraction(sf)},
-                        rel_l2_err=(0.0, "inversion identity"), tolerance=tol))
+        yield _row(f"roundtrip-d{d}", err <= tol,
+                   {"rel_l2_err": float(err), "tail_fraction": _tail_fraction(sf)},
+                   rel_l2_err=(0.0, "inversion identity"), tolerance=tol)
         if d == 1:
             h = _forward_inverse(g, cfg.L_max)[1]
             ierr = l2_norm(RadialField(f.grid, h.values - g.values)) / l2_norm(g)
-            out.append(_row("roundtrip-idempotent", ierr <= 1e-7,
-                            {"rel_l2_err": float(ierr)},
-                            rel_l2_err=(0.0, "projection idempotency")))
+            yield _row("roundtrip-idempotent", ierr <= 1e-7,
+                       {"rel_l2_err": float(ierr)},
+                       rel_l2_err=(0.0, "projection idempotency"))
 
     # closed form: the transform of e^{-a|Y|^2} phi(s) by both quadrature rules
     grid = replace(cfg.grid(), d=1)
@@ -239,14 +267,14 @@ def suite_roundtrip(cfg: RunConfig):
     scale = np.abs(exact).max()
     sf_cl = forward(closure, L_max=16, grid=grid)
     err_cl = float(np.abs(sf_cl.values - exact).max() / scale)
-    out.append(_row("closure-oracle", err_cl <= 1e-8,
-                    {"max_err": err_cl},
-                    coefficients=("phihat(lam) pi^d (a-|lam|)^ell / (a+|lam|)^(ell+d)",
-                                  "closed form (Laplace transform of Laguerre functions)")))
+    yield _row("closure-oracle", err_cl <= 1e-8,
+               {"max_err": err_cl},
+               coefficients=("phihat(lam) pi^d (a-|lam|)^ell / (a+|lam|)^(ell+d)",
+                             "closed form (Laplace transform of Laguerre functions)"))
     sf_gr = forward(closure.sample(grid), L_max=16)
     err_gr = float(np.abs(sf_gr.values - exact).max() / scale)
-    out.append(_row("grid-forward-vs-closed-form", err_gr <= 1e-7,
-                    {"max_err": err_gr}, max_err=(0.0, "same closed form, grid rule")))
+    yield _row("grid-forward-vs-closed-form", err_gr <= 1e-7,
+               {"max_err": err_gr}, max_err=(0.0, "same closed form, grid rule"))
 
     # dilation covariance: numerical resampling against the closed dilation
     a = 1.25
@@ -256,12 +284,12 @@ def suite_roundtrip(cfg: RunConfig):
     num = dilate(base.sample(grid), a)
     ref = dil.sample(grid)
     derr = l2_norm(RadialField(grid, num.values - ref.values)) / l2_norm(ref)
-    out.append(_row("dilation-covariance", derr <= 1e-6,
-                    {"rel_l2_err": float(derr), "scale": a},
-                    rel_l2_err=(0.0, "delta_a covariance, closed-form resample")))
-    return out
+    yield _row("dilation-covariance", derr <= 1e-6,
+               {"rel_l2_err": float(derr), "scale": a},
+               rel_l2_err=(0.0, "delta_a covariance, closed-form resample"))
 
 
+@_suite("transport")
 def suite_transport(cfg: RunConfig):
     """Single-band data move by s-shifts; the trapezoid Duhamel is 2nd order.
 
@@ -297,14 +325,12 @@ def suite_transport(cfg: RunConfig):
             del u0
         worst_shift[f"d{d}"] = float(np.max(errs))
     worst_lp = float(np.max(drifts))
-    out = [
-        _row("transport-shift", np.max(list(worst_shift.values())) <= shift_tol,
-             {"max_rel_l2_err": worst_shift},
-             shift=("s -> s + 4 t (2 ell + d)", "single-band flow is a translation"),
-             tolerance=shift_tol),
-        _row("transport-lp-invariance", worst_lp <= lp_tol, {"max_rel_drift": worst_lp},
-             p=[1, 2, "inf"], tolerance=lp_tol),
-    ]
+    yield _row("transport-shift", np.max(list(worst_shift.values())) <= shift_tol,
+               {"max_rel_l2_err": worst_shift},
+               shift=("s -> s + 4 t (2 ell + d)", "single-band flow is a translation"),
+               tolerance=shift_tol)
+    yield _row("transport-lp-invariance", worst_lp <= lp_tol, {"max_rel_drift": worst_lp},
+               p=[1, 2, "inf"], tolerance=lp_tol)
 
     # manufactured inhomogeneous solution: u(t) = a(t) w
     grid = replace(cfg.grid(), d=1, n_rho=96, n_s=256)
@@ -326,10 +352,9 @@ def suite_transport(cfg: RunConfig):
         st = duhamel(CauchyDataS(w), source, np.linspace(0.0, T, n + 1))
         errs.append(l2_norm(RadialField(grid, st.values[-1] - a_fn(T) * inverse(w).values)))
     order = float(np.log2(errs[0] / errs[1]))
-    out.append(_row("duhamel-order", order >= 1.9,
-                    {"errors": errs, "fitted_order": order},
-                    order=(2.0, "trapezoid rule with exact propagators")))
-    return out
+    yield _row("duhamel-order", order >= 1.9,
+               {"errors": errs, "fitted_order": order},
+               order=(2.0, "trapezoid rule with exact propagators"))
 
 
 def bernstein_check(f: RadialField, loc: LocalizerSpec, p: float, q: float,
@@ -357,10 +382,10 @@ def bernstein_check(f: RadialField, loc: LocalizerSpec, p: float, q: float,
     return {"fitted_exponent": fitted, "target_exponent": Q * (1.0 / p - 1.0 / q)}
 
 
+@_suite("bernstein")
 def suite_bernstein(cfg: RunConfig):
     """Localizer-based derivative and norm comparisons, and the eigenvalue
     spot value of the sobolev multiplier."""
-    out = []
     grid = replace(cfg.grid(), d=1)
     L = cfg.L_max
     # log-uniform spectral mass: every ring sees the same relative
@@ -376,13 +401,13 @@ def suite_bernstein(cfg: RunConfig):
         # the rows below fail on it instead of raising
         ratios.append(np.divide(sobolev_norm(floc, 1.0), sobolev_norm(floc, 0.0)))
     slope = float(np.polyfit(np.log(scales), np.log(ratios), 1)[0])
-    out.append(_row("bernstein-ring-ratio",
-                    all(lam / 2.0 - 1e-12 <= r <= lam + 1e-12 for lam, r in zip(scales, ratios)),
-                    {"ratios": ratios, "scales": list(scales)},
-                    interval=("[scale/2, scale]", "ring support of the multiplier")))
-    out.append(_row("bernstein-ring-slope", abs(slope - 1.0) <= 0.05,
-                    {"fitted_slope": slope},
-                    slope=(1.0, "first-order derivative scaling")))
+    yield _row("bernstein-ring-ratio",
+               all(lam / 2.0 - 1e-12 <= r <= lam + 1e-12 for lam, r in zip(scales, ratios)),
+               {"ratios": ratios, "scales": list(scales)},
+               interval=("[scale/2, scale]", "ring support of the multiplier"))
+    yield _row("bernstein-ring-slope", abs(slope - 1.0) <= 0.05,
+               {"fitted_slope": slope},
+               slope=(1.0, "first-order derivative scaling"))
 
     rng = np.random.default_rng(cfg.seed + 23)
     f, _ = _band_projected(cfg, rng, 1)
@@ -391,9 +416,9 @@ def suite_bernstein(cfg: RunConfig):
         res = bernstein_check(f, LocalizerSpec("ball", 2.0), p, q, L_max=cfg.L_max)
         errs.append(abs(res["fitted_exponent"] - res["target_exponent"]))
     worst = float(np.max(errs))
-    out.append(_row("bernstein-norm-exponents", worst <= 0.1,
-                    {"max_exponent_err": worst},
-                    exponent=("Q (1/p - 1/q)", "exact dilation covariance of both norms")))
+    yield _row("bernstein-norm-exponents", worst <= 0.1,
+               {"max_exponent_err": worst},
+               exponent=("Q (1/p - 1/q)", "exact dilation covariance of both norms"))
 
     # eigenvalue spot value: on the (ell=0, lam=1) line the multiplier is
     # exactly eig = 4, so the H^2/L^2 ratio is 4 and H^1/L^2 is 2
@@ -404,10 +429,10 @@ def suite_bernstein(cfg: RunConfig):
     r2 = sobolev_norm(mode, 2.0) / sobolev_norm(mode, 0.0)
     r1 = sobolev_norm(mode, 1.0) / sobolev_norm(mode, 0.0)
     err = np.max([abs(r2 - 4.0) / 4.0, abs(r1 - 2.0) / 2.0])
-    out.append(_row("sobolev-spot", err <= 1e-3,
-                    {"ratio_sigma2": float(r2), "ratio_sigma1": float(r1)},
-                    ratio_sigma2=(4.0, "eigenvalue 4|lam|(2 ell + d) at (0, 1)"),
-                    ratio_sigma1=(2.0, "square root of the same")))
+    yield _row("sobolev-spot", err <= 1e-3,
+               {"ratio_sigma2": float(r2), "ratio_sigma1": float(r1)},
+               ratio_sigma2=(4.0, "eigenvalue 4|lam|(2 ell + d) at (0, 1)"),
+               ratio_sigma1=(2.0, "square root of the same"))
 
     # diagonal operators commute
     rng = np.random.default_rng(cfg.seed + 29)
@@ -417,14 +442,13 @@ def suite_bernstein(cfg: RunConfig):
     ba = sobolev_multiplier(localize(sfr, loc), 1.3)
     scale = np.abs(ab.values).max()
     cerr = float(np.abs(ab.values - ba.values).max() / scale) if scale else 0.0
-    out.append(_row("multiplier-commute", cerr <= 1e-12,
-                    {"max_abs_err": cerr}, commutator=(0.0, "diagonal operators")))
-    return out
+    yield _row("multiplier-commute", cerr <= 1e-12,
+               {"max_abs_err": cerr}, commutator=(0.0, "diagonal operators"))
 
 
+@_suite("hausdorff-young")
 def suite_hausdorff_young(cfg: RunConfig):
     """Interpolated transform bound with the measure's own constant."""
-    out = []
     rng = np.random.default_rng(cfg.seed + 31)
     const = plancherel_constant(1)
     fields = [_band_projected(cfg, rng, 1) for _ in range(4)]
@@ -441,29 +465,28 @@ def suite_hausdorff_young(cfg: RunConfig):
             pnorm = mixed_norm(f, MixedNormSpec((p, p), ("Y", "s")))
             ratios.append(snorm / pnorm / bound)
         worst = float(np.max(ratios))
-        out.append(_row(f"hausdorff-young-p{p:g}", worst <= 1.0 + 1e-6,
-                        {"worst_normalized_ratio": worst},
-                        bound=(bound, "interpolation between |theta| <= ||f||_1 and the "
-                                      "energy constant")))
-    return out
+        yield _row(f"hausdorff-young-p{p:g}", worst <= 1.0 + 1e-6,
+                   {"worst_normalized_ratio": worst},
+                   bound=(bound, "interpolation between |theta| <= ||f||_1 and the "
+                                 "energy constant"))
 
 
+@_suite("gfun")
 def suite_gfun(cfg: RunConfig):
     """Physical sphere kernel: origin value, finiteness, exact rescaling."""
-    out = []
     val, tail = g_function(0.0, 0.0, d=1)
     err = abs(val - 0.25) / 0.25
-    out.append(_row("gfun-origin", err <= 1e-6,
-                    {"value": float(val), "rel_err": float(err), "tail_estimate": float(tail)},
-                    value=(0.25, "series oracle 2/pi^2 sum (2l+1)^{-2}")))
+    yield _row("gfun-origin", err <= 1e-6,
+               {"value": float(val), "rel_err": float(err), "tail_estimate": float(tail)},
+               value=(0.25, "series oracle 2/pi^2 sum (2l+1)^{-2}"))
 
     rho = np.linspace(0.0, 4.0, 9)[:, None]
     s = np.linspace(-20.0, 20.0, 9)[None, :]
     vals, tails = g_function(rho, s, d=1)
-    out.append(_row("gfun-finite",
-                    np.all(np.isfinite(vals)) and float(np.abs(vals).max()) < 1.0,
-                    {"max_abs": float(np.abs(vals).max()), "max_tail": float(tails.max())},
-                    finite=(True, "convergent band series")))
+    yield _row("gfun-finite",
+               np.all(np.isfinite(vals)) and float(np.abs(vals).max()) < 1.0,
+               {"max_abs": float(np.abs(vals).max()), "max_tail": float(tails.max())},
+               finite=(True, "convergent band series"))
 
     R = 2.0
     errs = []
@@ -472,17 +495,16 @@ def suite_gfun(cfg: RunConfig):
         v1, _ = g_function(np.sqrt(R) * rho0, R * s0, d=1, radius=1.0)
         errs.append(abs(vR - R * v1) / abs(R * v1))
     worst = float(np.max(errs))
-    out.append(_row("gfun-rescaling", worst <= 1e-10,
-                    {"max_rel_err": worst},
-                    identity=("G_R(rho, s) = R^d G_1(sqrt(R) rho, R s)",
-                              "band-by-band reindexing")))
+    yield _row("gfun-rescaling", worst <= 1e-10,
+               {"max_rel_err": worst},
+               identity=("G_R(rho, s) = R^d G_1(sqrt(R) rho, R s)",
+                         "band-by-band reindexing"))
 
     va, _ = g_function(1.0, 5.0, d=1, L_max=2048)
     vb, _ = g_function(1.0, 5.0, d=1, L_max=4096)
-    out.append(_row("gfun-doubling", abs(va - vb) <= 1e-6,
-                    {"delta": float(abs(va - vb))},
-                    delta=(0.0, "extrapolation stability")))
-    return out
+    yield _row("gfun-doubling", abs(va - vb) <= 1e-6,
+               {"delta": float(abs(va - vb))},
+               delta=(0.0, "extrapolation stability"))
 
 
 def _ones(x, *_):
@@ -490,23 +512,23 @@ def _ones(x, *_):
     return np.ones_like(np.asarray(x, dtype=float))
 
 
+@_suite("sphere")
 def suite_sphere(cfg: RunConfig):
     """Sphere measure: total mass, exact R-scaling, restrict/extend duality,
     and refinement stability of the empirical restriction ratio."""
-    out = []
     pair = sphere_pair(_ones, SphereMeasure(1.0), d=1)
     target = np.pi**2 / 4.0
     err = _relative(pair["value"], target)
-    out.append(_row("sphere-total", err <= 1e-6,
-                    {"value": pair["value"], "partial": pair["partial"],
-                     "tail": pair["tail"], "rel_err": err},
-                    value=(target, "2 sum mult (2l+1)^{-2} = pi^2/4 at d=1")))
+    yield _row("sphere-total", err <= 1e-6,
+               {"value": pair["value"], "partial": pair["partial"],
+                "tail": pair["tail"], "rel_err": err},
+               value=(target, "2 sum mult (2l+1)^{-2} = pi^2/4 at d=1"))
 
     R = 2.0
     pr = sphere_pair(_ones, SphereMeasure(R), d=1)
     rerr = _relative(pr["value"], R * pair["value"])
-    out.append(_row("sphere-rscaling", rerr <= 1e-12,
-                    {"rel_err": rerr}, factor=("R^d", "weights carry R^d exactly")))
+    yield _row("sphere-rscaling", rerr <= 1e-12,
+               {"rel_err": rerr}, factor=("R^d", "weights carry R^d exactly"))
 
     rng = np.random.default_rng(cfg.seed + 37)
     grid = replace(cfg.grid(), d=1)
@@ -517,10 +539,10 @@ def suite_sphere(cfg: RunConfig):
     lhs = l2_inner(f, extend_sphere(v, grid))
     rhs = _measure_pairing(vals, v)
     derr = abs(lhs - rhs) / abs(rhs)
-    out.append(_row("sphere-duality", derr <= 1e-10,
-                    {"rel_err": float(derr)},
-                    identity=("<f, E v>_{L^2} = (2^{d-1}/pi^{d+1}) <R f, v>_{measure}",
-                              "adjoint pairing with the inversion constant")))
+    yield _row("sphere-duality", derr <= 1e-10,
+               {"rel_err": float(derr)},
+               identity=("<f, E v>_{L^2} = (2^{d-1}/pi^{d+1}) <R f, v>_{measure}",
+                         "adjoint pairing with the inversion constant"))
 
     # empirical ratio stability under simultaneous refinement
     rng = np.random.default_rng(cfg.seed + 41)
@@ -530,24 +552,23 @@ def suite_sphere(cfg: RunConfig):
         fv = sample_packets(parts, g)
         return np.sqrt(sphere_norm_sq(restrict_sphere(fv, measure, L_max=L))) / l2_norm(fv)
 
-    out.append(_ratio_stability(cfg, "sphere-ratio-stability", packets, 128, 32, ratio))
-    return out
+    yield _ratio_stability(cfg, "sphere-ratio-stability", packets, 128, 32, ratio)
 
 
+@_suite("sigma")
 def suite_sigma(cfg: RunConfig):
     """Paraboloid measure: window-free origin ratio, extension = free
     evolution on the window plateau, duality, refinement stability."""
-    out = []
     measure = SigmaMeasure()
     pair = sigma_pair(_ones, measure, d=1)
     gd = g_sigma(0.0, 0.0, 0.0, measure, d=1)
     ratio = gd["value"].real / pair["value"]
     target = 2.0 ** (3 * 1 + 2) / np.pi**1
     err = _relative(ratio, target)
-    out.append(_row("sigma-origin-ratio", err <= 1e-6,
-                    {"pair_total": pair["value"], "kernel_origin": gd["value"].real,
-                     "ratio": float(ratio), "rel_err": err, "panels": gd["panels"]},
-                    ratio=(target, "2^{3d+2}/pi^d, window-independent")))
+    yield _row("sigma-origin-ratio", err <= 1e-6,
+               {"pair_total": pair["value"], "kernel_origin": gd["value"].real,
+                "ratio": float(ratio), "rel_err": err, "panels": gd["panels"]},
+               ratio=(target, "2^{3d+2}/pi^d, window-independent"))
 
     # extension of the datum's trace reproduces the free flow when the
     # window is 1 on the datum's joint spectrum.  The datum is a Gaussian
@@ -571,10 +592,10 @@ def suite_sigma(cfg: RunConfig):
     u_ext = extend_sigma(SigmaValues(meas, 1, al, wa, tp, tm), bigg.with_times(times))
     diff = l2_norm(SpaceTimeField(u_ref.grid, u_ext.values - u_ref.values))
     eerr = np.sqrt(np.sum(diff**2)) / np.sqrt(np.sum(l2_norm(u_ref) ** 2))
-    out.append(_row("sigma-extension-evolution", eerr <= 1e-6,
-                    {"rel_l2_err": float(eerr)},
-                    identity=("extension of the datum trace = free Schrodinger flow",
-                              "chart alpha = eigenvalue turns extension into inversion")))
+    yield _row("sigma-extension-evolution", eerr <= 1e-6,
+               {"rel_l2_err": float(eerr)},
+               identity=("extension of the datum trace = free Schrodinger flow",
+                         "chart alpha = eigenvalue turns extension into inversion"))
 
     # adjoint duality on a generic spacetime field
     rng = np.random.default_rng(cfg.seed + 43)
@@ -590,11 +611,11 @@ def suite_sigma(cfg: RunConfig):
     lhs = np.sum(u.grid.w_t * l2_inner(u, ev))
     rhs = _measure_pairing(ru, rv)
     derr = abs(lhs - rhs) / abs(rhs)
-    out.append(_row("sigma-duality", derr <= 1e-8,
-                    {"rel_err": float(derr)},
-                    identity=("<u, E Theta>_{L^2(dt dY ds)} = "
-                              "(2^{d-1}/pi^{d+1}) <R u, Theta>_{measure}",
-                              "adjoint pairing with the inversion constant")))
+    yield _row("sigma-duality", derr <= 1e-8,
+               {"rel_err": float(derr)},
+               identity=("<u, E Theta>_{L^2(dt dY ds)} = "
+                         "(2^{d-1}/pi^{d+1}) <R u, Theta>_{measure}",
+                         "adjoint pairing with the inversion constant"))
 
     # refinement stability of the empirical spacetime restriction ratio
     rng = np.random.default_rng(cfg.seed + 47)
@@ -606,8 +627,7 @@ def suite_sigma(cfg: RunConfig):
         rs = restrict_sigma(u, measure, L_max=L, n_alpha=12)
         return np.sqrt(sigma_norm_sq(rs)) / mixed_norm(u, l2spec)
 
-    out.append(_ratio_stability(cfg, "sigma-ratio-stability", packs, 96, 12, ratio))
-    return out
+    yield _ratio_stability(cfg, "sigma-ratio-stability", packs, 96, 12, ratio)
 
 
 def est2_scan(ps=(2.0,), lams=(0.25, 0.5, 1.0, 2.0, 4.0), seed: int = 42) -> list:
@@ -730,16 +750,16 @@ def tn_norm_proxy(n: int = 49, n_inputs: int = 64, seed: int = 0) -> dict:
     }
 
 
+@_suite("est2")
 def suite_est2(cfg: RunConfig):
     """Band-projection operators under twisted convolution: sharp lam-scaling,
     exact reproducing identities, Young bound, algebra scaling, norm proxy."""
-    out = []
     scans = est2_scan((2.0, 1.0), seed=cfg.seed)
     for res, name in zip(scans, ("est2-slope-p2", "est2-slope-p1")):
         err = abs(res["slope"] - res["target_slope"])
-        out.append(_row(name, err <= 0.1,
-                        {"slope": res["slope"], "ratios": res["ratios"]},
-                        slope=(res["target_slope"], "twisted scaling covariance: -2d/p'")))
+        yield _row(name, err <= 0.1,
+                   {"slope": res["slope"], "ratios": res["ratios"]},
+                   slope=(res["target_slope"], "twisted scaling covariance: -2d/p'"))
 
     grid2 = PlanarGrid()
     lam = 1.0
@@ -749,30 +769,29 @@ def suite_est2(cfg: RunConfig):
     rerr = float(np.abs(conv.values - c * k0.values).max() / np.abs(c * k0.values).max())
     cross = twisted_convolve(k0, kernel_field(grid2, 1, lam), lam)
     xerr = float(np.abs(cross.values).max() / np.abs(conv.values).max())
-    out.append(_row("twisted-reproducing", rerr <= 1e-8,
-                    {"rel_err": rerr},
-                    identity=("K_0 * K_0 = (pi/(2 lam))^d K_0", "self-reproducing band kernels")))
-    out.append(_row("twisted-cross-band", xerr <= 1e-8,
-                    {"rel_err": xerr}, identity=("K_0 * K_1 = 0", "band orthogonality")))
+    yield _row("twisted-reproducing", rerr <= 1e-8,
+               {"rel_err": rerr},
+               identity=("K_0 * K_0 = (pi/(2 lam))^d K_0", "self-reproducing band kernels"))
+    yield _row("twisted-cross-band", xerr <= 1e-8,
+               {"rel_err": xerr}, identity=("K_0 * K_1 = 0", "band orthogonality"))
 
     proxy = tn_norm_proxy(n_inputs=64, seed=cfg.seed)
     exact = proxy["exact_norm"]
-    out.append(_row("twisted-norm",
-                    0.5 * exact <= proxy["measured_norm_proxy"] <= exact * (1 + 1e-9),
-                    {"norm_proxy": proxy["measured_norm_proxy"], "n_inputs": proxy["n_inputs"]},
-                    norm=(exact, "(pi/(2|lam|))^d: scaled projection")))
+    yield _row("twisted-norm",
+               0.5 * exact <= proxy["measured_norm_proxy"] <= exact * (1 + 1e-9),
+               {"norm_proxy": proxy["measured_norm_proxy"], "n_inputs": proxy["n_inputs"]},
+               norm=(exact, "(pi/(2|lam|))^d: scaled projection"))
 
     worst = young_check(seed=cfg.seed)
-    out.append(_row("twisted-young", worst <= 1.0 + 1e-9,
-                    {"worst_ratio": worst},
-                    bound=(1.0, "unimodular phase under the integral")))
+    yield _row("twisted-young", worst <= 1.0 + 1e-9,
+               {"worst_ratio": worst},
+               bound=(1.0, "unimodular phase under the integral"))
 
     alg = algebra_scaling()
     aerr = float(np.abs(alg["ratios"] / alg["exact_ratios"] - 1.0).max())
-    out.append(_row("twisted-algebra-slope", abs(alg["slope"] + 0.5) <= 0.05 and aerr <= 1e-6,
-                    {"slope": alg["slope"], "max_rel_err_vs_exact": aerr},
-                    slope=(-0.5, "kernel family saturates C |lam|^{-d/2}")))
-    return out
+    yield _row("twisted-algebra-slope", abs(alg["slope"] + 0.5) <= 0.05 and aerr <= 1e-6,
+               {"slope": alg["slope"], "max_rel_err_vs_exact": aerr},
+               slope=(-0.5, "kernel family saturates C |lam|^{-d/2}"))
 
 
 def orth_check(ells=(1, 2, 4, 8, 16, 32, 64), n_quad: int = 4096) -> dict:
@@ -811,22 +830,21 @@ def orth_check(ells=(1, 2, 4, 8, 16, 32, 64), n_quad: int = 4096) -> dict:
     }
 
 
+@_suite("orth")
 def suite_orth(cfg: RunConfig):
     """Absolute-value pair integrals of the normalized band kernels."""
     res = orth_check()
-    return [
-        _row("orth-diagonal", res["diag_rel_err"] <= 1e-8,
-             {"diag": res["diag"], "rel_err": res["diag_rel_err"]},
-             diag=("(pi/2)^d / (2 ell + d)", "closed-form norm of the scaled kernel")),
-        _row("orth-decay-slope", -1.3 <= res["offdiag_slope"] <= -0.7,
-             {"slope": res["offdiag_slope"], "pairs": res["offdiag"]},
-             slope_window=([-1.3, -0.7], "1/max(ell, m) decay, fitted")),
-        _row("orth-scaled-bounded",
-             res["scaled_growth_slope"] <= 0.2 and np.isfinite(res["max_scaled_offdiag"]),
-             {"growth_slope": res["scaled_growth_slope"],
-              "max_scaled": res["max_scaled_offdiag"]},
-             growth=(0.0, "max(ell,m) I(ell,m) stays bounded")),
-    ]
+    yield _row("orth-diagonal", res["diag_rel_err"] <= 1e-8,
+               {"diag": res["diag"], "rel_err": res["diag_rel_err"]},
+               diag=("(pi/2)^d / (2 ell + d)", "closed-form norm of the scaled kernel"))
+    yield _row("orth-decay-slope", -1.3 <= res["offdiag_slope"] <= -0.7,
+               {"slope": res["offdiag_slope"], "pairs": res["offdiag"]},
+               slope_window=([-1.3, -0.7], "1/max(ell, m) decay, fitted"))
+    yield _row("orth-scaled-bounded",
+               res["scaled_growth_slope"] <= 0.2 and np.isfinite(res["max_scaled_offdiag"]),
+               {"growth_slope": res["scaled_growth_slope"],
+                "max_scaled": res["max_scaled_offdiag"]},
+               growth=(0.0, "max(ell,m) I(ell,m) stays bounded"))
 
 
 _HARDY_N = 512  # length of the sequences the averaging operator acts on
@@ -845,6 +863,7 @@ def hardy_check(p: float = 2.0, n_seeds: int = 1000, seed: int = 0) -> dict:
     return {"bound": p / (p - 1.0), "worst_ratio": float(ratios.max()), "n_seeds": n_seeds}
 
 
+@_suite("hardy")
 def suite_hardy(cfg: RunConfig):
     """Averaging operator on sequences: sharp-constant bound and the spike.
 
@@ -852,26 +871,24 @@ def suite_hardy(cfg: RunConfig):
     (sum_{m<=N} m^{-p})^{1/p}, which at p = 2 converges to pi/sqrt(6) with
     an O(1/N) defect.
     """
-    out = []
     for p in (1.5, 2.0, 3.0):
         res = hardy_check(p=p, n_seeds=1000, seed=cfg.seed)
-        out.append(_row(f"hardy-p{p:g}", res["worst_ratio"] <= res["bound"] + 1e-9,
-                        {"worst_ratio": res["worst_ratio"], "n_seeds": res["n_seeds"]},
-                        bound=(res["bound"], "classical constant p/(p-1)")))
+        yield _row(f"hardy-p{p:g}", res["worst_ratio"] <= res["bound"] + 1e-9,
+                   {"worst_ratio": res["worst_ratio"], "n_seeds": res["n_seeds"]},
+                   bound=(res["bound"], "classical constant p/(p-1)"))
     p, m = 2.0, np.arange(1, _HARDY_N + 1, dtype=float)
     ratio = float(np.sum(m**-p) ** (1.0 / p))
     limit = float(np.pi / np.sqrt(6.0))
     defect = abs(ratio - limit)
-    out.append(_row("hardy-spike", defect <= 0.5 / _HARDY_N and ratio <= 2.0,
-                    {"ratio": ratio, "defect": float(defect)},
-                    limit=(limit, "partial sums of sum m^{-2} = pi^2/6")))
-    return out
+    yield _row("hardy-spike", defect <= 0.5 / _HARDY_N and ratio <= 2.0,
+               {"ratio": ratio, "defect": float(defect)},
+               limit=(limit, "partial sums of sum m^{-2} = pi^2/6"))
 
 
+@_suite("strichartz-scaling")
 def suite_strichartz(cfg: RunConfig):
     """Scaling flatness of the spacetime estimate's two sides, and the
     admissible-set gates on a tabulated pair list."""
-    out = []
     grid = replace(cfg.grid(), d=1)
     L = 4
     rngth = np.random.default_rng(cfg.seed + 53)
@@ -900,9 +917,9 @@ def suite_strichartz(cfg: RunConfig):
         ratios = np.asarray(ratios)
         flat = float(np.abs(ratios / ratios[0] - 1.0).max())
         qn = "inf" if np.isinf(q) else f"{q:g}"
-        out.append(_row(f"strichartz-flatness-p{p:g}q{qn}", flat <= 1e-6,
-                        {"ratios": ratios, "max_rel_spread": flat, "sobolev_order": sigma},
-                        spread=(0.0, "both sides scale by the same power")))
+        yield _row(f"strichartz-flatness-p{p:g}q{qn}", flat <= 1e-6,
+                   {"ratios": ratios, "max_rel_spread": flat, "sobolev_order": sigma},
+                   spread=(0.0, "both sides scale by the same power"))
 
     table_s = [
         (2.0, 2.0, True), (2.0, 4.0, True), (2.0, np.inf, True), (4.0, 4.0, True),
@@ -918,11 +935,11 @@ def suite_strichartz(cfg: RunConfig):
                           ("wave", table_w, "admissible-wave")):
         got = [admissible(eq, p, q, 1) for (p, q, _) in table]
         want = [w for (_, _, w) in table]
-        out.append(_row(nm, got == want, {"gate": got},
-                        gate=(want, "tabulated exponent inequalities")))
-    return out
+        yield _row(nm, got == want, {"gate": got},
+                   gate=(want, "tabulated exponent inequalities"))
 
 
+@_suite("wave-energy")
 def suite_wave_energy(cfg: RunConfig):
     """Unitarity of the free flow and conservation of the wave energy.
 
@@ -941,17 +958,15 @@ def suite_wave_energy(cfg: RunConfig):
         l2_norm(schrodinger_evolve(CauchyDataS(sf0), times[i:i + 8]))
         for i in range(0, times.size, 8)])
     drift = float(np.abs(norms / norms[0] - 1.0).max())
+    yield _row("schrodinger-unitarity", drift <= 1e-10,
+               {"max_rel_drift": drift, "steps": int(times.size - 1)},
+               drift=(0.0, "unimodular multiplier"))
     th1 = _cplx(rng, (L + 1, 1)) * prof
     en = wave_energy_series(CauchyDataW(sf0, SpectralField(grid, th1)), times)
     edrift = float(np.abs(en / en[0] - 1.0).max())
-    return [
-        _row("schrodinger-unitarity", drift <= 1e-10,
-             {"max_rel_drift": drift, "steps": int(times.size - 1)},
-             drift=(0.0, "unimodular multiplier")),
-        _row("wave-energy-conservation", edrift <= 1e-10,
-             {"max_rel_drift": edrift, "steps": int(times.size - 1)},
-             drift=(0.0, "half-wave phases preserve the density")),
-    ]
+    yield _row("wave-energy-conservation", edrift <= 1e-10,
+               {"max_rel_drift": edrift, "steps": int(times.size - 1)},
+               drift=(0.0, "half-wave phases preserve the density"))
 
 
 # s-rows per block of the decay probe: its offset table and each block's field
@@ -1035,20 +1050,19 @@ def schrodinger_decay_probe() -> dict:
     }
 
 
+@_suite("decay-probe")
 def suite_decay(cfg: RunConfig):
     """Wave packets spread at the cone rate; Schrodinger single-band data
     do not decay at all."""
     probe = wave_decay_probe()
+    yield _row("wave-decay-exponent", probe["fitted_exponent"] <= -0.4,
+               {"fitted_exponent": probe["fitted_exponent"], "sup_norms": probe["sup_norms"]},
+               exponent=(-0.5, "stationary-phase rate at d=1"))
     sp = schrodinger_decay_probe()
-    return [
-        _row("wave-decay-exponent", probe["fitted_exponent"] <= -0.4,
-             {"fitted_exponent": probe["fitted_exponent"], "sup_norms": probe["sup_norms"]},
-             exponent=(-0.5, "stationary-phase rate at d=1")),
-        _row("schrodinger-nondecay",
-             abs(sp["fitted_exponent"]) <= 0.05 and sp["max_rel_drift"] <= 1e-10,
-             {"fitted_exponent": sp["fitted_exponent"], "max_rel_drift": sp["max_rel_drift"]},
-             exponent=(0.0, "transport moves the profile rigidly")),
-    ]
+    yield _row("schrodinger-nondecay",
+               abs(sp["fitted_exponent"]) <= 0.05 and sp["max_rel_drift"] <= 1e-10,
+               {"fitted_exponent": sp["fitted_exponent"], "max_rel_drift": sp["max_rel_drift"]},
+               exponent=(0.0, "transport moves the profile rigidly"))
 
 
 def translate_identity_check() -> dict:
@@ -1102,47 +1116,32 @@ def translate_identity_check() -> dict:
     return {"max_rel_err": float(np.max(errs)), "ells": list(ells), "lams": list(lams)}
 
 
+@_suite("translate-identity")
 def suite_translate(cfg: RunConfig):
     res = translate_identity_check()
-    return [_row("translate-identity", res["max_rel_err"] <= 1e-5, res,
-                 identity=("pairing of a translate = theta x e^{-i s0 lam} K(lam, Y0)",
-                           "matrix-coefficient sum of the band projection"))]
-
-
-SUITES = {
-    "plancherel": suite_plancherel,
-    "roundtrip": suite_roundtrip,
-    "transport": suite_transport,
-    "bernstein": suite_bernstein,
-    "hausdorff-young": suite_hausdorff_young,
-    "gfun": suite_gfun,
-    "sphere": suite_sphere,
-    "sigma": suite_sigma,
-    "est2": suite_est2,
-    "orth": suite_orth,
-    "hardy": suite_hardy,
-    "strichartz-scaling": suite_strichartz,
-    "wave-energy": suite_wave_energy,
-    "decay-probe": suite_decay,
-    "translate-identity": suite_translate,
-}
+    yield _row("translate-identity", res["max_rel_err"] <= 1e-5, res,
+               identity=("pairing of a translate = theta x e^{-i s0 lam} K(lam, Y0)",
+                         "matrix-coefficient sum of the band projection"))
 
 
 def run_suites(cfg: RunConfig) -> VerificationReport:
-    """Run the config's suites and assemble the report; a name that is
-    neither a suite nor "all" is refused (ConfigError) before any runs."""
+    """Run the config's entries, each "all", a suite or SUITE/ROW (that row
+    alone, its suite run only as far as it), and assemble the report.  A
+    suite part that is neither a suite nor "all", "all/ROW", and a row of a
+    suite also run whole are refused (ConfigError) before any suite runs."""
     known = set(SUITES) | {"all"}
-    for name in cfg.suites:
+    for entry in cfg.suites:
+        name, sep, _ = entry.partition("/")
         if name not in known:
             raise ConfigError(f"unknown suite {name!r}; known: {', '.join(sorted(known))}")
+        if sep and (name == "all" or {name, "all"} & set(cfg.suites)):
+            raise ConfigError(f"{entry!r}: a row is named SUITE/ROW of a suite not run whole")
     names = list(SUITES) if "all" in cfg.suites else list(cfg.suites)
     results = []
-    for name in names:
-        results.extend(SUITES[name](cfg))
+    for entry in names:
+        name, sep, row = entry.partition("/")
+        results.extend(SUITES[name](cfg, row if sep else None))
     rng = np.random.default_rng(cfg.seed)
     _, sf = _band_projected(cfg, rng, cfg.d)
-    diagnostics = {
-        "band_tail_fraction": _tail_fraction(sf),
-        "suites": names,
-    }
+    diagnostics = {"band_tail_fraction": _tail_fraction(sf), "suites": names}
     return VerificationReport(cfg.as_dict(), results, diagnostics)

@@ -810,6 +810,12 @@ _KNOWN = ", ".join(sorted(set(SUITES) | {"all"}))
     (["propagate", "--eq", "wave", "--in", "{spec}", "--u1", "{foreign}"],
      "--u1 does not match --in: velocity u1 lives on a different grid than position u0"),
     (["verify", "everything"], f"unknown suite 'everything'; known: {_KNOWN}"),
+    (["verify", "everything/x"], f"unknown suite 'everything'; known: {_KNOWN}"),
+    (["verify", "all/hardy-spike"],
+     "'all/hardy-spike': a row is named SUITE/ROW of a suite not run whole"),
+    (["verify", "hardy/hardy-p4"],
+     "unknown row 'hardy-p4' of suite 'hardy'; its rows: hardy-p1.5, hardy-p2, hardy-p3, "
+     "hardy-spike"),
 ])
 def test_cli_usage_errors_exit_2_with_one_stderr_line(tmp_path, small_cfg, small_grid,
                                                       band_file, argv, line, capsys):
@@ -839,6 +845,20 @@ def test_verify_suite_report(tmp_path, capsys):
     rep = json.loads(out_path.read_text())
     assert rep["schema"] == "hharm-report/1"
     assert rep["results"] and all(r["passed"] for r in rep["results"])
+
+
+def test_verify_one_row_report(capsys):
+    """`hharm verify SUITE/ROW` reports that row alone, equal to its entry
+    in the golden `verify all --seed 42` report."""
+    code = main(["verify", "hardy/hardy-spike", "--seed", "42"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert captured.err.startswith("[PASS] hardy-spike\n1/1 checks passed")
+    rep = json.loads(captured.out)
+    golden = Path(__file__).parent / "golden" / "verify_all_seed42.json"
+    assert rep["results"] == [r for r in json.loads(golden.read_text())["results"]
+                              if r["name"] == "hardy-spike"]
+    assert rep["diagnostics"]["suites"] == ["hardy/hardy-spike"]
 
 
 def test_verify_stdout_and_determinism(tmp_path, capsys):

@@ -125,6 +125,31 @@ def test_wave_data_refuse_a_velocity_they_cannot_pair():
     CauchyDataW(g0, banded_spectrum(grid=G.with_times(None), seed=7))  # a compatible copy
 
 
+G32 = Grid(d=1, n_rho=32, r_max=12.0, n_s=64, s_half=40.0)
+
+
+@pytest.mark.parametrize("make, frag", [
+    (lambda f, sf: schrodinger_evolve(CauchyDataS(f), [0.1]), "datum u0"),
+    (lambda f, sf: CauchyDataW(f, sf), "position u0"),
+], ids=["schrodinger", "wave"])
+def test_cauchy_data_refuse_a_radial_datum(make, frag):
+    """A radial u0 was taken as it came, and the flow ended in an
+    AttributeError ('RadialField' object has no attribute 'L_max'); the data
+    classes now refuse it as `_check_paired` refuses a radial velocity."""
+    f = RadialField(G32, np.ones((32, 64)))
+    with pytest.raises(TypeError, match=f"^{frag} must be a SpectralField, got RadialField$"):
+        make(f, forward(f, 4))
+
+
+@pytest.mark.parametrize("ell", [-1, 1.5])
+def test_transport_reference_refuses_the_bands_the_cli_refuses(ell):
+    """ell = -1 and ell = 1.5 each returned a shifted field, while
+    `--transport-ell` refuses both (exit 2); the reference now refuses them
+    through the same band rule."""
+    with pytest.raises(ValueError, match="^ell must be an"):
+        transport_reference(RadialField(G32, np.ones((32, 64))), ell, 0.1)
+
+
 def test_wave_t0_recovers_datum():
     g0 = banded_spectrum(seed=6)
     g1 = banded_spectrum(seed=7)

@@ -653,6 +653,15 @@ def test_transform_D_makes_one_sample_sized_array(traced_peak):
     assert peak - D.values.nbytes <= 1.1 * u.values.nbytes
 
 
+def test_inverse_refuses_a_radial_field():
+    """A radial field ended in `ValueError: L_max must be an integer, got
+    None` from the pass it reached; inverse now refuses it by its kind."""
+    f = RadialField(Grid(d=1, n_rho=32, r_max=12.0, n_s=64, s_half=40.0), np.ones((32, 64)))
+    with pytest.raises(TypeError, match="^the input of inverse must be a SpectralField, "
+                                        "got RadialField$"):
+        inverse(f)
+
+
 def test_inverse_peak_memory_is_its_output(traced_peak):
     """A memory bound, not a timing: the output is the one sample-sized
     array an inverse makes; its kernel-block scratch adds 1/16 of it here.

@@ -381,7 +381,7 @@ def test_hardy_bound(p):
 
 
 def test_hardy_spike_value():
-    row = {r.name: r for r in verify.suite_hardy(RunConfig())}["hardy-spike"]
+    (row,) = verify.run_suites(RunConfig(suites=("hardy/hardy-spike",))).results
     assert row.passed
     assert row.targets["limit"]["value"] == pytest.approx(np.pi / np.sqrt(6.0))
     assert row.measured["defect"] > 0.0

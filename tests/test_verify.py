@@ -166,7 +166,7 @@ def test_gfun_rescaling_fails_on_one_nan_point(monkeypatch):
         return (float("nan"), tail) if np.isscalar(rho) and rho == 1.5 else (val, tail)
 
     monkeypatch.setattr(verify, "g_function", planted)
-    row = {r.name: r for r in verify.suite_gfun(RunConfig())}["gfun-rescaling"]
+    (row,) = run_suites(RunConfig(suites=("gfun/gfun-rescaling",))).results
     assert row.passed is False
     assert np.isnan(row.measured["max_rel_err"])
 
@@ -203,6 +203,107 @@ def test_suite_names_are_refused_by_the_config_and_run_suites():
     with pytest.raises(ConfigError) as exc:
         run_suites(RunConfig(suites=("hardy", "everything")))
     assert str(exc.value) == f"unknown suite 'everything'; known: {known}"
+
+
+def test_rows_are_refused_by_run_suites(monkeypatch):
+    """An unknown suite part, "all/ROW", and a row of a suite also run whole
+    are refused before any suite runs; an unknown row of a known suite is
+    refused once its suite has run, naming the suite's rows."""
+    def no_run(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setitem(SUITES, "hardy", no_run)
+    known = ", ".join(sorted(set(SUITES) | {"all"}))
+    with pytest.raises(ConfigError) as exc:
+        run_suites(RunConfig(suites=("hardy", "everything/x")))
+    assert str(exc.value) == f"unknown suite 'everything'; known: {known}"
+    for names in (("hardy", "all/hardy-spike"), ("hardy", "hardy/hardy-spike"),
+                  ("all", "hardy/hardy-spike")):
+        with pytest.raises(ConfigError, match="a row is named SUITE/ROW of a suite not run whole"):
+            run_suites(RunConfig(suites=names))
+    monkeypatch.undo()
+    with pytest.raises(ConfigError) as exc:
+        run_suites(RunConfig(suites=("hardy/hardy-p4",)))
+    assert str(exc.value) == ("unknown row 'hardy-p4' of suite 'hardy'; its rows: "
+                              "hardy-p1.5, hardy-p2, hardy-p3, hardy-spike")
+
+
+GOLDEN = Path(__file__).parent / "golden" / "verify_all_seed42.json"
+
+# one row of each suite, neither ratio-stability row: they take most of the suites' time
+_ONE_ROW_PER_SUITE = [
+    "plancherel/plancherel-ratio-d1", "roundtrip/roundtrip-d1", "transport/transport-shift",
+    "bernstein/bernstein-ring-ratio", "hausdorff-young/hausdorff-young-p1", "gfun/gfun-origin",
+    "sphere/sphere-duality", "sigma/sigma-duality", "est2/est2-slope-p2", "orth/orth-diagonal",
+    "hardy/hardy-spike", "strichartz-scaling/strichartz-flatness-p2q2",
+    "wave-energy/schrodinger-unitarity", "decay-probe/wave-decay-exponent",
+    "translate-identity/translate-identity",
+]
+
+
+@pytest.mark.parametrize("entry", _ONE_ROW_PER_SUITE)
+def test_a_row_run_alone_is_its_golden_entry(entry):
+    """SUITES[suite](cfg, row) runs the suite only as far as the row and
+    returns it alone, equal to its entry in the `verify all --seed 42`
+    report: each row seeds its own inputs, and no row after it runs."""
+    suite, row = entry.split("/")
+    want = [r for r in json.loads(GOLDEN.read_text())["results"] if r["name"] == row]
+    assert [r.as_dict() for r in SUITES[suite](RunConfig(seed=42), row)] == want
+
+
+def test_suites_run_their_rows_inside_the_call_the_tracer_wraps(monkeypatch):
+    """The benchmark's tracer rebinds every SUITES value to a wrapper that
+    times the call and passes its arguments through.  A value that returned
+    its rows unmade (a generator) would make them after the wrapper
+    returned, and the per-suite times would read 0; so each call returns a
+    list, and every row is made inside it."""
+    made, calls = [], []
+    real_row = verify._row
+    monkeypatch.setattr(verify, "_row", lambda *a, **k: made.append(1) or real_row(*a, **k))
+
+    def wrap(name, fn):
+        def traced(*args, **kwargs):
+            before = len(made)
+            out = fn(*args, **kwargs)
+            calls.append((name, type(out), len(made) - before))
+            return out
+        return traced
+
+    for name, fn in list(SUITES.items()):
+        monkeypatch.setitem(SUITES, name, wrap(name, fn))
+    for entry, n_rows, n_made in (("hardy", 4, 4), ("hardy/hardy-spike", 1, 4)):
+        calls.clear()
+        assert len(run_suites(RunConfig(suites=(entry,))).results) == n_rows
+        assert calls == [("hardy", list, n_made)]
+
+
+def _row_alone(entry):
+    (row,) = run_suites(RunConfig(seed=42, suites=(entry,))).results
+    return row
+
+
+def test_clock_mutant_fails_transport_shift(monkeypatch):
+    """The first mutant of the row matrix: Schrodinger phases evaluated at
+    1.001 t, the time labels left at t.  The shift row, run alone, fails."""
+    real = propagators._phases
+    monkeypatch.setattr(propagators, "_phases", lambda x, times: real(x, 1.001 * times))
+    row = _row_alone("transport/transport-shift")
+    assert row.name == "transport-shift" and row.passed is False
+
+
+def test_band_drop_mutant_fails_grid_forward_vs_closed_form(monkeypatch):
+    """The second mutant: the grid forward transform zeroes its top band
+    L_max.  The grid-rule row against the closed form, run alone, fails."""
+    real = transform._forward_fft
+
+    def band_drop(*args, **kwargs):
+        out = real(*args, **kwargs)
+        out[..., -1, :] = 0.0
+        return out
+
+    monkeypatch.setattr(transform, "_forward_fft", band_drop)
+    row = _row_alone("roundtrip/grid-forward-vs-closed-form")
+    assert row.name == "grid-forward-vs-closed-form" and row.passed is False
 
 
 @pytest.mark.parametrize("names", [(), [], ("hardy", "hardy"), ["all", "hardy", "all"]])
